@@ -10,8 +10,7 @@ from .models import (CounterModel, ForwardCounter, LanguageModel, ModelSpec,
                      forward_scan, forward_tree, next_distribution,
                      parse_model_spec, sample)
 from .pool import Phrase, PhrasePool, insert_ngrams
-from .drafting import (DraftResult, LookaheadState, draft_step, generate_draft,
-                       init_lookahead)
+from .drafting import DraftResult, draft_step, generate_draft, window_columns
 from .verification import (VerificationOutcome, accept_len,
                            correct_unused_suffixes, harvest, match_count, verify)
 from .engines import (CostModel, EngineConfig, RunMetrics,
@@ -29,8 +28,7 @@ __all__ = [
     "forward_scan", "forward_tree", "next_distribution", "parse_model_spec",
     "sample",
     "Phrase", "PhrasePool", "insert_ngrams",
-    "DraftResult", "LookaheadState", "draft_step", "generate_draft",
-    "init_lookahead",
+    "DraftResult", "draft_step", "generate_draft", "window_columns",
     "VerificationOutcome", "accept_len", "correct_unused_suffixes", "harvest",
     "match_count", "verify",
     "CostModel", "EngineConfig", "RunMetrics", "generate_lookahead_target",

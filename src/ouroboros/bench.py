@@ -170,8 +170,7 @@ class BenchConfig:
             gamma=self.gamma, beta=self.beta, k=self.k, window=self.window,
             ngram=self.ngram, max_new=self.max_new, temperature=self.temperature,
             seed=self.seed, lengthening=self.lengthening, harvest=self.harvest,
-            reuse=self.reuse, phrase_draft=self.phrase_draft,
-            prompt_warmup=self.prompt_warmup)
+            phrase_draft=self.phrase_draft, prompt_warmup=self.prompt_warmup)
 
     def cost_model(self) -> CostModel:
         return CostModel(self.t_draft, self.t_target, self.tree_surcharge)
@@ -360,14 +359,9 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     return target, draft
 
 
-def _row_seed(base: int, entry: int, rep: int) -> int:
-    return base + 104729 * entry + 7919 * rep
-
-
-def _make_pool(cfg: BenchConfig, vocab_size: int) -> PhrasePool:
-    pool = PhrasePool(vocab_size,
-                      max_phrase_len=max(16, cfg.beta, cfg.ngram))
-    return pool
+def _seeded(ecfg: EngineConfig, entry: int, rep: int) -> EngineConfig:
+    """The config of one run, with its per-entry, per-repetition seed."""
+    return dataclasses.replace(ecfg, seed=ecfg.seed + 104729 * entry + 7919 * rep)
 
 
 def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
@@ -380,17 +374,45 @@ def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
     return pool
 
 
-def _run_one(engine: str, target, draft, prompt, ecfg: EngineConfig,
-             pool: Optional[PhrasePool]) -> RunMetrics:
-    if engine == "vanilla":
-        _, m = generate_vanilla(target, prompt, ecfg)
-    elif engine == "speculative":
-        _, m = generate_speculative(target, draft, prompt, ecfg)
-    elif engine == "lookahead":
-        _, m = generate_lookahead_target(target, prompt, ecfg)
-    else:
-        _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
-    return m
+class _Pools:
+    """The pool policy of one pass: with reuse on, every ouroboros run shares
+    one pool; otherwise each run gets a fresh pool, or a copy of the preloaded
+    one.  ``last`` is the pool handed out last."""
+
+    def __init__(self, reuse: bool, vocab_size: int,
+                 preload: Optional[PhrasePool] = None):
+        self.reuse, self.vocab_size, self.preload = reuse, vocab_size, preload
+        self.last: Optional[PhrasePool] = None
+
+    def take(self, ecfg: EngineConfig) -> PhrasePool:
+        if self.last is None or not self.reuse:
+            self.last = self.preload.copy() if self.preload else PhrasePool(
+                self.vocab_size, max_phrase_len=max(16, ecfg.beta, ecfg.ngram))
+        return self.last
+
+
+def _execute(runs: Sequence[Tuple[int, str, EngineConfig]], prompts, target,
+             draft, pools: _Pools, cost: CostModel) -> List[dict]:
+    """Run (entry, label, config) items in order, one row each.  The label
+    names the engine, optionally followed by ``:<rung>``."""
+    rows = []
+    for entry, label, ecfg in runs:
+        engine, prompt = label.split(":")[0], prompts[entry]
+        try:
+            if engine == "vanilla":
+                _, m = generate_vanilla(target, prompt, ecfg)
+            elif engine == "speculative":
+                _, m = generate_speculative(target, draft, prompt, ecfg)
+            elif engine == "lookahead":
+                _, m = generate_lookahead_target(target, prompt, ecfg)
+            else:
+                _, m = generate_ouroboros(target, draft, prompt, ecfg,
+                                          pools.take(ecfg))
+        except Exception as exc:
+            raise RunFailure(entry, label, exc) from exc
+        rows.append(_metrics_row(entry, label, m, ecfg.seed,
+                                 modeled_speedup(m, cost)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -402,50 +424,26 @@ def run_benchmark(cfg: BenchConfig) -> Report:
     cfg.validate()
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
     target, draft = build_models(cfg, corpus)
-    cost = cfg.cost_model()
     base_ecfg = cfg.engine_config()
     preload = _load_pool_file(cfg, corpus.vocab_size)
     rows: List[dict] = []
-    last_pool: Optional[PhrasePool] = None
     for rep in range(cfg.repetitions):
-        shared = (preload.copy() if preload else _make_pool(cfg, corpus.vocab_size)
-                  ) if cfg.reuse else None
-        for entry, prompt in enumerate(corpus.prompts):
-            for engine in cfg.engines:
-                seed = _row_seed(cfg.seed, entry, rep)
-                ecfg = dataclasses.replace(base_ecfg, seed=seed)
-                if engine == "ouroboros":
-                    if cfg.reuse:
-                        pool = shared
-                    else:
-                        pool = (preload.copy() if preload
-                                else _make_pool(cfg, corpus.vocab_size))
-                    last_pool = pool
-                else:
-                    pool = None
-                try:
-                    m = _run_one(engine, target, draft, prompt, ecfg, pool)
-                except Exception as exc:
-                    raise RunFailure(entry, engine, exc) from exc
-                rows.append(_metrics_row(entry, engine, m, seed,
-                                         modeled_speedup(m, cost)))
-    if cfg.pool_file and last_pool is not None:
-        last_pool.save(cfg.pool_file)
+        pools = _Pools(cfg.reuse, corpus.vocab_size, preload)
+        runs = [(entry, engine, _seeded(base_ecfg, entry, rep))
+                for entry in range(len(corpus.prompts)) for engine in cfg.engines]
+        rows += _execute(runs, corpus.prompts, target, draft, pools,
+                         cfg.cost_model())
+    if cfg.pool_file and pools.last is not None:
+        pools.last.save(cfg.pool_file)
     return _finish_report(cfg, rows)
 
 
-ABLATION_RUNGS = (
-    ("base", dict(phrase_draft=False, lengthening=False, harvest=False,
-                  reuse=False, prompt_warmup=False)),
-    ("+phrase_draft", dict(phrase_draft=True, lengthening=False, harvest=False,
-                           reuse=False, prompt_warmup=True)),
-    ("+lengthening", dict(phrase_draft=True, lengthening=True, harvest=False,
-                          reuse=False, prompt_warmup=True)),
-    ("+harvest", dict(phrase_draft=True, lengthening=True, harvest=True,
-                      reuse=False, prompt_warmup=True)),
-    ("+reuse", dict(phrase_draft=True, lengthening=True, harvest=True,
-                    reuse=True, prompt_warmup=True)),
-)
+# (rung, reuse, EngineConfig toggles); each rung adds one component
+ABLATION_RUNGS = tuple(
+    (rung, i >= 4, dict(phrase_draft=i >= 1, prompt_warmup=i >= 1,
+                        lengthening=i >= 2, harvest=i >= 3))
+    for i, rung in enumerate(("base", "+phrase_draft", "+lengthening",
+                              "+harvest", "+reuse")))
 
 
 def ablation(cfg: BenchConfig) -> Report:
@@ -453,22 +451,14 @@ def ablation(cfg: BenchConfig) -> Report:
     cfg.validate()
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
     target, draft = build_models(cfg, corpus)
-    cost = cfg.cost_model()
     rows: List[dict] = []
-    for rung, toggles in ABLATION_RUNGS:
+    for rung, reuse, toggles in ABLATION_RUNGS:
         rung_cfg = dataclasses.replace(cfg.engine_config(), **toggles)
         for rep in range(cfg.repetitions):
-            shared = _make_pool(cfg, corpus.vocab_size) if toggles["reuse"] else None
-            for entry, prompt in enumerate(corpus.prompts):
-                seed = _row_seed(cfg.seed, entry, rep)
-                ecfg = dataclasses.replace(rung_cfg, seed=seed)
-                pool = shared if shared is not None else _make_pool(cfg, corpus.vocab_size)
-                try:
-                    _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
-                except Exception as exc:
-                    raise RunFailure(entry, f"ouroboros:{rung}", exc) from exc
-                rows.append(_metrics_row(entry, f"ouroboros:{rung}", m, seed,
-                                         modeled_speedup(m, cost)))
+            runs = [(entry, f"ouroboros:{rung}", _seeded(rung_cfg, entry, rep))
+                    for entry in range(len(corpus.prompts))]
+            rows += _execute(runs, corpus.prompts, target, draft,
+                             _Pools(reuse, corpus.vocab_size), cfg.cost_model())
     return _finish_report(cfg, rows)
 
 
@@ -518,21 +508,16 @@ def _modeled_time_objective(cfg: BenchConfig) -> Callable[[int, int, int, int], 
     def objective(gamma: int, window: int, beta: int, k: int) -> float:
         ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
                                    window=window, beta=beta, k=k)
-        shared = _make_pool_for(beta, cfg, corpus.vocab_size) if cfg.reuse else None
+        pools = _Pools(cfg.reuse, corpus.vocab_size)
         total = 0.0
         for entry, prompt in enumerate(prompts):
-            pool = shared if shared is not None else _make_pool_for(
-                beta, cfg, corpus.vocab_size)
-            run_cfg = dataclasses.replace(ecfg, seed=_row_seed(cfg.seed, entry, 0))
-            _, m = generate_ouroboros(target, draft, prompt, run_cfg, pool)
+            run_cfg = _seeded(ecfg, entry, 0)
+            _, m = generate_ouroboros(target, draft, prompt, run_cfg,
+                                      pools.take(run_cfg))
             total += modeled_time(m, cost)
         return total
 
     return objective
-
-
-def _make_pool_for(beta: int, cfg: BenchConfig, vocab_size: int) -> PhrasePool:
-    return PhrasePool(vocab_size, max_phrase_len=max(16, beta, cfg.ngram))
 
 
 def locality_order(tasks: Sequence[str], cn: Union[int, str],
@@ -577,25 +562,13 @@ def locality_experiment(cfg: BenchConfig, cn: Union[int, str, None] = None,
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged=True)
     order = locality_order(corpus.tasks, cn, cfg.seed)
     target, draft = build_models(cfg, corpus)
-    cost = cfg.cost_model()
-    base_ecfg = cfg.engine_config()
-    preload = _load_pool_file(cfg, corpus.vocab_size)
-    shared = (preload.copy() if preload else _make_pool(cfg, corpus.vocab_size)
-              ) if cfg.reuse else None
-    rows: List[dict] = []
-    for entry in order:
-        prompt = corpus.prompts[entry]
-        seed = _row_seed(cfg.seed, entry, 0)
-        ecfg = dataclasses.replace(base_ecfg, seed=seed)
-        pool = shared if shared is not None else (
-            preload.copy() if preload else _make_pool(cfg, corpus.vocab_size))
-        try:
-            _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
-        except Exception as exc:
-            raise RunFailure(entry, "ouroboros", exc) from exc
-        row = _metrics_row(entry, "ouroboros", m, seed, modeled_speedup(m, cost))
-        row["task"] = corpus.tasks[entry]
-        rows.append(row)
+    pools = _Pools(cfg.reuse, corpus.vocab_size,
+                   _load_pool_file(cfg, corpus.vocab_size))
+    runs = [(entry, "ouroboros", _seeded(cfg.engine_config(), entry, 0))
+            for entry in order]
+    rows = _execute(runs, corpus.prompts, target, draft, pools, cfg.cost_model())
+    for row in rows:
+        row["task"] = corpus.tasks[row["entry"]]
     extra = {"locality": {
         "cn": cn if cn == "shuffle" else int(cn),
         "reuse": cfg.reuse,

@@ -9,7 +9,7 @@ the degenerate case of an empty pool: one token per forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,59 +19,36 @@ from .models import ForwardCounter, LanguageModel, forward_tree, sample
 from .pool import PhrasePool
 
 
-@dataclass
-class LookaheadState:
-    """(ngram-1) x width token grid feeding the n-gram generator."""
+def window_columns(context: Sequence[int], width: int, ngram: int,
+                   first: bool) -> List[List[int]]:
+    """The lookahead window: ``width`` columns of ngram-1 context tokens.
 
-    grid: List[List[int]]
-    width: int
-    ngram: int
-
-    def columns(self) -> List[List[int]]:
-        return [[row[c] for row in self.grid] for c in range(self.width)]
-
-    def refill(self, context: Sequence[int]) -> None:
-        """Reseed every column from the freshest context tokens.
-
-        Column c becomes the (ngram-1)-token window ending c tokens before
-        the context end, so each column replays a recent stretch of real text
-        and its emitted n-gram extends that stretch by the model's own
-        prediction.  Contexts shorter than the span wrap cyclically, matching
-        the initial fill's wrap rule.
-        """
-        n1 = self.ngram - 1
-        src = list(context)
-        length = len(src)
-        cols = [[src[(length - n1 - c + i) % length] for i in range(n1)]
-                for c in range(self.width)]
-        self.grid = [[cols[c][r] for c in range(self.width)] for r in range(n1)]
-
-
-def _fill_grid(context: Sequence[int], width: int, ngram: int,
-               seed: int = 0) -> List[List[int]]:
-    cells_needed = (ngram - 1) * width
-    if len(context) > 0:
-        rev = list(reversed(context[-cells_needed:]))
-        cells = [rev[i % len(rev)] for i in range(cells_needed)]
-    else:
-        rng = np.random.default_rng(seed)
-        cells = [int(t) for t in rng.integers(0, 2 ** 16, size=cells_needed)]
-    return [cells[r * width:(r + 1) * width] for r in range(ngram - 1)]
-
-
-def init_lookahead(context: Sequence[int], width: int, ngram: int,
-                   seed: int = 0) -> LookaheadState:
-    """Build the window grid by cycling over the context, newest token first,
-    laid out row-major."""
+    The window is a function of the context.  At a draft's first step
+    (``first``) the columns cycle over the newest context tokens, newest
+    first, laid out row-major across the columns.  At every later step
+    column c is the (ngram-1)-token stretch ending c tokens before the
+    context end, so each column replays recent real text and its n-gram
+    extends that text by the model's own prediction.  Contexts shorter than
+    the window wrap cyclically in both layouts.
+    """
     if width < 1:
         raise InputError("window width must be >= 1")
     if ngram < 2:
         raise InputError("ngram order must be >= 2")
-    return LookaheadState(_fill_grid(context, width, ngram, seed), width, ngram)
+    if len(context) == 0:
+        raise InputError("context must be non-empty")
+    n1 = ngram - 1
+    if first:
+        rev = list(reversed(context[-n1 * width:]))
+        return [[rev[(r * width + c) % len(rev)] for r in range(n1)]
+                for c in range(width)]
+    length = len(context)
+    return [[context[(length - n1 - c + i) % length] for i in range(n1)]
+            for c in range(width)]
 
 
 def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
-               state: LookaheadState, beta: Optional[int] = None,
+               columns: List[List[int]], beta: Optional[int] = None,
                temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
                counter: Optional[ForwardCounter] = None,
@@ -81,7 +58,8 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     Returns (appended, new_phrases).  ``appended`` is the longest prefix of the
     phrase continuation that matches the model's own predictions, plus one
     correction token, so it is never empty and always extends the model's
-    greedy path (at temperature 0).  ``new_phrases`` are the W window n-grams.
+    greedy path (at temperature 0).  ``new_phrases`` are the n-grams of the
+    window ``columns`` (see :func:`window_columns`), one per column.
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
@@ -90,8 +68,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     if best:
         tokens = best[0].tokens[:beta] if beta is not None else best[0].tokens
         cand = list(tokens[1:])
-    cols = state.columns()
-    rows = forward_tree(model, context, [], [cand] + cols, counter=counter)
+    rows = forward_tree(model, context, [], [cand] + columns, counter=counter)
 
     main = rows[0]
     appended: List[int] = []
@@ -104,23 +81,19 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
         appended.append(sample(main[len(cand)], temperature, rng))
 
     new_phrases = []
-    for j, col in enumerate(cols):
+    for j, col in enumerate(columns):
         nxt = int(np.argmax(rows[1 + j][-1]))
         new_phrases.append(tuple(col) + (nxt,))
-
-    state.refill(list(context) + appended)
     return appended, new_phrases
 
 
 @dataclass
 class DraftResult:
-    """A finished draft: its tokens, the forwards it cost, and the phrases
-    generated along the way.  tokens/forwards_used is the drafting reduction
-    ratio."""
+    """A finished draft: its tokens and the forwards it cost.
+    tokens/forwards_used is the drafting reduction ratio."""
 
     tokens: List[int]
     forwards_used: int
-    new_phrases: List[tuple] = field(default_factory=list)
 
     @property
     def reduction(self) -> float:
@@ -138,18 +111,16 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         raise InputError("gamma must be >= 1")
     if max_new < 1:
         raise InputError("max_new must be >= 1")
-    state = init_lookahead(context, width, ngram)
     ctx = list(context)
     tokens: List[int] = []
-    phrases: List[tuple] = []
     forwards = 0
     while len(tokens) < gamma and len(tokens) < max_new:
-        appended, new_phrases = draft_step(model, ctx, pool, state, beta=beta,
+        columns = window_columns(ctx, width, ngram, first=forwards == 0)
+        appended, new_phrases = draft_step(model, ctx, pool, columns, beta=beta,
                                            counter=counter)
         forwards += 1
         for ph in new_phrases:
             pool.insert(ph)
-            phrases.append(ph)
         tokens.extend(appended)
         ctx.extend(appended)
         if model.eos_id in appended:
@@ -157,4 +128,4 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
             break
     if len(tokens) > max_new:
         tokens = tokens[:max_new]
-    return DraftResult(tokens, forwards, phrases)
+    return DraftResult(tokens, forwards)

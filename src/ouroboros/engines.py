@@ -1,9 +1,10 @@
-"""Complete generation loops with shared stopping semantics and accounting.
+"""One generation loop with shared stopping semantics and accounting.
 
-Four engines over the same model contract:
+Four engines over the same model contract, each a proposer in that loop:
 
-* vanilla        - one target forward per token.
-* speculative    - token-level drafting, exact-match verification.
+* vanilla        - one target forward per token (its own per-token loop).
+* speculative    - the ouroboros proposer with every acceleration off:
+                   token-level drafting, exact-match verification.
 * lookahead      - the phrase draft step applied directly to the target.
 * ouroboros      - phrase drafting + draft lengthening + phrase harvest/reuse.
 
@@ -16,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .drafting import draft_step, generate_draft, init_lookahead
+from .drafting import draft_step, generate_draft, window_columns
 from .errors import InputError
 from .models import ForwardCounter, LanguageModel, next_distribution, sample
 from .pool import PhrasePool, insert_ngrams
@@ -39,7 +40,6 @@ class EngineConfig:
     seed: int = 0
     lengthening: bool = True
     harvest: bool = True
-    reuse: bool = True
     phrase_draft: bool = True
     prompt_warmup: bool = True
 
@@ -62,8 +62,7 @@ class EngineConfig:
     def all_off(self) -> "EngineConfig":
         """Copy with every acceleration toggle disabled (the ablation baseline)."""
         return dataclasses.replace(self, lengthening=False, harvest=False,
-                                   reuse=False, phrase_draft=False,
-                                   prompt_warmup=False)
+                                   phrase_draft=False, prompt_warmup=False)
 
 
 @dataclass
@@ -115,30 +114,6 @@ def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
     return metrics.tokens_emitted * cost.t_target / denom
 
 
-def _finish(out: List[int], tcounter: ForwardCounter, dcounter: ForwardCounter,
-            iterations: int, a_hist: Counter, match_sum: int,
-            draft_tokens: int) -> RunMetrics:
-    m = RunMetrics(
-        tokens_emitted=len(out),
-        target_forwards=tcounter.calls,
-        draft_forwards=dcounter.calls,
-        iterations=iterations,
-        accept_len_histogram=dict(sorted(a_hist.items())),
-        draft_tokens=draft_tokens,
-        draft_branch_tokens=dcounter.branch_tokens,
-        target_branch_tokens=tcounter.branch_tokens,
-    )
-    if iterations and a_hist:
-        total = sum(a_hist.values())
-        m.mean_A = sum(a * n for a, n in a_hist.items()) / total
-        m.mean_match = match_sum / total
-    if m.target_forwards:
-        m.block_efficiency = m.tokens_emitted / m.target_forwards
-    if m.draft_forwards:
-        m.draft_reduction_c = draft_tokens / m.draft_forwards
-    return m
-
-
 def _take(emitted: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int], bool]:
     """Clip a chunk to the budget and cut at EOS; returns (tokens, done)."""
     chunk = list(emitted[:remaining])
@@ -147,12 +122,75 @@ def _take(emitted: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int
     return chunk, len(chunk) >= remaining
 
 
-def _check_prompt(model: LanguageModel, prompt: Sequence[int]) -> None:
-    if len(prompt) == 0:
-        raise InputError("prompt must be non-empty")
-    for t in prompt:
-        if not 0 <= t < model.vocab_size:
-            raise InputError(f"prompt token {t} out of vocab {model.vocab_size}")
+class _Generation:
+    """One engine call: the shared prologue, the loop and the metrics fold."""
+
+    def __init__(self, target: LanguageModel, prompt: Sequence[int],
+                 cfg: EngineConfig, draft_model: Optional[LanguageModel] = None):
+        cfg.validate()
+        if len(prompt) == 0:
+            raise InputError("prompt must be non-empty")
+        for t in prompt:
+            if not 0 <= t < target.vocab_size:
+                raise InputError(f"prompt token {t} out of vocab {target.vocab_size}")
+        if draft_model is not None and draft_model.vocab_size != target.vocab_size:
+            raise InputError("draft and target vocabularies differ")
+        self.target, self.prompt, self.cfg = target, prompt, cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
+
+    def pool(self, pool: Optional[PhrasePool], warmup: bool) -> PhrasePool:
+        """The given pool, or a fresh one; warmed with the prompt's n-grams."""
+        cfg = self.cfg
+        if pool is None:
+            pool = PhrasePool(self.target.vocab_size,
+                              max_phrase_len=max(16, cfg.beta, cfg.ngram))
+        if max(cfg.beta, cfg.ngram) > pool.max_phrase_len:
+            raise InputError("beta and ngram must fit the pool's max phrase length")
+        if warmup:
+            insert_ngrams(pool, self.prompt, cfg.ngram)
+        return pool
+
+    def loop(self, propose: Callable) -> Tuple[List[int], RunMetrics]:
+        """Call ``propose(ctx, remaining, first)`` until EOS or ``max_new``.
+
+        It returns one iteration's tokens (the last chunk is clipped) and,
+        when it verified a draft, that draft's (accept_len, match_count,
+        draft_tokens) step for the metrics fold.
+        """
+        ctx = list(self.prompt)
+        out: List[int] = []
+        steps: List[Tuple[int, int, int]] = []
+        iterations = 0
+        while len(out) < self.cfg.max_new:
+            remaining = self.cfg.max_new - len(out)
+            emitted, step = propose(ctx, remaining, iterations == 0)
+            iterations += 1
+            if step is not None:
+                steps.append(step)
+            chunk, done = _take(emitted, remaining, self.target.eos_id)
+            out.extend(chunk)
+            ctx.extend(chunk)
+            if done:
+                break
+        return out, self.metrics(out, iterations, steps)
+
+    def metrics(self, out: List[int], iterations: int,
+                steps: Sequence[Tuple[int, int, int]] = ()) -> RunMetrics:
+        """Fold the run's emitted tokens, counters and steps into RunMetrics."""
+        accepts, matches, drafted = zip(*steps) if steps else ((), (), ())
+        n, tc, dc = len(steps), self.tcounter, self.dcounter
+        return RunMetrics(
+            tokens_emitted=len(out), target_forwards=tc.calls,
+            draft_forwards=dc.calls, iterations=iterations,
+            accept_len_histogram=dict(sorted(Counter(accepts).items())),
+            mean_A=sum(accepts) / n if n else 0.0,
+            mean_match=sum(matches) / n if n else 0.0,
+            draft_tokens=sum(drafted),
+            draft_reduction_c=sum(drafted) / dc.calls if dc.calls else 0.0,
+            block_efficiency=len(out) / tc.calls if tc.calls else 0.0,
+            draft_branch_tokens=dc.branch_tokens,
+            target_branch_tokens=tc.branch_tokens)
 
 
 def _token_level_draft(model: LanguageModel, context: List[int], n: int,
@@ -169,13 +207,51 @@ def _token_level_draft(model: LanguageModel, context: List[int], n: int,
     return tokens
 
 
+def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
+                      pool: PhrasePool) -> Callable:
+    """The ouroboros proposer: draft (by phrases or token by token), lengthen
+    with K pool suffixes, verify in one target forward, then harvest phrases
+    from a rejected draft or correct the unused suffixes."""
+    cfg, target = gen.cfg, gen.target
+
+    def propose(ctx: List[int], remaining: int, first: bool):
+        glen = min(cfg.gamma, remaining)
+        if cfg.phrase_draft:
+            d = generate_draft(draft_model, ctx, pool, glen, cfg.window,
+                               cfg.ngram, max_new=remaining, beta=cfg.beta,
+                               counter=gen.dcounter).tokens
+        else:
+            d = _token_level_draft(draft_model, ctx, glen, gen.dcounter)
+
+        suffixes = []
+        if cfg.lengthening and cfg.k > 0 and d[-1] != target.eos_id:
+            suffixes = pool.lookup_k(d[-1], cfg.k)
+
+        outcome = verify(target, ctx, d, suffixes, cfg.temperature, gen.rng,
+                         beta=cfg.beta, counter=gen.tcounter)
+
+        if cfg.harvest:
+            if outcome.accept_len < len(d):
+                for tokens in harvest(d, outcome.verdicts, outcome.accept_len,
+                                      max_len=pool.max_phrase_len):
+                    pool.insert(tokens)
+            elif suffixes:
+                correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
+                                        outcome.chosen_branch)
+        return outcome.emitted, (outcome.accept_len, outcome.match_count, len(d))
+
+    return propose
+
+
 def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
                      cfg: EngineConfig) -> Tuple[List[int], RunMetrics]:
-    """Autoregressive decoding: one target forward per emitted token."""
-    cfg.validate()
-    _check_prompt(target, prompt)
-    rng = np.random.default_rng(cfg.seed)
-    tcounter = ForwardCounter()
+    """Autoregressive decoding: one target forward per emitted token.
+
+    It shares the prologue and the metrics fold but keeps its own per-token
+    loop, which is cheaper than a one-token proposer in the shared loop.
+    """
+    gen = _Generation(target, prompt, cfg)
+    rng, tcounter = gen.rng, gen.tcounter
     ctx = list(prompt)
     out: List[int] = []
     while len(out) < cfg.max_new:
@@ -184,40 +260,17 @@ def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
         ctx.append(tok)
         if tok == target.eos_id:
             break
-    return out, _finish(out, tcounter, ForwardCounter(), len(out), Counter(), 0, 0)
+    return out, gen.metrics(out, len(out))
 
 
 def generate_speculative(target: LanguageModel, draft_model: LanguageModel,
                          prompt: Sequence[int], cfg: EngineConfig,
                          ) -> Tuple[List[int], RunMetrics]:
-    """Draft gamma tokens one by one, verify them in one target forward."""
-    cfg.validate()
-    _check_prompt(target, prompt)
-    if draft_model.vocab_size != target.vocab_size:
-        raise InputError("draft and target vocabularies differ")
-    rng = np.random.default_rng(cfg.seed)
-    tcounter, dcounter = ForwardCounter(), ForwardCounter()
-    ctx = list(prompt)
-    out: List[int] = []
-    a_hist: Counter = Counter()
-    match_sum = 0
-    draft_tokens = 0
-    iterations = 0
-    while len(out) < cfg.max_new:
-        remaining = cfg.max_new - len(out)
-        d = _token_level_draft(draft_model, ctx, min(cfg.gamma, remaining), dcounter)
-        draft_tokens += len(d)
-        outcome = verify(target, ctx, d, [], cfg.temperature, rng, counter=tcounter)
-        iterations += 1
-        a_hist[outcome.accept_len] += 1
-        match_sum += outcome.match_count
-        chunk, done = _take(outcome.emitted, remaining, target.eos_id)
-        out.extend(chunk)
-        ctx.extend(chunk)
-        if done:
-            break
-    return out, _finish(out, tcounter, dcounter, iterations, a_hist, match_sum,
-                        draft_tokens)
+    """Draft gamma tokens one by one, verify them in one target forward: the
+    ouroboros proposer with every acceleration off."""
+    cfg = cfg.all_off()
+    gen = _Generation(target, prompt, cfg, draft_model)
+    return gen.loop(_draft_and_verify(gen, draft_model, gen.pool(None, False)))
 
 
 def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
@@ -225,36 +278,20 @@ def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
                               pool: Optional[PhrasePool] = None,
                               ) -> Tuple[List[int], RunMetrics]:
     """Apply the phrase draft step directly to the target model."""
-    cfg.validate()
-    _check_prompt(target, prompt)
-    rng = np.random.default_rng(cfg.seed)
-    if pool is None:
-        pool = PhrasePool(target.vocab_size,
-                          max_phrase_len=max(16, cfg.beta, cfg.ngram))
-    if max(cfg.beta, cfg.ngram) > pool.max_phrase_len:
-        raise InputError("beta and ngram must fit the pool's max phrase length")
-    tcounter = ForwardCounter()
-    ctx = list(prompt)
-    out: List[int] = []
-    if cfg.prompt_warmup:
-        insert_ngrams(pool, ctx, cfg.ngram)
-    state = init_lookahead(ctx, cfg.window, cfg.ngram, cfg.seed)
-    iterations = 0
-    while len(out) < cfg.max_new:
-        remaining = cfg.max_new - len(out)
-        appended, new_phrases = draft_step(target, ctx, pool, state,
+    gen = _Generation(target, prompt, cfg)
+    pool = gen.pool(pool, cfg.prompt_warmup)
+
+    def propose(ctx: List[int], remaining: int, first: bool):
+        columns = window_columns(ctx, cfg.window, cfg.ngram, first)
+        appended, new_phrases = draft_step(target, ctx, pool, columns,
                                            beta=cfg.beta,
                                            temperature=cfg.temperature,
-                                           rng=rng, counter=tcounter)
-        iterations += 1
+                                           rng=gen.rng, counter=gen.tcounter)
         for ph in new_phrases:
             pool.insert(ph)
-        chunk, done = _take(appended, remaining, target.eos_id)
-        out.extend(chunk)
-        ctx.extend(chunk)
-        if done:
-            break
-    return out, _finish(out, tcounter, ForwardCounter(), iterations, Counter(), 0, 0)
+        return appended, None
+
+    return gen.loop(propose)
 
 
 def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
@@ -265,63 +302,9 @@ def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
     single-forward verification, phrase harvesting and suffix correction.
 
     ``pool`` may arrive pre-loaded (phrase reuse across queries); pass a fresh
-    one per prompt to measure cold starts.  With every toggle off this
-    degenerates to the speculative engine's exact forward counts.
+    one per prompt to measure cold starts.  With every toggle off this is the
+    speculative engine.
     """
-    cfg.validate()
-    _check_prompt(target, prompt)
-    if draft_model.vocab_size != target.vocab_size:
-        raise InputError("draft and target vocabularies differ")
-    rng = np.random.default_rng(cfg.seed)
-    if pool is None:
-        pool = PhrasePool(target.vocab_size,
-                          max_phrase_len=max(16, cfg.beta, cfg.ngram))
-    if max(cfg.beta, cfg.ngram) > pool.max_phrase_len:
-        raise InputError("beta and ngram must fit the pool's max phrase length")
-    tcounter, dcounter = ForwardCounter(), ForwardCounter()
-    ctx = list(prompt)
-    out: List[int] = []
-    if cfg.prompt_warmup and (cfg.phrase_draft or cfg.lengthening):
-        insert_ngrams(pool, ctx, cfg.ngram)
-    a_hist: Counter = Counter()
-    match_sum = 0
-    draft_tokens = 0
-    iterations = 0
-    while len(out) < cfg.max_new:
-        remaining = cfg.max_new - len(out)
-        glen = min(cfg.gamma, remaining)
-        if cfg.phrase_draft:
-            result = generate_draft(draft_model, ctx, pool, glen, cfg.window,
-                                    cfg.ngram, max_new=remaining,
-                                    beta=cfg.beta, counter=dcounter)
-            d = result.tokens
-        else:
-            d = _token_level_draft(draft_model, ctx, glen, dcounter)
-        draft_tokens += len(d)
-
-        suffixes = []
-        if cfg.lengthening and cfg.k > 0 and d[-1] != target.eos_id:
-            suffixes = pool.lookup_k(d[-1], cfg.k)
-
-        outcome = verify(target, ctx, d, suffixes, cfg.temperature, rng,
-                         beta=cfg.beta, counter=tcounter)
-        iterations += 1
-        a_hist[outcome.accept_len] += 1
-        match_sum += outcome.match_count
-
-        if cfg.harvest:
-            if outcome.accept_len < len(d):
-                for tokens in harvest(d, outcome.verdicts, outcome.accept_len,
-                                      max_len=pool.max_phrase_len):
-                    pool.insert(tokens)
-            elif suffixes:
-                correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
-                                        outcome.chosen_branch)
-
-        chunk, done = _take(outcome.emitted, remaining, target.eos_id)
-        out.extend(chunk)
-        ctx.extend(chunk)
-        if done:
-            break
-    return out, _finish(out, tcounter, dcounter, iterations, a_hist, match_sum,
-                        draft_tokens)
+    gen = _Generation(target, prompt, cfg, draft_model)
+    pool = gen.pool(pool, cfg.prompt_warmup and (cfg.phrase_draft or cfg.lengthening))
+    return gen.loop(_draft_and_verify(gen, draft_model, pool))

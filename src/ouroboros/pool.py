@@ -9,6 +9,7 @@ file so phrases survive across queries.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
@@ -146,10 +147,23 @@ class PhrasePool:
     # -- persistence ---------------------------------------------------------
 
     def save(self, sink: Union[str, Path, io.TextIOBase]) -> None:
-        """Write the pool as text: a header line, then one phrase per line."""
+        """Write the pool as text: a header line, then one phrase per line.
+
+        A path is replaced atomically: the pool goes to a temporary file in
+        the same directory, which is synced and then renamed onto the path,
+        so a failed save leaves the old file as it was.
+        """
         if isinstance(sink, (str, Path)):
-            with open(sink, "w", encoding="utf-8") as fh:
-                self.save(fh)
+            tmp = Path(sink).with_name(f".{Path(sink).name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    self.save(fh)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, sink)
+            finally:
+                if tmp.exists():  # the write or the rename failed
+                    tmp.unlink()
             return
         sink.write(f"{POOL_MAGIC} {POOL_VERSION} vocab={self.vocab_size}\n")
         for phrase in self.phrases():

@@ -65,13 +65,13 @@ def test_01_losslessness_exact_over_200_fuzzed_cases():
         draft = PerturbedModel(target, epsilons[case % 3], seed=case)
         prompt = [int(t) for t in rng.integers(0, vocab,
                                                size=int(rng.integers(1, 8)))]
-        pd, le, ha, re = combos[case % 16]
+        pd, le, ha, _ = combos[case % 16]
         cfg = EngineConfig(
             gamma=int(rng.integers(2, 15)), beta=int(rng.integers(2, 8)),
             k=int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
             ngram=int(rng.integers(2, 5)), max_new=int(rng.integers(1, 50)),
             temperature=0.0, seed=case,
-            phrase_draft=pd, lengthening=le, harvest=ha, reuse=re)
+            phrase_draft=pd, lengthening=le, harvest=ha)
         want, _ = generate_vanilla(target, prompt, cfg)
         got, _ = generate_ouroboros(target, draft, prompt, cfg)
         mismatches += int(got != want)

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ouroboros
 from ouroboros import (InputError, PhrasePool, RunFailure,
                        ablation, ingest_corpus, load_config_file,
                        locality_experiment, locality_order, make_config,
@@ -288,8 +291,12 @@ class TestLocality:
 
 class TestCli:
     def run_cli(self, *args):
+        # the CLI runs the same package the in-process tests imported
+        src = str(Path(ouroboros.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "ouroboros.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
 
     def test_run_subcommand_writes_reports(self, reference_corpus, tmp_path):
         csv_path = tmp_path / "out.csv"

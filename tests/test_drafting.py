@@ -3,7 +3,7 @@ import pytest
 
 from ouroboros import (CounterModel, ForwardCounter, InputError, PhrasePool,
                        build_ngram_model, draft_step, generate_draft,
-                       init_lookahead, next_distribution)
+                       next_distribution, window_columns)
 
 
 def greedy_continuation(model, context, n):
@@ -17,25 +17,57 @@ def greedy_continuation(model, context, n):
     return out
 
 
+class RecordingPool(PhrasePool):
+    """A pool that remembers every phrase inserted into it."""
+
+    def __init__(self, vocab_size):
+        super().__init__(vocab_size)
+        self.inserted = []
+
+    def insert(self, tokens, hits=1):
+        self.inserted.append(tuple(tokens))
+        return super().insert(tokens, hits)
+
+
 class TestInitLookahead:
+    """The window a draft starts from: window_columns(..., first=True)."""
+
     def test_cyclic_fill_row_major_newest_first(self):
-        state = init_lookahead([1, 2, 3], width=2, ngram=3)
-        assert state.grid == [[3, 2], [1, 3]]
+        # rows [3, 2] and [1, 3], read column by column
+        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        assert columns == [[3, 1], [2, 3]]
 
     def test_degenerate_one_by_one_grid(self):
-        state = init_lookahead([4, 9], width=1, ngram=2)
-        assert state.grid == [[9]]
+        columns = window_columns([4, 9], width=1, ngram=2, first=True)
+        assert columns == [[9]]
 
     def test_deterministic(self):
-        a = init_lookahead([5, 6, 7, 8], width=3, ngram=4)
-        b = init_lookahead([5, 6, 7, 8], width=3, ngram=4)
-        assert a.grid == b.grid
+        a = window_columns([5, 6, 7, 8], width=3, ngram=4, first=True)
+        b = window_columns([5, 6, 7, 8], width=3, ngram=4, first=True)
+        assert a == b
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InputError):
-            init_lookahead([1], width=0, ngram=3)
+            window_columns([1], width=0, ngram=3, first=True)
         with pytest.raises(InputError):
-            init_lookahead([1], width=2, ngram=1)
+            window_columns([1], width=2, ngram=1, first=True)
+
+
+class TestLaterWindow:
+    """After a draft's first step: window_columns(..., first=False)."""
+
+    def test_columns_end_further_back_one_token_at_a_time(self):
+        columns = window_columns([1, 2, 3, 4, 5], width=3, ngram=3, first=False)
+        assert columns == [[4, 5], [3, 4], [2, 3]]
+
+    def test_short_context_wraps_cyclically(self):
+        columns = window_columns([7, 8], width=3, ngram=4, first=False)
+        assert columns == [[8, 7, 8], [7, 8, 7], [8, 7, 8]]
+
+    def test_empty_context_rejected(self):
+        for first in (True, False):
+            with pytest.raises(InputError):
+                window_columns([], width=2, ngram=3, first=first)
 
 
 class TestDraftStep:
@@ -43,9 +75,9 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7))
-        state = init_lookahead([1, 2, 3], width=4, ngram=3)
+        columns = window_columns([1, 2, 3], width=4, ngram=3, first=True)
         counter = ForwardCounter()
-        appended, _ = draft_step(model, [1, 2, 3], pool, state, counter=counter)
+        appended, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4, 5, 6, 7, 8]
         assert counter.calls == 1
 
@@ -53,16 +85,16 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 9, 9))
-        state = init_lookahead([1, 2, 3], width=2, ngram=3)
-        appended, _ = draft_step(model, [1, 2, 3], pool, state)
+        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        appended, _ = draft_step(model, [1, 2, 3], pool, columns)
         assert appended == [4, 5]
 
     def test_empty_bucket_degenerates_to_one_token(self):
         model = CounterModel(20)
         pool = PhrasePool(20)
-        state = init_lookahead([1, 2, 3], width=2, ngram=3)
+        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
         counter = ForwardCounter()
-        appended, _ = draft_step(model, [1, 2, 3], pool, state, counter=counter)
+        appended, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4]
         assert counter.calls == 1
 
@@ -70,16 +102,16 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7, 8, 9))
-        state = init_lookahead([1, 2, 3], width=2, ngram=3)
-        appended, _ = draft_step(model, [1, 2, 3], pool, state, beta=4)
+        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        appended, _ = draft_step(model, [1, 2, 3], pool, columns, beta=4)
         # 3 continuation tokens survive the cut, plus the correction
         assert appended == [4, 5, 6, 7]
 
     def test_emits_one_ngram_per_window_column(self):
         model = CounterModel(20)
         pool = PhrasePool(20)
-        state = init_lookahead([1, 2, 3], width=5, ngram=4)
-        _, phrases = draft_step(model, [1, 2, 3], pool, state)
+        columns = window_columns([1, 2, 3], width=5, ngram=4, first=True)
+        _, phrases = draft_step(model, [1, 2, 3], pool, columns)
         assert len(phrases) == 5
         assert all(len(p) == 4 for p in phrases)
         assert all(0 <= t < 20 for p in phrases for t in p)
@@ -90,10 +122,11 @@ class TestDraftStep:
         model = CounterModel(50)
         pool = PhrasePool(50)
         ctx = [10, 11, 12, 13, 14]
-        state = init_lookahead(ctx, width=2, ngram=3)
-        appended, _ = draft_step(model, ctx, pool, state)
+        columns = window_columns(ctx, width=2, ngram=3, first=True)
+        appended, _ = draft_step(model, ctx, pool, columns)
         ctx = ctx + appended
-        _, phrases = draft_step(model, ctx, pool, state)
+        columns = window_columns(ctx, width=2, ngram=3, first=False)
+        _, phrases = draft_step(model, ctx, pool, columns)
         for p in phrases:
             assert p == tuple(range(p[0], p[0] + 3))
 
@@ -131,11 +164,11 @@ class TestGenerateDraft:
 
     def test_new_phrases_are_inserted_into_the_pool(self):
         model = CounterModel(40)
-        pool = PhrasePool(40)
-        result = generate_draft(model, [1, 2, 3], pool, gamma=4, width=3,
-                                ngram=3, max_new=100)
-        assert len(result.new_phrases) == 4 * 3
-        for ph in set(result.new_phrases):
+        pool = RecordingPool(40)
+        generate_draft(model, [1, 2, 3], pool, gamma=4, width=3, ngram=3,
+                       max_new=100)
+        assert len(pool.inserted) == 4 * 3
+        for ph in set(pool.inserted):
             assert ph in [p.tokens for p in pool.bucket(ph[0])]
 
     def test_draft_always_extends_the_greedy_path(self):

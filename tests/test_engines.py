@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ouroboros import (CostModel, CounterModel, EngineConfig, InputError,
                        LanguageModel, PerturbedModel, PhrasePool, RunMetrics,
                        build_ngram_model, generate_lookahead_target,
                        generate_ouroboros, generate_speculative,
-                       generate_vanilla, modeled_speedup, modeled_time,
-                       next_distribution)
+                       generate_vanilla, insert_ngrams, modeled_speedup,
+                       modeled_time, next_distribution)
 
 
 class OffByFive(LanguageModel):
@@ -172,12 +174,12 @@ class TestOuroboros:
                                    seed=i)
             prompt = [int(t) for t in rng.integers(0, vocab,
                                                    size=rng.integers(1, 6))]
-            pd, le, ha, re = combos[i % 16]
+            pd, le, ha, _ = combos[i % 16]
             cfg = EngineConfig(
                 gamma=int(rng.integers(2, 15)), beta=int(rng.integers(2, 8)),
                 k=int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
                 ngram=int(rng.integers(2, 5)), max_new=int(rng.integers(1, 40)),
-                phrase_draft=pd, lengthening=le, harvest=ha, reuse=re)
+                phrase_draft=pd, lengthening=le, harvest=ha)
             want, _ = generate_vanilla(target, prompt, cfg)
             got, _ = generate_ouroboros(target, draft, prompt, cfg)
             assert got == want
@@ -276,3 +278,52 @@ class TestSpeedupModel:
                          tree_surcharge_per_token=0.25)
         want = 4 * 0.5 + 2 * 2.0 + 0.25 * (8 * 0.5 + 6 * 2.0)
         assert modeled_time(m, cost) == pytest.approx(want)
+
+
+@st.composite
+def boundary_cases(draw):
+    """Tiny models and configs at the smallest legal values, with the EOS
+    placed on the target's greedy path so that pooled suffixes span it."""
+    vocab = draw(st.integers(3, 8))
+    corpus = draw(st.lists(st.integers(0, vocab - 1), min_size=3, max_size=30))
+    prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=3))
+    cfg = EngineConfig(gamma=draw(st.integers(1, 4)), beta=draw(st.integers(2, 4)),
+                       k=draw(st.integers(0, 2)), window=draw(st.integers(1, 3)),
+                       ngram=draw(st.integers(2, 3)), max_new=draw(st.integers(1, 6)))
+    eos_at = draw(st.integers(0, cfg.max_new))
+    epsilon = draw(st.sampled_from([0.0, 0.3]))
+    return corpus, vocab, prompt, cfg, eos_at, epsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_cases())
+@example(([0, 1, 2, 3, 0, 1], 4, [2],
+          EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2, max_new=1),
+          0, 0.0))
+def test_engines_agree_at_boundary_configs(case):
+    corpus, vocab, prompt, cfg, eos_at, epsilon = case
+    model = build_ngram_model(corpus, order=2, vocab_size=vocab)
+    path = list(prompt)  # the target's greedy path, run past any EOS
+    while len(path) < len(prompt) + cfg.max_new + 3:
+        path.append(int(np.argmax(next_distribution(model, path))))
+    target = build_ngram_model(corpus, order=2, vocab_size=vocab,
+                               eos_id=path[len(prompt) + eos_at])
+    draft = PerturbedModel(target, epsilon, seed=vocab)
+    pool = PhrasePool(vocab)
+    insert_ngrams(pool, path, 3)  # phrases with the EOS inside them
+
+    runs = {
+        "vanilla": generate_vanilla(target, prompt, cfg),
+        "speculative": generate_speculative(target, draft, prompt, cfg),
+        "lookahead": generate_lookahead_target(target, prompt, cfg, pool.copy()),
+        "ouroboros": generate_ouroboros(target, draft, prompt, cfg, pool.copy()),
+    }
+    want, _ = runs["vanilla"]
+    for name, (out, m) in runs.items():
+        assert out == want, name
+        assert m.tokens_emitted == len(out), name
+        assert m.block_efficiency == len(out) / m.target_forwards, name
+    _, spec = runs["speculative"]
+    _, off = generate_ouroboros(target, draft, prompt, cfg.all_off())
+    assert (spec.target_forwards, spec.draft_forwards, spec.accept_len_histogram) \
+        == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)

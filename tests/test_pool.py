@@ -149,6 +149,26 @@ class TestPersistence:
         pool.save(path)
         assert PhrasePool.load(path).state() == pool.state()
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.txt"
+        pool = PhrasePool(32)
+        pool.insert((1, 2, 3), hits=7)
+        pool.save(path)
+        before = path.read_bytes()
+        pool.insert((0, 4))
+        pool.insert((6, 7))
+        first = next(pool.phrases())  # (0, 4), not in the old file
+
+        def one_phrase_then_fail():
+            yield first
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pool, "phrases", one_phrase_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            pool.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.txt"]
+
     def test_bad_header_names_line_one(self):
         with pytest.raises(PoolFormatError, match="line 1"):
             PhrasePool.load(io.StringIO("not-a-pool\n"))

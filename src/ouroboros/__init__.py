@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .errors import InputError, PoolFormatError, RunFailure
 from .models import (CounterModel, ForwardCounter, LanguageModel, ModelSpec,
-                     NgramModel, PerturbedModel, build_model, build_ngram_model,
-                     forward_scan, forward_tree, next_distribution,
-                     parse_model_spec, sample)
+                     NgramModel, PerturbedModel, TokenList, build_model,
+                     build_ngram_model, forward_scan, forward_tree,
+                     next_distribution, parse_model_spec, sample)
 from .pool import Phrase, PhrasePool, insert_ngrams
 from .drafting import DraftResult, draft_step, generate_draft, window_columns
 from .verification import (VerificationOutcome, accept_len,
@@ -24,9 +24,9 @@ from .bench import (BenchConfig, Corpus, Report, ablation, ingest_corpus,
 __all__ = [
     "InputError", "PoolFormatError", "RunFailure",
     "CounterModel", "ForwardCounter", "LanguageModel", "ModelSpec",
-    "NgramModel", "PerturbedModel", "build_model", "build_ngram_model",
-    "forward_scan", "forward_tree", "next_distribution", "parse_model_spec",
-    "sample",
+    "NgramModel", "PerturbedModel", "TokenList", "build_model",
+    "build_ngram_model", "forward_scan", "forward_tree", "next_distribution",
+    "parse_model_spec", "sample",
     "Phrase", "PhrasePool", "insert_ngrams",
     "DraftResult", "draft_step", "generate_draft", "window_columns",
     "VerificationOutcome", "accept_len", "correct_unused_suffixes", "harvest",

@@ -371,6 +371,7 @@ def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
     if pool.vocab_size != vocab_size:
         raise InputError(
             f"pool file vocab {pool.vocab_size} != corpus vocab {vocab_size}")
+    pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
     return pool
 
 
@@ -449,6 +450,8 @@ ABLATION_RUNGS = tuple(
 def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
     cfg.validate()
+    if cfg.pool_file:
+        raise InputError("ablate runs on cold pools and takes no --pool-file")
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
     target, draft = build_models(cfg, corpus)
     rows: List[dict] = []
@@ -469,6 +472,8 @@ def tune(cfg: BenchConfig, task_type: Optional[str] = None,
     for W/beta/gamma, then coordinate minimization of gamma, W, beta in that
     order against modeled clock time (sweeps try the sampled value first, so
     ties keep it)."""
+    if cfg.pool_file:
+        raise InputError("tune runs on cold pools and takes no --pool-file")
     task = (task_type or cfg.task_type).upper()
     if task not in ("HH", "LH"):
         raise InputError(f"task type must be HH or LH, got {task!r}")
@@ -567,6 +572,8 @@ def locality_experiment(cfg: BenchConfig, cn: Union[int, str, None] = None,
     runs = [(entry, "ouroboros", _seeded(cfg.engine_config(), entry, 0))
             for entry in order]
     rows = _execute(runs, corpus.prompts, target, draft, pools, cfg.cost_model())
+    if cfg.pool_file and pools.last is not None:
+        pools.last.save(cfg.pool_file)
     for row in rows:
         row["task"] = corpus.tasks[row["entry"]]
     extra = {"locality": {

@@ -54,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float, metavar="T")
     p.add_argument("--seed", type=int, metavar="N")
     p.add_argument("--pool-file", dest="pool_file", metavar="FILE",
-                   help="load the phrase pool from here and save it back")
+                   help="run, locality: load the pool from here and save it back")
     p.add_argument("--no-lengthening", dest="lengthening", action="store_false",
                    default=None)
     p.add_argument("--no-harvest", dest="harvest", action="store_false",

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, forward_tree, sample
+from .models import ForwardCounter, LanguageModel, TokenList, forward_tree, sample
 from .pool import PhrasePool
 
 
@@ -111,7 +111,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         raise InputError("gamma must be >= 1")
     if max_new < 1:
         raise InputError("max_new must be >= 1")
-    ctx = list(context)
+    ctx = TokenList(model.vocab_size, context)
     tokens: List[int] = []
     forwards = 0
     while len(tokens) < gamma and len(tokens) < max_new:

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 would load it on the first call
 
 from .drafting import draft_step, generate_draft, window_columns
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, next_distribution, sample
+from .models import ForwardCounter, LanguageModel, TokenList, next_distribution, sample
 from .pool import PhrasePool, insert_ngrams
 from .verification import correct_unused_suffixes, harvest, verify
 
@@ -130,13 +131,11 @@ class _Generation:
         cfg.validate()
         if len(prompt) == 0:
             raise InputError("prompt must be non-empty")
-        for t in prompt:
-            if not 0 <= t < target.vocab_size:
-                raise InputError(f"prompt token {t} out of vocab {target.vocab_size}")
+        prompt = TokenList(target.vocab_size, prompt)
         if draft_model is not None and draft_model.vocab_size != target.vocab_size:
             raise InputError("draft and target vocabularies differ")
         self.target, self.prompt, self.cfg = target, prompt, cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = default_rng(cfg.seed)
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
 
     def pool(self, pool: Optional[PhrasePool], warmup: bool) -> PhrasePool:
@@ -158,7 +157,7 @@ class _Generation:
         when it verified a draft, that draft's (accept_len, match_count,
         draft_tokens) step for the metrics fold.
         """
-        ctx = list(self.prompt)
+        ctx = TokenList(self.target.vocab_size, self.prompt)
         out: List[int] = []
         steps: List[Tuple[int, int, int]] = []
         iterations = 0
@@ -196,15 +195,13 @@ class _Generation:
 def _token_level_draft(model: LanguageModel, context: List[int], n: int,
                        counter: ForwardCounter) -> List[int]:
     """Classic autoregressive drafting: greedy, one forward per token."""
-    ctx = list(context)
-    tokens: List[int] = []
+    ctx = TokenList(model.vocab_size, context)
     for _ in range(n):
         tok = int(np.argmax(next_distribution(model, ctx, counter)))
-        tokens.append(tok)
         ctx.append(tok)
         if tok == model.eos_id:
             break
-    return tokens
+    return ctx[len(context):]
 
 
 def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
@@ -252,7 +249,7 @@ def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
     """
     gen = _Generation(target, prompt, cfg)
     rng, tcounter = gen.rng, gen.tcounter
-    ctx = list(prompt)
+    ctx = TokenList(target.vocab_size, gen.prompt)
     out: List[int] = []
     while len(out) < cfg.max_new:
         tok = sample(next_distribution(target, ctx, tcounter), cfg.temperature, rng)

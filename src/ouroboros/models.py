@@ -10,8 +10,9 @@ to what independent single-step calls would produce.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,42 @@ class ForwardCounter:
         self.branch_tokens += branch_tokens
 
 
+def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
+    """Check every token, unless ``tokens`` is a TokenList of this vocab."""
+    if type(tokens) is TokenList and tokens.vocab_size == vocab_size:
+        return
+    for t in tokens:
+        if not 0 <= t < vocab_size:
+            raise InputError(f"{what} token {t} out of vocab {vocab_size}")
+
+
+class TokenList(list):
+    """A context whose tokens were checked against ``vocab_size`` on entry, so
+    forwards of a model with that vocab skip the check.  It grows only by
+    ``append`` and ``extend``; other in-place changes are refused."""
+
+    def __init__(self, vocab_size: int, tokens: Iterable[int] = ()):
+        super().__init__()
+        self.vocab_size = vocab_size
+        self.extend(tokens)
+
+    def append(self, token: int) -> None:
+        if not 0 <= token < self.vocab_size:
+            raise InputError(f"context token {token} out of vocab {self.vocab_size}")
+        super().append(token)
+
+    def extend(self, tokens: Iterable[int]) -> None:
+        tokens = tokens if type(tokens) is TokenList else list(tokens)
+        _check_tokens(self.vocab_size, tokens, "context")
+        super().extend(tokens)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a TokenList grows only by append and extend")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    insert = pop = remove = clear = sort = reverse = _refuse
+
+
 class LanguageModel:
     """Base contract: an immutable model with a pure next-token distribution.
 
@@ -50,6 +87,21 @@ class LanguageModel:
     def distribution(self, context: TokenSeq) -> np.ndarray:
         """Return P(next token | context) as a length-``vocab_size`` vector."""
         raise NotImplementedError
+
+    def scan_tree(self, prefix: TokenSeq,
+                  branches: Sequence[TokenSeq]) -> List[List[np.ndarray]]:
+        """One row per branch: element i of row j is the distribution after
+        ``prefix + branches[j][:i]``.  The default calls :meth:`distribution`
+        step by step; a model may override it to share work across steps,
+        provided every element stays bit-identical."""
+        ctx, rows = list(prefix), []
+        for branch in branches:
+            del ctx[len(prefix):]
+            rows.append([self.distribution(ctx)])
+            for t in branch:
+                ctx.append(t)
+                rows[-1].append(self.distribution(ctx))
+        return rows
 
 
 class CounterModel(LanguageModel):
@@ -136,6 +188,8 @@ class PerturbedModel(LanguageModel):
             raise InputError("epsilon must be in [0, 1]")
         if not 0 <= swap_to < base.vocab_size:
             raise InputError("swap_to out of vocab")
+        if not -2 ** 63 <= seed < 2 ** 63:
+            raise InputError("seed must fit in a signed 64-bit integer")
         self.base = base
         self.epsilon = epsilon
         self.seed = seed
@@ -143,25 +197,34 @@ class PerturbedModel(LanguageModel):
         self.vocab_size = base.vocab_size
         self.eos_id = base.eos_id
 
-    def _roll(self, context: TokenSeq) -> float:
-        data = self.seed.to_bytes(8, "little", signed=True)
-        data += np.asarray(context, dtype=np.int64).tobytes()
-        h = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
-        return h / 2.0 ** 64
-
-    def distribution(self, context: TokenSeq) -> np.ndarray:
-        probs = np.array(self.base.distribution(context), dtype=np.float64)
-        if self.epsilon > 0.0 and self._roll(context) < self.epsilon:
+    def _perturb(self, probs: np.ndarray, hasher) -> np.ndarray:
+        """The base row, its argmax swapped if the context's roll is < epsilon."""
+        probs = np.array(probs, dtype=np.float64)
+        if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 < self.epsilon:
             top = int(np.argmax(probs))
             tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
             probs[[top, tgt]] = probs[[tgt, top]]
         return probs
 
+    def distribution(self, context: TokenSeq) -> np.ndarray:
+        return self.scan_tree(context, [()])[0][0]
 
-def _check_tokens(model: LanguageModel, tokens: TokenSeq, what: str) -> None:
-    for t in tokens:
-        if not 0 <= t < model.vocab_size:
-            raise InputError(f"{what} token {t} out of vocab {model.vocab_size}")
+    def scan_tree(self, prefix: TokenSeq,
+                  branches: Sequence[TokenSeq]) -> List[List[np.ndarray]]:
+        """The roll hashes the seed and the context as int64 little-endian
+        bytes.  The prefix is hashed once; each branch extends a copy of that
+        blake2b state by 8 bytes per token, the same bytes in the same order."""
+        root = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
+                               digest_size=8)
+        rows = []
+        for branch, base_row in zip(branches, self.base.scan_tree(prefix, branches)):
+            hasher = root.copy()
+            row = [self._perturb(base_row[0], hasher)]
+            for t, probs in zip(branch, base_row[1:]):
+                hasher.update(struct.pack("<q", t))
+                row.append(self._perturb(probs, hasher))
+            rows.append(row)
+        return rows
 
 
 def next_distribution(model: LanguageModel, context: TokenSeq,
@@ -169,19 +232,10 @@ def next_distribution(model: LanguageModel, context: TokenSeq,
     """Single-step prediction; counts as one forward of ``model``."""
     if len(context) == 0:
         raise InputError("context must be non-empty")
-    _check_tokens(model, context, "context")
+    _check_tokens(model.vocab_size, context, "context")
     if counter is not None:
         counter.add()
     return model.distribution(context)
-
-
-def _scan(model: LanguageModel, prefix: list, tokens: TokenSeq) -> list:
-    ctx = list(prefix)
-    dists = [model.distribution(ctx)]
-    for t in tokens:
-        ctx.append(t)
-        dists.append(model.distribution(ctx))
-    return dists
 
 
 def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
@@ -194,11 +248,11 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
     """
     if len(prefix) == 0:
         raise InputError("prefix must be non-empty")
-    _check_tokens(model, prefix, "prefix")
-    _check_tokens(model, tokens, "tokens")
+    _check_tokens(model.vocab_size, prefix, "prefix")
+    _check_tokens(model.vocab_size, tokens, "tokens")
     if counter is not None:
         counter.add()
-    return _scan(model, prefix, tokens)
+    return model.scan_tree(prefix, [tokens])[0]
 
 
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
@@ -213,17 +267,13 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     """
     if len(prefix) == 0:
         raise InputError("prefix must be non-empty")
-    _check_tokens(model, prefix, "prefix")
-    _check_tokens(model, shared, "shared")
+    _check_tokens(model.vocab_size, prefix, "prefix")
+    _check_tokens(model.vocab_size, shared, "shared")
     for b in branches:
-        _check_tokens(model, b, "branch")
+        _check_tokens(model.vocab_size, b, "branch")
     if counter is not None:
         counter.add(branch_tokens=sum(len(b) for b in branches))
-    base = list(prefix)
-    shared = list(shared)
-    if not branches:
-        return [_scan(model, base, shared)]
-    return [_scan(model, base, shared + list(b)) for b in branches]
+    return model.scan_tree(prefix, [[*shared, *b] for b in branches] or [shared])
 
 
 def sample(dist: np.ndarray, temperature: float,

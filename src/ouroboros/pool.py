@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
@@ -28,10 +29,6 @@ class Phrase:
     hits: int = 1
     last_used: int = 0
 
-    @property
-    def key(self) -> int:
-        return self.tokens[0]
-
 
 class PhrasePool:
     def __init__(self, vocab_size: int, capacity_per_key: int = 16,
@@ -42,6 +39,7 @@ class PhrasePool:
         self.capacity_per_key = capacity_per_key
         self.max_phrase_len = max_phrase_len
         self.clock = 0
+        # key -> {tokens: Phrase}; dict order is bucket order
         self._buckets: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -51,24 +49,21 @@ class PhrasePool:
 
     def bucket(self, key: int) -> List[Phrase]:
         """The phrases stored under ``key``, in bucket order (a copy)."""
-        return list(self._buckets.get(key, ()))
+        return list(self._buckets.get(key, {}).values())
 
     def phrases(self) -> Iterator[Phrase]:
         for key in sorted(self._buckets):
-            yield from self._buckets[key]
+            yield from self._buckets[key].values()
 
     def state(self):
         """Comparable snapshot: {key: [(tokens, hits), ...]} in bucket order."""
-        return {key: [(p.tokens, p.hits) for p in self._buckets[key]]
+        return {key: [(p.tokens, p.hits) for p in self._buckets[key].values()]
                 for key in sorted(self._buckets)}
-
-    def clear(self) -> None:
-        self._buckets.clear()
 
     def copy(self) -> "PhrasePool":
         dup = PhrasePool(self.vocab_size, self.capacity_per_key, self.max_phrase_len)
         dup.clock = self.clock
-        dup._buckets = {k: [Phrase(p.tokens, p.hits, p.last_used) for p in b]
+        dup._buckets = {k: {t: Phrase(t, p.hits, p.last_used) for t, p in b.items()}
                         for k, b in self._buckets.items()}
         return dup
 
@@ -94,16 +89,14 @@ class PhrasePool:
         (hits, last_used) pair.
         """
         tokens = self._validate(tokens)
-        bucket = self._buckets.setdefault(tokens[0], [])
-        for p in bucket:
-            if p.tokens == tokens:
-                p.hits += hits
-                p.last_used = self._tick()
-                return p
-        phrase = Phrase(tokens, hits, self._tick())
-        bucket.append(phrase)
+        bucket = self._buckets.setdefault(tokens[0], {})
+        phrase = bucket.get(tokens)
+        if phrase is None:
+            phrase = bucket[tokens] = Phrase(tokens, 0)
+        phrase.hits += hits
+        phrase.last_used = self._tick()
         if len(bucket) > self.capacity_per_key:
-            bucket.remove(min(bucket, key=lambda p: (p.hits, p.last_used)))
+            del bucket[min(bucket.values(), key=lambda p: (p.hits, p.last_used)).tokens]
         return phrase
 
     def lookup_k(self, first: int, k: int) -> List[Phrase]:
@@ -116,8 +109,8 @@ class PhrasePool:
         bucket = self._buckets.get(first)
         if not bucket or k == 0:
             return []
-        ranked = sorted(bucket, key=lambda p: (p.hits, p.last_used), reverse=True)
-        chosen = ranked[:k]
+        chosen = sorted(bucket.values(), key=lambda p: (p.hits, p.last_used),
+                        reverse=True)[:k]
         for p in chosen:
             p.last_used = self._tick()
         return chosen
@@ -134,15 +127,11 @@ class PhrasePool:
         corrected = self._validate(corrected)
         if corrected[0] != old_tokens[0]:
             raise InputError("corrected phrase must keep the original first token")
-        bucket = self._buckets.get(old_tokens[0])
-        if not bucket:
+        old = self._buckets.get(old_tokens[0], {}).pop(old_tokens, None)
+        if old is None:
             return False
-        for i, p in enumerate(bucket):
-            if p.tokens == old_tokens:
-                del bucket[i]
-                self.insert(corrected, hits=p.hits)
-                return True
-        return False
+        self.insert(corrected, hits=old.hits)
+        return True
 
     # -- persistence ---------------------------------------------------------
 
@@ -208,13 +197,10 @@ class PhrasePool:
                 raise PoolFormatError(line_no, f"token out of vocab {vocab_size}")
             entries.append((hits, tokens))
         if max_phrase_len is None:
-            max_phrase_len = max([len(t) for _, t in entries], default=2)
-            max_phrase_len = max(max_phrase_len, 16)
+            max_phrase_len = max([16] + [len(tokens) for _, tokens in entries])
         if capacity_per_key is None:
-            per_key: dict = {}
-            for _, tokens in entries:
-                per_key[tokens[0]] = per_key.get(tokens[0], 0) + 1
-            capacity_per_key = max(max(per_key.values(), default=1), 16)
+            per_key = Counter(tokens[0] for _, tokens in entries)
+            capacity_per_key = max([16, *per_key.values()])
         pool = cls(vocab_size, capacity_per_key, max_phrase_len)
         for hits, tokens in entries:
             pool.insert(tokens, hits=hits)

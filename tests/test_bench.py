@@ -356,6 +356,36 @@ class TestCli:
             "--out-json", str(tmp_path / "loc.json"))
         assert proc.returncode == 0, proc.stderr
 
+    def test_pool_file_reused_with_beta_above_sixteen(self, reference_corpus,
+                                                      tmp_path):
+        args = ("run", "--corpus", reference_corpus, "--beta", "17",
+                "--engines", "ouroboros", "--max-new", "8",
+                "--pool-file", str(tmp_path / "B.txt"))
+        for _ in range(2):
+            proc = self.run_cli(*args)
+            assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["ablate", "tune"])
+    def test_cold_pool_commands_refuse_pool_file(self, command, reference_corpus,
+                                                 tmp_path):
+        pool_file = tmp_path / "P.txt"
+        proc = self.run_cli(command, "--corpus", reference_corpus,
+                            "--max-new", "4", "--pool-file", str(pool_file))
+        assert proc.returncode == 1
+        assert "--pool-file" in proc.stderr
+        assert not pool_file.exists()
+
+    def test_locality_saves_its_pool_file(self, tagged_corpus, tmp_path):
+        pool_file = tmp_path / "L.txt"
+        args = ("locality", "--corpus", tagged_corpus, "--cn", "3",
+                "--max-new", "8", "--pool-file", str(pool_file))
+        proc = self.run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        assert len(PhrasePool.load(pool_file)) > 0
+        proc = self.run_cli(*args)  # loads the saved pool and saves it back
+        assert proc.returncode == 0, proc.stderr
+        assert len(PhrasePool.load(pool_file)) > 0
+
     def test_ablate_subcommand(self, reference_corpus):
         proc = self.run_cli(
             "ablate", "--corpus", reference_corpus, "--tokenizer", "whitespace",

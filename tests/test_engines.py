@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ouroboros
 from ouroboros import (CostModel, CounterModel, EngineConfig, InputError,
                        LanguageModel, PerturbedModel, PhrasePool, RunMetrics,
                        build_ngram_model, generate_lookahead_target,
@@ -209,6 +214,20 @@ class TestOuroboros:
             generate_ouroboros(CounterModel(10), CounterModel(12), [1],
                                EngineConfig())
 
+    @pytest.mark.parametrize("engine", ["phrase draft", "suffix", "lookahead"])
+    def test_out_of_vocab_pooled_token_rejected(self, engine):
+        # a pool of a wider vocab hands the engine a token the model lacks
+        target = CounterModel(10)
+        pool = PhrasePool(100)
+        for t in range(10):
+            pool.insert((t, 50, (t + 2) % 10))
+        cfg = EngineConfig(gamma=3, max_new=8, phrase_draft=engine != "suffix")
+        with pytest.raises(InputError, match="token 50 out of vocab 10"):
+            if engine == "lookahead":
+                generate_lookahead_target(target, [1], cfg, pool)
+            else:
+                generate_ouroboros(target, target, [1], cfg, pool)
+
 
 class TestAcceptMonotonicity:
     def test_longer_greedy_drafts_never_accept_less(self):
@@ -327,3 +346,14 @@ def test_engines_agree_at_boundary_configs(case):
     _, off = generate_ouroboros(target, draft, prompt, cfg.all_off())
     assert (spec.target_forwards, spec.draft_forwards, spec.accept_len_histogram) \
         == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)
+
+
+def test_engines_load_numpy_random_with_the_package():
+    # numpy 2 imports numpy.random on first use; the engines load it at import,
+    # so the first engine call of a process does not pay for that import.
+    src = str(Path(ouroboros.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, ouroboros.engines; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "True"

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ouroboros import (CounterModel, ForwardCounter, InputError, NgramModel,
-                       PerturbedModel, build_model, build_ngram_model,
+                       PerturbedModel, TokenList, build_model, build_ngram_model,
                        forward_scan, forward_tree, next_distribution,
                        parse_model_spec, sample)
 
@@ -85,6 +89,11 @@ class TestPerturbedModel:
         # argmax would be 0 after token V-1; the swap must still move it
         m = PerturbedModel(CounterModel(10), epsilon=1.0, swap_to=0)
         assert int(np.argmax(m.distribution([9]))) == 1
+
+    def test_seed_outside_int64_rejected(self):
+        for seed in (-(2 ** 63) - 1, 2 ** 63):
+            with pytest.raises(InputError):
+                PerturbedModel(CounterModel(10), epsilon=0.5, seed=seed)
 
 
 class TestForwardScan:
@@ -238,3 +247,119 @@ class TestModelSpec:
     def test_build_ngram_requires_corpus(self):
         with pytest.raises(InputError):
             build_model(parse_model_spec("ngram:order=2"), vocab_size=8)
+
+
+def reference_roll(seed, context):
+    """The perturbation roll as first specified: blake2b over the seed and
+    the whole context, each as 8-byte little-endian integers."""
+    data = seed.to_bytes(8, "little", signed=True)
+    data += np.asarray(context, dtype="<i8").tobytes()
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0 ** 64
+
+
+@st.composite
+def perturbed_scans(draw):
+    vocab = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    corpus = [int(t) for t in rng.integers(0, vocab, size=400)]
+    model = build_ngram_model(corpus, order=3, vocab_size=vocab)
+    for _ in range(draw(st.integers(1, 2))):
+        model = PerturbedModel(model, draw(st.sampled_from([0.0, 0.3, 1.0])),
+                               seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
+                               swap_to=draw(st.integers(0, vocab - 1)))
+    prefix = [int(t) for t in rng.integers(0, vocab, size=draw(st.integers(1, 5000)))]
+    if draw(st.booleans()):
+        prefix = TokenList(vocab, prefix)
+    tokens = st.lists(st.integers(0, vocab - 1), max_size=6)
+    return model, prefix, draw(tokens), draw(st.lists(tokens, max_size=4))
+
+
+class TestScanHook:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_scans())
+    def test_perturbed_scans_equal_stepwise_distributions(self, case):
+        model, prefix, shared, branches = case
+        rows = forward_tree(model, prefix, shared, branches)
+        for row, branch in zip(rows, branches or [[]]):
+            full = list(prefix) + shared + branch
+            assert len(row) == len(shared) + len(branch) + 1
+            for i, dist in enumerate(row):
+                assert np.array_equal(dist, model.distribution(full[:len(prefix) + i]))
+        scan = forward_scan(model, prefix, shared)
+        for i, dist in enumerate(scan):
+            assert np.array_equal(dist, model.distribution(list(prefix) + shared[:i]))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_distribution_keeps_the_reference_roll(self, epsilon):
+        rng = np.random.default_rng(3)
+        base = CounterModel(300)
+        for seed in (-(2 ** 63), -7, 0, 12345, 2 ** 63 - 1):
+            model = PerturbedModel(base, epsilon, seed=seed, swap_to=4)
+            for n in (1, 2, 17, 4100):
+                ctx = [int(t) for t in rng.integers(0, 300, size=n)]
+                want = base.distribution(ctx)
+                if reference_roll(seed, ctx) < epsilon:
+                    want = want.copy()
+                    top = int(np.argmax(want))
+                    tgt = 4 if top != 4 else 5
+                    want[[top, tgt]] = want[[tgt, top]]
+                assert np.array_equal(model.distribution(ctx), want)
+                assert np.array_equal(forward_scan(model, ctx, [])[0], want)
+
+
+class TestTokenList:
+    def test_out_of_vocab_append_and_extend_raise(self):
+        ctx = TokenList(10, [1, 2])
+        with pytest.raises(InputError):
+            ctx.append(10)
+        with pytest.raises(InputError):
+            ctx.extend([3, -1])
+        with pytest.raises(InputError):
+            TokenList(10, [1, 12])
+        assert ctx == [1, 2]
+        ctx.append(9)
+        ctx.extend(iter([0, 4]))
+        assert ctx == [1, 2, 9, 0, 4]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.__setitem__(0, 1), lambda c: c.__delitem__(0),
+        lambda c: c.__iadd__([1]), lambda c: c.__imul__(2),
+        lambda c: c.insert(0, 1), lambda c: c.pop(), lambda c: c.remove(1),
+        lambda c: c.clear(), lambda c: c.sort(), lambda c: c.reverse(),
+    ])
+    def test_in_place_mutation_refused(self, mutate):
+        ctx = TokenList(10, [1, 2, 3])
+        with pytest.raises(TypeError):
+            mutate(ctx)
+        assert ctx == [1, 2, 3]
+
+    def test_copy_under_another_vocab_revalidates(self):
+        wide = TokenList(100, [5, 50])
+        with pytest.raises(InputError):
+            TokenList(10, wide)
+        assert TokenList(100, wide) == [5, 50]
+        with pytest.raises(InputError):
+            next_distribution(CounterModel(10), wide)
+
+    def test_same_vocab_list_is_not_checked_again(self):
+        model = CounterModel(10)
+        ctx = TokenList(10, [3])
+        assert argmaxes(forward_tree(model, ctx, [4], [[5]])[0]) == [4, 5, 6]
+        list.append(ctx, 13)  # slips past the entry check on purpose
+        assert int(np.argmax(next_distribution(model, ctx))) == 4
+        with pytest.raises(InputError):
+            next_distribution(model, list(ctx))
+
+    @pytest.mark.parametrize("call", [
+        lambda m: next_distribution(m, [1, 10]),
+        lambda m: forward_scan(m, [10], [1]),
+        lambda m: forward_scan(m, [1], [2, 10]),
+        lambda m: forward_tree(m, [1, 10], [], [[2]]),
+        lambda m: forward_tree(m, [1], [10], [[2]]),
+        lambda m: forward_tree(m, [1], [2], [[3], [4, 10]]),
+        lambda m: forward_tree(m, TokenList(10, [1]), [2], [[10]]),
+    ])
+    def test_plain_sequences_are_checked_in_full(self, call):
+        with pytest.raises(InputError):
+            call(CounterModel(10))

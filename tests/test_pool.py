@@ -3,8 +3,10 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
-from ouroboros import InputError, PhrasePool, PoolFormatError, insert_ngrams
+from ouroboros import (InputError, Phrase, PhrasePool, PoolFormatError,
+                       insert_ngrams)
 
 
 def tokens_of(bucket):
@@ -220,3 +222,126 @@ def test_capacity_never_exceeded_under_random_inserts(ops):
         assert all(len(pool.bucket(key)) <= 3 for key in range(8))
         for key in range(8):
             assert all(p.tokens[0] == key for p in pool.bucket(key))
+
+
+class ListPool:
+    """Reference pool on plain lists: a linear duplicate search, eviction by
+    ``list.remove`` and the save format written out by hand."""
+
+    def __init__(self, vocab_size, capacity):
+        self.vocab_size, self.capacity = vocab_size, capacity
+        self.clock, self.buckets = 0, {}
+
+    def tick(self):
+        self.clock += 1
+        return self.clock
+
+    def insert(self, tokens, hits=1):
+        bucket = self.buckets.setdefault(tokens[0], [])
+        for p in bucket:
+            if p.tokens == tokens:
+                p.hits += hits
+                p.last_used = self.tick()
+                return p
+        phrase = Phrase(tokens, hits, self.tick())
+        bucket.append(phrase)
+        if len(bucket) > self.capacity:
+            bucket.remove(min(bucket, key=lambda p: (p.hits, p.last_used)))
+        return phrase
+
+    def lookup_k(self, first, k):
+        ranked = sorted(self.buckets.get(first, []),
+                        key=lambda p: (p.hits, p.last_used), reverse=True)[:k]
+        for p in ranked:
+            p.last_used = self.tick()
+        return ranked
+
+    def replace_corrected(self, old, corrected):
+        bucket = self.buckets.get(old[0], [])
+        for p in bucket:
+            if p.tokens == old:
+                bucket.remove(p)
+                self.insert(corrected, p.hits)
+                return True
+        return False
+
+    def snapshot(self):
+        return {k: [(p.tokens, p.hits, p.last_used) for p in b]
+                for k, b in sorted(self.buckets.items())}
+
+    def text(self):
+        lines = [f"ouroboros-pool v1 vocab={self.vocab_size}"]
+        for key in sorted(self.buckets):
+            lines += [f"{p.hits} {' '.join(map(str, p.tokens))}"
+                      for p in self.buckets[key]]
+        return "\n".join(lines) + "\n"
+
+
+VOCAB, CAPACITY, MAX_LEN = 5, 3, 4
+phrase_tokens = st.lists(st.integers(0, VOCAB - 1), min_size=2,
+                         max_size=MAX_LEN).map(tuple)
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """PhrasePool against ListPool: same returns, bucket order, recency
+    stamps, eviction victims and saved bytes after every operation."""
+
+    inserted = Bundle("inserted")
+
+    def __init__(self):
+        super().__init__()
+        self.pool = PhrasePool(VOCAB, capacity_per_key=CAPACITY,
+                               max_phrase_len=MAX_LEN)
+        self.ref = ListPool(VOCAB, CAPACITY)
+
+    def snapshot(self):
+        return {k: [(p.tokens, p.hits, p.last_used) for p in self.pool.bucket(k)]
+                for k in sorted(self.pool.state())}
+
+    @rule(target=inserted, tokens=phrase_tokens, hits=st.integers(1, 3))
+    def insert(self, tokens, hits):
+        before = [p.tokens for p in self.pool.bucket(tokens[0])]
+        got, want = self.pool.insert(tokens, hits), self.ref.insert(tokens, hits)
+        assert (got.tokens, got.hits) == (want.tokens, want.hits)
+        after = [p.tokens for p in self.pool.bucket(tokens[0])]
+        want_after = [p.tokens for p in self.ref.buckets[tokens[0]]]
+        assert set(before) - set(after) == set(before) - set(want_after)
+        return tokens
+
+    @rule(first=st.integers(0, VOCAB - 1), k=st.integers(0, 4))
+    def lookup_k(self, first, k):
+        got, want = self.pool.lookup_k(first, k), self.ref.lookup_k(first, k)
+        assert [p.tokens for p in got] == [p.tokens for p in want]
+
+    @rule(old=st.one_of(inserted, phrase_tokens),
+          tail=st.lists(st.integers(0, VOCAB - 1), min_size=1,
+                        max_size=MAX_LEN - 1))
+    def replace_corrected(self, old, tail):
+        corrected = (old[0],) + tuple(tail)
+        assert (self.pool.replace_corrected(old, corrected)
+                == self.ref.replace_corrected(old, corrected))
+
+    @rule()
+    def save_and_load(self):
+        buf = io.StringIO()
+        self.pool.save(buf)
+        assert buf.getvalue() == self.ref.text()
+        self.pool = PhrasePool.load(io.StringIO(buf.getvalue()), CAPACITY, MAX_LEN)
+        saved = self.ref
+        self.ref = ListPool(VOCAB, CAPACITY)
+        for key in sorted(saved.buckets):
+            for p in saved.buckets[key]:
+                self.ref.insert(p.tokens, p.hits)
+
+    @invariant()
+    def same_state(self):
+        assert self.snapshot() == self.ref.snapshot()
+        assert self.pool.clock == self.ref.clock
+        assert all(len(self.pool.bucket(k)) <= CAPACITY for k in range(VOCAB))
+        assert self.pool.state() == {k: [(t, h) for t, h, _ in b]
+                                     for k, b in self.ref.snapshot().items()}
+
+
+TestPoolMachine = PoolMachine.TestCase
+TestPoolMachine.settings = settings(max_examples=50, stateful_step_count=40,
+                                    deadline=None)

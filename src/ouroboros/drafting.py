@@ -68,7 +68,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     if best:
         tokens = best[0].tokens[:beta] if beta is not None else best[0].tokens
         cand = list(tokens[1:])
-    rows = forward_tree(model, context, [], [cand] + columns, counter=counter)
+    rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
 
     main = rows[0]
     appended: List[int] = []

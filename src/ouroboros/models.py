@@ -46,6 +46,14 @@ def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
             raise InputError(f"{what} token {t} out of vocab {vocab_size}")
 
 
+def _eos_id(vocab_size: int, eos_id: Optional[int]) -> int:
+    """The EOS id (by default the last token), checked against the vocab."""
+    eos_id = vocab_size - 1 if eos_id is None else eos_id
+    if not 0 <= eos_id < vocab_size:
+        raise InputError(f"eos {eos_id} out of vocab {vocab_size}")
+    return eos_id
+
+
 class TokenList(list):
     """A context whose tokens were checked against ``vocab_size`` on entry, so
     forwards of a model with that vocab skip the check.  It grows only by
@@ -88,19 +96,24 @@ class LanguageModel:
         """Return P(next token | context) as a length-``vocab_size`` vector."""
         raise NotImplementedError
 
-    def scan_tree(self, prefix: TokenSeq,
-                  branches: Sequence[TokenSeq]) -> List[List[np.ndarray]]:
+    def scan_tree(self, prefix: TokenSeq, branches: Sequence[TokenSeq],
+                  full: Optional[int] = None) -> List[List[np.ndarray]]:
         """One row per branch: element i of row j is the distribution after
-        ``prefix + branches[j][:i]``.  The default calls :meth:`distribution`
-        step by step; a model may override it to share work across steps,
-        provided every element stays bit-identical."""
+        ``prefix + branches[j][:i]``; rows from index ``full`` on hold only
+        their last element.  Rows share the root array: treat them as
+        read-only.  The default calls :meth:`distribution` step by step; a
+        model may override it, provided every element stays bit-identical."""
         ctx, rows = list(prefix), []
-        for branch in branches:
+        root = self.distribution(ctx) if branches else None
+        for j, branch in enumerate(branches):
             del ctx[len(prefix):]
-            rows.append([self.distribution(ctx)])
-            for t in branch:
+            leaf = full is not None and j >= full
+            row = [root]
+            for i, t in enumerate(branch, 1):
                 ctx.append(t)
-                rows[-1].append(self.distribution(ctx))
+                if not leaf or i == len(branch):
+                    row.append(self.distribution(ctx))
+            rows.append(row[-1:] if leaf else row)
         return rows
 
 
@@ -111,7 +124,7 @@ class CounterModel(LanguageModel):
         if vocab_size < 2:
             raise InputError("counter model needs vocab_size >= 2")
         self.vocab_size = vocab_size
-        self.eos_id = vocab_size - 1 if eos_id is None else eos_id
+        self.eos_id = _eos_id(vocab_size, eos_id)
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         probs = np.zeros(self.vocab_size, dtype=np.float64)
@@ -133,7 +146,7 @@ class NgramModel(LanguageModel):
         self.order = order
         self._table = table
         self.vocab_size = vocab_size
-        self.eos_id = vocab_size - 1 if eos_id is None else eos_id
+        self.eos_id = _eos_id(vocab_size, eos_id)
         self._uniform = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
         self._uniform.flags.writeable = False
 
@@ -156,6 +169,7 @@ def build_ngram_model(corpus: TokenSeq, order: int,
         raise InputError(f"corpus of {len(corpus)} tokens is too short for order {order}")
     if vocab_size is None:
         vocab_size = max(corpus) + 1
+    _eos_id(vocab_size, eos_id)
     counts: dict = {}
     for i in range(len(corpus) - order + 1):
         key = tuple(corpus[i:i + order - 1])
@@ -198,32 +212,40 @@ class PerturbedModel(LanguageModel):
         self.eos_id = base.eos_id
 
     def _perturb(self, probs: np.ndarray, hasher) -> np.ndarray:
-        """The base row, its argmax swapped if the context's roll is < epsilon."""
+        """The base row, or a copy with its argmax swapped if the roll is < epsilon."""
+        if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 >= self.epsilon:
+            return probs
         probs = np.array(probs, dtype=np.float64)
-        if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 < self.epsilon:
-            top = int(np.argmax(probs))
-            tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
-            probs[[top, tgt]] = probs[[tgt, top]]
+        top = int(np.argmax(probs))
+        tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
+        probs[[top, tgt]] = probs[[tgt, top]]
         return probs
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         return self.scan_tree(context, [()])[0][0]
 
-    def scan_tree(self, prefix: TokenSeq,
-                  branches: Sequence[TokenSeq]) -> List[List[np.ndarray]]:
+    def scan_tree(self, prefix: TokenSeq, branches: Sequence[TokenSeq],
+                  full: Optional[int] = None) -> List[List[np.ndarray]]:
         """The roll hashes the seed and the context as int64 little-endian
         bytes.  The prefix is hashed once; each branch extends a copy of that
-        blake2b state by 8 bytes per token, the same bytes in the same order."""
+        blake2b state by 8 bytes per token (a leaf-only row by its whole
+        branch at once), the same bytes in the same order."""
         root = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
                                digest_size=8)
-        rows = []
-        for branch, base_row in zip(branches, self.base.scan_tree(prefix, branches)):
+        top, rows = None, []
+        base_rows = self.base.scan_tree(prefix, branches, full)
+        for j, (branch, base_row) in enumerate(zip(branches, base_rows)):
             hasher = root.copy()
-            row = [self._perturb(base_row[0], hasher)]
+            if branch and full is not None and j >= full:
+                hasher.update(struct.pack(f"<{len(branch)}q", *branch))
+                rows.append([self._perturb(base_row[0], hasher)])
+                continue
+            if top is None:
+                top = self._perturb(base_row[0], root)
+            rows.append([top])
             for t, probs in zip(branch, base_row[1:]):
                 hasher.update(struct.pack("<q", t))
-                row.append(self._perturb(probs, hasher))
-            rows.append(row)
+                rows[-1].append(self._perturb(probs, hasher))
         return rows
 
 
@@ -257,13 +279,15 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
 
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
                  branches: Sequence[TokenSeq],
-                 counter: Optional[ForwardCounter] = None) -> list:
+                 counter: Optional[ForwardCounter] = None,
+                 full: Optional[int] = None) -> list:
     """Score several branches after a shared span in ONE forward.
 
-    Row j equals ``forward_scan(model, prefix, shared + branches[j])``; with no
-    branches the single row covers just the shared span.  Branches may be
-    ragged or empty.  This is the functional stand-in for a tree attention
-    mask: one forward regardless of branch count.
+    Row j equals ``forward_scan(model, prefix, shared + branches[j])``, or its
+    last element alone from row ``full`` on; with no branches the single row
+    covers just the shared span.  Branches may be ragged or empty.  This is
+    the functional stand-in for a tree attention mask: one forward
+    regardless of branch count.
     """
     if len(prefix) == 0:
         raise InputError("prefix must be non-empty")
@@ -271,9 +295,11 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     _check_tokens(model.vocab_size, shared, "shared")
     for b in branches:
         _check_tokens(model.vocab_size, b, "branch")
+    if full is not None and full < 0:
+        raise InputError("full must be >= 0")
     if counter is not None:
         counter.add(branch_tokens=sum(len(b) for b in branches))
-    return model.scan_tree(prefix, [[*shared, *b] for b in branches] or [shared])
+    return model.scan_tree(prefix, [[*shared, *b] for b in branches] or [shared], full)
 
 
 def sample(dist: np.ndarray, temperature: float,

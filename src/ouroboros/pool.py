@@ -33,8 +33,9 @@ class Phrase:
 class PhrasePool:
     def __init__(self, vocab_size: int, capacity_per_key: int = 16,
                  max_phrase_len: int = 16):
-        if capacity_per_key < 1 or max_phrase_len < 2:
-            raise InputError("capacity_per_key >= 1 and max_phrase_len >= 2 required")
+        if vocab_size < 1 or capacity_per_key < 1 or max_phrase_len < 2:
+            raise InputError("vocab_size >= 1, capacity_per_key >= 1 and "
+                             "max_phrase_len >= 2 required")
         self.vocab_size = vocab_size
         self.capacity_per_key = capacity_per_key
         self.max_phrase_len = max_phrase_len
@@ -178,6 +179,8 @@ class PhrasePool:
         try:
             vocab_size = int(parts[2][len("vocab="):])
         except ValueError:
+            vocab_size = 0
+        if vocab_size < 1:
             raise PoolFormatError(1, f"bad vocab in header {header.rstrip()!r}")
         entries = []
         for line_no, line in enumerate(source, start=2):

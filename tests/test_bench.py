@@ -338,6 +338,16 @@ class TestCli:
         assert proc.returncode == 2
         assert "entry=0" in proc.stderr and "vanilla" in proc.stderr
 
+    def test_eos_outside_vocab_exits_one(self, tmp_path):
+        corpus = tmp_path / "four.txt"
+        corpus.write_text("red green blue red\nblue gray red green\n", encoding="utf-8")
+        proc = self.run_cli(
+            "run", "--corpus", str(corpus), "--tokenizer", "whitespace",
+            "--target-spec", "counter:eos=99", "--engines", "vanilla",
+            "--max-new", "4")
+        assert proc.returncode == 1
+        assert "eos 99 out of vocab 5" in proc.stderr
+
     def test_tune_prints_chosen_hyperparameters(self, reference_corpus):
         proc = self.run_cli(
             "tune", "--corpus", reference_corpus, "--tokenizer", "whitespace",

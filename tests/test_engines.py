@@ -348,6 +348,34 @@ def test_engines_agree_at_boundary_configs(case):
         == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)
 
 
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_engines_leave_the_ngram_table_untouched(temperature):
+    # A perturbed model hands out its base row itself when it does not swap,
+    # so nothing downstream may write into a distribution it is given.
+    rng = np.random.default_rng(11)
+    base = build_ngram_model([int(t) for t in rng.integers(0, 12, size=300)],
+                             order=3, vocab_size=12)
+    before = {key: row.copy() for key, row in base._table.items()}
+    target = PerturbedModel(base, 0.3, seed=1)
+    draft = PerturbedModel(target, 0.3, seed=2)
+    cfg = EngineConfig(max_new=40, temperature=temperature, seed=5)
+    prompt = [int(t) for t in rng.integers(0, 12, size=8)]
+    generate_vanilla(target, prompt, cfg)
+    generate_speculative(target, draft, prompt, cfg)
+    generate_lookahead_target(target, prompt, cfg)
+    generate_ouroboros(target, draft, prompt, cfg)
+    for key, row in base._table.items():
+        assert not row.flags.writeable
+        assert np.array_equal(row, before[key])
+
+    ctx = prompt[:2]
+    base_row = base.distribution(ctx)
+    assert PerturbedModel(base, 0.0).distribution(ctx) is base_row
+    swapped = PerturbedModel(base, 1.0).distribution(ctx)
+    assert not np.shares_memory(swapped, base_row)
+    assert not np.array_equal(swapped, base_row)
+
+
 def test_engines_load_numpy_random_with_the_package():
     # numpy 2 imports numpy.random on first use; the engines load it at import,
     # so the first engine call of a process does not pay for that import.

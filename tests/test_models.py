@@ -215,6 +215,18 @@ class TestDistributionValidity:
                 assert (d >= 0).all()
 
 
+@pytest.mark.parametrize("eos", [-1, 5, 99])
+@pytest.mark.parametrize("build", [
+    lambda eos: CounterModel(5, eos_id=eos),
+    lambda eos: NgramModel(2, {}, 5, eos_id=eos),
+    lambda eos: build_ngram_model([0, 1, 2, 3, 0, 1], 2, vocab_size=5, eos_id=eos),
+], ids=["counter", "ngram", "build_ngram"])
+def test_eos_outside_vocab_rejected(build, eos):
+    with pytest.raises(InputError, match=f"eos {eos} out of vocab 5"):
+        build(eos)
+    assert build(0).eos_id == 0 and build(4).eos_id == 4 and build(None).eos_id == 4
+
+
 class TestModelSpec:
     def test_parse_roundtrip(self):
         spec = parse_model_spec("ngram:order=3,vocab=64,seed=7")
@@ -306,6 +318,53 @@ class TestScanHook:
                     want[[top, tgt]] = want[[tgt, top]]
                 assert np.array_equal(model.distribution(ctx), want)
                 assert np.array_equal(forward_scan(model, ctx, [])[0], want)
+
+
+@st.composite
+def leaf_scans(draw):
+    """Nested perturbed models over an n-gram or a counter base, with empty,
+    ragged and nonempty shared spans and branches."""
+    vocab = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        model = build_ngram_model([int(t) for t in rng.integers(0, vocab, size=200)],
+                                  order=3, vocab_size=vocab)
+    else:
+        model = CounterModel(vocab)
+    for _ in range(draw(st.integers(0, 2))):
+        model = PerturbedModel(model, draw(st.sampled_from([0.0, 0.3, 1.0])),
+                               seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
+                               swap_to=draw(st.integers(0, vocab - 1)))
+    tokens = st.lists(st.integers(0, vocab - 1), max_size=5)
+    prefix = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=30))
+    return model, prefix, draw(tokens), draw(st.lists(tokens, max_size=4))
+
+
+class TestLeafRows:
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_scans())
+    def test_leaf_rows_equal_stepwise_distributions(self, case):
+        model, prefix, shared, branches = case
+        plain = ForwardCounter()
+        forward_tree(model, prefix, shared, branches, counter=plain)
+        for full in range(len(branches) + 1):
+            counter = ForwardCounter()
+            rows = forward_tree(model, prefix, shared, branches, counter=counter,
+                                full=full)
+            assert counter == plain
+            assert len(rows) == max(1, len(branches))
+            for j, (row, branch) in enumerate(zip(rows, branches or [[]])):
+                ctx = prefix + shared + branch
+                want = [model.distribution(ctx[:i])
+                        for i in range(len(prefix), len(ctx) + 1)]
+                want = want if j < full else want[-1:]
+                assert len(row) == len(want)
+                for dist, expected in zip(row, want):
+                    assert np.array_equal(dist, expected)
+
+    def test_negative_full_rejected(self):
+        with pytest.raises(InputError):
+            forward_tree(CounterModel(5), [1], [], [[2]], full=-1)
 
 
 class TestTokenList:

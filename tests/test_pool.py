@@ -42,6 +42,11 @@ class TestInsert:
         pool.insert((6, 3, 3))  # same hits; the stalest goes
         assert sorted(tokens_of(pool.bucket(6))) == [(6, 2, 2), (6, 3, 3)]
 
+    @pytest.mark.parametrize("vocab", [-3, 0])
+    def test_vocab_below_one_rejected(self, vocab):
+        with pytest.raises(InputError):
+            PhrasePool(vocab)
+
     def test_length_limits_enforced(self):
         pool = PhrasePool(10, max_phrase_len=4)
         with pytest.raises(InputError):
@@ -174,6 +179,11 @@ class TestPersistence:
     def test_bad_header_names_line_one(self):
         with pytest.raises(PoolFormatError, match="line 1"):
             PhrasePool.load(io.StringIO("not-a-pool\n"))
+
+    @pytest.mark.parametrize("vocab", ["-3", "0", "x"])
+    def test_bad_header_vocab_names_line_one(self, vocab):
+        with pytest.raises(PoolFormatError, match="line 1"):
+            PhrasePool.load(io.StringIO(f"ouroboros-pool v1 vocab={vocab}\n3 0 0\n"))
 
     def test_non_integer_field_names_its_line(self):
         text = "ouroboros-pool v1 vocab=10\n3 6 7 8\n2 x 7\n"

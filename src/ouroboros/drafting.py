@@ -70,34 +70,26 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
         cand = list(tokens[1:])
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
 
-    main = rows[0]
     appended: List[int] = []
     for i, tok in enumerate(cand):
-        drawn = sample(main[i], temperature, rng)
+        drawn = sample(rows[i], temperature, rng)
         appended.append(drawn)
         if drawn != tok:
             break
     else:
-        appended.append(sample(main[len(cand)], temperature, rng))
+        appended.append(sample(rows[len(cand)], temperature, rng))
 
-    new_phrases = []
-    for j, col in enumerate(columns):
-        nxt = int(np.argmax(rows[1 + j][-1]))
-        new_phrases.append(tuple(col) + (nxt,))
+    new_phrases = [tuple(col) + (int(row.argmax()),)
+                   for col, row in zip(columns, rows[len(cand) + 1:])]
     return appended, new_phrases
 
 
 @dataclass
 class DraftResult:
-    """A finished draft: its tokens and the forwards it cost.
-    tokens/forwards_used is the drafting reduction ratio."""
+    """A finished draft: its tokens and the forwards it cost."""
 
     tokens: List[int]
     forwards_used: int
-
-    @property
-    def reduction(self) -> float:
-        return len(self.tokens) / self.forwards_used
 
 
 def generate_draft(model: LanguageModel, context: Sequence[int],

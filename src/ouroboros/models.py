@@ -1,10 +1,12 @@
-"""Toy language models behind a shared single-step / scan / tree-scan contract.
+"""Toy language models behind one scoring hook.
 
 A model is a pure function from a token context to a next-token probability
-vector.  Scanning a span of tokens or scoring several branches after a shared
-span each count as ONE forward call, mirroring how a masked transformer scores
-them in a single pass; the distributions themselves are always bit-identical
-to what independent single-step calls would produce.
+vector.  ``LanguageModel.score(prefix, paths)`` returns the distribution after
+``prefix + path`` for each path.  ``forward_scan`` and ``forward_tree`` each
+count as ONE forward call, mirroring how a masked transformer scores a span or
+a token tree in a single pass; ``forward_tree`` alone decides which rows a
+tree forward returns.  Every row is bit-identical to what an independent
+single-step call would produce.
 """
 
 from __future__ import annotations
@@ -96,24 +98,17 @@ class LanguageModel:
         """Return P(next token | context) as a length-``vocab_size`` vector."""
         raise NotImplementedError
 
-    def scan_tree(self, prefix: TokenSeq, branches: Sequence[TokenSeq],
-                  full: Optional[int] = None) -> List[List[np.ndarray]]:
-        """One row per branch: element i of row j is the distribution after
-        ``prefix + branches[j][:i]``; rows from index ``full`` on hold only
-        their last element.  Rows share the root array: treat them as
-        read-only.  The default calls :meth:`distribution` step by step; a
-        model may override it, provided every element stays bit-identical."""
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[np.ndarray]:
+        """Row i is the distribution after ``prefix + paths[i]``.  Rows may
+        share arrays with each other and with a model's tables: treat them as
+        read-only.  The default calls :meth:`distribution` on one reused
+        context; a model may override it to share work across the paths,
+        provided every row stays bit-identical."""
         ctx, rows = list(prefix), []
-        root = self.distribution(ctx) if branches else None
-        for j, branch in enumerate(branches):
+        for path in paths:
             del ctx[len(prefix):]
-            leaf = full is not None and j >= full
-            row = [root]
-            for i, t in enumerate(branch, 1):
-                ctx.append(t)
-                if not leaf or i == len(branch):
-                    row.append(self.distribution(ctx))
-            rows.append(row[-1:] if leaf else row)
+            ctx.extend(path)
+            rows.append(self.distribution(ctx))
         return rows
 
 
@@ -222,30 +217,19 @@ class PerturbedModel(LanguageModel):
         return probs
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
-        return self.scan_tree(context, [()])[0][0]
+        return self.score(context, [()])[0]
 
-    def scan_tree(self, prefix: TokenSeq, branches: Sequence[TokenSeq],
-                  full: Optional[int] = None) -> List[List[np.ndarray]]:
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[np.ndarray]:
         """The roll hashes the seed and the context as int64 little-endian
-        bytes.  The prefix is hashed once; each branch extends a copy of that
-        blake2b state by 8 bytes per token (a leaf-only row by its whole
-        branch at once), the same bytes in the same order."""
+        bytes.  The prefix is hashed once; each path extends a copy of that
+        blake2b state by its own tokens, the same bytes in the same order."""
         root = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
                                digest_size=8)
-        top, rows = None, []
-        base_rows = self.base.scan_tree(prefix, branches, full)
-        for j, (branch, base_row) in enumerate(zip(branches, base_rows)):
+        rows = []
+        for path, probs in zip(paths, self.base.score(prefix, paths)):
             hasher = root.copy()
-            if branch and full is not None and j >= full:
-                hasher.update(struct.pack(f"<{len(branch)}q", *branch))
-                rows.append([self._perturb(base_row[0], hasher)])
-                continue
-            if top is None:
-                top = self._perturb(base_row[0], root)
-            rows.append([top])
-            for t, probs in zip(branch, base_row[1:]):
-                hasher.update(struct.pack("<q", t))
-                rows[-1].append(self._perturb(probs, hasher))
+            hasher.update(struct.pack(f"<{len(path)}q", *path))
+            rows.append(self._perturb(probs, hasher))
         return rows
 
 
@@ -274,7 +258,7 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
     _check_tokens(model.vocab_size, tokens, "tokens")
     if counter is not None:
         counter.add()
-    return model.scan_tree(prefix, [tokens])[0]
+    return model.score(prefix, [tokens[:i] for i in range(len(tokens) + 1)])
 
 
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
@@ -283,11 +267,13 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
                  full: Optional[int] = None) -> list:
     """Score several branches after a shared span in ONE forward.
 
-    Row j equals ``forward_scan(model, prefix, shared + branches[j])``, or its
-    last element alone from row ``full`` on; with no branches the single row
-    covers just the shared span.  Branches may be ragged or empty.  This is
-    the functional stand-in for a tree attention mask: one forward
-    regardless of branch count.
+    Returns one flat list with a row per tree node: first the rows after
+    ``prefix + shared[:i]`` for i = 0..len(shared), so the shared span is
+    scored once; then, branch by branch, the row after each branch token.
+    From branch ``full`` on, a branch gives exactly one row, after its last
+    token (an empty one gives the row after ``prefix + shared``).  Branches
+    may be ragged or empty.  This is the functional stand-in for a tree
+    attention mask: one forward regardless of branch count.
     """
     if len(prefix) == 0:
         raise InputError("prefix must be non-empty")
@@ -299,7 +285,13 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
         raise InputError("full must be >= 0")
     if counter is not None:
         counter.add(branch_tokens=sum(len(b) for b in branches))
-    return model.scan_tree(prefix, [[*shared, *b] for b in branches] or [shared], full)
+    paths = [shared[:i] for i in range(len(shared) + 1)]
+    for j, b in enumerate(branches):
+        if full is not None and j >= full:
+            paths.append([*shared, *b])
+        else:
+            paths.extend([*shared, *b[:i]] for i in range(1, len(b) + 1))
+    return model.score(prefix, paths)
 
 
 def sample(dist: np.ndarray, temperature: float,

@@ -70,9 +70,13 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
         tails.append(list(tokens[1:]))
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
-    verdicts = [sample(d, temperature, rng) for d in rows[0][:len(draft) + 1]]
-    branch_verdicts = [[sample(d, temperature, rng) for d in rows[j][len(draft):]]
-                       for j in range(len(tails))]
+    n = len(draft)
+    verdicts = [sample(d, temperature, rng) for d in rows[:n + 1]]
+    branch_verdicts, start = [], n + 1
+    for tail in tails:
+        branch = [rows[n], *rows[start:start + len(tail)]]
+        branch_verdicts.append([sample(d, temperature, rng) for d in branch])
+        start += len(tail)
 
     accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)

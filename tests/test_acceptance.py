@@ -96,21 +96,19 @@ def test_02_tree_verification_equals_per_branch_scans():
         branches = [[int(t) for t in rng.integers(0, 16, size=rng.integers(0, 5))]
                     for _ in range(rng.integers(0, 5))]
         rows = forward_tree(m, prefix, shared, branches)
-        if not branches:
-            want = forward_scan(m, prefix, shared) if shared else \
-                [next_distribution(m, prefix)]
-            assert len(rows) == 1
-            assert all(np.array_equal(a, b) for a, b in zip(rows[0], want))
+        n = len(shared)
+        assert len(rows) == n + 1 + sum(len(b) for b in branches)
+        # the shared span is scored once, then each branch after it
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(rows, forward_scan(m, prefix, shared)))
+        start = n + 1
+        for branch in branches:
+            got = [rows[n], *rows[start:start + len(branch)]]
+            want = forward_scan(m, prefix + shared, branch)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            start += len(branch)
             checked += 1
-            continue
-        for row, branch in zip(rows, branches):
-            want = [next_distribution(m, prefix + shared + branch[:i])
-                    for i in range(len(branch) + 1)]
-            want_full = [next_distribution(m, prefix + shared[:i])
-                         for i in range(len(shared))] + want
-            assert len(row) == len(want_full)
-            assert all(np.array_equal(a, b) for a, b in zip(row, want_full))
-            checked += 1
+        checked += not branches
     report("2 tree verification bit-equals per-branch scans (1000 cases): PASS")
 
 

@@ -130,30 +130,20 @@ class TestForwardTree:
     def test_no_branches_degenerates_to_scan(self):
         m = CounterModel(10)
         rows = forward_tree(m, [5], [6, 7], [])
-        assert len(rows) == 1
         scan = forward_scan(m, [5], [6, 7])
-        assert all(np.array_equal(a, b) for a, b in zip(rows[0], scan))
+        assert len(rows) == len(scan) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(rows, scan))
 
     def test_counter_branches(self):
         m = CounterModel(10)
+        # shared rows after [1], [1 2], [1 2 3]; then one row per branch token
         rows = forward_tree(m, [1], [2, 3], [[4, 5], [9]])
-        assert argmaxes(rows[0]) == [2, 3, 4, 5, 6]
-        assert argmaxes(rows[1]) == [2, 3, 4, 0]
-
-    def test_rows_equal_independent_scans(self):
-        rng = np.random.default_rng(42)
-        corpus = [int(t) for t in rng.integers(0, 12, size=300)]
-        m = build_ngram_model(corpus, order=3, vocab_size=12)
-        for _ in range(50):
-            prefix = [int(t) for t in rng.integers(0, 12, size=rng.integers(1, 5))]
-            shared = [int(t) for t in rng.integers(0, 12, size=rng.integers(0, 5))]
-            branches = [[int(t) for t in rng.integers(0, 12, size=rng.integers(0, 4))]
-                        for _ in range(rng.integers(1, 4))]
-            rows = forward_tree(m, prefix, shared, branches)
-            for row, branch in zip(rows, branches):
-                want = forward_scan(m, prefix, shared + branch)
-                assert len(row) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(row, want))
+        assert argmaxes(rows) == [2, 3, 4, 5, 6, 0]
+        # from branch ``full`` on, only the row after the branch's last token
+        rows = forward_tree(m, [1], [2, 3], [[4, 5], [9]], full=0)
+        assert argmaxes(rows) == [2, 3, 4, 6, 0]
+        rows = forward_tree(m, [1], [2], [[], [3, 4], []], full=2)
+        assert argmaxes(rows) == [2, 3, 4, 5, 3]
 
     def test_forward_accounting(self):
         m = CounterModel(10)
@@ -163,6 +153,10 @@ class TestForwardTree:
         forward_tree(m, [1], [2], [[3, 4], [5]], counter)
         assert counter.calls == 3
         assert counter.branch_tokens == 3
+
+    def test_negative_full_rejected(self):
+        with pytest.raises(InputError):
+            forward_tree(CounterModel(5), [1], [], [[2]], full=-1)
 
 
 class TestSample:
@@ -271,16 +265,23 @@ def reference_roll(seed, context):
 
 
 @st.composite
-def perturbed_scans(draw):
+def trees(draw):
+    """A counter or n-gram model under zero to two perturbed wrappers, and a
+    token tree after a short or long prefix (a plain list or a TokenList),
+    with empty, ragged and nonempty shared spans and branches."""
     vocab = draw(st.integers(2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    corpus = [int(t) for t in rng.integers(0, vocab, size=400)]
-    model = build_ngram_model(corpus, order=3, vocab_size=vocab)
-    for _ in range(draw(st.integers(1, 2))):
+    if draw(st.booleans()):
+        model = build_ngram_model([int(t) for t in rng.integers(0, vocab, size=400)],
+                                  order=3, vocab_size=vocab)
+    else:
+        model = CounterModel(vocab)
+    for _ in range(draw(st.integers(0, 2))):
         model = PerturbedModel(model, draw(st.sampled_from([0.0, 0.3, 1.0])),
                                seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
                                swap_to=draw(st.integers(0, vocab - 1)))
-    prefix = [int(t) for t in rng.integers(0, vocab, size=draw(st.integers(1, 5000)))]
+    size = draw(st.one_of(st.integers(1, 30), st.integers(1, 5000)))
+    prefix = [int(t) for t in rng.integers(0, vocab, size=size)]
     if draw(st.booleans()):
         prefix = TokenList(vocab, prefix)
     tokens = st.lists(st.integers(0, vocab - 1), max_size=6)
@@ -288,19 +289,28 @@ def perturbed_scans(draw):
 
 
 class TestScanHook:
-    @settings(max_examples=40, deadline=None)
-    @given(perturbed_scans())
-    def test_perturbed_scans_equal_stepwise_distributions(self, case):
+    @settings(max_examples=60, deadline=None)
+    @given(trees())
+    def test_tree_rows_equal_stepwise_distributions(self, case):
         model, prefix, shared, branches = case
-        rows = forward_tree(model, prefix, shared, branches)
-        for row, branch in zip(rows, branches or [[]]):
-            full = list(prefix) + shared + branch
-            assert len(row) == len(shared) + len(branch) + 1
-            for i, dist in enumerate(row):
-                assert np.array_equal(dist, model.distribution(full[:len(prefix) + i]))
+        ctx = list(prefix) + shared
+        want_shared = [model.distribution(ctx[:len(prefix) + i])
+                       for i in range(len(shared) + 1)]
         scan = forward_scan(model, prefix, shared)
-        for i, dist in enumerate(scan):
-            assert np.array_equal(dist, model.distribution(list(prefix) + shared[:i]))
+        assert len(scan) == len(want_shared)
+        assert all(np.array_equal(a, b) for a, b in zip(scan, want_shared))
+        for full in [None, *range(len(branches) + 1)]:
+            want = list(want_shared)
+            for j, branch in enumerate(branches):
+                leaf = full is not None and j >= full
+                steps = [len(branch)] if leaf else range(1, len(branch) + 1)
+                want += [model.distribution(ctx + branch[:i]) for i in steps]
+            counter = ForwardCounter()
+            rows = forward_tree(model, prefix, shared, branches, counter=counter,
+                                full=full)
+            assert counter == ForwardCounter(1, sum(len(b) for b in branches))
+            assert len(rows) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, want))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
     def test_distribution_keeps_the_reference_roll(self, epsilon):
@@ -318,53 +328,6 @@ class TestScanHook:
                     want[[top, tgt]] = want[[tgt, top]]
                 assert np.array_equal(model.distribution(ctx), want)
                 assert np.array_equal(forward_scan(model, ctx, [])[0], want)
-
-
-@st.composite
-def leaf_scans(draw):
-    """Nested perturbed models over an n-gram or a counter base, with empty,
-    ragged and nonempty shared spans and branches."""
-    vocab = draw(st.integers(2, 40))
-    if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        model = build_ngram_model([int(t) for t in rng.integers(0, vocab, size=200)],
-                                  order=3, vocab_size=vocab)
-    else:
-        model = CounterModel(vocab)
-    for _ in range(draw(st.integers(0, 2))):
-        model = PerturbedModel(model, draw(st.sampled_from([0.0, 0.3, 1.0])),
-                               seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
-                               swap_to=draw(st.integers(0, vocab - 1)))
-    tokens = st.lists(st.integers(0, vocab - 1), max_size=5)
-    prefix = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=30))
-    return model, prefix, draw(tokens), draw(st.lists(tokens, max_size=4))
-
-
-class TestLeafRows:
-    @settings(max_examples=60, deadline=None)
-    @given(leaf_scans())
-    def test_leaf_rows_equal_stepwise_distributions(self, case):
-        model, prefix, shared, branches = case
-        plain = ForwardCounter()
-        forward_tree(model, prefix, shared, branches, counter=plain)
-        for full in range(len(branches) + 1):
-            counter = ForwardCounter()
-            rows = forward_tree(model, prefix, shared, branches, counter=counter,
-                                full=full)
-            assert counter == plain
-            assert len(rows) == max(1, len(branches))
-            for j, (row, branch) in enumerate(zip(rows, branches or [[]])):
-                ctx = prefix + shared + branch
-                want = [model.distribution(ctx[:i])
-                        for i in range(len(prefix), len(ctx) + 1)]
-                want = want if j < full else want[-1:]
-                assert len(row) == len(want)
-                for dist, expected in zip(row, want):
-                    assert np.array_equal(dist, expected)
-
-    def test_negative_full_rejected(self):
-        with pytest.raises(InputError):
-            forward_tree(CounterModel(5), [1], [], [[2]], full=-1)
 
 
 class TestTokenList:
@@ -404,7 +367,7 @@ class TestTokenList:
     def test_same_vocab_list_is_not_checked_again(self):
         model = CounterModel(10)
         ctx = TokenList(10, [3])
-        assert argmaxes(forward_tree(model, ctx, [4], [[5]])[0]) == [4, 5, 6]
+        assert argmaxes(forward_tree(model, ctx, [4], [[5]])) == [4, 5, 6]
         list.append(ctx, 13)  # slips past the entry check on purpose
         assert int(np.argmax(next_distribution(model, ctx))) == 4
         with pytest.raises(InputError):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ouroboros import (CounterModel, ForwardCounter, InputError, Phrase,
-                       PhrasePool, accept_len, build_ngram_model,
+from ouroboros import (CounterModel, ForwardCounter, InputError, LanguageModel,
+                       Phrase, PhrasePool, accept_len, build_ngram_model,
                        correct_unused_suffixes, harvest, match_count,
                        next_distribution, verify)
 
@@ -40,6 +40,36 @@ class TestMatchCount:
        st.lists(st.integers(0, 4), min_size=12, max_size=14))
 def test_match_count_never_below_accept_len(draft, verdicts):
     assert match_count(draft, verdicts) >= accept_len(draft, verdicts)
+
+
+class ContextModel(LanguageModel):
+    """One-hot on a token that depends on the whole context; logs every
+    context it scores."""
+
+    vocab_size, eos_id = 97, 96
+
+    def __init__(self):
+        self.scored = []
+
+    def distribution(self, context):
+        self.scored.append(list(context))
+        probs = np.zeros(self.vocab_size)
+        probs[self.code(context)] = 1.0
+        return probs
+
+    def code(self, context):
+        return sum((i + 1) * t for i, t in enumerate(context)) % self.vocab_size
+
+
+class ChoiceLog:
+    """An rng stand-in that logs the argmax of every ``p`` it is given."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def choice(self, n, p):
+        self.drawn.append(int(np.argmax(p)))
+        return self.drawn[-1]
 
 
 class TestVerify:
@@ -91,6 +121,27 @@ class TestVerify:
             suffixes = [Phrase((6, i + 1, i + 2)) for i in range(n)]
             verify(CounterModel(10), [3], [4, 5, 6], suffixes, counter=counter)
             assert counter.calls == 1
+
+    @pytest.mark.parametrize("tails", [[], [[]], [[7, 8, 9]], [[7, 8, 9], [2], []]],
+                             ids=["no-suffix", "empty-tail", "one-tail", "ragged-tails"])
+    def test_draft_span_is_scored_once(self, tails):
+        target, draft = ContextModel(), [4, 5, 6]
+        verify(target, [3], draft, [Phrase((6, *t)) for t in tails])
+        assert len(target.scored) == len(draft) + 1 + sum(len(t) for t in tails)
+
+    def test_sampled_verdicts_follow_the_tree_order(self):
+        target, rng = ContextModel(), ChoiceLog()
+        prefix, draft, tails = [3], [4, 5, 6], [[7, 8], [2], []]
+        out = verify(target, prefix, draft, [Phrase((6, *t)) for t in tails],
+                     temperature=1.0, rng=rng)
+        # main positions first, then per branch its draft-end row and its tail
+        contexts = [prefix + draft[:i] for i in range(len(draft) + 1)]
+        for tail in tails:
+            contexts += [prefix + draft + tail[:i] for i in range(len(tail) + 1)]
+        want = [target.code(c) for c in contexts]
+        assert len(set(want)) == len(set(map(tuple, contexts)))  # codes tell contexts apart
+        assert rng.drawn == want
+        assert out.verdicts + sum(out.branch_verdicts, []) == want
 
     def test_accept_len_characterization_on_fuzzed_runs(self):
         rng = np.random.default_rng(23)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -31,6 +31,8 @@ CSV_COLUMNS = ("entry", "engine", "tokens", "target_fwd", "draft_fwd", "iters",
 MAX_PROMPT_TOKENS = 8192
 
 BYTE_VOCAB = 257  # 256 byte values + EOS
+
+Run = Tuple[int, str, EngineConfig]  # (entry, label, config) of one run
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,11 @@ class Corpus:
         return stream
 
 
-def _read_lines(path: Union[str, Path]) -> List[str]:
+def _read_lines(path: Union[str, Path], what: str) -> List[str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
-    return text.splitlines()
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _split_task_tag(line: str, line_no: int) -> Tuple[str, str]:
@@ -110,7 +111,7 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
     the whole file and reserves the next id for EOS.  ``tagged`` corpora carry
     a ``task:<id>|`` prefix per line (locality experiment).
     """
-    raw = [(i + 1, line) for i, line in enumerate(_read_lines(path))
+    raw = [(i + 1, line) for i, line in enumerate(_read_lines(path, "corpus"))
            if line.strip()]
     if not raw:
         raise InputError(f"corpus {path} contains no prompts")
@@ -135,26 +136,14 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BenchConfig:
+class BenchConfig(EngineConfig):
     target_spec: str = "ngram:order=3"
     draft_spec: str = "perturbed:epsilon=0.1"
     corpus: str = ""
     tokenizer: str = "whitespace"
     engines: Tuple[str, ...] = ENGINE_NAMES
     repetitions: int = 1
-    gamma: int = 5
-    beta: int = 6
-    k: int = 3
-    window: int = 16
-    ngram: int = 4
-    max_new: int = 64
-    temperature: float = 0.0
-    seed: int = 0
-    lengthening: bool = True
-    harvest: bool = True
     reuse: bool = True
-    phrase_draft: bool = True
-    prompt_warmup: bool = True
     t_draft: float = 1.0
     t_target: float = 10.0
     tree_surcharge: float = 0.0
@@ -166,17 +155,14 @@ class BenchConfig:
     tune_slice: int = 8
 
     def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            gamma=self.gamma, beta=self.beta, k=self.k, window=self.window,
-            ngram=self.ngram, max_new=self.max_new, temperature=self.temperature,
-            seed=self.seed, lengthening=self.lengthening, harvest=self.harvest,
-            phrase_draft=self.phrase_draft, prompt_warmup=self.prompt_warmup)
+        return EngineConfig(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(EngineConfig)})
 
     def cost_model(self) -> CostModel:
         return CostModel(self.t_draft, self.t_target, self.tree_surcharge)
 
     def validate(self) -> None:
-        self.engine_config().validate()
+        super().validate()
         self.cost_model()
         if not self.corpus:
             raise InputError("no corpus configured")
@@ -194,11 +180,7 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 def load_config_file(path: Union[str, Path]) -> Dict[str, str]:
     """Parse a ``key = value`` config file with ``#`` comments."""
     values: Dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_read_lines(path, "config"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -262,11 +244,12 @@ class Report:
                 "aggregates": self.aggregates}
 
 
-def _metrics_row(entry: int, engine: str, m: RunMetrics, seed: int,
-                 speedup: float) -> dict:
-    return {
+def _rows(runs: Sequence[Run], metrics: Sequence[RunMetrics],
+          cost: CostModel) -> List[dict]:
+    """One report row per run, from its (entry, label, config) and metrics."""
+    return [{
         "entry": entry,
-        "engine": engine,
+        "engine": label,
         "tokens": m.tokens_emitted,
         "target_fwd": m.target_forwards,
         "draft_fwd": m.draft_forwards,
@@ -275,9 +258,9 @@ def _metrics_row(entry: int, engine: str, m: RunMetrics, seed: int,
         "mean_match": round(m.mean_match, 9),
         "c": round(m.draft_reduction_c, 9),
         "eta": round(m.block_efficiency, 9),
-        "modeled_speedup": round(speedup, 9),
-        "seed": seed,
-    }
+        "modeled_speedup": round(modeled_speedup(m, cost), 9),
+        "seed": ecfg.seed,
+    } for (entry, label, ecfg), m in zip(runs, metrics)]
 
 
 _NUMERIC_COLS = ("tokens", "target_fwd", "draft_fwd", "iters", "mean_A",
@@ -337,7 +320,7 @@ def _finish_report(cfg: BenchConfig, rows: List[dict], extra: dict = None) -> Re
 
 
 # ---------------------------------------------------------------------------
-# Model construction and run plumbing
+# Set-up and the run executor
 # ---------------------------------------------------------------------------
 
 def build_models(cfg: BenchConfig, corpus: Corpus,
@@ -345,18 +328,27 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     """Target and draft models from their spec strings.
 
     n-gram specs train on the corpus stream; a bare perturbed draft spec wraps
-    the target model.
+    the target model.  A spec may name a vocab only if it is the corpus vocab.
     """
-    stream = corpus.training_stream()
-    tspec = parse_model_spec(cfg.target_spec)
+    tspec, dspec = map(parse_model_spec, (cfg.target_spec, cfg.draft_spec))
+    for role, spec in (("target", tspec), ("draft", dspec)):
+        if spec.vocab_size not in (0, corpus.vocab_size):
+            raise InputError(f"{role} model vocab {spec.vocab_size} != "
+                             f"corpus vocab {corpus.vocab_size}")
     if tspec.kind == "perturbed" and not tspec.base:
         tspec = dataclasses.replace(tspec, base="ngram")
+    stream = corpus.training_stream()
     target = build_model(tspec, corpus.vocab_size, corpus=stream)
-    dspec = parse_model_spec(cfg.draft_spec)
     draft = build_model(dspec, corpus.vocab_size, corpus=stream, base=target)
-    if target.vocab_size != draft.vocab_size:
-        raise InputError("target and draft specs disagree on vocab size")
     return target, draft
+
+
+def _setup(cfg: BenchConfig, tagged: bool = False,
+           ) -> Tuple[Corpus, LanguageModel, LanguageModel]:
+    """Validate the config, ingest the corpus and build the models."""
+    cfg.validate()
+    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged)
+    return (corpus, *build_models(cfg, corpus))
 
 
 def _seeded(ecfg: EngineConfig, entry: int, rep: int) -> EngineConfig:
@@ -371,32 +363,22 @@ def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
     if pool.vocab_size != vocab_size:
         raise InputError(
             f"pool file vocab {pool.vocab_size} != corpus vocab {vocab_size}")
-    pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
     return pool
 
 
-class _Pools:
-    """The pool policy of one pass: with reuse on, every ouroboros run shares
-    one pool; otherwise each run gets a fresh pool, or a copy of the preloaded
-    one.  ``last`` is the pool handed out last."""
+def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
+             preload: Optional[PhrasePool] = None,
+             ) -> Tuple[List[RunMetrics], Optional[PhrasePool]]:
+    """Run (entry, label, config) items in order; return each run's metrics
+    and the pool handed out last.  The label names the engine, optionally
+    followed by ``:<rung>``.
 
-    def __init__(self, reuse: bool, vocab_size: int,
-                 preload: Optional[PhrasePool] = None):
-        self.reuse, self.vocab_size, self.preload = reuse, vocab_size, preload
-        self.last: Optional[PhrasePool] = None
-
-    def take(self, ecfg: EngineConfig) -> PhrasePool:
-        if self.last is None or not self.reuse:
-            self.last = self.preload.copy() if self.preload else PhrasePool(
-                self.vocab_size, max_phrase_len=max(16, ecfg.beta, ecfg.ngram))
-        return self.last
-
-
-def _execute(runs: Sequence[Tuple[int, str, EngineConfig]], prompts, target,
-             draft, pools: _Pools, cost: CostModel) -> List[dict]:
-    """Run (entry, label, config) items in order, one row each.  The label
-    names the engine, optionally followed by ``:<rung>``."""
-    rows = []
+    The pool policy: with ``reuse`` on, every ouroboros run shares one pool;
+    otherwise each run gets a fresh pool, or a copy of ``preload``.  Either is
+    sized to fit the run's ``beta`` and ``ngram``.  An ``InputError`` passes
+    through; any other failure becomes a ``RunFailure`` naming the run.
+    """
+    metrics, pool = [], None
     for entry, label, ecfg in runs:
         engine, prompt = label.split(":")[0], prompts[entry]
         try:
@@ -407,13 +389,18 @@ def _execute(runs: Sequence[Tuple[int, str, EngineConfig]], prompts, target,
             elif engine == "lookahead":
                 _, m = generate_lookahead_target(target, prompt, ecfg)
             else:
-                _, m = generate_ouroboros(target, draft, prompt, ecfg,
-                                          pools.take(ecfg))
+                if pool is None or not reuse:
+                    pool = preload.copy() if preload else PhrasePool(
+                        target.vocab_size)
+                    pool.max_phrase_len = max(pool.max_phrase_len, ecfg.beta,
+                                              ecfg.ngram)
+                _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
+        except InputError:
+            raise
         except Exception as exc:
             raise RunFailure(entry, label, exc) from exc
-        rows.append(_metrics_row(entry, label, m, ecfg.seed,
-                                 modeled_speedup(m, cost)))
-    return rows
+        metrics.append(m)
+    return metrics, pool
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +409,17 @@ def _execute(runs: Sequence[Tuple[int, str, EngineConfig]], prompts, target,
 
 def run_benchmark(cfg: BenchConfig) -> Report:
     """Run entries x engines x repetitions and report every run's metrics."""
-    cfg.validate()
-    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
-    target, draft = build_models(cfg, corpus)
-    base_ecfg = cfg.engine_config()
+    corpus, target, draft = _setup(cfg)
     preload = _load_pool_file(cfg, corpus.vocab_size)
-    rows: List[dict] = []
+    ecfg, rows = cfg.engine_config(), []
     for rep in range(cfg.repetitions):
-        pools = _Pools(cfg.reuse, corpus.vocab_size, preload)
-        runs = [(entry, engine, _seeded(base_ecfg, entry, rep))
+        runs = [(entry, engine, _seeded(ecfg, entry, rep))
                 for entry in range(len(corpus.prompts)) for engine in cfg.engines]
-        rows += _execute(runs, corpus.prompts, target, draft, pools,
-                         cfg.cost_model())
-    if cfg.pool_file and pools.last is not None:
-        pools.last.save(cfg.pool_file)
+        metrics, pool = _execute(runs, corpus.prompts, target, draft, cfg.reuse,
+                                 preload)
+        rows += _rows(runs, metrics, cfg.cost_model())
+    if cfg.pool_file and pool is not None:
+        pool.save(cfg.pool_file)
     return _finish_report(cfg, rows)
 
 
@@ -449,32 +433,31 @@ ABLATION_RUNGS = tuple(
 
 def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
-    cfg.validate()
     if cfg.pool_file:
         raise InputError("ablate runs on cold pools and takes no --pool-file")
-    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
-    target, draft = build_models(cfg, corpus)
+    corpus, target, draft = _setup(cfg)
     rows: List[dict] = []
     for rung, reuse, toggles in ABLATION_RUNGS:
         rung_cfg = dataclasses.replace(cfg.engine_config(), **toggles)
         for rep in range(cfg.repetitions):
             runs = [(entry, f"ouroboros:{rung}", _seeded(rung_cfg, entry, rep))
                     for entry in range(len(corpus.prompts))]
-            rows += _execute(runs, corpus.prompts, target, draft,
-                             _Pools(reuse, corpus.vocab_size), cfg.cost_model())
+            metrics, _ = _execute(runs, corpus.prompts, target, draft, reuse)
+            rows += _rows(runs, metrics, cfg.cost_model())
     return _finish_report(cfg, rows)
 
 
-def tune(cfg: BenchConfig, task_type: Optional[str] = None,
+def tune(cfg: BenchConfig,
          objective: Optional[Callable[[int, int, int, int], float]] = None,
          ) -> EngineConfig:
     """Heuristic hyperparameter search: K fixed at 3, seeded starting samples
     for W/beta/gamma, then coordinate minimization of gamma, W, beta in that
     order against modeled clock time (sweeps try the sampled value first, so
-    ties keep it)."""
+    ties keep it).  ``objective(gamma, window, beta, k)`` defaults to the
+    modeled time of ouroboros over the first ``tune_slice`` entries."""
     if cfg.pool_file:
         raise InputError("tune runs on cold pools and takes no --pool-file")
-    task = (task_type or cfg.task_type).upper()
+    task = cfg.task_type.upper()
     if task not in ("HH", "LH"):
         raise InputError(f"task type must be HH or LH, got {task!r}")
     rng = np.random.default_rng(cfg.seed)
@@ -483,7 +466,18 @@ def tune(cfg: BenchConfig, task_type: Optional[str] = None,
     g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
     g_hat = int(rng.integers(g_lo, g_hi + 1))
     if objective is None:
-        objective = _modeled_time_objective(cfg)
+        corpus, target, draft = _setup(cfg)
+        prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
+        if not prompts:
+            raise InputError("empty corpus slice for tuning")
+
+        def objective(gamma: int, window: int, beta: int, k: int) -> float:
+            ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
+                                       window=window, beta=beta, k=k)
+            runs = [(entry, "ouroboros", _seeded(ecfg, entry, 0))
+                    for entry in range(len(prompts))]
+            metrics, _ = _execute(runs, prompts, target, draft, cfg.reuse)
+            return sum(modeled_time(m, cost) for m in metrics)
 
     def sweep(hat: int, lo: int, hi: int, fn: Callable[[int], float]) -> int:
         best_v: Optional[int] = None
@@ -499,30 +493,6 @@ def tune(cfg: BenchConfig, task_type: Optional[str] = None,
     b0 = sweep(b_hat, 5, 7, lambda b: objective(g0, w0, b, 3))
     return dataclasses.replace(cfg.engine_config(), gamma=g0, window=w0,
                                beta=b0, k=3)
-
-
-def _modeled_time_objective(cfg: BenchConfig) -> Callable[[int, int, int, int], float]:
-    cfg.validate()
-    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer)
-    prompts = corpus.prompts[:cfg.tune_slice]
-    if not prompts:
-        raise InputError("empty corpus slice for tuning")
-    target, draft = build_models(cfg, corpus)
-    cost = cfg.cost_model()
-
-    def objective(gamma: int, window: int, beta: int, k: int) -> float:
-        ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
-                                   window=window, beta=beta, k=k)
-        pools = _Pools(cfg.reuse, corpus.vocab_size)
-        total = 0.0
-        for entry, prompt in enumerate(prompts):
-            run_cfg = _seeded(ecfg, entry, 0)
-            _, m = generate_ouroboros(target, draft, prompt, run_cfg,
-                                      pools.take(run_cfg))
-            total += modeled_time(m, cost)
-        return total
-
-    return objective
 
 
 def locality_order(tasks: Sequence[str], cn: Union[int, str],
@@ -555,29 +525,24 @@ def locality_order(tasks: Sequence[str], cn: Union[int, str],
     return ordered
 
 
-def locality_experiment(cfg: BenchConfig, cn: Union[int, str, None] = None,
-                        ) -> Report:
-    """Run Ouroboros over a task-tagged corpus in a locality-controlled order
+def locality_experiment(cfg: BenchConfig) -> Report:
+    """Run Ouroboros over a task-tagged corpus, in the order ``cfg.cn`` sets,
     with one sequentially shared pool (reuse on) or cold pools (reuse off)."""
-    cfg.validate()
-    if cn is None:
-        cn = cfg.cn
-    if cn == "":
+    if cfg.cn == "":
         raise InputError("locality experiment needs --cn <n|shuffle>")
-    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged=True)
-    order = locality_order(corpus.tasks, cn, cfg.seed)
-    target, draft = build_models(cfg, corpus)
-    pools = _Pools(cfg.reuse, corpus.vocab_size,
-                   _load_pool_file(cfg, corpus.vocab_size))
+    corpus, target, draft = _setup(cfg, tagged=True)
+    order = locality_order(corpus.tasks, cfg.cn, cfg.seed)
     runs = [(entry, "ouroboros", _seeded(cfg.engine_config(), entry, 0))
             for entry in order]
-    rows = _execute(runs, corpus.prompts, target, draft, pools, cfg.cost_model())
-    if cfg.pool_file and pools.last is not None:
-        pools.last.save(cfg.pool_file)
+    metrics, pool = _execute(runs, corpus.prompts, target, draft, cfg.reuse,
+                             _load_pool_file(cfg, corpus.vocab_size))
+    if cfg.pool_file and pool is not None:
+        pool.save(cfg.pool_file)
+    rows = _rows(runs, metrics, cfg.cost_model())
     for row in rows:
         row["task"] = corpus.tasks[row["entry"]]
     extra = {"locality": {
-        "cn": cn if cn == "shuffle" else int(cn),
+        "cn": cfg.cn if cfg.cn == "shuffle" else int(cfg.cn),
         "reuse": cfg.reuse,
         "order": order,
     }}

@@ -1,7 +1,9 @@
 """Benchmark command line: run / tune / ablate / locality.
 
 Configuration comes from an optional ``key = value`` file plus flags (flags
-win).  Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+win).  Exit codes, the same for every subcommand: 0 success; 1 a usage error
+or any ``InputError``; 2 an unexpected failure inside a run, which names the
+run's entry and engine.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = locality_experiment(cfg)
             _print_report(report)
         else:  # tune
-            chosen = tune(cfg, getattr(args, "task_type", None))
+            chosen = tune(cfg)
             picked = {"gamma": chosen.gamma, "window": chosen.window,
                       "beta": chosen.beta, "k": chosen.k}
             print(" ".join(f"{k}={v}" for k, v in picked.items()))

@@ -15,6 +15,7 @@ token sequence vanilla decoding would produce.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -57,8 +58,8 @@ class EngineConfig:
             raise InputError("ngram must be >= 2")
         if self.max_new < 1:
             raise InputError("max_new must be >= 1")
-        if self.temperature < 0:
-            raise InputError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise InputError("temperature must be finite and >= 0")
 
     def all_off(self) -> "EngineConfig":
         """Copy with every acceleration toggle disabled (the ablation baseline)."""
@@ -80,7 +81,6 @@ class RunMetrics:
     block_efficiency: float = 0.0
     draft_branch_tokens: int = 0
     target_branch_tokens: int = 0
-    modeled_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class CostModel:
     tree_surcharge_per_token: float = 0.0
 
     def __post_init__(self):
-        if self.t_draft <= 0 or self.t_target <= 0:
-            raise InputError("forward times must be > 0")
-        if self.tree_surcharge_per_token < 0:
-            raise InputError("tree surcharge must be >= 0")
+        if not (0 < self.t_draft < math.inf and 0 < self.t_target < math.inf):
+            raise InputError("forward times must be finite and > 0")
+        if not 0 <= self.tree_surcharge_per_token < math.inf:
+            raise InputError("tree surcharge must be finite and >= 0")
 
 
 def modeled_time(metrics: RunMetrics, cost: CostModel) -> float:

@@ -12,6 +12,7 @@ single-step call would produce.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -34,8 +35,8 @@ class ForwardCounter:
     calls: int = 0
     branch_tokens: int = 0
 
-    def add(self, calls: int = 1, branch_tokens: int = 0) -> None:
-        self.calls += calls
+    def add(self, branch_tokens: int = 0) -> None:
+        self.calls += 1
         self.branch_tokens += branch_tokens
 
 
@@ -302,6 +303,8 @@ def sample(dist: np.ndarray, temperature: float,
         raise InputError("temperature must be >= 0")
     if temperature == 0.0:
         return int(np.argmax(dist))
+    if not temperature < math.inf:
+        raise InputError("temperature must be finite")
     if rng is None:
         raise InputError("sampling with temperature > 0 requires an rng")
     if temperature == 1.0:
@@ -324,6 +327,10 @@ class ModelSpec:
     swap_to: int = 0
     base: str = ""  # perturbed only: "", "counter", or "ngram"
     eos_id: Optional[int] = None
+
+    def __post_init__(self):
+        if self.base not in ("", "counter", "ngram"):
+            raise InputError(f"unknown base {self.base!r} (counter or ngram)")
 
 
 def parse_model_spec(text: str) -> ModelSpec:

@@ -169,8 +169,14 @@ class PhrasePool:
         file, so loading never evicts or rejects what was saved.
         """
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                return cls.load(fh, capacity_per_key, max_phrase_len)
+            data = Path(source).read_bytes()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PoolFormatError(data.count(b"\n", 0, exc.start) + 1,
+                                      "not UTF-8 text") from exc
+            return cls.load(io.StringIO(text, newline=None), capacity_per_key,
+                            max_phrase_len)
         header = source.readline()
         parts = header.split()
         if (len(parts) != 3 or parts[0] != POOL_MAGIC or parts[1] != POOL_VERSION

@@ -104,11 +104,11 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
 
 
 def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
-            min_run: int = 2, max_len: Optional[int] = None) -> List[tuple]:
+            max_len: Optional[int] = None) -> List[tuple]:
     """Extract phrases from the discarded part of a rejected draft.
 
     Scans the positions after the rejection point; every maximal run of
-    consecutive positional matches of length >= min_run becomes one phrase
+    consecutive positional matches of length >= 2 becomes one phrase
     (truncated to ``max_len``).  Runs of one token carry no continuation and
     are dropped.
     """
@@ -122,7 +122,7 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
         if matched and run_start is None:
             run_start = i
         elif not matched and run_start is not None:
-            if i - run_start >= min_run:
+            if i - run_start >= 2:
                 phrases.append(tuple(draft[run_start:i][:max_len]))
             run_start = None
     return phrases

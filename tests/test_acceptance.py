@@ -296,10 +296,12 @@ def test_10_locality_direction(tagged_corpus):
     def tokens_per_draft_forward(rep):
         return rep.aggregates["ouroboros"]["tokens_per_draft_forward"]
 
-    reuse_on = tokens_per_draft_forward(locality_experiment(cfg, 20))
-    shuffled = tokens_per_draft_forward(locality_experiment(cfg, "shuffle"))
+    reuse_on = tokens_per_draft_forward(
+        locality_experiment(dataclasses.replace(cfg, cn="20")))
+    shuffled = tokens_per_draft_forward(
+        locality_experiment(dataclasses.replace(cfg, cn="shuffle")))
     reuse_off = tokens_per_draft_forward(
-        locality_experiment(dataclasses.replace(cfg, reuse=False), 20))
+        locality_experiment(dataclasses.replace(cfg, cn="20", reuse=False)))
     assert reuse_on > reuse_off
     assert reuse_on >= shuffled
     report(f"10 locality: reuse on {reuse_on:.2f} > off {reuse_off:.2f}, "

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ouroboros
+from ouroboros import bench, cli
 from ouroboros import (InputError, PhrasePool, RunFailure,
                        ablation, ingest_corpus, load_config_file,
                        locality_experiment, locality_order, make_config,
@@ -25,6 +26,10 @@ def reference_corpus(tmp_path):
 @pytest.fixture
 def tagged_corpus(tmp_path):
     return write_corpus(tmp_path, "tagged.txt", tagged_corpus_text())
+
+
+def broken_engine(*args, **kwargs):
+    raise RuntimeError("engine broke")
 
 
 def small_config(corpus, **overrides):
@@ -166,11 +171,10 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert len(report.rows) == 8
 
-    def test_run_failure_names_entry_and_engine(self, reference_corpus):
-        # a 4-token vocabulary cannot host the corpus prompts
-        cfg = small_config(reference_corpus, target_spec="counter:vocab=4",
-                           draft_spec="perturbed:epsilon=0.0",
-                           engines=("vanilla",))
+    def test_run_failure_names_entry_and_engine(self, reference_corpus,
+                                                monkeypatch):
+        monkeypatch.setattr(bench, "generate_vanilla", broken_engine)
+        cfg = small_config(reference_corpus, engines=("vanilla",))
         with pytest.raises(RunFailure, match=r"entry=0 engine=vanilla"):
             run_benchmark(cfg)
 
@@ -192,16 +196,16 @@ class TestAblation:
 
 class TestTune:
     def test_mock_objective_finds_the_minimum(self, reference_corpus):
-        cfg = small_config(reference_corpus, seed=5)
-        picked = tune(cfg, "LH", objective=lambda g, w, b, k: abs(g - 6))
+        cfg = small_config(reference_corpus, seed=5, task_type="LH")
+        picked = tune(cfg, objective=lambda g, w, b, k: abs(g - 6))
         assert picked.gamma == 6
         assert picked.k == 3
 
     def test_constant_objective_keeps_sampled_candidates(self,
                                                          reference_corpus):
         import numpy as np
-        cfg = small_config(reference_corpus, seed=5)
-        picked = tune(cfg, "LH", objective=lambda g, w, b, k: 1.0)
+        cfg = small_config(reference_corpus, seed=5, task_type="LH")
+        picked = tune(cfg, objective=lambda g, w, b, k: 1.0)
         rng = np.random.default_rng(5)
         w_hat = int(rng.integers(15, 21))
         b_hat = int(rng.integers(5, 8))
@@ -209,30 +213,32 @@ class TestTune:
         assert (picked.gamma, picked.window, picked.beta) == (g_hat, w_hat, b_hat)
 
     def test_hh_range_is_wider(self, reference_corpus):
-        cfg = small_config(reference_corpus, seed=2)
-        picked = tune(cfg, "HH", objective=lambda g, w, b, k: -g)
+        cfg = small_config(reference_corpus, seed=2, task_type="HH")
+        picked = tune(cfg, objective=lambda g, w, b, k: -g)
         assert picked.gamma == 14
 
     def test_k_is_always_three(self, reference_corpus):
         cfg = small_config(reference_corpus, seed=0)
         for task in ("HH", "LH"):
-            assert tune(cfg, task, objective=lambda g, w, b, k: g * w * b).k == 3
+            cfg = dataclasses.replace(cfg, task_type=task)
+            assert tune(cfg, objective=lambda g, w, b, k: g * w * b).k == 3
 
     def test_real_objective_runs_on_a_slice(self, reference_corpus):
-        cfg = small_config(reference_corpus, max_new=8, tune_slice=2)
-        picked = tune(cfg, "LH")
+        cfg = small_config(reference_corpus, max_new=8, tune_slice=2,
+                           task_type="LH")
+        picked = tune(cfg)
         assert 2 <= picked.gamma <= 6
         assert 15 <= picked.window <= 20
         assert 5 <= picked.beta <= 7
 
     def test_empty_slice_rejected(self, reference_corpus):
-        cfg = small_config(reference_corpus, tune_slice=0)
+        cfg = small_config(reference_corpus, tune_slice=0, task_type="LH")
         with pytest.raises(InputError):
-            tune(cfg, "LH")
+            tune(cfg)
 
     def test_unknown_task_type_rejected(self, reference_corpus):
         with pytest.raises(InputError):
-            tune(small_config(reference_corpus), "XX")
+            tune(small_config(reference_corpus, task_type="XX"))
 
 
 class TestLocality:
@@ -268,8 +274,8 @@ class TestLocality:
                           draft_spec="perturbed:epsilon=0.05",
                           gamma=4, beta=5, k=3, window=8, ngram=4,
                           max_new=24, seed=3, prompt_warmup=False)
-        on = locality_experiment(cfg, 20)
-        off = locality_experiment(dataclasses.replace(cfg, reuse=False), 20)
+        on = locality_experiment(dataclasses.replace(cfg, cn="20"))
+        off = locality_experiment(dataclasses.replace(cfg, cn="20", reuse=False))
         assert (sum(r["draft_fwd"] for r in on.rows)
                 < sum(r["draft_fwd"] for r in off.rows))
 
@@ -278,7 +284,7 @@ class TestLocality:
                           target_spec="ngram:order=2",
                           draft_spec="perturbed:epsilon=0.0",
                           gamma=2, max_new=6, seed=0)
-        report = locality_experiment(cfg, 20)
+        report = locality_experiment(dataclasses.replace(cfg, cn="20"))
         assert report.aggregates["locality"]["cn"] == 20
         assert len(report.rows) == 80
         assert all("task" in row for row in report.rows)
@@ -329,14 +335,48 @@ class TestCli:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
-    def test_runtime_failure_exits_two(self, reference_corpus):
-        proc = self.run_cli(
-            "run", "--corpus", reference_corpus, "--tokenizer", "whitespace",
-            "--target-spec", "counter:vocab=4",
-            "--draft-spec", "perturbed:epsilon=0.0",
-            "--engines", "vanilla", "--max-new", "4")
-        assert proc.returncode == 2
-        assert "entry=0" in proc.stderr and "vanilla" in proc.stderr
+    def test_runtime_failure_exits_two(self, reference_corpus, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(bench, "generate_vanilla", broken_engine)
+        code = cli.main(["run", "--corpus", reference_corpus,
+                         "--engines", "vanilla", "--max-new", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "entry=0" in err and "vanilla" in err
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "tune", "locality"])
+    @pytest.mark.parametrize("flag, spec, vocab", [
+        ("--target-spec", "counter:vocab=4", 4),
+        ("--target-spec", "counter:vocab=1000", 1000),
+        ("--draft-spec", "ngram:order=3,vocab=1000", 1000)])
+    def test_model_vocab_other_than_corpus_vocab_exits_one(
+            self, command, flag, spec, vocab, tagged_corpus, capsys):
+        code = cli.main([command, "--corpus", tagged_corpus, "--cn", "3",
+                         "--max-new", "4", "--temperature", "1", flag, spec])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"model vocab {vocab} != corpus vocab" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--temperature", "nan"], ["--temperature", "inf"],
+        ["--t-draft", "nan"], ["--t-target", "inf"],
+        ["--tree-surcharge", "inf"], ["--draft-spec", "perturbed:base=foo"]])
+    def test_value_outside_the_contract_exits_one(self, args, reference_corpus,
+                                                  capsys):
+        code = cli.main(["run", "--corpus", reference_corpus, "--max-new", "4",
+                         *args])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--config", "--corpus", "--pool-file"])
+    def test_file_that_is_not_utf8_exits_one(self, flag, reference_corpus,
+                                             tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("gamma = 3 # café\n".encode("latin-1"))
+        code = cli.main(["run", "--corpus", reference_corpus, "--max-new", "4",
+                         flag, str(bad)])
+        assert code == 1
+        assert "utf-8" in capsys.readouterr().err.lower()
 
     def test_eos_outside_vocab_exits_one(self, tmp_path):
         corpus = tmp_path / "four.txt"

@@ -190,6 +190,12 @@ class TestSample:
         with pytest.raises(InputError):
             sample(np.array([1.0]), -1.0)
 
+    @pytest.mark.parametrize("temperature", [float("inf"), float("nan")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(InputError, match="finite"):
+            sample(np.array([0.5, 0.5, 0.0]), temperature,
+                   np.random.default_rng(0))
+
 
 class TestDistributionValidity:
     def test_all_model_kinds_normalize(self):

@@ -190,6 +190,12 @@ class TestPersistence:
         with pytest.raises(PoolFormatError, match="line 3"):
             PhrasePool.load(io.StringIO(text))
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "pool.txt"
+        path.write_bytes(b"ouroboros-pool v1 vocab=10\r\n3 6 7\r\n2 \xff 7\r\n")
+        with pytest.raises(PoolFormatError, match="line 3: not UTF-8"):
+            PhrasePool.load(path)
+
     def test_one_token_phrase_rejected(self):
         text = "ouroboros-pool v1 vocab=10\n3 6\n"
         with pytest.raises(PoolFormatError, match="line 2"):

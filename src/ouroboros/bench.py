@@ -357,9 +357,22 @@ def _seeded(ecfg: EngineConfig, entry: int, rep: int) -> EngineConfig:
 
 
 def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
-    if not cfg.pool_file or not Path(cfg.pool_file).exists():
+    """The pool saved at ``cfg.pool_file``, or None when there is none yet.
+    A directory, or a path in a missing directory, is refused here, before
+    any query runs, rather than when the pool is saved after them."""
+    if not cfg.pool_file:
         return None
-    pool = PhrasePool.load(cfg.pool_file)
+    path = Path(cfg.pool_file)
+    if path.is_dir():
+        raise InputError(f"pool file {path} is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"pool file {path}: no directory {path.parent}")
+    if not path.exists():
+        return None
+    try:
+        pool = PhrasePool.load(path)
+    except OSError as exc:
+        raise InputError(f"cannot read pool file {path}: {exc}") from exc
     if pool.vocab_size != vocab_size:
         raise InputError(
             f"pool file vocab {pool.vocab_size} != corpus vocab {vocab_size}")
@@ -457,6 +470,8 @@ def tune(cfg: BenchConfig,
     modeled time of ouroboros over the first ``tune_slice`` entries."""
     if cfg.pool_file:
         raise InputError("tune runs on cold pools and takes no --pool-file")
+    if cfg.out_csv:
+        raise InputError("tune writes no CSV; its choice goes to --out-json")
     task = cfg.task_type.upper()
     if task not in ("HH", "LH"):
         raise InputError(f"task type must be HH or LH, got {task!r}")

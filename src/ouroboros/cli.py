@@ -70,10 +70,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="modeled target forward time")
     p.add_argument("--tree-surcharge", dest="tree_surcharge", type=float,
                    metavar="T", help="modeled cost per tree branch token")
-    p.add_argument("--out-csv", dest="out_csv", metavar="FILE")
     p.add_argument("--out-json", dest="out_json", metavar="FILE")
-    p.add_argument("--cn", metavar="N|shuffle",
-                   help="locality: consecutive entries per task, or shuffle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     loc_p = sub.add_parser("locality",
                            help="context-locality experiment on a tagged corpus")
     _add_common(loc_p)
+    loc_p.add_argument("--cn", metavar="N|shuffle",
+                       help="consecutive entries per task, or shuffle")
+    for p in (run_p, ablate_p, loc_p):  # tune writes only --out-json
+        p.add_argument("--out-csv", dest="out_csv", metavar="FILE")
     return parser
 
 

@@ -111,8 +111,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         appended, new_phrases = draft_step(model, ctx, pool, columns, beta=beta,
                                            counter=counter)
         forwards += 1
-        for ph in new_phrases:
-            pool.insert(ph)
+        pool.insert_many(new_phrases)
         tokens.extend(appended)
         ctx.extend(appended)
         if model.eos_id in appended:

@@ -284,8 +284,7 @@ def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
                                            beta=cfg.beta,
                                            temperature=cfg.temperature,
                                            rng=gen.rng, counter=gen.tcounter)
-        for ph in new_phrases:
-            pool.insert(ph)
+        pool.insert_many(new_phrases)
         return appended, None
 
     return gen.loop(propose)

@@ -4,6 +4,18 @@ Buckets hold short token sequences with a hit count and a recency stamp.
 Retention is frequency-then-recency: when a bucket overflows, the entry with
 the lowest (hits, last_used) goes.  The pool persists to a line-oriented text
 file so phrases survive across queries.
+
+Every insert goes through one core that adds checked phrases in order.  Hits
+and stamps only grow and every stamp is unique, so the lowest phrase of a
+full bucket stays the lowest until it is bumped, refreshed or removed.  The
+core keeps it as that bucket's eviction victim, forgets it on those events
+(and when ``replace_corrected`` makes room in the bucket), and runs ``min``
+over the bucket again only when it next needs a victim.  A newcomer to a
+full bucket then costs one comparison: it evicts the victim when the
+victim's hits are at most its own, and is dropped at once otherwise; the
+clock ticks either way.  ``insert_many`` checks its batch before it inserts
+any of it, and ``insert_ngrams`` checks its sequence once, with ``min`` and
+``max``, or not at all when it is a ``TokenList`` of the pool's vocab.
 """
 
 from __future__ import annotations
@@ -12,10 +24,12 @@ import io
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import InputError, PoolFormatError
+from .models import TokenList
 
 POOL_MAGIC = "ouroboros-pool"
 POOL_VERSION = "v1"
@@ -30,6 +44,9 @@ class Phrase:
     last_used: int = 0
 
 
+_rank = attrgetter("hits", "last_used")  # retention order, lowest goes first
+
+
 class PhrasePool:
     def __init__(self, vocab_size: int, capacity_per_key: int = 16,
                  max_phrase_len: int = 16):
@@ -42,6 +59,8 @@ class PhrasePool:
         self.clock = 0
         # key -> {tokens: Phrase}; dict order is bucket order
         self._buckets: dict = {}
+        # key -> its full bucket's lowest (hits, last_used) phrase, while known
+        self._victims: dict = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -74,14 +93,50 @@ class PhrasePool:
         self.clock += 1
         return self.clock
 
-    def _validate(self, tokens: Sequence[int]) -> tuple:
-        if not 2 <= len(tokens) <= self.max_phrase_len:
-            raise InputError(
-                f"phrase length {len(tokens)} outside [2, {self.max_phrase_len}]")
-        for t in tokens:
-            if not 0 <= t < self.vocab_size:
-                raise InputError(f"phrase token {t} out of vocab {self.vocab_size}")
-        return tuple(tokens)
+    def _checked(self, phrases: Iterable[Sequence[int]]) -> List[tuple]:
+        """The phrases as tuples, each checked for its length and vocab."""
+        batch = list(map(tuple, phrases))
+        longest, vocab = self.max_phrase_len, self.vocab_size
+        for tokens in batch:
+            if not 2 <= len(tokens) <= longest:
+                raise InputError(f"phrase length {len(tokens)} outside [2, {longest}]")
+            for t in tokens:
+                if not 0 <= t < vocab:
+                    raise InputError(f"phrase token {t} out of vocab {vocab}")
+        return batch
+
+    def _add(self, batch: Sequence[tuple], hits: int = 1) -> Optional[Phrase]:
+        """Add checked phrases in order, each with ``hits``, as one insert
+        call apiece would; returns the last one's Phrase.  The one eviction
+        path: see the module docstring."""
+        buckets, victims, cap = self._buckets, self._victims, self.capacity_per_key
+        stamp, phrase = self.clock, None
+        self.clock += len(batch)
+        for tokens in batch:
+            stamp += 1
+            key = tokens[0]
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+            phrase = bucket.get(tokens)
+            if phrase is not None:
+                phrase.hits += hits
+                phrase.last_used = stamp
+                if victims.get(key) is phrase:
+                    del victims[key]
+                continue
+            phrase = Phrase(tokens, hits, stamp)
+            if len(bucket) < cap:
+                bucket[tokens] = phrase
+                continue
+            victim = victims.get(key) or min(bucket.values(), key=_rank)
+            if victim.hits <= hits:  # else the newcomer is the lowest and goes
+                del bucket[victim.tokens]
+                bucket[tokens] = phrase
+                victims.pop(key, None)
+            else:
+                victims[key] = victim
+        return phrase
 
     def insert(self, tokens: Sequence[int], hits: int = 1) -> Phrase:
         """Add a phrase (or fold ``hits`` into an existing duplicate).
@@ -89,16 +144,17 @@ class PhrasePool:
         Overflowing buckets evict the entry with the lowest
         (hits, last_used) pair.
         """
-        tokens = self._validate(tokens)
-        bucket = self._buckets.setdefault(tokens[0], {})
-        phrase = bucket.get(tokens)
-        if phrase is None:
-            phrase = bucket[tokens] = Phrase(tokens, 0)
-        phrase.hits += hits
-        phrase.last_used = self._tick()
-        if len(bucket) > self.capacity_per_key:
-            del bucket[min(bucket.values(), key=lambda p: (p.hits, p.last_used)).tokens]
-        return phrase
+        if hits < 0:
+            raise InputError("hits must be >= 0")
+        return self._add(self._checked((tokens,)), hits)
+
+    def insert_many(self, phrases: Iterable[Sequence[int]]) -> int:
+        """Insert each phrase with one hit, in order, exactly as one
+        :meth:`insert` call apiece would; returns the count.  The batch is
+        checked first, so nothing is inserted when any phrase is refused."""
+        batch = self._checked(phrases)
+        self._add(batch)
+        return len(batch)
 
     def lookup_k(self, first: int, k: int) -> List[Phrase]:
         """Up to k phrases starting with ``first``, best (hits, recency) first.
@@ -110,8 +166,12 @@ class PhrasePool:
         bucket = self._buckets.get(first)
         if not bucket or k == 0:
             return []
-        chosen = sorted(bucket.values(), key=lambda p: (p.hits, p.last_used),
-                        reverse=True)[:k]
+        if k == 1:
+            chosen = [max(bucket.values(), key=_rank)]
+        else:
+            chosen = sorted(bucket.values(), key=_rank, reverse=True)[:k]
+        if len(chosen) == len(bucket):  # the victim is refreshed too
+            self._victims.pop(first, None)
         for p in chosen:
             p.last_used = self._tick()
         return chosen
@@ -125,13 +185,14 @@ class PhrasePool:
         merged, summing hits.
         """
         old_tokens = tuple(old_tokens)
-        corrected = self._validate(corrected)
+        (corrected,) = self._checked((corrected,))
         if corrected[0] != old_tokens[0]:
             raise InputError("corrected phrase must keep the original first token")
         old = self._buckets.get(old_tokens[0], {}).pop(old_tokens, None)
         if old is None:
             return False
-        self.insert(corrected, hits=old.hits)
+        self._victims.pop(old_tokens[0], None)
+        self._add((corrected,), hits=old.hits)
         return True
 
     # -- persistence ---------------------------------------------------------
@@ -211,17 +272,28 @@ class PhrasePool:
             per_key = Counter(tokens[0] for _, tokens in entries)
             capacity_per_key = max([16, *per_key.values()])
         pool = cls(vocab_size, capacity_per_key, max_phrase_len)
-        for hits, tokens in entries:
-            pool.insert(tokens, hits=hits)
+        checked = pool._checked(tokens for _, tokens in entries)
+        for (hits, _), tokens in zip(entries, checked):
+            pool._add((tokens,), hits)
         return pool
 
 
 def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
-    """Insert every length-n window of ``seq`` (stride 1); returns the count."""
+    """Insert every length-n window of ``seq`` (stride 1), in order, as
+    :meth:`PhrasePool.insert_many` would; returns the count.  The tokens are
+    checked once, and not at all for a TokenList of the pool's vocab."""
     if n < 2:
         raise InputError("ngram length must be >= 2")
-    count = 0
-    for i in range(len(seq) - n + 1):
-        pool.insert(tuple(seq[i:i + n]))
-        count += 1
-    return count
+    if len(seq) < n:
+        return 0
+    if n > pool.max_phrase_len:
+        raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
+    vocab = pool.vocab_size
+    if not (type(seq) is TokenList and seq.vocab_size == vocab):
+        seq = list(seq)
+        if not (0 <= min(seq) and max(seq) < vocab):
+            bad = next(t for t in seq if not 0 <= t < vocab)
+            raise InputError(f"phrase token {bad} out of vocab {vocab}")
+    grams = list(zip(*(seq[i:] for i in range(n))))
+    pool._add(grams)
+    return len(grams)

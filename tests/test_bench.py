@@ -351,7 +351,8 @@ class TestCli:
         ("--draft-spec", "ngram:order=3,vocab=1000", 1000)])
     def test_model_vocab_other_than_corpus_vocab_exits_one(
             self, command, flag, spec, vocab, tagged_corpus, capsys):
-        code = cli.main([command, "--corpus", tagged_corpus, "--cn", "3",
+        cn = ["--cn", "3"] if command == "locality" else []
+        code = cli.main([command, "--corpus", tagged_corpus, *cn,
                          "--max-new", "4", "--temperature", "1", flag, spec])
         assert code == 1
         err = capsys.readouterr().err
@@ -424,6 +425,44 @@ class TestCli:
         assert proc.returncode == 1
         assert "--pool-file" in proc.stderr
         assert not pool_file.exists()
+
+    @pytest.mark.parametrize("command", ["run", "locality"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unusable_pool_file_path_exits_one_before_any_query(
+            self, command, where, tagged_corpus, tmp_path, monkeypatch, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "nodir" / "P.txt"
+        for name in ("generate_vanilla", "generate_speculative",
+                     "generate_lookahead_target", "generate_ouroboros"):
+            monkeypatch.setattr(bench, name, broken_engine)
+        cn = ["--cn", "3"] if command == "locality" else []
+        code = cli.main([command, "--corpus", tagged_corpus, *cn, "--max-new", "4",
+                         "--pool-file", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pool file") and str(path) in err
+        assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("tune", ["--out-csv", "T.csv"]),
+        ("run", ["--cn", "3"]), ("ablate", ["--cn", "3"]), ("tune", ["--cn", "3"])])
+    def test_flags_a_command_would_ignore_are_usage_errors(
+            self, command, flag, reference_corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([command, "--corpus", reference_corpus, "--max-new", "4",
+                         *flag])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(reference_corpus)]
+
+    def test_tune_refuses_out_csv_from_a_config_file(self, reference_corpus,
+                                                     tmp_path, capsys):
+        cfg_path = tmp_path / "tune.cfg"
+        cfg_path.write_text(f"out_csv = {tmp_path / 'T.csv'}\n", encoding="utf-8")
+        code = cli.main(["tune", "--corpus", reference_corpus, "--max-new", "4",
+                         "--config", str(cfg_path)])
+        assert code == 1
+        assert "--out-json" in capsys.readouterr().err
+        assert not (tmp_path / "T.csv").exists()
 
     def test_locality_saves_its_pool_file(self, tagged_corpus, tmp_path):
         pool_file = tmp_path / "L.txt"

@@ -18,7 +18,8 @@ def greedy_continuation(model, context, n):
 
 
 class RecordingPool(PhrasePool):
-    """A pool that remembers every phrase inserted into it."""
+    """A pool that remembers every phrase inserted into it, one by one or
+    in a batch."""
 
     def __init__(self, vocab_size):
         super().__init__(vocab_size)
@@ -27,6 +28,11 @@ class RecordingPool(PhrasePool):
     def insert(self, tokens, hits=1):
         self.inserted.append(tuple(tokens))
         return super().insert(tokens, hits)
+
+    def insert_many(self, phrases):
+        phrases = list(phrases)
+        self.inserted += [tuple(p) for p in phrases]
+        return super().insert_many(phrases)
 
 
 class TestInitLookahead:

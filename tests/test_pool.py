@@ -3,10 +3,12 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
+                                 multiple, rule)
 
 from ouroboros import (InputError, Phrase, PhrasePool, PoolFormatError,
-                       insert_ngrams)
+                       TokenList, insert_ngrams)
+from ouroboros import pool as pool_module
 
 
 def tokens_of(bucket):
@@ -226,6 +228,86 @@ class TestInsertNgrams:
         assert insert_ngrams(pool, [1, 2], 4) == 0
 
 
+class TestBatchInsert:
+    def test_insert_many_equals_one_insert_apiece(self):
+        phrases = [(1, 2), (1, 3, 4), (2, 2), (1, 2), (1, 5), (1, 6)]
+        one, batch = (PhrasePool(10, capacity_per_key=2) for _ in range(2))
+        for tokens in phrases:
+            one.insert(tokens)
+        assert batch.insert_many(iter(phrases)) == len(phrases)
+        assert batch.clock == one.clock == len(phrases)
+        assert ([(p.tokens, p.hits, p.last_used) for p in batch.phrases()]
+                == [(p.tokens, p.hits, p.last_used) for p in one.phrases()])
+
+    @pytest.mark.parametrize("phrases", [
+        [(1, 2), (3, 10), (4, 5)], [(1, 2), (3, -1)], [(1, 2), (3,)],
+        [(1, 2), (1, 2, 3, 4, 5)], [(1, 2), ()]])
+    def test_insert_many_refuses_the_whole_batch(self, phrases):
+        pool = PhrasePool(10, max_phrase_len=4)
+        pool.insert((7, 8))
+        with pytest.raises(InputError):
+            pool.insert_many(phrases)
+        assert pool.state() == {7: [((7, 8), 1)]} and pool.clock == 1
+
+    @pytest.mark.parametrize("seq", [[1, 2, 10, 3], [1, -1, 2, 3],
+                                     TokenList(11, [1, 2, 10, 3])])
+    def test_insert_ngrams_refuses_out_of_vocab_tokens(self, seq):
+        pool = PhrasePool(10)
+        with pytest.raises(InputError, match="out of vocab 10"):
+            insert_ngrams(pool, seq, 2)
+        assert len(pool) == 0 and pool.clock == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_insert_ngrams_refuses_bad_lengths(self, n):
+        pool = PhrasePool(10, max_phrase_len=4)
+        with pytest.raises(InputError):
+            insert_ngrams(pool, TokenList(10, range(8)), n)
+        assert len(pool) == 0
+
+    def test_negative_hits_rejected(self):
+        with pytest.raises(InputError):
+            PhrasePool(10).insert((1, 2), hits=-1)
+
+    # A full bucket of two whose victim (1, 2) is known, because the newcomer
+    # (1, 4) lost to it; then an event that changes the lowest phrase; then
+    # newcomers that must evict whatever is lowest now.
+    KNOWN_VICTIM = [("insert", (1, 2), 2), ("insert", (1, 3), 2),
+                    ("insert", (1, 4), 1)]
+    EVENTS = {
+        "bump": [("insert", (1, 2), 1)],
+        "refresh": [("lookup_k", 1, 2)],
+        "replace": [("replace", (1, 2), (1, 6))],
+        "evict": [("insert", (1, 5), 2)],
+        "copy, then bump": [("copy",), ("insert", (1, 2), 1)],
+    }
+
+    @pytest.mark.parametrize("event", EVENTS)
+    def test_events_that_move_the_lowest_phrase(self, event):
+        pool, ref = PhrasePool(10, capacity_per_key=2), ListPool(10, 2)
+        for op, *args in (self.KNOWN_VICTIM + self.EVENTS[event]
+                          + [("insert", (1, 7), 2), ("insert", (1, 8), 2)]):
+            if op == "copy":
+                pool = pool.copy()
+                continue
+            for target in (pool, ref):
+                if op == "replace":
+                    target.replace_corrected(*args)
+                else:
+                    getattr(target, op)(*args)
+            assert ([(p.tokens, p.hits, p.last_used) for p in pool.bucket(1)]
+                    == [(p.tokens, p.hits, p.last_used) for p in ref.buckets[1]])
+
+    def test_full_bucket_is_scanned_once_for_newcomers_that_lose(self, monkeypatch):
+        pool = PhrasePool(10, capacity_per_key=4)
+        pool.insert_many([(1, t) for t in range(4)] * 2)  # every phrase has 2 hits
+        ranked = []
+        monkeypatch.setattr(pool_module, "_rank",
+                            lambda p: ranked.append(p) or (p.hits, p.last_used))
+        pool.insert_many([(1, t, t) for t in range(10)])  # 1 hit each: all go
+        assert len(ranked) == 4
+        assert [p.hits for p in pool.bucket(1)] == [2] * 4 and pool.clock == 18
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
@@ -303,12 +385,13 @@ class PoolMachine(RuleBasedStateMachine):
     stamps, eviction victims and saved bytes after every operation."""
 
     inserted = Bundle("inserted")
+    capacity = CAPACITY
 
     def __init__(self):
         super().__init__()
-        self.pool = PhrasePool(VOCAB, capacity_per_key=CAPACITY,
+        self.pool = PhrasePool(VOCAB, capacity_per_key=self.capacity,
                                max_phrase_len=MAX_LEN)
-        self.ref = ListPool(VOCAB, CAPACITY)
+        self.ref = ListPool(VOCAB, self.capacity)
 
     def snapshot(self):
         return {k: [(p.tokens, p.hits, p.last_used) for p in self.pool.bucket(k)]
@@ -342,18 +425,48 @@ class PoolMachine(RuleBasedStateMachine):
         buf = io.StringIO()
         self.pool.save(buf)
         assert buf.getvalue() == self.ref.text()
-        self.pool = PhrasePool.load(io.StringIO(buf.getvalue()), CAPACITY, MAX_LEN)
+        self.pool = PhrasePool.load(io.StringIO(buf.getvalue()), self.capacity,
+                                    MAX_LEN)
         saved = self.ref
-        self.ref = ListPool(VOCAB, CAPACITY)
+        self.ref = ListPool(VOCAB, self.capacity)
         for key in sorted(saved.buckets):
             for p in saved.buckets[key]:
                 self.ref.insert(p.tokens, p.hits)
+
+    # batch inserts: the reference inserts the same phrases one by one
+
+    @rule(target=inserted,
+          batch=st.lists(st.one_of(inserted, phrase_tokens), max_size=8))
+    def insert_many(self, batch):
+        before = {p.tokens for p in self.pool.phrases()}
+        assert self.pool.insert_many(batch) == len(batch)
+        for tokens in batch:
+            self.ref.insert(tokens)
+        kept = {p.tokens for p in self.pool.phrases()}
+        want = {p.tokens for b in self.ref.buckets.values() for p in b}
+        assert before - kept == before - want
+        return multiple(*batch)
+
+    @rule(seq=st.lists(st.integers(0, VOCAB - 1), max_size=12),
+          n=st.integers(2, MAX_LEN), token_list=st.booleans())
+    def insert_ngrams(self, seq, n, token_list):
+        source = TokenList(VOCAB, seq) if token_list else seq
+        assert insert_ngrams(self.pool, source, n) == max(0, len(seq) - n + 1)
+        for i in range(len(seq) - n + 1):
+            self.ref.insert(tuple(seq[i:i + n]))
+
+    @rule()
+    def copy(self):
+        """Go on with a copy, whose victim index starts empty."""
+        original = self.snapshot()
+        self.pool = self.pool.copy()
+        assert self.snapshot() == original
 
     @invariant()
     def same_state(self):
         assert self.snapshot() == self.ref.snapshot()
         assert self.pool.clock == self.ref.clock
-        assert all(len(self.pool.bucket(k)) <= CAPACITY for k in range(VOCAB))
+        assert all(len(self.pool.bucket(k)) <= self.capacity for k in range(VOCAB))
         assert self.pool.state() == {k: [(t, h) for t, h, _ in b]
                                      for k, b in self.ref.snapshot().items()}
 
@@ -361,3 +474,13 @@ class PoolMachine(RuleBasedStateMachine):
 TestPoolMachine = PoolMachine.TestCase
 TestPoolMachine.settings = settings(max_examples=50, stateful_step_count=40,
                                     deadline=None)
+
+
+class PoolMachineCapacityOne(PoolMachine):
+    """One phrase per bucket: every newcomer meets a full bucket."""
+
+    capacity = 1
+
+
+TestPoolMachineCapacityOne = PoolMachineCapacityOne.TestCase
+TestPoolMachineCapacityOne.settings = TestPoolMachine.settings

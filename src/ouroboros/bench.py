@@ -168,18 +168,23 @@ class BenchConfig(EngineConfig):
             raise InputError("no corpus configured")
         if self.repetitions < 1:
             raise InputError("repetitions must be >= 1")
-        for name in self.engines:
-            if name not in ENGINE_NAMES:
-                raise InputError(f"unknown engine {name!r}")
+        if not self.engines:
+            raise InputError("no engines configured")
+        for i, name in enumerate(self.engines):
+            if name not in ENGINE_NAMES or name in self.engines[:i]:
+                raise InputError(f"unknown or repeated engine {name!r}")
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+_KINDS = {f.name: f.type for f in dataclasses.fields(BenchConfig)}  # "int", ...
 
 
 def load_config_file(path: Union[str, Path]) -> Dict[str, str]:
-    """Parse a ``key = value`` config file with ``#`` comments."""
+    """Parse a ``key = value`` config file with ``#`` comments; a key may
+    appear once."""
     values: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for line_no, line in enumerate(_read_lines(path, "config"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -187,19 +192,25 @@ def load_config_file(path: Union[str, Path]) -> Dict[str, str]:
         key, eq, value = body.partition("=")
         if not eq:
             raise InputError(f"config line {line_no}: expected 'key = value'")
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in first_line:
+            raise InputError(f"config line {line_no}: key {key!r} already "
+                             f"given on line {first_line[key]}")
+        first_line[key], values[key] = line_no, value.strip()
     return values
 
 
 def make_config(file_values: Optional[Dict[str, str]] = None,
-                **overrides) -> BenchConfig:
-    """Build a BenchConfig from file values, then apply CLI overrides."""
+                command: Optional[str] = None, **overrides) -> BenchConfig:
+    """Build a BenchConfig from file values, then apply overrides (flags win).
+    A string value is coerced by its field's type.  With ``command``, a key
+    that subcommand does not read (``COMMAND_SETTINGS``) is refused."""
     cfg = BenchConfig()
-    fields = {f.name: f for f in dataclasses.fields(BenchConfig)}
+    reads = COMMAND_SETTINGS[command] if command else _KINDS
 
     def coerce(name: str, value):
         if isinstance(value, str):
-            kind = fields[name].type
+            kind = _KINDS[name]
             if kind == "int":
                 return int(value)
             if kind == "float":
@@ -217,8 +228,11 @@ def make_config(file_values: Optional[Dict[str, str]] = None,
         for name, value in source.items():
             if value is None:
                 continue
-            if name not in fields:
+            if name not in _KINDS:
                 raise InputError(f"unknown config key {name!r}")
+            if name not in reads:
+                raise InputError(f"{command} does not read {name!r}; its "
+                                 f"settings are {', '.join(map(flag, reads))}")
             try:
                 setattr(cfg, name, coerce(name, value))
             except ValueError as exc:
@@ -420,6 +434,29 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
 # The four harness entry points
 # ---------------------------------------------------------------------------
 
+# The settings each subcommand reads, as flags and as config-file keys.  tune
+# searches gamma, beta, k and window itself; ablate's rungs set the toggles
+# and reuse.
+_EVERY = ("corpus", "tokenizer", "target_spec", "draft_spec", "seed", "max_new",
+          "temperature", "ngram", "t_draft", "t_target", "tree_surcharge",
+          "out_json")
+_SEARCHED = ("gamma", "beta", "k", "window")
+_TOGGLES = ("lengthening", "harvest", "phrase_draft", "prompt_warmup")
+COMMAND_SETTINGS = {
+    "run": _EVERY + _SEARCHED + _TOGGLES + ("engines", "repetitions", "reuse",
+                                            "pool_file", "out_csv"),
+    "ablate": _EVERY + _SEARCHED + ("repetitions", "out_csv"),
+    "tune": _EVERY + _TOGGLES + ("reuse", "task_type", "tune_slice"),
+    "locality": _EVERY + _SEARCHED + _TOGGLES + ("reuse", "pool_file", "out_csv",
+                                                 "cn"),
+}
+
+
+def flag(key: str) -> str:
+    """A setting's flag: ``--<key>``, or ``--no-<key>`` for a boolean."""
+    return ("--no-" if _KINDS[key] == "bool" else "--") + key.replace("_", "-")
+
+
 def run_benchmark(cfg: BenchConfig) -> Report:
     """Run entries x engines x repetitions and report every run's metrics."""
     corpus, target, draft = _setup(cfg)
@@ -446,8 +483,6 @@ ABLATION_RUNGS = tuple(
 
 def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
-    if cfg.pool_file:
-        raise InputError("ablate runs on cold pools and takes no --pool-file")
     corpus, target, draft = _setup(cfg)
     rows: List[dict] = []
     for rung, reuse, toggles in ABLATION_RUNGS:
@@ -468,10 +503,6 @@ def tune(cfg: BenchConfig,
     order against modeled clock time (sweeps try the sampled value first, so
     ties keep it).  ``objective(gamma, window, beta, k)`` defaults to the
     modeled time of ouroboros over the first ``tune_slice`` entries."""
-    if cfg.pool_file:
-        raise InputError("tune runs on cold pools and takes no --pool-file")
-    if cfg.out_csv:
-        raise InputError("tune writes no CSV; its choice goes to --out-json")
     task = cfg.task_type.upper()
     if task not in ("HH", "LH"):
         raise InputError(f"task type must be HH or LH, got {task!r}")

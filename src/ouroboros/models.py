@@ -333,6 +333,14 @@ class ModelSpec:
             raise InputError(f"unknown base {self.base!r} (counter or ngram)")
 
 
+# spec key -> (ModelSpec field, parser); a field may be set once
+_SPEC_KEYS = {"vocab": ("vocab_size", int), "vocab_size": ("vocab_size", int),
+              "order": ("order", int), "epsilon": ("epsilon", float),
+              "seed": ("seed", int), "swap": ("swap_to", int),
+              "swap_to": ("swap_to", int), "eos": ("eos_id", int),
+              "base": ("base", lambda v: v.strip().lower())}
+
+
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse ``kind[:key=value,...]``; kinds: counter, ngram, perturbed."""
     head, _, rest = text.strip().partition(":")
@@ -340,31 +348,20 @@ def parse_model_spec(text: str) -> ModelSpec:
     if kind not in ("counter", "ngram", "perturbed"):
         raise InputError(f"unknown model kind {kind!r}")
     fields: dict = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
-            key = key.strip().lower()
-            if not eq:
-                raise InputError(f"bad model spec item {part!r}")
-            try:
-                if key in ("vocab", "vocab_size"):
-                    fields["vocab_size"] = int(value)
-                elif key == "order":
-                    fields["order"] = int(value)
-                elif key == "epsilon":
-                    fields["epsilon"] = float(value)
-                elif key == "seed":
-                    fields["seed"] = int(value)
-                elif key in ("swap", "swap_to"):
-                    fields["swap_to"] = int(value)
-                elif key == "base":
-                    fields["base"] = value.strip().lower()
-                elif key == "eos":
-                    fields["eos_id"] = int(value)
-                else:
-                    raise InputError(f"unknown model spec key {key!r}")
-            except ValueError as exc:
-                raise InputError(f"bad value in model spec item {part!r}") from exc
+    for part in rest.split(",") if rest else ():
+        key, eq, value = part.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise InputError(f"bad model spec item {part!r}")
+        if key not in _SPEC_KEYS:
+            raise InputError(f"unknown model spec key {key!r}")
+        name, parse = _SPEC_KEYS[key]
+        if name in fields:
+            raise InputError(f"model spec key {key!r} given twice in {text!r}")
+        try:
+            fields[name] = parse(value)
+        except ValueError as exc:
+            raise InputError(f"bad value in model spec item {part!r}") from exc
     return ModelSpec(kind=kind, **fields)
 
 

@@ -118,6 +118,22 @@ class TestConfig:
         with pytest.raises(InputError):
             make_config({"gama": "7"})
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("gamma = 3\nbeta = 4\n# again\nGamma = 7\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError, match=r"line 4: key 'gamma' already "
+                                             r"given on line 1"):
+            load_config_file(path)
+
+    @pytest.mark.parametrize("command, key", [
+        ("tune", "gamma"), ("ablate", "reuse"), ("run", "cn"), ("locality", "engines")])
+    def test_command_refuses_keys_it_does_not_read(self, command, key):
+        with pytest.raises(InputError, match=f"{command} does not read '{key}'"):
+            make_config({key: "3"}, command)
+        with pytest.raises(InputError, match=f"{command} does not read '{key}'"):
+            make_config(None, command, **{key: "3"})
+
     def test_validation_catches_unknown_engine(self, reference_corpus):
         cfg = small_config(reference_corpus, engines=("vanila",))
         with pytest.raises(InputError):
@@ -361,7 +377,8 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ["--temperature", "nan"], ["--temperature", "inf"],
         ["--t-draft", "nan"], ["--t-target", "inf"],
-        ["--tree-surcharge", "inf"], ["--draft-spec", "perturbed:base=foo"]])
+        ["--tree-surcharge", "inf"], ["--draft-spec", "perturbed:base=foo"],
+        ["--engines", ","], ["--engines", "vanilla,vanilla"]])
     def test_value_outside_the_contract_exits_one(self, args, reference_corpus,
                                                   capsys):
         code = cli.main(["run", "--corpus", reference_corpus, "--max-new", "4",
@@ -444,7 +461,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command, flag", [
         ("tune", ["--out-csv", "T.csv"]),
-        ("run", ["--cn", "3"]), ("ablate", ["--cn", "3"]), ("tune", ["--cn", "3"])])
+        ("run", ["--cn", "3"]), ("ablate", ["--cn", "3"]), ("tune", ["--cn", "3"]),
+        ("tune", ["--gamma", "3"]), ("tune", ["--repetitions", "3"]),
+        ("ablate", ["--engines", "vanilla"]), ("ablate", ["--no-reuse"]),
+        ("locality", ["--repetitions", "5"])])
     def test_flags_a_command_would_ignore_are_usage_errors(
             self, command, flag, reference_corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -453,6 +473,22 @@ class TestCli:
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [Path(reference_corpus)]
+
+    @pytest.mark.parametrize("command, line", [
+        ("run", "cn = 3"), ("ablate", "harvest = false"), ("tune", "gamma = 3"),
+        ("locality", "repetitions = 5"), ("run", "task_type = LH")])
+    def test_config_keys_a_command_would_ignore_exit_one(
+            self, command, line, reference_corpus, tmp_path, capsys):
+        cfg_path = tmp_path / "ignored.cfg"
+        cfg_path.write_text(f"out_json = {tmp_path / 'R.json'}\n{line}\n",
+                            encoding="utf-8")
+        code = cli.main([command, "--corpus", reference_corpus, "--max-new", "4",
+                         "--config", str(cfg_path)])
+        assert code == 1
+        key = line.split(" = ")[0]
+        assert f"{command} does not read {key!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ignored.cfg",
+                                                             "reference.txt"]
 
     def test_tune_refuses_out_csv_from_a_config_file(self, reference_corpus,
                                                      tmp_path, capsys):

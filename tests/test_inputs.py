@@ -44,10 +44,15 @@ def model_specs(draw):
     return f"{kind}:{','.join(items)}" if items else kind
 
 
+ALIASES = {"vocab": "vocab_size", "swap": "swap_to"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(model_specs())
 @example("perturbed:base=foo")
 @example("counter:base=foo")
+@example("ngram:order=3,order=5")
+@example("perturbed:swap=1,swap_to=2")
 def test_model_specs_fail_only_with_input_error(text):
     try:
         spec = parse_model_spec(text)
@@ -55,6 +60,10 @@ def test_model_specs_fail_only_with_input_error(text):
     except InputError:
         return
     assert spec.base in ("", "counter", "ngram")
+    keys = [item.partition("=")[0].strip().lower()
+            for item in text.partition(":")[2].split(",") if item]
+    names = [ALIASES.get(key, key) for key in keys]
+    assert len(set(names)) == len(names), "a repeated key was accepted"
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(BenchConfig) if f.type == "float"]
@@ -86,6 +95,10 @@ def scratch(tmp_path_factory):
 @example(b"t_draft = inf")
 @example(b"tree_surcharge = 1e999")
 @example(b"caf\xe9 = 1")
+@example(b"gamma = 3\ngamma = 7")
+@example(b"max-new = 3\nMax_New = 7")
+@example(b"engines = ,")
+@example(b"engines = vanilla,vanilla")
 def test_config_files_fail_only_with_input_error(scratch, data):
     path = scratch / "bench.cfg"
     path.write_bytes(data)
@@ -97,6 +110,10 @@ def test_config_files_fail_only_with_input_error(scratch, data):
     except InputError:
         return
     assert all(math.isfinite(getattr(cfg, name)) for name in FLOAT_FIELDS)
+    keys = [line.split("#")[0].partition("=")[0].strip().lower().replace("-", "_")
+            for line in data.decode().splitlines() if line.split("#")[0].strip()]
+    assert len(set(keys)) == len(keys), "a repeated key was accepted"
+    assert cfg.engines and len(set(cfg.engines)) == len(cfg.engines)
 
 
 @st.composite

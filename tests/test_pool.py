@@ -3,8 +3,8 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
-                                 multiple, rule)
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, initialize,
+                                 invariant, multiple, rule)
 
 from ouroboros import (InputError, Phrase, PhrasePool, PoolFormatError,
                        TokenList, insert_ngrams)
@@ -397,7 +397,23 @@ class PoolMachine(RuleBasedStateMachine):
         return {k: [(p.tokens, p.hits, p.last_used) for p in self.pool.bucket(k)]
                 for k in sorted(self.pool.state())}
 
-    @rule(target=inserted, tokens=phrase_tokens, hits=st.integers(1, 3))
+    @initialize(target=inserted,
+                keys=st.sets(st.integers(0, VOCAB - 1), min_size=1))
+    def known_victims(self, keys):
+        """Fill some buckets with two-hit phrases and let a one-hit newcomer
+        lose to each one's oldest, so their victims are known from the start
+        and a refresh, a replace, a bump or a copy must forget them."""
+        phrases = []
+        for key in keys:
+            full = [(key, t) for t in range(self.capacity)]
+            for tokens, hits in [(t, 2) for t in full] + [((key, key, key), 1)]:
+                self.pool.insert(tokens, hits)
+                self.ref.insert(tokens, hits)
+            phrases += full
+        return multiple(*phrases)
+
+    @rule(target=inserted, tokens=st.one_of(inserted, phrase_tokens),
+          hits=st.integers(1, 3))
     def insert(self, tokens, hits):
         before = [p.tokens for p in self.pool.bucket(tokens[0])]
         got, want = self.pool.insert(tokens, hits), self.ref.insert(tokens, hits)
@@ -461,6 +477,15 @@ class PoolMachine(RuleBasedStateMachine):
         original = self.snapshot()
         self.pool = self.pool.copy()
         assert self.snapshot() == original
+
+    @invariant()
+    def known_victims_are_lowest(self):
+        """A victim the pool keeps for a bucket is that full bucket's lowest
+        phrase itself, not a stale or foreign copy of it."""
+        for key, victim in self.pool._victims.items():
+            bucket = self.pool.bucket(key)
+            assert len(bucket) == self.capacity
+            assert victim is min(bucket, key=lambda p: (p.hits, p.last_used))
 
     @invariant()
     def same_state(self):

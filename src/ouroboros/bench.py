@@ -231,8 +231,7 @@ def make_config(file_values: Optional[Dict[str, str]] = None,
             if name not in _KINDS:
                 raise InputError(f"unknown config key {name!r}")
             if name not in reads:
-                raise InputError(f"{command} does not read {name!r}; its "
-                                 f"settings are {', '.join(map(flag, reads))}")
+                raise _unread(command, name)
             try:
                 setattr(cfg, name, coerce(name, value))
             except ValueError as exc:
@@ -357,11 +356,16 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     return target, draft
 
 
-def _setup(cfg: BenchConfig, tagged: bool = False,
+def _setup(cfg: BenchConfig, command: str,
            ) -> Tuple[Corpus, LanguageModel, LanguageModel]:
-    """Validate the config, ingest the corpus and build the models."""
+    """Refuse a setting ``command`` does not read unless it has its default,
+    validate the config, ingest the corpus and build the models."""
+    default, reads = BenchConfig(), COMMAND_SETTINGS[command]
+    for name in _KINDS:
+        if name not in reads and getattr(cfg, name) != getattr(default, name):
+            raise _unread(command, name)
     cfg.validate()
-    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged)
+    corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged=command == "locality")
     return (corpus, *build_models(cfg, corpus))
 
 
@@ -457,9 +461,14 @@ def flag(key: str) -> str:
     return ("--no-" if _KINDS[key] == "bool" else "--") + key.replace("_", "-")
 
 
+def _unread(command: str, name: str) -> InputError:
+    return InputError(f"{command} does not read {name!r}; its settings are "
+                      f"{', '.join(map(flag, COMMAND_SETTINGS[command]))}")
+
+
 def run_benchmark(cfg: BenchConfig) -> Report:
     """Run entries x engines x repetitions and report every run's metrics."""
-    corpus, target, draft = _setup(cfg)
+    corpus, target, draft = _setup(cfg, "run")
     preload = _load_pool_file(cfg, corpus.vocab_size)
     ecfg, rows = cfg.engine_config(), []
     for rep in range(cfg.repetitions):
@@ -483,7 +492,7 @@ ABLATION_RUNGS = tuple(
 
 def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
-    corpus, target, draft = _setup(cfg)
+    corpus, target, draft = _setup(cfg, "ablate")
     rows: List[dict] = []
     for rung, reuse, toggles in ABLATION_RUNGS:
         rung_cfg = dataclasses.replace(cfg.engine_config(), **toggles)
@@ -512,7 +521,7 @@ def tune(cfg: BenchConfig,
     g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
     g_hat = int(rng.integers(g_lo, g_hi + 1))
     if objective is None:
-        corpus, target, draft = _setup(cfg)
+        corpus, target, draft = _setup(cfg, "tune")
         prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
         if not prompts:
             raise InputError("empty corpus slice for tuning")
@@ -576,7 +585,7 @@ def locality_experiment(cfg: BenchConfig) -> Report:
     with one sequentially shared pool (reuse on) or cold pools (reuse off)."""
     if cfg.cn == "":
         raise InputError("locality experiment needs --cn <n|shuffle>")
-    corpus, target, draft = _setup(cfg, tagged=True)
+    corpus, target, draft = _setup(cfg, "locality")
     order = locality_order(corpus.tasks, cfg.cn, cfg.seed)
     runs = [(entry, "ouroboros", _seeded(cfg.engine_config(), entry, 0))
             for entry in order]

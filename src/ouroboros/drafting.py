@@ -79,8 +79,8 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     else:
         appended.append(sample(rows[len(cand)], temperature, rng))
 
-    new_phrases = [tuple(col) + (int(row.argmax()),)
-                   for col, row in zip(columns, rows[len(cand) + 1:])]
+    grams = rows[len(cand) + 1:].argmax(axis=1).tolist()
+    new_phrases = [(*col, gram) for col, gram in zip(columns, grams)]
     return appended, new_phrases
 
 

@@ -1,12 +1,14 @@
 """Toy language models behind one scoring hook.
 
 A model is a pure function from a token context to a next-token probability
-vector.  ``LanguageModel.score(prefix, paths)`` returns the distribution after
-``prefix + path`` for each path.  ``forward_scan`` and ``forward_tree`` each
-count as ONE forward call, mirroring how a masked transformer scores a span or
-a token tree in a single pass; ``forward_tree`` alone decides which rows a
-tree forward returns.  Every row is bit-identical to what an independent
-single-step call would produce.
+vector.  ``LanguageModel.score(prefix, paths)`` returns one ``(len(paths), V)``
+matrix whose row i is the distribution after ``prefix + paths[i]``; the
+caller owns that matrix.  ``forward_scan`` and ``forward_tree`` each count as
+ONE forward call, mirroring how a masked transformer scores a span or a token
+tree in a single pass; ``forward_tree`` alone decides which rows a tree
+forward returns.  Every row is bit-identical to what an independent
+single-step call would produce.  ``sample`` draws one token from a row, or
+one per row of a matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,17 +103,18 @@ class LanguageModel:
         """Return P(next token | context) as a length-``vocab_size`` vector."""
         raise NotImplementedError
 
-    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[np.ndarray]:
-        """Row i is the distribution after ``prefix + paths[i]``.  Rows may
-        share arrays with each other and with a model's tables: treat them as
-        read-only.  The default calls :meth:`distribution` on one reused
-        context; a model may override it to share work across the paths,
-        provided every row stays bit-identical."""
-        ctx, rows = list(prefix), []
-        for path in paths:
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
+        """Return a fresh ``(len(paths), vocab_size)`` float64 matrix, owned by
+        the caller, whose row i is the distribution after ``prefix +
+        paths[i]``.  The default stacks :meth:`distribution` rows, computed on
+        one reused context; a model may override it to share work across the
+        paths, provided every row stays bit-identical."""
+        ctx = list(prefix)
+        rows = np.empty((len(paths), self.vocab_size), dtype=np.float64)
+        for i, path in enumerate(paths):
             del ctx[len(prefix):]
             ctx.extend(path)
-            rows.append(self.distribution(ctx))
+            rows[i] = self.distribution(ctx)
         return rows
 
 
@@ -134,17 +139,19 @@ class NgramModel(LanguageModel):
     ``order`` counts the full n-gram: order 2 conditions on one token, order 1
     is a unigram model.  Contexts whose (order-1)-gram never occurred in the
     training corpus (including contexts shorter than order-1) back off to the
-    uniform distribution.
-    """
+    uniform distribution.  The rows are one read-only ``(keys + 1, V)``
+    matrix, the backoff last; ``index`` maps each (order-1)-gram to its row
+    id and ``_table`` to a view of its row."""
 
-    def __init__(self, order: int, table: dict, vocab_size: int,
+    def __init__(self, order: int, index: dict, matrix: np.ndarray,
                  eos_id: Optional[int] = None):
         self.order = order
-        self._table = table
-        self.vocab_size = vocab_size
-        self.eos_id = _eos_id(vocab_size, eos_id)
-        self._uniform = np.full(vocab_size, 1.0 / vocab_size, dtype=np.float64)
-        self._uniform.flags.writeable = False
+        self.vocab_size = matrix.shape[1]
+        self.eos_id = _eos_id(self.vocab_size, eos_id)
+        matrix.flags.writeable = False
+        self._index, self._matrix = index, matrix
+        self._table = {key: matrix[row] for key, row in index.items()}
+        self._uniform = matrix[-1]
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         if self.order > 1:
@@ -153,6 +160,16 @@ class NgramModel(LanguageModel):
             key = ()
         probs = self._table.get(key)
         return probs if probs is not None else self._uniform
+
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
+        """Gather all rows with one ``take`` over row ids; each key is the last
+        order-1 tokens of ``prefix + path``, built without copying ``prefix``."""
+        n1, get, backoff = self.order - 1, self._index.get, len(self._index)
+        if n1 == 0:
+            return self._matrix.take([get((), backoff)] * len(paths), axis=0)
+        head = tuple(prefix[-n1:])
+        return self._matrix.take([get((head + tuple(path[-n1:]))[-n1:], backoff)
+                                  for path in paths], axis=0)
 
 
 def build_ngram_model(corpus: TokenSeq, order: int,
@@ -166,20 +183,19 @@ def build_ngram_model(corpus: TokenSeq, order: int,
     if vocab_size is None:
         vocab_size = max(corpus) + 1
     _eos_id(vocab_size, eos_id)
-    counts: dict = {}
-    for i in range(len(corpus) - order + 1):
-        key = tuple(corpus[i:i + order - 1])
-        nxt = corpus[i + order - 1]
-        if nxt >= vocab_size or nxt < 0:
-            raise InputError(f"corpus token {nxt} out of vocab {vocab_size}")
-        row = counts.get(key)
-        if row is None:
-            row = counts[key] = np.zeros(vocab_size, dtype=np.float64)
-        row[nxt] += 1.0
-    for key, row in counts.items():
-        row /= row.sum()
-        row.flags.writeable = False
-    return NgramModel(order, counts, vocab_size, eos_id)
+    _check_tokens(vocab_size, islice(corpus, order - 1, None), "corpus")
+    index: dict = {}
+    # count each n-gram by its cell in the flattened matrix, then write the
+    # counts straight into the float64 matrix, whose last row is the backoff
+    keys = (zip(*(islice(corpus, j, None) for j in range(order - 1)))
+            if order > 1 else repeat(()))
+    counts = Counter(index.setdefault(key, len(index)) * vocab_size + nxt
+                     for key, nxt in zip(keys, islice(corpus, order - 1, None)))
+    matrix = np.zeros((len(index) + 1, vocab_size))
+    matrix.reshape(-1)[list(counts)] = list(counts.values())
+    matrix[:-1] /= matrix[:-1].sum(axis=1, keepdims=True)
+    matrix[-1] = 1.0 / vocab_size
+    return NgramModel(order, index, matrix, eos_id)
 
 
 class PerturbedModel(LanguageModel):
@@ -207,30 +223,25 @@ class PerturbedModel(LanguageModel):
         self.vocab_size = base.vocab_size
         self.eos_id = base.eos_id
 
-    def _perturb(self, probs: np.ndarray, hasher) -> np.ndarray:
-        """The base row, or a copy with its argmax swapped if the roll is < epsilon."""
-        if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 >= self.epsilon:
-            return probs
-        probs = np.array(probs, dtype=np.float64)
-        top = int(np.argmax(probs))
-        tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
-        probs[[top, tgt]] = probs[[tgt, top]]
-        return probs
-
     def distribution(self, context: TokenSeq) -> np.ndarray:
         return self.score(context, [()])[0]
 
-    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[np.ndarray]:
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
         """The roll hashes the seed and the context as int64 little-endian
         bytes.  The prefix is hashed once; each path extends a copy of that
-        blake2b state by its own tokens, the same bytes in the same order."""
+        blake2b state by its own tokens, the same bytes in the same order.
+        A row whose roll is below ``epsilon`` has its argmax swapped in place
+        in the base model's matrix."""
         root = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
                                digest_size=8)
-        rows = []
-        for path, probs in zip(paths, self.base.score(prefix, paths)):
+        rows = self.base.score(prefix, paths)
+        for i, path in enumerate(paths):
             hasher = root.copy()
             hasher.update(struct.pack(f"<{len(path)}q", *path))
-            rows.append(self._perturb(probs, hasher))
+            if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 < self.epsilon:
+                top = int(rows[i].argmax())
+                tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
+                rows[i, top], rows[i, tgt] = rows[i, tgt], rows[i, top]
         return rows
 
 
@@ -246,11 +257,11 @@ def next_distribution(model: LanguageModel, context: TokenSeq,
 
 
 def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
-                 counter: Optional[ForwardCounter] = None) -> list:
+                 counter: Optional[ForwardCounter] = None) -> np.ndarray:
     """Score ``tokens`` after ``prefix`` in one forward.
 
-    Returns len(tokens)+1 distributions; element i predicts the token that
-    follows prefix + tokens[:i], so element 0 equals
+    Returns a ``(len(tokens)+1, V)`` matrix; row i predicts the token that
+    follows prefix + tokens[:i], so row 0 equals
     ``next_distribution(model, prefix)``.
     """
     if len(prefix) == 0:
@@ -265,10 +276,10 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
                  branches: Sequence[TokenSeq],
                  counter: Optional[ForwardCounter] = None,
-                 full: Optional[int] = None) -> list:
+                 full: Optional[int] = None) -> np.ndarray:
     """Score several branches after a shared span in ONE forward.
 
-    Returns one flat list with a row per tree node: first the rows after
+    Returns one matrix with a row per tree node: first the rows after
     ``prefix + shared[:i]`` for i = 0..len(shared), so the shared span is
     scored once; then, branch by branch, the row after each branch token.
     From branch ``full`` on, a branch gives exactly one row, after its last
@@ -280,12 +291,12 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
         raise InputError("prefix must be non-empty")
     _check_tokens(model.vocab_size, prefix, "prefix")
     _check_tokens(model.vocab_size, shared, "shared")
-    for b in branches:
-        _check_tokens(model.vocab_size, b, "branch")
+    tokens = list(chain.from_iterable(branches))
+    _check_tokens(model.vocab_size, tokens, "branch")
     if full is not None and full < 0:
         raise InputError("full must be >= 0")
     if counter is not None:
-        counter.add(branch_tokens=sum(len(b) for b in branches))
+        counter.add(branch_tokens=len(tokens))
     paths = [shared[:i] for i in range(len(shared) + 1)]
     for j, b in enumerate(branches):
         if full is not None and j >= full:
@@ -296,23 +307,32 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
 
 
 def sample(dist: np.ndarray, temperature: float,
-           rng: Optional[np.random.Generator] = None) -> int:
-    """Draw a token: argmax (lowest id on ties) at temperature 0, else sample
-    from dist**(1/temperature) renormalized, advancing ``rng``."""
+           rng: Optional[np.random.Generator] = None) -> Union[int, List[int]]:
+    """Draw a token from a row, or a list of one per row of a matrix: argmax
+    (lowest id on ties) at temperature 0, else sample from (dist /
+    max(dist))**(1/temperature) renormalized, advancing ``rng``.  A matrix
+    takes ``rng.choice``'s own draw (normalised cumsum against one uniform)
+    row by row, so its tokens and ``rng`` end as row-by-row calls leave them."""
     if temperature < 0:
         raise InputError("temperature must be >= 0")
     if temperature == 0.0:
+        if dist.ndim == 2:
+            return dist.argmax(axis=1).tolist()
         return int(np.argmax(dist))
     if not temperature < math.inf:
         raise InputError("temperature must be finite")
     if rng is None:
         raise InputError("sampling with temperature > 0 requires an rng")
-    if temperature == 1.0:
-        probs = np.asarray(dist, dtype=np.float64)
-    else:
-        probs = np.power(np.asarray(dist, dtype=np.float64), 1.0 / temperature)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    probs = np.asarray(dist, dtype=np.float64)
+    if temperature != 1.0:
+        # scaled to a peak of 1 first, so a flat row cannot underflow to 0/0
+        probs = np.power(probs / probs.max(axis=-1, keepdims=True), 1.0 / temperature)
+    if probs.ndim == 1:
+        probs = probs / probs.sum()
+        return int(rng.choice(len(probs), p=probs))
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1).tolist()
 
 
 @dataclass(frozen=True)

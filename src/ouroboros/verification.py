@@ -54,9 +54,10 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
            counter: Optional[ForwardCounter] = None) -> VerificationOutcome:
     """Score draft + suffixes in one target forward and decide the emission.
 
-    Verdicts are drawn in a fixed order (main positions first, then each
-    branch in turn) so sampled runs replay exactly under one seed.  Suffix
-    tails are truncated to beta-1 tokens when ``beta`` is given.
+    All verdicts are drawn in one ``sample`` call, in a fixed order (main
+    positions first, then each branch in turn), so sampled runs replay
+    exactly under one seed.  Suffix tails are truncated to beta-1 tokens when
+    ``beta`` is given.
     """
     draft = list(draft)
     if not draft:
@@ -71,12 +72,15 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
     n = len(draft)
-    verdicts = [sample(d, temperature, rng) for d in rows[:n + 1]]
-    branch_verdicts, start = [], n + 1
+    # draw order: the main rows, then per suffix the draft-end row and its tail's
+    order, starts, start = list(range(n + 1)), [], n + 1
     for tail in tails:
-        branch = [rows[n], *rows[start:start + len(tail)]]
-        branch_verdicts.append([sample(d, temperature, rng) for d in branch])
+        starts.append(len(order))
+        order += [n, *range(start, start + len(tail))]
         start += len(tail)
+    drawn = sample(rows.take(order, axis=0), temperature, rng)
+    verdicts = drawn[:n + 1]
+    branch_verdicts = [drawn[s:s + len(tail) + 1] for s, tail in zip(starts, tails)]
 
     accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)

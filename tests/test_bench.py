@@ -41,6 +41,12 @@ def small_config(corpus, **overrides):
     return make_config(None, **base)
 
 
+def tune_config(corpus, **overrides):
+    """``small_config`` without the settings tune searches itself."""
+    return small_config(corpus, **dict.fromkeys(("gamma", "beta", "k", "window")),
+                        **overrides)
+
+
 class TestIngest:
     def test_byte_tokenizer_maps_bytes(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "ab\n")
@@ -133,6 +139,27 @@ class TestConfig:
             make_config({key: "3"}, command)
         with pytest.raises(InputError, match=f"{command} does not read '{key}'"):
             make_config(None, command, **{key: "3"})
+
+    @pytest.mark.parametrize("entry, command, key, value", [
+        (ablation, "ablate", "engines", ("vanilla",)),
+        (ablation, "ablate", "pool_file", "P.txt"),
+        (ablation, "ablate", "prompt_warmup", False),
+        (tune, "tune", "engines", ("vanilla",)),
+        (tune, "tune", "pool_file", "P.txt"),
+        (tune, "tune", "gamma", 3),
+        (locality_experiment, "locality", "engines", ("vanilla",)),
+        (locality_experiment, "locality", "task_type", "LH"),
+    ])
+    def test_entry_point_refuses_settings_it_does_not_read(
+            self, entry, command, key, value, tagged_corpus, tmp_path,
+            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cn = {"cn": "20"} if command == "locality" else {}
+        cfg = make_config(None, corpus=tagged_corpus, max_new=4, **cn,
+                          **{key: value})
+        with pytest.raises(InputError, match=f"{command} does not read '{key}'"):
+            entry(cfg)
+        assert not (tmp_path / "P.txt").exists()
 
     def test_validation_catches_unknown_engine(self, reference_corpus):
         cfg = small_config(reference_corpus, engines=("vanila",))
@@ -240,16 +267,16 @@ class TestTune:
             assert tune(cfg, objective=lambda g, w, b, k: g * w * b).k == 3
 
     def test_real_objective_runs_on_a_slice(self, reference_corpus):
-        cfg = small_config(reference_corpus, max_new=8, tune_slice=2,
-                           task_type="LH")
+        cfg = tune_config(reference_corpus, max_new=8, tune_slice=2,
+                          task_type="LH")
         picked = tune(cfg)
         assert 2 <= picked.gamma <= 6
         assert 15 <= picked.window <= 20
         assert 5 <= picked.beta <= 7
 
     def test_empty_slice_rejected(self, reference_corpus):
-        cfg = small_config(reference_corpus, tune_slice=0, task_type="LH")
-        with pytest.raises(InputError):
+        cfg = tune_config(reference_corpus, tune_slice=0, task_type="LH")
+        with pytest.raises(InputError, match="empty corpus slice"):
             tune(cfg)
 
     def test_unknown_task_type_rejected(self, reference_corpus):
@@ -341,6 +368,13 @@ class TestCli:
             "gamma = 3\nmax_new = 8\nengines = vanilla\n", encoding="utf-8")
         proc = self.run_cli("run", "--config", str(cfg_path), "--max-new", "4")
         assert proc.returncode == 0, proc.stderr
+
+    def test_tiny_temperature_exits_zero(self, reference_corpus, capsys):
+        # tempering a flat backoff row by 1/T = 1000 once underflowed it to 0/0
+        code = cli.main(["run", "--corpus", reference_corpus, "--engines",
+                         "vanilla,ouroboros", "--max-new", "8",
+                         "--temperature", "0.001"])
+        assert code == 0, capsys.readouterr().err
 
     def test_usage_error_exits_one(self):
         proc = self.run_cli("run", "--gamma", "not-a-number")

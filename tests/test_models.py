@@ -59,6 +59,44 @@ class TestNgramModel:
         with pytest.raises(InputError):
             build_ngram_model([1, 2, 3], order=0)
 
+    def test_table_is_one_read_only_matrix(self):
+        m = build_ngram_model([1, 2, 1, 3, 1, 2], order=2)
+        assert all(np.shares_memory(row, m._matrix) for row in m._table.values())
+        assert np.array_equal(m._matrix[-1], m.distribution([0]))  # backoff last
+        for row in (m._matrix[0], m._table[(1,)], m.distribution([0])):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+        rows = m.score([1], [(), (2,)])
+        rows[:] = 0.0  # the caller owns what score returns
+        assert m._table[(1,)][2] == pytest.approx(2 / 3)
+
+
+@st.composite
+def ngram_cases(draw):
+    """An n-gram model of order 1 to 4 over a small alphabet, a prefix that
+    may be shorter than order-1 and paths of 0 to 5 tokens."""
+    order, vocab = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alphabet = min(vocab, 3)  # few symbols, so most contexts hit the table
+    model = build_ngram_model([int(t) for t in rng.integers(0, alphabet, size=200)],
+                              order=order, vocab_size=vocab)
+    tokens = st.integers(0, draw(st.sampled_from([alphabet, vocab])) - 1)
+    prefix = draw(st.lists(tokens, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        prefix = TokenList(vocab, prefix)
+    return model, prefix, draw(st.lists(st.lists(tokens, max_size=5), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ngram_cases())
+def test_ngram_score_equals_stacked_distributions(case):
+    model, prefix, paths = case
+    rows = model.score(prefix, paths)
+    assert rows.shape == (len(paths), model.vocab_size) and rows.dtype == np.float64
+    assert rows.flags.writeable and not np.shares_memory(rows, model._matrix)
+    for row, path in zip(rows, paths):
+        assert np.array_equal(row, model.distribution(list(prefix) + path))
+
 
 class TestPerturbedModel:
     def test_certain_swap_moves_argmax_to_fixed_token(self):
@@ -186,6 +224,13 @@ class TestSample:
         # at T=0.25 the minority probability drops from .25 to ~.012
         assert cold / n < 0.05 < warm / n
 
+    def test_tiny_temperature_on_a_flat_row(self):
+        # (1/40)**1000 underflows to 0, so the row is scaled to its peak first
+        flat = np.full(40, 1 / 40)
+        assert 0 <= sample(flat, 0.001, np.random.default_rng(3)) < 40
+        drawn = sample(np.stack([flat, flat]), 0.001, np.random.default_rng(3))
+        assert all(0 <= t < 40 for t in drawn)
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(InputError):
             sample(np.array([1.0]), -1.0)
@@ -195,6 +240,37 @@ class TestSample:
         with pytest.raises(InputError, match="finite"):
             sample(np.array([0.5, 0.5, 0.0]), temperature,
                    np.random.default_rng(0))
+
+
+@st.composite
+def distribution_matrices(draw):
+    """1 to 8 distributions over 2 to 300 tokens (past numpy's 128-element
+    pairwise-sum block), some with ties, zeros, one-hot or flat rows."""
+    n, vocab = draw(st.integers(1, 8)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.random((n, vocab))
+    kind = draw(st.sampled_from(["smooth", "ties", "zeros", "one-hot", "flat"]))
+    if kind == "ties":
+        rows = np.ceil(rows * 3)
+    elif kind == "zeros":
+        rows[rng.random((n, vocab)) < 0.8] = 0.0
+        rows[np.arange(n), rng.integers(0, vocab, size=n)] = 1.0
+    elif kind == "one-hot":
+        rows = np.eye(vocab)[rng.integers(0, vocab, size=n)]
+    elif kind == "flat":
+        rows[:] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distribution_matrices(), st.sampled_from([0.0, 0.001, 0.5, 1.0, 2.5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_matrix_draws_equal_row_by_row_draws(matrix, temperature, seed):
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = sample(matrix, temperature, rng)
+    assert drawn == [sample(row, temperature, replay) for row in matrix]
+    assert all(type(t) is int for t in drawn)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestDistributionValidity:
@@ -218,7 +294,7 @@ class TestDistributionValidity:
 @pytest.mark.parametrize("eos", [-1, 5, 99])
 @pytest.mark.parametrize("build", [
     lambda eos: CounterModel(5, eos_id=eos),
-    lambda eos: NgramModel(2, {}, 5, eos_id=eos),
+    lambda eos: NgramModel(2, {}, np.full((1, 5), 0.2), eos_id=eos),
     lambda eos: build_ngram_model([0, 1, 2, 3, 0, 1], 2, vocab_size=5, eos_id=eos),
 ], ids=["counter", "ngram", "build_ngram"])
 def test_eos_outside_vocab_rejected(build, eos):
@@ -315,7 +391,8 @@ class TestScanHook:
             rows = forward_tree(model, prefix, shared, branches, counter=counter,
                                 full=full)
             assert counter == ForwardCounter(1, sum(len(b) for b in branches))
-            assert len(rows) == len(want)
+            assert isinstance(rows, np.ndarray)
+            assert rows.shape == (len(want), model.vocab_size)
             assert all(np.array_equal(a, b) for a, b in zip(rows, want))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
@@ -391,3 +468,7 @@ class TestTokenList:
     def test_plain_sequences_are_checked_in_full(self, call):
         with pytest.raises(InputError):
             call(CounterModel(10))
+
+    def test_branch_check_names_the_first_bad_token(self):
+        with pytest.raises(InputError, match="branch token -2 out of vocab 10"):
+            forward_tree(CounterModel(10), [1], [2], [[3], [4, -2], [11]])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ouroboros import (CounterModel, ForwardCounter, InputError, LanguageModel,
                        Phrase, PhrasePool, accept_len, build_ngram_model,
                        correct_unused_suffixes, harvest, match_count,
-                       next_distribution, verify)
+                       next_distribution, sample, verify)
 
 
 class TestAcceptLen:
@@ -43,8 +43,8 @@ def test_match_count_never_below_accept_len(draft, verdicts):
 
 
 class ContextModel(LanguageModel):
-    """One-hot on a token that depends on the whole context; logs every
-    context it scores."""
+    """Half its mass on a token that depends on the whole context, the rest
+    spread by a draw seeded with that token; logs every context it scores."""
 
     vocab_size, eos_id = 97, 96
 
@@ -53,23 +53,14 @@ class ContextModel(LanguageModel):
 
     def distribution(self, context):
         self.scored.append(list(context))
-        probs = np.zeros(self.vocab_size)
-        probs[self.code(context)] = 1.0
+        code = self.code(context)
+        probs = np.random.default_rng(code).random(self.vocab_size)
+        probs *= 0.5 / probs.sum()
+        probs[code] += 0.5
         return probs
 
     def code(self, context):
         return sum((i + 1) * t for i, t in enumerate(context)) % self.vocab_size
-
-
-class ChoiceLog:
-    """An rng stand-in that logs the argmax of every ``p`` it is given."""
-
-    def __init__(self):
-        self.drawn = []
-
-    def choice(self, n, p):
-        self.drawn.append(int(np.argmax(p)))
-        return self.drawn[-1]
 
 
 class TestVerify:
@@ -130,18 +121,21 @@ class TestVerify:
         assert len(target.scored) == len(draft) + 1 + sum(len(t) for t in tails)
 
     def test_sampled_verdicts_follow_the_tree_order(self):
-        target, rng = ContextModel(), ChoiceLog()
         prefix, draft, tails = [3], [4, 5, 6], [[7, 8], [2], []]
-        out = verify(target, prefix, draft, [Phrase((6, *t)) for t in tails],
-                     temperature=1.0, rng=rng)
         # main positions first, then per branch its draft-end row and its tail
         contexts = [prefix + draft[:i] for i in range(len(draft) + 1)]
         for tail in tails:
             contexts += [prefix + draft + tail[:i] for i in range(len(tail) + 1)]
-        want = [target.code(c) for c in contexts]
-        assert len(set(want)) == len(set(map(tuple, contexts)))  # codes tell contexts apart
-        assert rng.drawn == want
-        assert out.verdicts + sum(out.branch_verdicts, []) == want
+        target = ContextModel()
+        codes = {target.code(c) for c in contexts}
+        assert len(codes) == len(set(map(tuple, contexts)))  # codes tell contexts apart
+        for seed in range(5):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = verify(target, prefix, draft, [Phrase((6, *t)) for t in tails],
+                         temperature=1.0, rng=rng)
+            want = [sample(target.distribution(c), 1.0, replay) for c in contexts]
+            assert out.verdicts + sum(out.branch_verdicts, []) == want
+            assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_accept_len_characterization_on_fuzzed_runs(self):
         rng = np.random.default_rng(23)

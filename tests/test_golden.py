@@ -6,14 +6,21 @@ file or the emitted tokens.  The greedy digests were taken from the code
 before the pool gained its eviction-victim index and batch insert, which must
 leave both bit-identical.  The sampled digests were taken from the code that
 drew each verdict with its own ``rng.choice`` call, before ``verify`` drew a
-forward's verdicts in one call, which must keep their order.
+forward's verdicts in one call, which must keep their order.  The vanilla,
+speculative and lookahead digests were taken from the code in which each of
+those engines had its own loop, before they became configurations of the
+shared autoregressive, drafting and verify loops, which must leave every
+token and metric bit-identical.
 """
 
 import dataclasses
 import hashlib
 
-from ouroboros import (PhrasePool, cli, generate_ouroboros, ingest_corpus,
-                       make_config)
+import pytest
+
+from ouroboros import (PhrasePool, cli, generate_lookahead_target,
+                       generate_ouroboros, generate_speculative,
+                       generate_vanilla, ingest_corpus, make_config)
 from ouroboros.bench import build_models
 
 from corpora import reference_corpus_text, write_corpus
@@ -76,3 +83,33 @@ def test_sampled_run_is_pinned(tmp_path, capsys):
     pool.save(pool_file)
     assert sha256(pool_file.read_bytes()) == SAMPLED_POOL_SHA256
     assert sha256("\n".join(emitted).encode()) == SAMPLED_TOKENS_SHA256
+
+
+BASELINE_SHA256 = {
+    "vanilla": "01577b1e04426ad735deebfcce1b91e3a708e6de9a76a7399e0447b07c2fe69d",
+    "speculative": "3455766c142e74182b895c827335b9cacbc7e389faaa38037e09c62ea78f1413",
+    "lookahead": "27fddbcdab6644794e9beffe39e27e79d1e47e5ff446952d10c0fbb1fcbcebc2",
+}
+BASELINES = {
+    "vanilla": lambda target, draft, prompt, cfg: generate_vanilla(target, prompt, cfg),
+    "speculative": generate_speculative,
+    "lookahead": lambda target, draft, prompt, cfg:
+        generate_lookahead_target(target, prompt, cfg),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(BASELINES))
+def test_baseline_engines_are_pinned(tmp_path, engine):
+    # tokens and every RunMetrics field, greedy and sampled, one seed a prompt
+    corpus = write_corpus(tmp_path, "golden.txt",
+                          reference_corpus_text(n_lines=6, line_len=50))
+    cfg = make_config(None, corpus=corpus, tokenizer="byte", max_new=48)
+    target, draft = build_models(cfg, ingest_corpus(corpus, "byte"))
+    runs = []
+    for temperature in (0.0, 1.0):
+        for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
+            ecfg = dataclasses.replace(cfg.engine_config(), seed=seed,
+                                       temperature=temperature)
+            tokens, metrics = BASELINES[engine](target, draft, prompt, ecfg)
+            runs.append(repr((tokens, dataclasses.asdict(metrics))))
+    assert sha256("\n".join(runs).encode()) == BASELINE_SHA256[engine]

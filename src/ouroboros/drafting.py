@@ -92,31 +92,38 @@ class DraftResult:
     forwards_used: int
 
 
+def clip(chunk: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int], bool]:
+    """Clip a chunk to the budget and cut it after EOS; returns (tokens, done)."""
+    chunk = list(chunk[:remaining])
+    if eos_id in chunk:
+        return chunk[:chunk.index(eos_id) + 1], True
+    return chunk, len(chunk) >= remaining
+
+
 def generate_draft(model: LanguageModel, context: Sequence[int],
                    pool: PhrasePool, gamma: int, width: int, ngram: int,
                    max_new: int, beta: Optional[int] = None,
+                   temperature: float = 0.0,
+                   rng: Optional[np.random.Generator] = None,
                    counter: Optional[ForwardCounter] = None) -> DraftResult:
     """Draft at least ``gamma`` tokens (phrase by phrase) unless EOS or
     ``max_new`` intervenes; window n-grams are inserted into the pool as they
-    appear, so later steps can already use them."""
+    appear, so later steps can already use them.  Greedy unless a
+    ``temperature`` and an ``rng`` are given."""
     if gamma < 1:
         raise InputError("gamma must be >= 1")
     if max_new < 1:
         raise InputError("max_new must be >= 1")
     ctx = TokenList(model.vocab_size, context)
     tokens: List[int] = []
-    forwards = 0
-    while len(tokens) < gamma and len(tokens) < max_new:
+    forwards, done = 0, False
+    while not done and len(tokens) < gamma:
         columns = window_columns(ctx, width, ngram, first=forwards == 0)
-        appended, new_phrases = draft_step(model, ctx, pool, columns, beta=beta,
-                                           counter=counter)
+        appended, new_phrases = draft_step(model, ctx, pool, columns, beta,
+                                           temperature, rng, counter)
         forwards += 1
         pool.insert_many(new_phrases)
-        tokens.extend(appended)
-        ctx.extend(appended)
-        if model.eos_id in appended:
-            tokens = tokens[:tokens.index(model.eos_id) + 1]
-            break
-    if len(tokens) > max_new:
-        tokens = tokens[:max_new]
+        chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
+        tokens.extend(chunk)
+        ctx.extend(chunk)
     return DraftResult(tokens, forwards)

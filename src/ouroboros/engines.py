@@ -1,15 +1,16 @@
-"""One generation loop with shared stopping semantics and accounting.
+"""Four engines, each a configuration of three shared loops.
 
-Four engines over the same model contract, each a proposer in that loop:
+* vanilla      - ``_autoregressive`` on the target: one forward per token.
+* lookahead    - ``generate_draft`` (phrase drafting) on the target, for the
+                 whole budget.
+* speculative  - ``_draft_and_verify`` with every acceleration off: the draft
+                 model drafts token by token, verification is exact match.
+* ouroboros    - ``_draft_and_verify`` with phrase drafting, draft lengthening
+                 and phrase harvest/reuse.
 
-* vanilla        - one target forward per token (its own per-token loop).
-* speculative    - the ouroboros proposer with every acceleration off:
-                   token-level drafting, exact-match verification.
-* lookahead      - the phrase draft step applied directly to the target.
-* ouroboros      - phrase drafting + draft lengthening + phrase harvest/reuse.
-
-All engines stop at EOS or ``max_new`` and, at temperature 0, emit the exact
-token sequence vanilla decoding would produce.
+Each makes one target forward per iteration, cuts its output at EOS and
+``max_new`` with :func:`.drafting.clip` and, at temperature 0, emits the
+exact tokens vanilla decoding would.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import default_rng  # numpy 2 would load it on the first call
 
-from .drafting import draft_step, generate_draft, window_columns
+# draft_step is called only inside drafting; it is bound here too because the
+# benchmark's tracer (perfbench/spans.py) wraps every module's binding of it
+from .drafting import clip, draft_step, generate_draft  # noqa: F401
 from .errors import InputError
 from .models import ForwardCounter, LanguageModel, TokenList, next_distribution, sample
 from .pool import PhrasePool, insert_ngrams
@@ -115,16 +118,10 @@ def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
     return metrics.tokens_emitted * cost.t_target / denom
 
 
-def _take(emitted: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int], bool]:
-    """Clip a chunk to the budget and cut at EOS; returns (tokens, done)."""
-    chunk = list(emitted[:remaining])
-    if eos_id in chunk:
-        return chunk[:chunk.index(eos_id) + 1], True
-    return chunk, len(chunk) >= remaining
 
 
 class _Generation:
-    """One engine call: the shared prologue, the loop and the metrics fold."""
+    """One engine call: the shared prologue and the metrics fold."""
 
     def __init__(self, target: LanguageModel, prompt: Sequence[int],
                  cfg: EngineConfig, draft_model: Optional[LanguageModel] = None):
@@ -150,38 +147,16 @@ class _Generation:
             insert_ngrams(pool, self.prompt, cfg.ngram)
         return pool
 
-    def loop(self, propose: Callable) -> Tuple[List[int], RunMetrics]:
-        """Call ``propose(ctx, remaining, first)`` until EOS or ``max_new``.
-
-        It returns one iteration's tokens (the last chunk is clipped) and,
-        when it verified a draft, that draft's (accept_len, match_count,
-        draft_tokens) step for the metrics fold.
-        """
-        ctx = TokenList(self.target.vocab_size, self.prompt)
-        out: List[int] = []
-        steps: List[Tuple[int, int, int]] = []
-        iterations = 0
-        while len(out) < self.cfg.max_new:
-            remaining = self.cfg.max_new - len(out)
-            emitted, step = propose(ctx, remaining, iterations == 0)
-            iterations += 1
-            if step is not None:
-                steps.append(step)
-            chunk, done = _take(emitted, remaining, self.target.eos_id)
-            out.extend(chunk)
-            ctx.extend(chunk)
-            if done:
-                break
-        return out, self.metrics(out, iterations, steps)
-
-    def metrics(self, out: List[int], iterations: int,
+    def metrics(self, out: List[int],
                 steps: Sequence[Tuple[int, int, int]] = ()) -> RunMetrics:
-        """Fold the run's emitted tokens, counters and steps into RunMetrics."""
+        """Fold the run's emitted tokens, counters and verified drafts'
+        (accept_len, match_count, draft_tokens) steps into RunMetrics.  Every
+        engine makes one target forward per iteration."""
         accepts, matches, drafted = zip(*steps) if steps else ((), (), ())
         n, tc, dc = len(steps), self.tcounter, self.dcounter
         return RunMetrics(
             tokens_emitted=len(out), target_forwards=tc.calls,
-            draft_forwards=dc.calls, iterations=iterations,
+            draft_forwards=dc.calls, iterations=tc.calls,
             accept_len_histogram=dict(sorted(Counter(accepts).items())),
             mean_A=sum(accepts) / n if n else 0.0,
             mean_match=sum(matches) / n if n else 0.0,
@@ -192,12 +167,13 @@ class _Generation:
             target_branch_tokens=tc.branch_tokens)
 
 
-def _token_level_draft(model: LanguageModel, context: List[int], n: int,
-                       counter: ForwardCounter) -> List[int]:
-    """Classic autoregressive drafting: greedy, one forward per token."""
+def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
+                    temperature: float, rng: Optional[np.random.Generator],
+                    counter: ForwardCounter) -> List[int]:
+    """Up to ``n`` tokens after ``context``, one forward each, ending at EOS."""
     ctx = TokenList(model.vocab_size, context)
     for _ in range(n):
-        tok = int(np.argmax(next_distribution(model, ctx, counter)))
+        tok = sample(next_distribution(model, ctx, counter), temperature, rng)
         ctx.append(tok)
         if tok == model.eos_id:
             break
@@ -205,20 +181,25 @@ def _token_level_draft(model: LanguageModel, context: List[int], n: int,
 
 
 def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
-                      pool: PhrasePool) -> Callable:
-    """The ouroboros proposer: draft (by phrases or token by token), lengthen
-    with K pool suffixes, verify in one target forward, then harvest phrases
-    from a rejected draft or correct the unused suffixes."""
+                      pool: PhrasePool) -> Tuple[List[int], RunMetrics]:
+    """Until EOS or ``max_new``: draft (by phrases or token by token, always
+    greedily), lengthen with K pool suffixes, verify in one target forward,
+    then harvest phrases from a rejected draft or correct the unused
+    suffixes."""
     cfg, target = gen.cfg, gen.target
-
-    def propose(ctx: List[int], remaining: int, first: bool):
+    ctx = TokenList(target.vocab_size, gen.prompt)
+    out: List[int] = []
+    steps: List[Tuple[int, int, int]] = []
+    done = False
+    while not done:
+        remaining = cfg.max_new - len(out)
         glen = min(cfg.gamma, remaining)
         if cfg.phrase_draft:
             d = generate_draft(draft_model, ctx, pool, glen, cfg.window,
                                cfg.ngram, max_new=remaining, beta=cfg.beta,
                                counter=gen.dcounter).tokens
         else:
-            d = _token_level_draft(draft_model, ctx, glen, gen.dcounter)
+            d = _autoregressive(draft_model, ctx, glen, 0.0, None, gen.dcounter)
 
         suffixes = []
         if cfg.lengthening and cfg.k > 0 and d[-1] != target.eos_id:
@@ -235,59 +216,44 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
             elif suffixes:
                 correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
                                         outcome.chosen_branch)
-        return outcome.emitted, (outcome.accept_len, outcome.match_count, len(d))
-
-    return propose
+        steps.append((outcome.accept_len, outcome.match_count, len(d)))
+        chunk, done = clip(outcome.emitted, remaining, target.eos_id)
+        out.extend(chunk)
+        ctx.extend(chunk)
+    return out, gen.metrics(out, steps)
 
 
 def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
                      cfg: EngineConfig) -> Tuple[List[int], RunMetrics]:
-    """Autoregressive decoding: one target forward per emitted token.
-
-    It shares the prologue and the metrics fold but keeps its own per-token
-    loop, which is cheaper than a one-token proposer in the shared loop.
-    """
+    """Autoregressive decoding: one target forward per emitted token."""
     gen = _Generation(target, prompt, cfg)
-    rng, tcounter = gen.rng, gen.tcounter
-    ctx = TokenList(target.vocab_size, gen.prompt)
-    out: List[int] = []
-    while len(out) < cfg.max_new:
-        tok = sample(next_distribution(target, ctx, tcounter), cfg.temperature, rng)
-        out.append(tok)
-        ctx.append(tok)
-        if tok == target.eos_id:
-            break
-    return out, gen.metrics(out, len(out))
+    out = _autoregressive(target, gen.prompt, cfg.max_new, cfg.temperature,
+                          gen.rng, gen.tcounter)
+    return out, gen.metrics(out)
 
 
 def generate_speculative(target: LanguageModel, draft_model: LanguageModel,
                          prompt: Sequence[int], cfg: EngineConfig,
                          ) -> Tuple[List[int], RunMetrics]:
     """Draft gamma tokens one by one, verify them in one target forward: the
-    ouroboros proposer with every acceleration off."""
-    cfg = cfg.all_off()
-    gen = _Generation(target, prompt, cfg, draft_model)
-    return gen.loop(_draft_and_verify(gen, draft_model, gen.pool(None, False)))
+    draft-then-verify loop with every acceleration off."""
+    gen = _Generation(target, prompt, cfg.all_off(), draft_model)
+    return _draft_and_verify(gen, draft_model, gen.pool(None, False))
 
 
 def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
                               cfg: EngineConfig,
                               pool: Optional[PhrasePool] = None,
                               ) -> Tuple[List[int], RunMetrics]:
-    """Apply the phrase draft step directly to the target model."""
+    """Lookahead decoding: the phrase-drafting loop run on the target model
+    itself for the whole ``max_new`` budget, at ``cfg.temperature``."""
     gen = _Generation(target, prompt, cfg)
     pool = gen.pool(pool, cfg.prompt_warmup)
-
-    def propose(ctx: List[int], remaining: int, first: bool):
-        columns = window_columns(ctx, cfg.window, cfg.ngram, first)
-        appended, new_phrases = draft_step(target, ctx, pool, columns,
-                                           beta=cfg.beta,
-                                           temperature=cfg.temperature,
-                                           rng=gen.rng, counter=gen.tcounter)
-        pool.insert_many(new_phrases)
-        return appended, None
-
-    return gen.loop(propose)
+    out = generate_draft(target, gen.prompt, pool, cfg.max_new, cfg.window,
+                         cfg.ngram, max_new=cfg.max_new, beta=cfg.beta,
+                         temperature=cfg.temperature, rng=gen.rng,
+                         counter=gen.tcounter).tokens
+    return out, gen.metrics(out)
 
 
 def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
@@ -303,4 +269,4 @@ def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
     """
     gen = _Generation(target, prompt, cfg, draft_model)
     pool = gen.pool(pool, cfg.prompt_warmup and (cfg.phrase_draft or cfg.lengthening))
-    return gen.loop(_draft_and_verify(gen, draft_model, pool))
+    return _draft_and_verify(gen, draft_model, pool)

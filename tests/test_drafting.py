@@ -4,6 +4,7 @@ import pytest
 from ouroboros import (CounterModel, ForwardCounter, InputError, PhrasePool,
                        build_ngram_model, draft_step, generate_draft,
                        next_distribution, window_columns)
+from ouroboros.drafting import clip
 
 
 def greedy_continuation(model, context, n):
@@ -191,3 +192,28 @@ class TestGenerateDraft:
             want = greedy_continuation(model, prompt, len(result.tokens))
             assert result.tokens == want
             assert len(result.tokens) >= result.forwards_used >= 1
+
+    def test_sampled_draft_replays_and_draws_from_the_model(self):
+        rng = np.random.default_rng(5)
+        vocab = 12
+        corpus = [int(t) for t in rng.integers(0, vocab, size=300)]
+        model = build_ngram_model(corpus, order=3, vocab_size=vocab)
+        prompt = [1, 2, 3]
+        runs = [generate_draft(model, prompt, PhrasePool(vocab), gamma=20,
+                               width=3, ngram=3, max_new=20, temperature=1.0,
+                               rng=np.random.default_rng(seed)).tokens
+                for seed in (3, 3)]
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 20 or runs[0][-1] == model.eos_id
+        ctx = list(prompt)
+        for tok in runs[0]:
+            assert next_distribution(model, ctx)[tok] > 0
+            ctx.append(tok)
+
+
+class TestClip:
+    def test_cuts_after_eos_and_at_the_budget(self):
+        assert clip([1, 9, 2], 5, eos_id=9) == ([1, 9], True)
+        assert clip([1, 2, 3], 2, eos_id=9) == ([1, 2], True)
+        assert clip([1, 2], 3, eos_id=9) == ([1, 2], False)
+        assert clip([1, 2, 9], 2, eos_id=9) == ([1, 2], True)

@@ -54,10 +54,13 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
            counter: Optional[ForwardCounter] = None) -> VerificationOutcome:
     """Score draft + suffixes in one target forward and decide the emission.
 
-    All verdicts are drawn in one ``sample`` call, in a fixed order (main
-    positions first, then each branch in turn), so sampled runs replay
-    exactly under one seed.  Suffix tails are truncated to beta-1 tokens when
-    ``beta`` is given.
+    Each token-tree node gets one verdict, so suffixes that share a prefix
+    share its verdicts, each suffix's first verdict is the draft end's, and
+    sampled lengthening emits what the target samples.  The verdicts are
+    drawn in one ``sample`` call, in the order the nodes first appear (the
+    draft's positions, then each suffix's new tail nodes), so sampled runs
+    replay exactly under one seed.  Suffix tails are truncated to beta-1
+    tokens when ``beta`` is given.
     """
     draft = list(draft)
     if not draft:
@@ -72,15 +75,17 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
     n = len(draft)
-    # draw order: the main rows, then per suffix the draft-end row and its tail's
-    order, starts, start = list(range(n + 1)), [], n + 1
+    # node maps a path after the draft to its draw; () is the draft end's
+    order, node, start = list(range(n + 1)), {(): n}, n + 1
     for tail in tails:
-        starts.append(len(order))
-        order += [n, *range(start, start + len(tail))]
+        for j in range(len(tail)):
+            if node.setdefault(tuple(tail[:j + 1]), len(order)) == len(order):
+                order.append(start + j)
         start += len(tail)
     drawn = sample(rows.take(order, axis=0), temperature, rng)
     verdicts = drawn[:n + 1]
-    branch_verdicts = [drawn[s:s + len(tail) + 1] for s, tail in zip(starts, tails)]
+    branch_verdicts = [[drawn[node[tuple(tail[:j])]] for j in range(len(tail) + 1)]
+                       for tail in tails]
 
     accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)

@@ -265,6 +265,33 @@ def test_08_sampling_validity_chi_square():
            f"(chi-square p={p_value:.3f}, vs model p={p_theory:.3f}): PASS")
 
 
+def test_08b_sampled_token_after_an_accepted_draft_chi_square():
+    # after 2 the target always gives 1, so the one-token draft [1] is always
+    # accepted; three pooled suffixes then lengthen it, each of whose tails
+    # starts with the minority token 3 (1/3 after 1).  The token after the
+    # draft must still follow the target.
+    target = build_ngram_model([1, 2, 1, 3, 1, 2], order=2, vocab_size=4)
+    cfg = EngineConfig(gamma=1, beta=3, k=3, window=2, ngram=2, max_new=2,
+                       temperature=1.0, prompt_warmup=False)
+    n = 4000
+    ours = np.zeros(4, dtype=int)
+    for seed in range(n):
+        pool = PhrasePool(4)
+        for phrase in ((1, 3, 1), (1, 3, 2), (1, 3, 3)):
+            pool.insert(phrase)
+        out, _ = generate_ouroboros(target, target, [3, 2],
+                                    dataclasses.replace(cfg, seed=seed), pool)
+        assert out[0] == 1
+        ours[out[1]] += 1
+    probs = target.distribution([3, 2, 1])
+    support = [t for t in range(4) if probs[t] > 0]
+    assert ours.sum() == ours[support].sum()
+    _, p_theory = stats.chisquare(ours[support], probs[support] * n)
+    assert p_theory > 0.01
+    report(f"8b sampled token after an accepted, lengthened draft matches the "
+           f"model (chi-square p={p_theory:.3f}): PASS")
+
+
 def test_09_k_sweep_has_interior_minimum(tagged_corpus):
     times = []
     for k in range(9):

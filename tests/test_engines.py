@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import ouroboros
 from ouroboros import (CostModel, CounterModel, EngineConfig, InputError,
@@ -389,3 +391,33 @@ def test_engines_load_numpy_random_with_the_package():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "True"
+
+
+class BigramTable(LanguageModel):
+    """Five tokens, EOS 4: after 3 always 0, after 0 tokens 1 or 2 at 0.5
+    each, after any other token uniform."""
+
+    vocab_size, eos_id = 5, 4
+
+    def distribution(self, context):
+        return {3: np.array([1.0, 0, 0, 0, 0]),
+                0: np.array([0, 0.5, 0.5, 0, 0])}.get(context[-1], np.full(5, 0.2))
+
+
+def test_sampled_lengthening_keeps_the_target_distribution():
+    # The draft [0] is always accepted, and the pool lengthens it with three
+    # suffixes whose tails all start with 1.  Each suffix drawing its own
+    # first verdict would emit 1 after the draft 87.5% of the time.
+    model = BigramTable()
+    cfg = EngineConfig(gamma=1, k=3, max_new=2, temperature=1.0,
+                       harvest=False, prompt_warmup=False)
+    n, ones = 2000, 0
+    for seed in range(n):
+        pool = PhrasePool(model.vocab_size)
+        for phrase in ((0, 1, 1), (0, 1, 2), (0, 1, 3)):
+            pool.insert(phrase)
+        out, _ = generate_ouroboros(model, model, [3],
+                                    dataclasses.replace(cfg, seed=seed), pool)
+        assert out[0] == 0
+        ones += out[1] == 1
+    assert stats.binomtest(ones, n, 0.5).pvalue > 1e-6

@@ -4,9 +4,10 @@ Which phrases a run drafts from depends on every pool insert, eviction
 victim and recency stamp, so a drift in any of them changes the saved pool
 file or the emitted tokens.  The greedy digests were taken from the code
 before the pool gained its eviction-victim index and batch insert, which must
-leave both bit-identical.  The sampled digests were taken from the code that
-drew each verdict with its own ``rng.choice`` call, before ``verify`` drew a
-forward's verdicts in one call, which must keep their order.  The vanilla,
+leave both bit-identical.  The sampled digests (the T=1 half of
+``TOKENS_SHA256``, and the sampled run's pool and tokens) were retaken when
+``verify`` came to draw one verdict per token-tree node, so that suffixes
+sharing a prefix share its draws.  The vanilla,
 speculative and lookahead digests were taken from the code in which each of
 those engines had its own loop, before they became configurations of the
 shared autoregressive, drafting and verify loops, which must leave every
@@ -29,7 +30,7 @@ from corpora import reference_corpus_text, write_corpus
 # window inserts evict all the time
 ARGS = ("--tokenizer", "byte", "--engines", "ouroboros", "--max-new", "48")
 POOL_SHA256 = "47471b464c43eafe7be34ea7a9a9d5ff30ca0e3d14f2a3c9d9679e01c83e1c81"
-TOKENS_SHA256 = "d456847902cd088b9916b3749a197473debd2abf523befe4eabe7747823f911b"
+TOKENS_SHA256 = "989225b0dc859191375192d81999894c124b15d8794e29b484c9e08affdae339"
 
 
 def sha256(data: bytes) -> str:
@@ -58,8 +59,8 @@ def test_saved_pool_and_emitted_tokens_are_pinned(tmp_path, capsys):
     assert sha256("\n".join(emitted).encode()) == TOKENS_SHA256
 
 
-SAMPLED_POOL_SHA256 = "d1bd545438e6e9e80b525bbc748d8ad7d0a96c30979a7bc409f635427a7bf107"
-SAMPLED_TOKENS_SHA256 = "60050116693f93e0f12fb9878015ed03fae2d2552e4f3b73f08c265508812999"
+SAMPLED_POOL_SHA256 = "fa6066513132cc0189cff91a27c994c1d7706d87d5a28eb2996b25da8588d862"
+SAMPLED_TOKENS_SHA256 = "515ffaab00d39c6dfed0bfcd1becc2977feb853259f69eb9bcb5265e462f4e9c"
 
 
 def test_sampled_run_is_pinned(tmp_path, capsys):

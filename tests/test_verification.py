@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ouroboros import (CounterModel, ForwardCounter, InputError, LanguageModel,
                        Phrase, PhrasePool, accept_len, build_ngram_model,
@@ -121,20 +122,27 @@ class TestVerify:
         assert len(target.scored) == len(draft) + 1 + sum(len(t) for t in tails)
 
     def test_sampled_verdicts_follow_the_tree_order(self):
-        prefix, draft, tails = [3], [4, 5, 6], [[7, 8], [2], []]
-        # main positions first, then per branch its draft-end row and its tail
+        prefix, draft, tails = [3], [4, 5, 6], [[7, 8], [7, 2], [2], []]
+        # one draw per tree node, in the order the nodes first appear: the
+        # main positions, then each tail's nodes that no earlier tail shares
         contexts = [prefix + draft[:i] for i in range(len(draft) + 1)]
         for tail in tails:
-            contexts += [prefix + draft + tail[:i] for i in range(len(tail) + 1)]
+            contexts += [prefix + draft + tail[:i] for i in range(1, len(tail) + 1)
+                         if prefix + draft + tail[:i] not in contexts]
+        assert len(contexts) == len(draft) + 1 + 4   # (7,) is shared
         target = ContextModel()
         codes = {target.code(c) for c in contexts}
-        assert len(codes) == len(set(map(tuple, contexts)))  # codes tell contexts apart
+        assert len(codes) == len(contexts)  # codes tell contexts apart
         for seed in range(5):
             rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
             out = verify(target, prefix, draft, [Phrase((6, *t)) for t in tails],
                          temperature=1.0, rng=rng)
-            want = [sample(target.distribution(c), 1.0, replay) for c in contexts]
-            assert out.verdicts + sum(out.branch_verdicts, []) == want
+            drawn = {tuple(c): sample(target.distribution(c), 1.0, replay)
+                     for c in contexts}
+            assert out.verdicts == [drawn[tuple(c)] for c in contexts[:len(draft) + 1]]
+            assert out.branch_verdicts == [
+                [drawn[tuple(prefix + draft + tail[:i])] for i in range(len(tail) + 1)]
+                for tail in tails]
             assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_accept_len_characterization_on_fuzzed_runs(self):
@@ -264,3 +272,55 @@ class TestCorrectUnusedSuffixes:
         assert [p.tokens for p in bucket] == [(6, 7, 8)]
         assert bucket[0].hits == 2
         assert bucket[0].last_used > stamp
+
+
+class RowModel(LanguageModel):
+    """An order-1 model: the next token's distribution is its last token's row."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.eos_id = len(rows)   # never drawn
+        self.vocab_size = len(rows) + 1
+
+    def distribution(self, context):
+        row = np.zeros(self.vocab_size)
+        row[:self.rows.shape[1]] = self.rows[context[-1]]
+        return row
+
+
+@st.composite
+def lengthening_cases(draw):
+    """Target rows over 2-4 tokens, the draft-end token and 1-4 suffix tails."""
+    vocab = draw(st.integers(2, 4))
+    weights = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=vocab, max_size=vocab).filter(any),
+        min_size=vocab, max_size=vocab))
+    end = draw(st.integers(0, vocab - 1))
+    tails = draw(st.lists(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=3),
+                          min_size=1, max_size=4))
+    return weights, end, tails, draw(st.integers(0, 2**32 - 1))
+
+
+LENGTHENING_ALPHA = 1e-6   # per example; 25 examples miss a true target 1 in 40,000
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengthening_cases())
+@example(([[1, 0, 0], [0, 1, 1], [1, 1, 1]], 1, [[1], [1, 2], [1]], 0))
+def test_sampled_token_after_an_accepted_draft_follows_the_target(case):
+    # The prefix's row is one-hot on the draft's one token, so the draft is
+    # always accepted; the token after it must be the target's draw, however
+    # many suffix tails start with the same token.
+    weights, end, tails, seed = case
+    rows = np.array(weights, dtype=float)
+    rows /= rows.sum(axis=1, keepdims=True)
+    start = len(rows)   # a token of its own whose row is one-hot on ``end``
+    rows = np.vstack([rows, np.eye(len(rows))[end]])
+    target, rng, n = RowModel(rows), np.random.default_rng(seed), 400
+    suffixes = [Phrase((end, *tail)) for tail in tails]
+    watched = tails[0][0]
+    hits = 0
+    for _ in range(n):
+        out = verify(target, [start], [end], suffixes, temperature=1.0, rng=rng)
+        hits += out.emitted[1] == watched
+    assert stats.binomtest(hits, n, rows[end][watched]).pvalue > LENGTHENING_ALPHA

@@ -520,8 +520,8 @@ def tune(cfg: BenchConfig,
     b_hat = int(rng.integers(5, 8))
     g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
     g_hat = int(rng.integers(g_lo, g_hi + 1))
+    corpus, target, draft = _setup(cfg, "tune")
     if objective is None:
-        corpus, target, draft = _setup(cfg, "tune")
         prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
         if not prompts:
             raise InputError("empty corpus slice for tuning")

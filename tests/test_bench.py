@@ -239,7 +239,7 @@ class TestAblation:
 
 class TestTune:
     def test_mock_objective_finds_the_minimum(self, reference_corpus):
-        cfg = small_config(reference_corpus, seed=5, task_type="LH")
+        cfg = tune_config(reference_corpus, seed=5, task_type="LH")
         picked = tune(cfg, objective=lambda g, w, b, k: abs(g - 6))
         assert picked.gamma == 6
         assert picked.k == 3
@@ -247,7 +247,7 @@ class TestTune:
     def test_constant_objective_keeps_sampled_candidates(self,
                                                          reference_corpus):
         import numpy as np
-        cfg = small_config(reference_corpus, seed=5, task_type="LH")
+        cfg = tune_config(reference_corpus, seed=5, task_type="LH")
         picked = tune(cfg, objective=lambda g, w, b, k: 1.0)
         rng = np.random.default_rng(5)
         w_hat = int(rng.integers(15, 21))
@@ -256,12 +256,12 @@ class TestTune:
         assert (picked.gamma, picked.window, picked.beta) == (g_hat, w_hat, b_hat)
 
     def test_hh_range_is_wider(self, reference_corpus):
-        cfg = small_config(reference_corpus, seed=2, task_type="HH")
+        cfg = tune_config(reference_corpus, seed=2, task_type="HH")
         picked = tune(cfg, objective=lambda g, w, b, k: -g)
         assert picked.gamma == 14
 
     def test_k_is_always_three(self, reference_corpus):
-        cfg = small_config(reference_corpus, seed=0)
+        cfg = tune_config(reference_corpus, seed=0)
         for task in ("HH", "LH"):
             cfg = dataclasses.replace(cfg, task_type=task)
             assert tune(cfg, objective=lambda g, w, b, k: g * w * b).k == 3
@@ -278,6 +278,15 @@ class TestTune:
         cfg = tune_config(reference_corpus, tune_slice=0, task_type="LH")
         with pytest.raises(InputError, match="empty corpus slice"):
             tune(cfg)
+
+    @pytest.mark.parametrize("setting", [dict(gamma=3), dict(pool_file="P.txt")])
+    def test_objective_does_not_skip_the_config_check(self, reference_corpus,
+                                                      setting):
+        # tune searches gamma itself and never reads a pool file
+        cfg = dataclasses.replace(tune_config(reference_corpus, task_type="LH"),
+                                  **setting)
+        with pytest.raises(InputError, match=next(iter(setting))):
+            tune(cfg, objective=lambda g, w, b, k: 1.0)
 
     def test_unknown_task_type_rejected(self, reference_corpus):
         with pytest.raises(InputError):

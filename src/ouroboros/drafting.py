@@ -1,10 +1,10 @@
 """Phrase-level drafting with a Jacobi-style lookahead window.
 
-Each draft step spends ONE draft-model forward to do two things at once:
-verify the best pooled phrase for the current last token (emitting its
-greedy-matching prefix plus one correction token), and advance W window
-columns that each yield a fresh N-gram for the pool.  Token-level drafting is
-the degenerate case of an empty pool: one token per forward.
+Each draft step spends ONE forward to do two things at once: verify the best
+pooled phrase for the current last token (emitting its matching prefix plus
+one correction token), and advance W window columns that each yield a fresh
+N-gram for the pool.  On the draft model this drafts for ouroboros; on the
+target, run for the whole budget, it is lookahead decoding.
 """
 
 from __future__ import annotations

@@ -118,8 +118,6 @@ def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
     return metrics.tokens_emitted * cost.t_target / denom
 
 
-
-
 class _Generation:
     """One engine call: the shared prologue and the metrics fold."""
 

@@ -7,11 +7,11 @@ before the pool gained its eviction-victim index and batch insert, which must
 leave both bit-identical.  The sampled digests (the T=1 half of
 ``TOKENS_SHA256``, and the sampled run's pool and tokens) were retaken when
 ``verify`` came to draw one verdict per token-tree node, so that suffixes
-sharing a prefix share its draws.  The vanilla,
-speculative and lookahead digests were taken from the code in which each of
-those engines had its own loop, before they became configurations of the
-shared autoregressive, drafting and verify loops, which must leave every
-token and metric bit-identical.
+sharing a prefix share its draws.  The vanilla, speculative and lookahead
+digests were taken from the code in which each of those engines had its own
+loop, before they became configurations of the shared autoregressive,
+drafting and verify loops, which must leave every token and metric
+bit-identical.
 """
 
 import dataclasses

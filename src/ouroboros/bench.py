@@ -75,31 +75,21 @@ def _split_task_tag(line: str, line_no: int) -> Tuple[str, str]:
 
 def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
               ) -> Tuple[List[List[int]], int, int]:
+    """The prompts, the vocab size and the EOS id, the last id."""
     if tokenizer == "byte":
-        prompts = []
-        for line_no, line in lines:
-            ids = list(line.encode("utf-8"))
-            if len(ids) > MAX_PROMPT_TOKENS:
-                raise InputError(f"line {line_no}: prompt exceeds "
-                                 f"{MAX_PROMPT_TOKENS} tokens")
-            prompts.append(ids)
-        return prompts, BYTE_VOCAB, BYTE_VOCAB - 1
-    if tokenizer == "whitespace":
+        prompts = [list(line.encode("utf-8")) for _, line in lines]
+        vocab_size = BYTE_VOCAB
+    elif tokenizer == "whitespace":
         vocab: Dict[str, int] = {}
-        prompts = []
-        for line_no, line in lines:
-            ids = []
-            for word in line.split():
-                if word not in vocab:
-                    vocab[word] = len(vocab)
-                ids.append(vocab[word])
-            if len(ids) > MAX_PROMPT_TOKENS:
-                raise InputError(f"line {line_no}: prompt exceeds "
-                                 f"{MAX_PROMPT_TOKENS} tokens")
-            prompts.append(ids)
-        eos = len(vocab)
-        return prompts, eos + 1, eos
-    raise InputError(f"unknown tokenizer {tokenizer!r} (byte or whitespace)")
+        prompts = [[vocab.setdefault(word, len(vocab)) for word in line.split()]
+                   for _, line in lines]
+        vocab_size = len(vocab) + 1
+    else:
+        raise InputError(f"unknown tokenizer {tokenizer!r} (byte or whitespace)")
+    for (line_no, _), ids in zip(lines, prompts):
+        if len(ids) > MAX_PROMPT_TOKENS:
+            raise InputError(f"line {line_no}: prompt exceeds {MAX_PROMPT_TOKENS} tokens")
+    return prompts, vocab_size, vocab_size - 1
 
 
 def ingest_corpus(path: Union[str, Path], tokenizer: str,
@@ -535,13 +525,8 @@ def tune(cfg: BenchConfig,
             return sum(modeled_time(m, cost) for m in metrics)
 
     def sweep(hat: int, lo: int, hi: int, fn: Callable[[int], float]) -> int:
-        best_v: Optional[int] = None
-        best_y = 0.0
-        for v in [hat] + [v for v in range(lo, hi + 1) if v != hat]:
-            y = fn(v)
-            if best_v is None or y < best_y:
-                best_v, best_y = v, y
-        return best_v
+        # min keeps the first of equal values, so ties keep the sampled one
+        return min([hat] + [v for v in range(lo, hi + 1) if v != hat], key=fn)
 
     g0 = sweep(g_hat, g_lo, g_hi, lambda g: objective(g, w_hat, b_hat, 3))
     w0 = sweep(w_hat, 15, 20, lambda w: objective(g0, w, b_hat, 3))

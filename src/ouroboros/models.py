@@ -3,16 +3,17 @@
 A model is a pure function from a token context to a next-token probability
 vector.  ``LanguageModel.score(prefix, paths)`` returns one ``(len(paths), V)``
 matrix whose row i is the distribution after ``prefix + paths[i]``; the
-caller owns that matrix.  ``forward_scan`` and ``forward_tree`` each count as
-ONE forward call, mirroring how a masked transformer scores a span or a token
-tree in a single pass; ``forward_tree`` alone decides which rows a tree
-forward returns.  Every row is bit-identical to what an independent
-single-step call would produce.  ``sample`` draws one token from a row, or
-one per row of a matrix.
+caller owns that matrix.  ``forward_tree`` counts as ONE forward call,
+mirroring how a masked transformer scores a token tree in a single pass, and
+alone decides which rows a forward returns; ``forward_scan`` is its tree with
+no branches.  Every row is bit-identical to what an independent single-step
+call would produce.  ``sample`` draws one token from a row, or one per row of
+a matrix.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -141,7 +142,7 @@ class NgramModel(LanguageModel):
     training corpus (including contexts shorter than order-1) back off to the
     uniform distribution.  The rows are one read-only ``(keys + 1, V)``
     matrix, the backoff last; ``index`` maps each (order-1)-gram to its row
-    id and ``_table`` to a view of its row."""
+    id, and ``distribution`` and ``score`` both read rows through it."""
 
     def __init__(self, order: int, index: dict, matrix: np.ndarray,
                  eos_id: Optional[int] = None):
@@ -150,16 +151,10 @@ class NgramModel(LanguageModel):
         self.eos_id = _eos_id(self.vocab_size, eos_id)
         matrix.flags.writeable = False
         self._index, self._matrix = index, matrix
-        self._table = {key: matrix[row] for key, row in index.items()}
-        self._uniform = matrix[-1]
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
-        if self.order > 1:
-            key = tuple(context[-(self.order - 1):])
-        else:
-            key = ()
-        probs = self._table.get(key)
-        return probs if probs is not None else self._uniform
+        key = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        return self._matrix[self._index.get(key, len(self._index))]
 
     def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
         """Gather all rows with one ``take`` over row ids; each key is the last
@@ -262,15 +257,9 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
 
     Returns a ``(len(tokens)+1, V)`` matrix; row i predicts the token that
     follows prefix + tokens[:i], so row 0 equals
-    ``next_distribution(model, prefix)``.
+    ``next_distribution(model, prefix)``.  It is a tree with no branches.
     """
-    if len(prefix) == 0:
-        raise InputError("prefix must be non-empty")
-    _check_tokens(model.vocab_size, prefix, "prefix")
-    _check_tokens(model.vocab_size, tokens, "tokens")
-    if counter is not None:
-        counter.add()
-    return model.score(prefix, [tokens[:i] for i in range(len(tokens) + 1)])
+    return forward_tree(model, prefix, tokens, [], counter)
 
 
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
@@ -310,9 +299,10 @@ def sample(dist: np.ndarray, temperature: float,
            rng: Optional[np.random.Generator] = None) -> Union[int, List[int]]:
     """Draw a token from a row, or a list of one per row of a matrix: argmax
     (lowest id on ties) at temperature 0, else sample from (dist /
-    max(dist))**(1/temperature) renormalized, advancing ``rng``.  A matrix
-    takes ``rng.choice``'s own draw (normalised cumsum against one uniform)
-    row by row, so its tokens and ``rng`` end as row-by-row calls leave them."""
+    max(dist))**(1/temperature) renormalized, advancing ``rng``.  Each row
+    is drawn as ``rng.choice(V, p=row)`` would draw it (a normalised cumsum
+    against one uniform), so the tokens and ``rng`` end as row-by-row
+    ``rng.choice`` calls leave them; tests pin that."""
     if temperature < 0:
         raise InputError("temperature must be >= 0")
     if temperature == 0.0:
@@ -323,16 +313,14 @@ def sample(dist: np.ndarray, temperature: float,
         raise InputError("temperature must be finite")
     if rng is None:
         raise InputError("sampling with temperature > 0 requires an rng")
-    probs = np.asarray(dist, dtype=np.float64)
+    probs = np.atleast_2d(np.asarray(dist, dtype=np.float64))
     if temperature != 1.0:
         # scaled to a peak of 1 first, so a flat row cannot underflow to 0/0
-        probs = np.power(probs / probs.max(axis=-1, keepdims=True), 1.0 / temperature)
-    if probs.ndim == 1:
-        probs = probs / probs.sum()
-        return int(rng.choice(len(probs), p=probs))
+        probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)
     cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1).tolist()
+    drawn = (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1).tolist()
+    return drawn if dist.ndim == 2 else drawn[0]
 
 
 @dataclass(frozen=True)
@@ -402,12 +390,8 @@ def build_model(spec: ModelSpec, vocab_size: int,
             raise InputError("ngram model spec requires a training corpus")
         return build_ngram_model(corpus, spec.order, vocab_size=v, eos_id=spec.eos_id)
     # perturbed
-    if spec.base == "counter":
-        base = CounterModel(v, eos_id=spec.eos_id)
-    elif spec.base == "ngram":
-        if corpus is None:
-            raise InputError("perturbed:base=ngram requires a training corpus")
-        base = build_ngram_model(corpus, spec.order, vocab_size=v, eos_id=spec.eos_id)
+    if spec.base:
+        base = build_model(dataclasses.replace(spec, kind=spec.base), v, corpus)
     elif base is None:
         raise InputError("perturbed model spec requires a base model")
     return PerturbedModel(base, spec.epsilon, seed=spec.seed, swap_to=spec.swap_to)

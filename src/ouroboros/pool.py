@@ -14,8 +14,7 @@ over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
 clock ticks either way.  ``insert_many`` checks its batch before it inserts
-any of it, and ``insert_ngrams`` checks its sequence once, with ``min`` and
-``max``, or not at all when it is a ``TokenList`` of the pool's vocab.
+any of it.
 """
 
 from __future__ import annotations
@@ -24,12 +23,13 @@ import io
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import InputError, PoolFormatError
-from .models import TokenList
+from .models import _check_tokens
 
 POOL_MAGIC = "ouroboros-pool"
 POOL_VERSION = "v1"
@@ -96,13 +96,11 @@ class PhrasePool:
     def _checked(self, phrases: Iterable[Sequence[int]]) -> List[tuple]:
         """The phrases as tuples, each checked for its length and vocab."""
         batch = list(map(tuple, phrases))
-        longest, vocab = self.max_phrase_len, self.vocab_size
+        longest = self.max_phrase_len
         for tokens in batch:
             if not 2 <= len(tokens) <= longest:
                 raise InputError(f"phrase length {len(tokens)} outside [2, {longest}]")
-            for t in tokens:
-                if not 0 <= t < vocab:
-                    raise InputError(f"phrase token {t} out of vocab {vocab}")
+        _check_tokens(self.vocab_size, chain.from_iterable(batch), "phrase")
         return batch
 
     def _add(self, batch: Sequence[tuple], hits: int = 1) -> Optional[Phrase]:
@@ -221,13 +219,11 @@ class PhrasePool:
             sink.write(f"{phrase.hits} {' '.join(str(t) for t in phrase.tokens)}\n")
 
     @classmethod
-    def load(cls, source: Union[str, Path, io.TextIOBase],
-             capacity_per_key: Optional[int] = None,
-             max_phrase_len: Optional[int] = None) -> "PhrasePool":
+    def load(cls, source: Union[str, Path, io.TextIOBase]) -> "PhrasePool":
         """Rebuild a pool from :meth:`save` output.
 
-        When capacity or max length are not given they are sized to fit the
-        file, so loading never evicts or rejects what was saved.
+        Capacity and max length are sized to fit the file, so loading never
+        evicts or rejects what was saved.
         """
         if isinstance(source, (str, Path)):
             data = Path(source).read_bytes()
@@ -236,8 +232,7 @@ class PhrasePool:
             except UnicodeDecodeError as exc:
                 raise PoolFormatError(data.count(b"\n", 0, exc.start) + 1,
                                       "not UTF-8 text") from exc
-            return cls.load(io.StringIO(text, newline=None), capacity_per_key,
-                            max_phrase_len)
+            return cls.load(io.StringIO(text, newline=None))
         header = source.readline()
         parts = header.split()
         if (len(parts) != 3 or parts[0] != POOL_MAGIC or parts[1] != POOL_VERSION
@@ -266,14 +261,10 @@ class PhrasePool:
             if any(t < 0 or t >= vocab_size for t in tokens):
                 raise PoolFormatError(line_no, f"token out of vocab {vocab_size}")
             entries.append((hits, tokens))
-        if max_phrase_len is None:
-            max_phrase_len = max([16] + [len(tokens) for _, tokens in entries])
-        if capacity_per_key is None:
-            per_key = Counter(tokens[0] for _, tokens in entries)
-            capacity_per_key = max([16, *per_key.values()])
-        pool = cls(vocab_size, capacity_per_key, max_phrase_len)
-        checked = pool._checked(tokens for _, tokens in entries)
-        for (hits, _), tokens in zip(entries, checked):
+        per_key = Counter(tokens[0] for _, tokens in entries)
+        pool = cls(vocab_size, max([16, *per_key.values()]),
+                   max([16] + [len(tokens) for _, tokens in entries]))
+        for hits, tokens in entries:
             pool._add((tokens,), hits)
         return pool
 
@@ -288,12 +279,7 @@ def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
         return 0
     if n > pool.max_phrase_len:
         raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
-    vocab = pool.vocab_size
-    if not (type(seq) is TokenList and seq.vocab_size == vocab):
-        seq = list(seq)
-        if not (0 <= min(seq) and max(seq) < vocab):
-            bad = next(t for t in seq if not 0 <= t < vocab)
-            raise InputError(f"phrase token {bad} out of vocab {vocab}")
+    _check_tokens(pool.vocab_size, seq, "phrase")
     grams = list(zip(*(seq[i:] for i in range(n))))
     pool._add(grams)
     return len(grams)

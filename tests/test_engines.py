@@ -358,7 +358,7 @@ def test_engines_leave_the_ngram_table_untouched(temperature):
     rng = np.random.default_rng(11)
     base = build_ngram_model([int(t) for t in rng.integers(0, 12, size=300)],
                              order=3, vocab_size=12)
-    before = {key: row.copy() for key, row in base._table.items()}
+    before = base._matrix.copy()
     target = PerturbedModel(base, 0.3, seed=1)
     draft = PerturbedModel(target, 0.3, seed=2)
     cfg = EngineConfig(max_new=40, temperature=temperature, seed=5)
@@ -368,9 +368,8 @@ def test_engines_leave_the_ngram_table_untouched(temperature):
     generate_lookahead_target(target, prompt, cfg)
     generate_ouroboros(target, draft, prompt, cfg)
     def assert_table_unchanged():
-        for key, row in base._table.items():
-            assert not row.flags.writeable
-            assert np.array_equal(row, before[key])
+        assert not base._matrix.flags.writeable
+        assert np.array_equal(base._matrix, before)
 
     assert_table_unchanged()
     ctx = prompt[:2]

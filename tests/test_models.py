@@ -61,14 +61,18 @@ class TestNgramModel:
 
     def test_table_is_one_read_only_matrix(self):
         m = build_ngram_model([1, 2, 1, 3, 1, 2], order=2)
-        assert all(np.shares_memory(row, m._matrix) for row in m._table.values())
+        assert not m._matrix.flags.writeable
         assert np.array_equal(m._matrix[-1], m.distribution([0]))  # backoff last
-        for row in (m._matrix[0], m._table[(1,)], m.distribution([0])):
+        assert np.array_equal(m._matrix[-1], np.full(4, 0.25))
+        for row in (m._matrix[0], m.distribution([1]), m.distribution([0])):
+            assert np.shares_memory(row, m._matrix)
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 1.0
+        before = m._matrix.copy()
         rows = m.score([1], [(), (2,)])
         rows[:] = 0.0  # the caller owns what score returns
-        assert m._table[(1,)][2] == pytest.approx(2 / 3)
+        assert np.array_equal(m._matrix, before)
+        assert m.distribution([1])[2] == pytest.approx(2 / 3)
 
 
 @st.composite
@@ -266,11 +270,23 @@ def distribution_matrices(draw):
 @given(distribution_matrices(), st.sampled_from([0.0, 0.001, 0.5, 1.0, 2.5]),
        st.integers(0, 2 ** 32 - 1))
 def test_matrix_draws_equal_row_by_row_draws(matrix, temperature, seed):
+    # The reference is independent of sample: argmax at T = 0, else
+    # rng.choice on the tempered, normalised row, one call per row.
+    def reference(row, rng):
+        if temperature == 0.0:
+            return int(np.argmax(row))
+        p = np.power(row / row.max(), 1.0 / temperature) if temperature != 1.0 else row
+        return int(rng.choice(len(p), p=p / p.sum()))
+
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
     drawn = sample(matrix, temperature, rng)
-    assert drawn == [sample(row, temperature, replay) for row in matrix]
+    assert drawn == [reference(row, replay) for row in matrix]
     assert all(type(t) is int for t in drawn)
     assert rng.bit_generator.state == replay.bit_generator.state
+    for row in matrix:
+        token = sample(row, temperature, rng)
+        assert type(token) is int and token == reference(row, replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestDistributionValidity:

@@ -441,8 +441,8 @@ class PoolMachine(RuleBasedStateMachine):
         buf = io.StringIO()
         self.pool.save(buf)
         assert buf.getvalue() == self.ref.text()
-        self.pool = PhrasePool.load(io.StringIO(buf.getvalue()), self.capacity,
-                                    MAX_LEN)
+        self.pool = PhrasePool.load(io.StringIO(buf.getvalue()))
+        self.pool.capacity_per_key, self.pool.max_phrase_len = self.capacity, MAX_LEN
         saved = self.ref
         self.ref = ListPool(VOCAB, self.capacity)
         for key in sorted(saved.buckets):

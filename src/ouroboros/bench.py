@@ -346,15 +346,20 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     return target, draft
 
 
-def _setup(cfg: BenchConfig, command: str,
-           ) -> Tuple[Corpus, LanguageModel, LanguageModel]:
+def _check(cfg: BenchConfig, command: str) -> None:
     """Refuse a setting ``command`` does not read unless it has its default,
-    validate the config, ingest the corpus and build the models."""
+    and validate the config."""
     default, reads = BenchConfig(), COMMAND_SETTINGS[command]
     for name in _KINDS:
         if name not in reads and getattr(cfg, name) != getattr(default, name):
             raise _unread(command, name)
     cfg.validate()
+
+
+def _setup(cfg: BenchConfig, command: str,
+           ) -> Tuple[Corpus, LanguageModel, LanguageModel]:
+    """Check the config for ``command``, ingest the corpus, build the models."""
+    _check(cfg, command)
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged=command == "locality")
     return (corpus, *build_models(cfg, corpus))
 
@@ -510,8 +515,10 @@ def tune(cfg: BenchConfig,
     b_hat = int(rng.integers(5, 8))
     g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
     g_hat = int(rng.integers(g_lo, g_hi + 1))
-    corpus, target, draft = _setup(cfg, "tune")
-    if objective is None:
+    if objective is not None:
+        _check(cfg, "tune")
+    else:
+        corpus, target, draft = _setup(cfg, "tune")
         prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
         if not prompts:
             raise InputError("empty corpus slice for tuning")

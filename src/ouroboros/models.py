@@ -313,7 +313,7 @@ def sample(dist: np.ndarray, temperature: float,
         raise InputError("temperature must be finite")
     if rng is None:
         raise InputError("sampling with temperature > 0 requires an rng")
-    probs = np.atleast_2d(np.asarray(dist, dtype=np.float64))
+    probs = np.asarray(dist if dist.ndim == 2 else dist[None], dtype=np.float64)
     if temperature != 1.0:
         # scaled to a peak of 1 first, so a flat row cannot underflow to 0/0
         probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)

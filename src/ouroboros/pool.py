@@ -258,8 +258,10 @@ class PhrasePool:
             hits, tokens = numbers[0], tuple(numbers[1:])
             if hits < 0:
                 raise PoolFormatError(line_no, "negative hit count")
-            if any(t < 0 or t >= vocab_size for t in tokens):
-                raise PoolFormatError(line_no, f"token out of vocab {vocab_size}")
+            try:
+                _check_tokens(vocab_size, tokens, "phrase")
+            except InputError as exc:
+                raise PoolFormatError(line_no, str(exc)) from exc
             entries.append((hits, tokens))
         per_key = Counter(tokens[0] for _, tokens in entries)
         pool = cls(vocab_size, max([16, *per_key.values()]),
@@ -273,12 +275,10 @@ def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
     """Insert every length-n window of ``seq`` (stride 1), in order, as
     :meth:`PhrasePool.insert_many` would; returns the count.  The tokens are
     checked once, and not at all for a TokenList of the pool's vocab."""
-    if n < 2:
-        raise InputError("ngram length must be >= 2")
+    if not 2 <= n <= pool.max_phrase_len:
+        raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
     if len(seq) < n:
         return 0
-    if n > pool.max_phrase_len:
-        raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
     _check_tokens(pool.vocab_size, seq, "phrase")
     grams = list(zip(*(seq[i:] for i in range(n))))
     pool._add(grams)

@@ -75,17 +75,21 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
     n = len(draft)
-    # node maps a path after the draft to its draw; () is the draft end's
-    order, node, start = list(range(n + 1)), {(): n}, n + 1
+    # node maps (a tail node's parent's draw, its token) to its draw; draw n
+    # is the draft end's.  draws[o] lists tail o's draws, the draft end first.
+    order, node, start, draws = list(range(n + 1)), {}, n + 1, []
     for tail in tails:
-        for j in range(len(tail)):
-            if node.setdefault(tuple(tail[:j + 1]), len(order)) == len(order):
+        at = [n]
+        for j, token in enumerate(tail):
+            d = node.setdefault((at[-1], token), len(order))
+            if d == len(order):
                 order.append(start + j)
+            at.append(d)
+        draws.append(at)
         start += len(tail)
     drawn = sample(rows.take(order, axis=0), temperature, rng)
     verdicts = drawn[:n + 1]
-    branch_verdicts = [[drawn[node[tuple(tail[:j])]] for j in range(len(tail) + 1)]
-                       for tail in tails]
+    branch_verdicts = [[drawn[d] for d in at] for at in draws]
 
     accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)

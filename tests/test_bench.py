@@ -288,6 +288,18 @@ class TestTune:
         with pytest.raises(InputError, match=next(iter(setting))):
             tune(cfg, objective=lambda g, w, b, k: 1.0)
 
+    def test_objective_skips_the_set_up(self, reference_corpus, monkeypatch):
+        # with an objective, tune checks its config and builds nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("tune ran its set-up")
+
+        monkeypatch.setattr(bench, "ingest_corpus", refuse)
+        monkeypatch.setattr(bench, "build_models", refuse)
+        cfg = tune_config(reference_corpus, task_type="LH")
+        assert tune(cfg, objective=lambda g, w, b, k: abs(g - 4)).gamma == 4
+        with pytest.raises(InputError, match="gamma"):
+            tune(dataclasses.replace(cfg, gamma=3), objective=lambda g, w, b, k: 1.0)
+
     def test_unknown_task_type_rejected(self, reference_corpus):
         with pytest.raises(InputError):
             tune(small_config(reference_corpus, task_type="XX"))

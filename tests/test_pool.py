@@ -208,6 +208,12 @@ class TestPersistence:
         with pytest.raises(PoolFormatError, match="line 2"):
             PhrasePool.load(io.StringIO(text))
 
+    def test_token_check_names_the_line_and_the_first_bad_token(self):
+        text = "ouroboros-pool v1 vocab=10\n3 6 7\n2 6 12 -1\n"
+        with pytest.raises(PoolFormatError,
+                           match="^line 3: phrase token 12 out of vocab 10$"):
+            PhrasePool.load(io.StringIO(text))
+
     @staticmethod
     def _dump(pool):
         buf = io.StringIO()
@@ -263,6 +269,34 @@ class TestBatchInsert:
         with pytest.raises(InputError):
             insert_ngrams(pool, TokenList(10, range(8)), n)
         assert len(pool) == 0
+
+    # The four phrase entry points share one token check, which names the
+    # first out-of-vocab token in order and leaves the pool as it was.
+    ENTRY_POINTS = {
+        "insert": lambda pool, seq: pool.insert(seq),
+        "insert_many": lambda pool, seq: pool.insert_many([(1, 2), seq, (3, 17)]),
+        "insert_ngrams": lambda pool, seq: insert_ngrams(pool, seq, 2),
+        "replace_corrected": lambda pool, seq: pool.replace_corrected((1, 2), seq),
+    }
+
+    @pytest.mark.parametrize("seq, bad", [
+        ([1, 12, -1, 15], 12), ((1, -1, 12), -1),
+        (TokenList(20, [1, 15, 12]), 15)])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_token_check_names_the_first_bad_token(self, entry, seq, bad):
+        pool = PhrasePool(10)
+        pool.insert((1, 2))
+        with pytest.raises(InputError, match=f"^phrase token {bad} out of vocab 10$"):
+            self.ENTRY_POINTS[entry](pool, seq)
+        assert pool.state() == {1: [((1, 2), 1)]} and pool.clock == 1
+
+    def test_same_vocab_token_list_is_not_checked_again(self):
+        pool, seq = PhrasePool(10), TokenList(10, [1, 2])
+        list.append(seq, 13)  # slips past the entry check on purpose
+        assert insert_ngrams(pool, seq, 2) == 2
+        assert pool.state() == {1: [((1, 2), 1)], 2: [((2, 13), 1)]}
+        with pytest.raises(InputError, match="phrase token 13 out of vocab 10"):
+            insert_ngrams(pool, list(seq), 2)
 
     def test_negative_hits_rejected(self):
         with pytest.raises(InputError):

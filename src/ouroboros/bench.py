@@ -346,7 +346,7 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     return target, draft
 
 
-def _check(cfg: BenchConfig, command: str) -> None:
+def _check_settings(cfg: BenchConfig, command: str) -> None:
     """Refuse a setting ``command`` does not read unless it has its default,
     and validate the config."""
     default, reads = BenchConfig(), COMMAND_SETTINGS[command]
@@ -359,7 +359,7 @@ def _check(cfg: BenchConfig, command: str) -> None:
 def _setup(cfg: BenchConfig, command: str,
            ) -> Tuple[Corpus, LanguageModel, LanguageModel]:
     """Check the config for ``command``, ingest the corpus, build the models."""
-    _check(cfg, command)
+    _check_settings(cfg, command)
     corpus = ingest_corpus(cfg.corpus, cfg.tokenizer, tagged=command == "locality")
     return (corpus, *build_models(cfg, corpus))
 
@@ -516,7 +516,7 @@ def tune(cfg: BenchConfig,
     g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
     g_hat = int(rng.integers(g_lo, g_hi + 1))
     if objective is not None:
-        _check(cfg, "tune")
+        _check_settings(cfg, "tune")
     else:
         corpus, target, draft = _setup(cfg, "tune")
         prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()

@@ -163,6 +163,10 @@ class BenchConfig(EngineConfig):
         for i, name in enumerate(self.engines):
             if name not in ENGINE_NAMES or name in self.engines[:i]:
                 raise InputError(f"unknown or repeated engine {name!r}")
+        if self.task_type.upper() not in ("HH", "LH"):
+            raise InputError(f"task type must be HH or LH, got {self.task_type!r}")
+        if self.tune_slice < 1:
+            raise InputError("tune_slice must be >= 1, not an empty corpus slice")
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -348,12 +352,23 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
 
 def _check_settings(cfg: BenchConfig, command: str) -> None:
     """Refuse a setting ``command`` does not read unless it has its default,
-    and validate the config."""
+    validate the config and check the paths it writes."""
     default, reads = BenchConfig(), COMMAND_SETTINGS[command]
     for name in _KINDS:
         if name not in reads and getattr(cfg, name) != getattr(default, name):
             raise _unread(command, name)
     cfg.validate()
+    for name in ("pool_file", "out_csv", "out_json"):
+        if getattr(cfg, name):
+            _check_writable(Path(getattr(cfg, name)), name.replace("_", " "))
+
+
+def _check_writable(path: Path, what: str) -> None:
+    """Refuse a directory, or a path in a missing directory, before any query runs."""
+    if path.is_dir():
+        raise InputError(f"{what} {path} is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"{what} {path}: no directory {path.parent}")
 
 
 def _setup(cfg: BenchConfig, command: str,
@@ -370,17 +385,9 @@ def _seeded(ecfg: EngineConfig, entry: int, rep: int) -> EngineConfig:
 
 
 def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
-    """The pool saved at ``cfg.pool_file``, or None when there is none yet.
-    A directory, or a path in a missing directory, is refused here, before
-    any query runs, rather than when the pool is saved after them."""
-    if not cfg.pool_file:
-        return None
+    """The pool saved at ``cfg.pool_file``, or None when there is none yet."""
     path = Path(cfg.pool_file)
-    if path.is_dir():
-        raise InputError(f"pool file {path} is a directory")
-    if not path.parent.is_dir():
-        raise InputError(f"pool file {path}: no directory {path.parent}")
-    if not path.exists():
+    if not cfg.pool_file or not path.exists():
         return None
     try:
         pool = PhrasePool.load(path)
@@ -400,9 +407,9 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
     followed by ``:<rung>``.
 
     The pool policy: with ``reuse`` on, every ouroboros run shares one pool;
-    otherwise each run gets a fresh pool, or a copy of ``preload``.  Either is
-    sized to fit the run's ``beta`` and ``ngram``.  An ``InputError`` passes
-    through; any other failure becomes a ``RunFailure`` naming the run.
+    otherwise each run gets a fresh pool, or a copy of ``preload``.  An
+    ``InputError`` passes through; any other failure becomes a
+    ``RunFailure`` naming the run.
     """
     metrics, pool = [], None
     for entry, label, ecfg in runs:
@@ -418,8 +425,6 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
                 if pool is None or not reuse:
                     pool = preload.copy() if preload else PhrasePool(
                         target.vocab_size)
-                    pool.max_phrase_len = max(pool.max_phrase_len, ecfg.beta,
-                                              ecfg.ngram)
                 _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
         except InputError:
             raise
@@ -434,13 +439,13 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
 # ---------------------------------------------------------------------------
 
 # The settings each subcommand reads, as flags and as config-file keys.  tune
-# searches gamma, beta, k and window itself; ablate's rungs set the toggles
-# and reuse.
+# searches gamma, beta and window itself; ablate's rungs set the toggles and
+# reuse, and k = 0 below its +lengthening rung.
 _EVERY = ("corpus", "tokenizer", "target_spec", "draft_spec", "seed", "max_new",
-          "temperature", "ngram", "t_draft", "t_target", "tree_surcharge",
+          "temperature", "k", "ngram", "t_draft", "t_target", "tree_surcharge",
           "out_json")
-_SEARCHED = ("gamma", "beta", "k", "window")
-_TOGGLES = ("lengthening", "harvest", "phrase_draft", "prompt_warmup")
+_SEARCHED = ("gamma", "beta", "window")
+_TOGGLES = ("harvest", "phrase_draft", "prompt_warmup")
 COMMAND_SETTINGS = {
     "run": _EVERY + _SEARCHED + _TOGGLES + ("engines", "repetitions", "reuse",
                                             "pool_file", "out_csv"),
@@ -477,10 +482,10 @@ def run_benchmark(cfg: BenchConfig) -> Report:
     return _finish_report(cfg, rows)
 
 
-# (rung, reuse, EngineConfig toggles); each rung adds one component
+# (rung, reuse, lengthening, EngineConfig toggles); each rung adds one component
 ABLATION_RUNGS = tuple(
-    (rung, i >= 4, dict(phrase_draft=i >= 1, prompt_warmup=i >= 1,
-                        lengthening=i >= 2, harvest=i >= 3))
+    (rung, i >= 4, i >= 2, dict(phrase_draft=i >= 1, prompt_warmup=i >= 1,
+                                harvest=i >= 3))
     for i, rung in enumerate(("base", "+phrase_draft", "+lengthening",
                               "+harvest", "+reuse")))
 
@@ -489,8 +494,9 @@ def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
     corpus, target, draft = _setup(cfg, "ablate")
     rows: List[dict] = []
-    for rung, reuse, toggles in ABLATION_RUNGS:
-        rung_cfg = dataclasses.replace(cfg.engine_config(), **toggles)
+    for rung, reuse, lengthening, toggles in ABLATION_RUNGS:
+        rung_cfg = dataclasses.replace(cfg.engine_config(),
+                                       k=cfg.k if lengthening else 0, **toggles)
         for rep in range(cfg.repetitions):
             runs = [(entry, f"ouroboros:{rung}", _seeded(rung_cfg, entry, rep))
                     for entry in range(len(corpus.prompts))]
@@ -502,26 +508,16 @@ def ablation(cfg: BenchConfig) -> Report:
 def tune(cfg: BenchConfig,
          objective: Optional[Callable[[int, int, int, int], float]] = None,
          ) -> EngineConfig:
-    """Heuristic hyperparameter search: K fixed at 3, seeded starting samples
-    for W/beta/gamma, then coordinate minimization of gamma, W, beta in that
-    order against modeled clock time (sweeps try the sampled value first, so
-    ties keep it).  ``objective(gamma, window, beta, k)`` defaults to the
-    modeled time of ouroboros over the first ``tune_slice`` entries."""
-    task = cfg.task_type.upper()
-    if task not in ("HH", "LH"):
-        raise InputError(f"task type must be HH or LH, got {task!r}")
-    rng = np.random.default_rng(cfg.seed)
-    w_hat = int(rng.integers(15, 21))
-    b_hat = int(rng.integers(5, 8))
-    g_lo, g_hi = (7, 14) if task == "HH" else (2, 6)
-    g_hat = int(rng.integers(g_lo, g_hi + 1))
+    """Heuristic hyperparameter search: K fixed at ``cfg.k``, seeded starting
+    samples for W/beta/gamma, then coordinate minimization of gamma, W, beta
+    in that order against modeled clock time (sweeps try the sampled value
+    first, so ties keep it).  ``objective(gamma, window, beta, k)`` defaults
+    to the modeled time of ouroboros over the first ``tune_slice`` entries."""
     if objective is not None:
         _check_settings(cfg, "tune")
     else:
         corpus, target, draft = _setup(cfg, "tune")
         prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
-        if not prompts:
-            raise InputError("empty corpus slice for tuning")
 
         def objective(gamma: int, window: int, beta: int, k: int) -> float:
             ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
@@ -535,11 +531,15 @@ def tune(cfg: BenchConfig,
         # min keeps the first of equal values, so ties keep the sampled one
         return min([hat] + [v for v in range(lo, hi + 1) if v != hat], key=fn)
 
-    g0 = sweep(g_hat, g_lo, g_hi, lambda g: objective(g, w_hat, b_hat, 3))
-    w0 = sweep(w_hat, 15, 20, lambda w: objective(g0, w, b_hat, 3))
-    b0 = sweep(b_hat, 5, 7, lambda b: objective(g0, w0, b, 3))
-    return dataclasses.replace(cfg.engine_config(), gamma=g0, window=w0,
-                               beta=b0, k=3)
+    rng, k = np.random.default_rng(cfg.seed), cfg.k
+    w_hat = int(rng.integers(15, 21))
+    b_hat = int(rng.integers(5, 8))
+    g_lo, g_hi = (7, 14) if cfg.task_type.upper() == "HH" else (2, 6)
+    g_hat = int(rng.integers(g_lo, g_hi + 1))
+    g0 = sweep(g_hat, g_lo, g_hi, lambda g: objective(g, w_hat, b_hat, k))
+    w0 = sweep(w_hat, 15, 20, lambda w: objective(g0, w, b_hat, k))
+    b0 = sweep(b_hat, 5, 7, lambda b: objective(g0, w0, b, k))
+    return dataclasses.replace(cfg.engine_config(), gamma=g0, window=w0, beta=b0)
 
 
 def locality_order(tasks: Sequence[str], cn: Union[int, str],

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError
 from .models import ForwardCounter, LanguageModel, TokenList, forward_tree, sample
 from .pool import PhrasePool
+from .verification import accept_len
 
 
 def window_columns(context: Sequence[int], width: int, ngram: int,
@@ -55,11 +56,11 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
                ) -> Tuple[List[int], List[tuple]]:
     """One drafting forward: verify one pooled phrase and advance the window.
 
-    Returns (appended, new_phrases).  ``appended`` is the longest prefix of the
-    phrase continuation that matches the model's own predictions, plus one
-    correction token, so it is never empty and always extends the model's
-    greedy path (at temperature 0).  ``new_phrases`` are the n-grams of the
-    window ``columns`` (see :func:`window_columns`), one per column.
+    Returns (appended, new_phrases).  ``appended`` is ``verify``'s rule on one
+    draw per phrase row: the longest prefix of the phrase continuation that
+    matches the draws, plus one correction token, so it is never empty and
+    always extends the greedy path at temperature 0.  ``new_phrases`` are the
+    window ``columns``' n-grams (see :func:`window_columns`), one per column.
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
@@ -69,16 +70,8 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
         tokens = best[0].tokens[:beta] if beta is not None else best[0].tokens
         cand = list(tokens[1:])
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
-
-    appended: List[int] = []
-    for i, tok in enumerate(cand):
-        drawn = sample(rows[i], temperature, rng)
-        appended.append(drawn)
-        if drawn != tok:
-            break
-    else:
-        appended.append(sample(rows[len(cand)], temperature, rng))
-
+    drawn = sample(rows[:len(cand) + 1], temperature, rng)
+    appended = drawn[:accept_len(cand, drawn) + 1]
     grams = rows[len(cand) + 1:].argmax(axis=1).tolist()
     new_phrases = [(*col, gram) for col, gram in zip(columns, grams)]
     return appended, new_phrases

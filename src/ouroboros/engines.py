@@ -37,13 +37,12 @@ from .verification import correct_unused_suffixes, harvest, verify
 class EngineConfig:
     gamma: int = 5            # draft length per iteration
     beta: int = 6             # phrase length budget for lengthening
-    k: int = 3                # suffixes tried per verification
+    k: int = 3                # suffixes tried per verification; 0 = no lengthening
     window: int = 16          # lookahead window width
     ngram: int = 4            # generated phrase length
     max_new: int = 64
     temperature: float = 0.0
     seed: int = 0
-    lengthening: bool = True
     harvest: bool = True
     phrase_draft: bool = True
     prompt_warmup: bool = True
@@ -61,13 +60,15 @@ class EngineConfig:
             raise InputError("ngram must be >= 2")
         if self.max_new < 1:
             raise InputError("max_new must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if not 0 <= self.temperature < math.inf:
             raise InputError("temperature must be finite and >= 0")
 
     def all_off(self) -> "EngineConfig":
-        """Copy with every acceleration toggle disabled (the ablation baseline)."""
-        return dataclasses.replace(self, lengthening=False, harvest=False,
-                                   phrase_draft=False, prompt_warmup=False)
+        """Copy with every toggle off and ``k = 0`` (the ablation baseline)."""
+        return dataclasses.replace(self, k=0, harvest=False, phrase_draft=False,
+                                   prompt_warmup=False)
 
 
 @dataclass
@@ -134,13 +135,12 @@ class _Generation:
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
 
     def pool(self, pool: Optional[PhrasePool], warmup: bool) -> PhrasePool:
-        """The given pool, or a fresh one; warmed with the prompt's n-grams."""
+        """The given pool, or a fresh one, grown to hold ``beta``- and
+        ``ngram``-token phrases; warmed with the prompt's n-grams."""
         cfg = self.cfg
         if pool is None:
-            pool = PhrasePool(self.target.vocab_size,
-                              max_phrase_len=max(16, cfg.beta, cfg.ngram))
-        if max(cfg.beta, cfg.ngram) > pool.max_phrase_len:
-            raise InputError("beta and ngram must fit the pool's max phrase length")
+            pool = PhrasePool(self.target.vocab_size)
+        pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
         if warmup:
             insert_ngrams(pool, self.prompt, cfg.ngram)
         return pool
@@ -179,11 +179,11 @@ def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
 
 
 def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
-                      pool: PhrasePool) -> Tuple[List[int], RunMetrics]:
+                      pool: Optional[PhrasePool]) -> Tuple[List[int], RunMetrics]:
     """Until EOS or ``max_new``: draft (by phrases or token by token, always
     greedily), lengthen with K pool suffixes, verify in one target forward,
     then harvest phrases from a rejected draft or correct the unused
-    suffixes."""
+    suffixes.  ``pool`` may be None when no loop reads or writes it."""
     cfg, target = gen.cfg, gen.target
     ctx = TokenList(target.vocab_size, gen.prompt)
     out: List[int] = []
@@ -200,7 +200,7 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
             d = _autoregressive(draft_model, ctx, glen, 0.0, None, gen.dcounter)
 
         suffixes = []
-        if cfg.lengthening and cfg.k > 0 and d[-1] != target.eos_id:
+        if cfg.k > 0 and d[-1] != target.eos_id:
             suffixes = pool.lookup_k(d[-1], cfg.k)
 
         outcome = verify(target, ctx, d, suffixes, cfg.temperature, gen.rng,
@@ -236,7 +236,7 @@ def generate_speculative(target: LanguageModel, draft_model: LanguageModel,
     """Draft gamma tokens one by one, verify them in one target forward: the
     draft-then-verify loop with every acceleration off."""
     gen = _Generation(target, prompt, cfg.all_off(), draft_model)
-    return _draft_and_verify(gen, draft_model, gen.pool(None, False))
+    return _draft_and_verify(gen, draft_model, None)
 
 
 def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
@@ -262,9 +262,9 @@ def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
     single-forward verification, phrase harvesting and suffix correction.
 
     ``pool`` may arrive pre-loaded (phrase reuse across queries); pass a fresh
-    one per prompt to measure cold starts.  With every toggle off this is the
-    speculative engine.
+    one per prompt to measure cold starts.  With every toggle off and
+    ``k = 0`` this is the speculative engine.
     """
     gen = _Generation(target, prompt, cfg, draft_model)
-    pool = gen.pool(pool, cfg.prompt_warmup and (cfg.phrase_draft or cfg.lengthening))
+    pool = gen.pool(pool, cfg.prompt_warmup and (cfg.phrase_draft or cfg.k > 0))
     return _draft_and_verify(gen, draft_model, pool)

@@ -147,8 +147,9 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     """Replace every untried suffix with the target's corrected version.
 
     The corrected phrase keeps the suffix's first token and takes the
-    verdicts over its tail; length is unchanged.  Returns how many stored
-    phrases were actually replaced (missing ones are soft misses).
+    verdicts over its tail as ``verify`` cut it, so a phrase longer than beta
+    becomes its beta-token correction.  Returns how many stored phrases were
+    actually replaced (missing ones are soft misses).
     """
     replaced = 0
     for o, s in enumerate(suffixes):

@@ -18,7 +18,8 @@ from scipy import stats
 from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
                        PerturbedModel, PhrasePool, build_ngram_model,
                        forward_scan, forward_tree, generate_ouroboros,
-                       generate_speculative, generate_vanilla, locality_experiment,
+                       generate_lookahead_target, generate_speculative,
+                       generate_vanilla, locality_experiment,
                        make_config, modeled_speedup, next_distribution,
                        run_benchmark)
 from ouroboros.bench import ablation
@@ -68,10 +69,11 @@ def test_01_losslessness_exact_over_200_fuzzed_cases():
         pd, le, ha, _ = combos[case % 16]
         cfg = EngineConfig(
             gamma=int(rng.integers(2, 15)), beta=int(rng.integers(2, 8)),
-            k=int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
+            # k = 0 is lengthening off; k is drawn either way, so every
+            # later draw is the same
+            k=le * int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
             ngram=int(rng.integers(2, 5)), max_new=int(rng.integers(1, 50)),
-            temperature=0.0, seed=case,
-            phrase_draft=pd, lengthening=le, harvest=ha)
+            temperature=0.0, seed=case, phrase_draft=pd, harvest=ha)
         want, _ = generate_vanilla(target, prompt, cfg)
         got, _ = generate_ouroboros(target, draft, prompt, cfg)
         mismatches += int(got != want)
@@ -290,6 +292,43 @@ def test_08b_sampled_token_after_an_accepted_draft_chi_square():
     assert p_theory > 0.01
     report(f"8b sampled token after an accepted, lengthened draft matches the "
            f"model (chi-square p={p_theory:.3f}): PASS")
+
+
+def test_08c_lookahead_sampled_drafting_chi_square():
+    # after 1 the target gives 1, 2 or 3 (1/6, 2/3, 1/6) and after 2 it gives
+    # 0 or 3 (2/3, 1/3).  The pooled phrase (1, 2, 0) proposes 2 then 0, so
+    # the first draft step either accepts 2 and draws the token after it, or
+    # draws a correction token other than 2.  Both must follow the target.
+    target = build_ngram_model([0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 1, 1, 2, 0, 3,
+                                0, 1, 2], order=2, vocab_size=4)
+    cfg = EngineConfig(window=2, ngram=2, max_new=2, temperature=1.0,
+                       prompt_warmup=False)
+    n = 4000
+    after = np.zeros(4, dtype=int)
+    corrections = np.zeros(4, dtype=int)
+    for seed in range(n):
+        pool = PhrasePool(4)
+        pool.insert((1, 2, 0))
+        out, _ = generate_lookahead_target(
+            target, [3, 1], dataclasses.replace(cfg, seed=seed), pool)
+        if out[0] == 2:
+            after[out[1]] += 1
+        else:
+            corrections[out[0]] += 1
+    assert stats.binomtest(int(after.sum()), n, 2 / 3).pvalue > 0.01
+    p_correction = target.distribution([1]).copy()
+    p_correction[2] = 0.0
+    p_values = []
+    for counts, probs in ((after, target.distribution([1, 2])),
+                          (corrections, p_correction)):
+        support = probs > 0
+        assert counts.sum() == counts[support].sum()
+        expect = probs[support] / probs.sum() * counts.sum()
+        p_values.append(stats.chisquare(counts[support], expect)[1])
+    assert min(p_values) > 0.01
+    report(f"8c lookahead's sampled draft step matches the model after an "
+           f"accepted phrase token and at a correction (chi-square "
+           f"p={p_values[0]:.3f}, {p_values[1]:.3f}): PASS")
 
 
 def test_09_k_sweep_has_interior_minimum(tagged_corpus):

@@ -43,7 +43,7 @@ def small_config(corpus, **overrides):
 
 def tune_config(corpus, **overrides):
     """``small_config`` without the settings tune searches itself."""
-    return small_config(corpus, **dict.fromkeys(("gamma", "beta", "k", "window")),
+    return small_config(corpus, **dict.fromkeys(("gamma", "beta", "window")),
                         **overrides)
 
 
@@ -230,6 +230,17 @@ class TestAblation:
                            "ouroboros:+lengthening", "ouroboros:+harvest",
                            "ouroboros:+reuse"}
 
+    @pytest.mark.parametrize("rung, settings", [
+        ("+phrase_draft", dict(k=0)), ("+lengthening", dict(k=3))])
+    def test_rung_is_the_run_of_its_settings(self, reference_corpus, rung,
+                                             settings):
+        # lengthening is k > 0: the rungs below it run with k = 0
+        report = ablation(small_config(reference_corpus))
+        run = run_benchmark(small_config(reference_corpus, engines=("ouroboros",),
+                                         harvest=False, reuse=False, **settings))
+        rows = [row for row in report.rows if row["engine"] == f"ouroboros:{rung}"]
+        assert rows == [dict(row, engine=f"ouroboros:{rung}") for row in run.rows]
+
     def test_base_rung_has_unit_reduction(self, reference_corpus):
         report = ablation(small_config(reference_corpus))
         for row in report.rows:
@@ -260,11 +271,16 @@ class TestTune:
         picked = tune(cfg, objective=lambda g, w, b, k: -g)
         assert picked.gamma == 14
 
-    def test_k_is_always_three(self, reference_corpus):
-        cfg = tune_config(reference_corpus, seed=0)
+    @pytest.mark.parametrize("k", [None, 0, 5])
+    def test_k_is_the_configured_k(self, reference_corpus, k):
+        # K is not searched: 3 by default, and k = 0 tunes without lengthening
+        cfg = tune_config(reference_corpus, seed=0, k=k)
+        want = 3 if k is None else k
         for task in ("HH", "LH"):
             cfg = dataclasses.replace(cfg, task_type=task)
-            assert tune(cfg, objective=lambda g, w, b, k: g * w * b).k == 3
+            seen = set()
+            picked = tune(cfg, objective=lambda g, w, b, k: seen.add(k) or g * w * b)
+            assert picked.k == want and seen == {want}
 
     def test_real_objective_runs_on_a_slice(self, reference_corpus):
         cfg = tune_config(reference_corpus, max_new=8, tune_slice=2,
@@ -275,9 +291,13 @@ class TestTune:
         assert 5 <= picked.beta <= 7
 
     def test_empty_slice_rejected(self, reference_corpus):
-        cfg = tune_config(reference_corpus, tune_slice=0, task_type="LH")
-        with pytest.raises(InputError, match="empty corpus slice"):
-            tune(cfg)
+        # refused by the settings check, with an objective or without one
+        for tune_slice in (0, -1):
+            cfg = tune_config(reference_corpus, tune_slice=tune_slice, task_type="LH")
+            with pytest.raises(InputError, match="empty corpus slice"):
+                tune(cfg)
+            with pytest.raises(InputError, match="empty corpus slice"):
+                tune(cfg, objective=lambda g, w, b, k: 1.0)
 
     @pytest.mark.parametrize("setting", [dict(gamma=3), dict(pool_file="P.txt")])
     def test_objective_does_not_skip_the_config_check(self, reference_corpus,
@@ -433,10 +453,21 @@ class TestCli:
         ["--temperature", "nan"], ["--temperature", "inf"],
         ["--t-draft", "nan"], ["--t-target", "inf"],
         ["--tree-surcharge", "inf"], ["--draft-spec", "perturbed:base=foo"],
-        ["--engines", ","], ["--engines", "vanilla,vanilla"]])
+        ["--engines", ","], ["--engines", "vanilla,vanilla"], ["--seed", "-1"]])
     def test_value_outside_the_contract_exits_one(self, args, reference_corpus,
                                                   capsys):
         code = cli.main(["run", "--corpus", reference_corpus, "--max-new", "4",
+                         *args])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, args", [
+        ("ablate", ["--seed", "-1"]), ("tune", ["--seed", "-1"]),
+        ("tune", ["--tune-slice", "0"]), ("tune", ["--tune-slice", "-1"])])
+    def test_tune_and_ablate_values_outside_the_contract_exit_one(
+            self, command, args, reference_corpus, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "generate_ouroboros", broken_engine)
+        code = cli.main([command, "--corpus", reference_corpus, "--max-new", "4",
                          *args])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -513,6 +544,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: pool file") and str(path) in err
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("command, flag, where", [
+        ("run", "--out-csv", "missing directory"), ("run", "--out-json", "directory"),
+        ("ablate", "--out-csv", "directory"), ("tune", "--out-json", "missing directory"),
+        ("locality", "--out-json", "missing directory")])
+    def test_unusable_report_path_exits_one_before_any_query(
+            self, command, flag, where, tagged_corpus, tmp_path, monkeypatch, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "nodir" / "R"
+        for name in ("generate_vanilla", "generate_speculative",
+                     "generate_lookahead_target", "generate_ouroboros"):
+            monkeypatch.setattr(bench, name, broken_engine)
+        cn = ["--cn", "3"] if command == "locality" else []
+        code = cli.main([command, "--corpus", tagged_corpus, *cn, "--max-new", "4",
+                         flag, str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', ' ')} {path}")
+        assert not (tmp_path / "nodir").exists()
+
+    def test_lengthening_toggle_is_gone(self, reference_corpus, tmp_path, capsys):
+        # k = 0 turns lengthening off; there is no second switch for it
+        code = cli.main(["run", "--corpus", reference_corpus, "--no-lengthening"])
+        assert code == 1
+        assert "unrecognized arguments: --no-lengthening" in capsys.readouterr().err
+        cfg_path = tmp_path / "off.cfg"
+        cfg_path.write_text("lengthening = false\n", encoding="utf-8")
+        code = cli.main(["run", "--corpus", reference_corpus, "--config",
+                         str(cfg_path)])
+        assert code == 1
+        assert "unknown config key 'lengthening'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
         ("tune", ["--out-csv", "T.csv"]),

@@ -163,6 +163,36 @@ class TestOuroboros:
         assert m_o.iterations == m_s.iterations
         assert m_o.accept_len_histogram == m_s.accept_len_histogram
 
+    def test_k_zero_turns_lengthening_off(self):
+        target = CounterModel(100)
+        cfg = EngineConfig(gamma=4, beta=4, k=2, window=4, ngram=3, max_new=32)
+        _, on = generate_ouroboros(target, target, [3], cfg, seeded_counter_pool(100))
+        _, off = generate_ouroboros(target, target, [3], dataclasses.replace(cfg, k=0),
+                                    seeded_counter_pool(100))
+        assert on.target_branch_tokens > 0
+        assert off.target_branch_tokens == 0
+
+    @pytest.mark.parametrize("k, warmed", [(0, False), (1, True)])
+    def test_prompt_warmup_only_when_a_loop_reads_the_pool(self, k, warmed):
+        # with phrase drafting off only lengthening (k > 0) reads the pool
+        target = CounterModel(100)
+        cfg = EngineConfig(k=k, phrase_draft=False, harvest=False, max_new=8)
+        pool = PhrasePool(100)
+        generate_ouroboros(target, target, [3, 4, 5, 6, 7], cfg, pool)
+        assert (len(pool) > 0) == warmed
+
+    @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
+    def test_a_small_pool_grows_to_fit_beta_and_ngram(self, engine):
+        target = CounterModel(100)
+        pool = PhrasePool(100, max_phrase_len=4)
+        cfg = EngineConfig(beta=6, ngram=5, max_new=8)
+        if engine == "ouroboros":
+            out, _ = generate_ouroboros(target, target, [3], cfg, pool)
+        else:
+            out, _ = generate_lookahead_target(target, [3], cfg, pool)
+        assert out == list(range(4, 12))
+        assert pool.max_phrase_len == 6
+
     def test_eos_inside_accepted_span_truncates(self):
         target = CounterModel(20, eos_id=9)
         cfg = EngineConfig(gamma=6, max_new=30)
@@ -184,9 +214,10 @@ class TestOuroboros:
             pd, le, ha, _ = combos[i % 16]
             cfg = EngineConfig(
                 gamma=int(rng.integers(2, 15)), beta=int(rng.integers(2, 8)),
-                k=int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
+                # k = 0 is lengthening off; k is drawn either way
+                k=le * int(rng.integers(0, 6)), window=int(rng.integers(1, 8)),
                 ngram=int(rng.integers(2, 5)), max_new=int(rng.integers(1, 40)),
-                phrase_draft=pd, lengthening=le, harvest=ha)
+                phrase_draft=pd, harvest=ha)
             want, _ = generate_vanilla(target, prompt, cfg)
             got, _ = generate_ouroboros(target, draft, prompt, cfg)
             assert got == want

@@ -273,6 +273,18 @@ class TestCorrectUnusedSuffixes:
         assert bucket[0].hits == 2
         assert bucket[0].last_used > stamp
 
+    def test_a_phrase_longer_than_beta_gets_a_beta_token_correction(self):
+        # verify cuts each tail to beta - 1 tokens, so the stored 8-token
+        # phrase is replaced by the draft end's verdict and five more
+        pool = PhrasePool(20)
+        suffixes = [pool.insert((3, 9, 9, 9, 9, 9, 9, 9)), pool.insert((3, 4, 5))]
+        outcome = verify(CounterModel(20), [1, 2], [3], suffixes, beta=6)
+        assert outcome.chosen_branch == 1
+        assert correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
+                                       outcome.chosen_branch) == 1
+        assert sorted(p.tokens for p in pool.bucket(3)) == [
+            (3, 4, 5), (3, 4, 10, 10, 10, 10)]
+
 
 class RowModel(LanguageModel):
     """An order-1 model: the next token's distribution is its last token's row."""

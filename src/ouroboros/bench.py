@@ -132,7 +132,6 @@ class BenchConfig(EngineConfig):
     corpus: str = ""
     tokenizer: str = "whitespace"
     engines: Tuple[str, ...] = ENGINE_NAMES
-    repetitions: int = 1
     reuse: bool = True
     t_draft: float = 1.0
     t_target: float = 10.0
@@ -156,8 +155,6 @@ class BenchConfig(EngineConfig):
         self.cost_model()
         if not self.corpus:
             raise InputError("no corpus configured")
-        if self.repetitions < 1:
-            raise InputError("repetitions must be >= 1")
         if not self.engines:
             raise InputError("no engines configured")
         for i, name in enumerate(self.engines):
@@ -251,27 +248,7 @@ class Report:
                 "aggregates": self.aggregates}
 
 
-def _rows(runs: Sequence[Run], metrics: Sequence[RunMetrics],
-          cost: CostModel) -> List[dict]:
-    """One report row per run, from its (entry, label, config) and metrics."""
-    return [{
-        "entry": entry,
-        "engine": label,
-        "tokens": m.tokens_emitted,
-        "target_fwd": m.target_forwards,
-        "draft_fwd": m.draft_forwards,
-        "iters": m.iterations,
-        "mean_A": round(m.mean_A, 9),
-        "mean_match": round(m.mean_match, 9),
-        "c": round(m.draft_reduction_c, 9),
-        "eta": round(m.block_efficiency, 9),
-        "modeled_speedup": round(modeled_speedup(m, cost), 9),
-        "seed": ecfg.seed,
-    } for (entry, label, ecfg), m in zip(runs, metrics)]
-
-
-_NUMERIC_COLS = ("tokens", "target_fwd", "draft_fwd", "iters", "mean_A",
-                 "mean_match", "c", "eta", "modeled_speedup")
+_NUMERIC_COLS = CSV_COLUMNS[2:-1]  # tokens .. modeled_speedup
 
 
 def _aggregate(rows: List[dict]) -> dict:
@@ -305,10 +282,11 @@ def write_csv(report: Report, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_json(report: Report, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+def write_json(report: Union[Report, dict], path: Union[str, Path]) -> None:
+    """Write a report, or a plain dict such as tune's pick, as sorted JSON."""
+    data = report.to_dict() if isinstance(report, Report) else report
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def _finish_report(cfg: BenchConfig, rows: List[dict], extra: dict = None) -> Report:
@@ -379,41 +357,31 @@ def _setup(cfg: BenchConfig, command: str,
     return (corpus, *build_models(cfg, corpus))
 
 
-def _seeded(ecfg: EngineConfig, entry: int, rep: int) -> EngineConfig:
-    """The config of one run, with its per-entry, per-repetition seed."""
-    return dataclasses.replace(ecfg, seed=ecfg.seed + 104729 * entry + 7919 * rep)
+def _execute(cfg: BenchConfig, runs: Sequence[Run], corpus: Corpus, target,
+             draft) -> Tuple[List[dict], List[RunMetrics]]:
+    """Run (entry, label, config) items in order, each at seed ``config.seed
+    + 104729 * entry``; return one report row and the metrics of each run.
+    The label names the engine, optionally followed by ``:<rung>``.
 
-
-def _load_pool_file(cfg: BenchConfig, vocab_size: int) -> Optional[PhrasePool]:
-    """The pool saved at ``cfg.pool_file``, or None when there is none yet."""
-    path = Path(cfg.pool_file)
-    if not cfg.pool_file or not path.exists():
-        return None
-    try:
-        pool = PhrasePool.load(path)
-    except OSError as exc:
-        raise InputError(f"cannot read pool file {path}: {exc}") from exc
-    if pool.vocab_size != vocab_size:
-        raise InputError(
-            f"pool file vocab {pool.vocab_size} != corpus vocab {vocab_size}")
-    return pool
-
-
-def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
-             preload: Optional[PhrasePool] = None,
-             ) -> Tuple[List[RunMetrics], Optional[PhrasePool]]:
-    """Run (entry, label, config) items in order; return each run's metrics
-    and the pool handed out last.  The label names the engine, optionally
-    followed by ``:<rung>``.
-
-    The pool policy: with ``reuse`` on, every ouroboros run shares one pool;
-    otherwise each run gets a fresh pool, or a copy of ``preload``.  An
-    ``InputError`` passes through; any other failure becomes a
-    ``RunFailure`` naming the run.
+    The pool policy: with ``cfg.reuse`` on, every ouroboros run shares one
+    pool; otherwise each run gets its own.  A pool starts as a copy of the
+    one saved at ``cfg.pool_file``, if there is one, or empty; the pool
+    handed out last is saved back there.  An ``InputError`` passes through;
+    any other failure becomes a ``RunFailure`` naming the run.
     """
-    metrics, pool = [], None
+    path, preload = Path(cfg.pool_file), None
+    if cfg.pool_file and path.exists():
+        try:
+            preload = PhrasePool.load(path)
+        except OSError as exc:
+            raise InputError(f"cannot read pool file {path}: {exc}") from exc
+        if preload.vocab_size != corpus.vocab_size:
+            raise InputError(f"pool file vocab {preload.vocab_size} != "
+                             f"corpus vocab {corpus.vocab_size}")
+    rows, metrics, pool, cost = [], [], None, cfg.cost_model()
     for entry, label, ecfg in runs:
-        engine, prompt = label.split(":")[0], prompts[entry]
+        ecfg = dataclasses.replace(ecfg, seed=ecfg.seed + 104729 * entry)
+        engine, prompt = label.split(":")[0], corpus.prompts[entry]
         try:
             if engine == "vanilla":
                 _, m = generate_vanilla(target, prompt, ecfg)
@@ -422,7 +390,7 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
             elif engine == "lookahead":
                 _, m = generate_lookahead_target(target, prompt, ecfg)
             else:
-                if pool is None or not reuse:
+                if pool is None or not cfg.reuse:
                     pool = preload.copy() if preload else PhrasePool(
                         target.vocab_size)
                 _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
@@ -431,7 +399,23 @@ def _execute(runs: Sequence[Run], prompts, target, draft, reuse: bool,
         except Exception as exc:
             raise RunFailure(entry, label, exc) from exc
         metrics.append(m)
-    return metrics, pool
+        rows.append({
+            "entry": entry,
+            "engine": label,
+            "tokens": m.tokens_emitted,
+            "target_fwd": m.target_forwards,
+            "draft_fwd": m.draft_forwards,
+            "iters": m.iterations,
+            "mean_A": round(m.mean_A, 9),
+            "mean_match": round(m.mean_match, 9),
+            "c": round(m.draft_reduction_c, 9),
+            "eta": round(m.block_efficiency, 9),
+            "modeled_speedup": round(modeled_speedup(m, cost), 9),
+            "seed": ecfg.seed,
+        })
+    if cfg.pool_file and pool is not None:
+        pool.save(cfg.pool_file)
+    return rows, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +431,9 @@ _EVERY = ("corpus", "tokenizer", "target_spec", "draft_spec", "seed", "max_new",
 _SEARCHED = ("gamma", "beta", "window")
 _TOGGLES = ("harvest", "phrase_draft", "prompt_warmup")
 COMMAND_SETTINGS = {
-    "run": _EVERY + _SEARCHED + _TOGGLES + ("engines", "repetitions", "reuse",
-                                            "pool_file", "out_csv"),
-    "ablate": _EVERY + _SEARCHED + ("repetitions", "out_csv"),
+    "run": _EVERY + _SEARCHED + _TOGGLES + ("engines", "reuse", "pool_file",
+                                            "out_csv"),
+    "ablate": _EVERY + _SEARCHED + ("out_csv",),
     "tune": _EVERY + _TOGGLES + ("reuse", "task_type", "tune_slice"),
     "locality": _EVERY + _SEARCHED + _TOGGLES + ("reuse", "pool_file", "out_csv",
                                                  "cn"),
@@ -467,19 +451,12 @@ def _unread(command: str, name: str) -> InputError:
 
 
 def run_benchmark(cfg: BenchConfig) -> Report:
-    """Run entries x engines x repetitions and report every run's metrics."""
+    """Run entries x engines and report every run's metrics."""
     corpus, target, draft = _setup(cfg, "run")
-    preload = _load_pool_file(cfg, corpus.vocab_size)
-    ecfg, rows = cfg.engine_config(), []
-    for rep in range(cfg.repetitions):
-        runs = [(entry, engine, _seeded(ecfg, entry, rep))
-                for entry in range(len(corpus.prompts)) for engine in cfg.engines]
-        metrics, pool = _execute(runs, corpus.prompts, target, draft, cfg.reuse,
-                                 preload)
-        rows += _rows(runs, metrics, cfg.cost_model())
-    if cfg.pool_file and pool is not None:
-        pool.save(cfg.pool_file)
-    return _finish_report(cfg, rows)
+    ecfg = cfg.engine_config()
+    runs = [(entry, engine, ecfg)
+            for entry in range(len(corpus.prompts)) for engine in cfg.engines]
+    return _finish_report(cfg, _execute(cfg, runs, corpus, target, draft)[0])
 
 
 # (rung, reuse, lengthening, EngineConfig toggles); each rung adds one component
@@ -497,11 +474,10 @@ def ablation(cfg: BenchConfig) -> Report:
     for rung, reuse, lengthening, toggles in ABLATION_RUNGS:
         rung_cfg = dataclasses.replace(cfg.engine_config(),
                                        k=cfg.k if lengthening else 0, **toggles)
-        for rep in range(cfg.repetitions):
-            runs = [(entry, f"ouroboros:{rung}", _seeded(rung_cfg, entry, rep))
-                    for entry in range(len(corpus.prompts))]
-            metrics, _ = _execute(runs, corpus.prompts, target, draft, reuse)
-            rows += _rows(runs, metrics, cfg.cost_model())
+        runs = [(entry, f"ouroboros:{rung}", rung_cfg)
+                for entry in range(len(corpus.prompts))]
+        rows += _execute(dataclasses.replace(cfg, reuse=reuse), runs, corpus,
+                         target, draft)[0]
     return _finish_report(cfg, rows)
 
 
@@ -512,19 +488,21 @@ def tune(cfg: BenchConfig,
     samples for W/beta/gamma, then coordinate minimization of gamma, W, beta
     in that order against modeled clock time (sweeps try the sampled value
     first, so ties keep it).  ``objective(gamma, window, beta, k)`` defaults
-    to the modeled time of ouroboros over the first ``tune_slice`` entries."""
+    to the modeled time of ouroboros over the first ``tune_slice`` entries.
+    With ``cfg.out_json`` set, the picked gamma, window, beta and k are
+    written there."""
     if objective is not None:
         _check_settings(cfg, "tune")
     else:
         corpus, target, draft = _setup(cfg, "tune")
-        prompts, cost = corpus.prompts[:cfg.tune_slice], cfg.cost_model()
+        cost = cfg.cost_model()
 
         def objective(gamma: int, window: int, beta: int, k: int) -> float:
             ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
                                        window=window, beta=beta, k=k)
-            runs = [(entry, "ouroboros", _seeded(ecfg, entry, 0))
-                    for entry in range(len(prompts))]
-            metrics, _ = _execute(runs, prompts, target, draft, cfg.reuse)
+            runs = [(entry, "ouroboros", ecfg)
+                    for entry in range(len(corpus.prompts))][:cfg.tune_slice]
+            metrics = _execute(cfg, runs, corpus, target, draft)[1]
             return sum(modeled_time(m, cost) for m in metrics)
 
     def sweep(hat: int, lo: int, hi: int, fn: Callable[[int], float]) -> int:
@@ -539,6 +517,8 @@ def tune(cfg: BenchConfig,
     g0 = sweep(g_hat, g_lo, g_hi, lambda g: objective(g, w_hat, b_hat, k))
     w0 = sweep(w_hat, 15, 20, lambda w: objective(g0, w, b_hat, k))
     b0 = sweep(b_hat, 5, 7, lambda b: objective(g0, w0, b, k))
+    if cfg.out_json:
+        write_json(dict(gamma=g0, window=w0, beta=b0, k=k), cfg.out_json)
     return dataclasses.replace(cfg.engine_config(), gamma=g0, window=w0, beta=b0)
 
 
@@ -557,19 +537,14 @@ def locality_order(tasks: Sequence[str], cn: Union[int, str],
         raise InputError(f"cn must be an integer or 'shuffle', got {cn!r}") from exc
     if cn < 1:
         raise InputError("cn must be >= 1")
-    queues: Dict[str, List[int]] = {}
-    task_order: List[str] = []
-    for i, task in enumerate(tasks):
-        if task not in queues:
-            queues[task] = []
-            task_order.append(task)
-        queues[task].append(i)
-    ordered: List[int] = []
-    while any(queues[t] for t in task_order):
-        for task in task_order:
-            block, queues[task] = queues[task][:cn], queues[task][cn:]
-            ordered.extend(block)
-    return ordered
+    # the j-th entry of a task goes in block j // cn; a stable sort by
+    # (block, the task's first appearance) keeps each block's entries in order
+    rank = {task: r for r, task in enumerate(dict.fromkeys(tasks))}
+    seen, keys = dict.fromkeys(rank, 0), []
+    for task in tasks:
+        keys.append((seen[task] // cn, rank[task]))
+        seen[task] += 1
+    return sorted(indices, key=keys.__getitem__)
 
 
 def locality_experiment(cfg: BenchConfig) -> Report:
@@ -579,13 +554,8 @@ def locality_experiment(cfg: BenchConfig) -> Report:
         raise InputError("locality experiment needs --cn <n|shuffle>")
     corpus, target, draft = _setup(cfg, "locality")
     order = locality_order(corpus.tasks, cfg.cn, cfg.seed)
-    runs = [(entry, "ouroboros", _seeded(cfg.engine_config(), entry, 0))
-            for entry in order]
-    metrics, pool = _execute(runs, corpus.prompts, target, draft, cfg.reuse,
-                             _load_pool_file(cfg, corpus.vocab_size))
-    if cfg.pool_file and pool is not None:
-        pool.save(cfg.pool_file)
-    rows = _rows(runs, metrics, cfg.cost_model())
+    runs = [(entry, "ouroboros", cfg.engine_config()) for entry in order]
+    rows = _execute(cfg, runs, corpus, target, draft)[0]
     for row in rows:
         row["task"] = corpus.tasks[row["entry"]]
     extra = {"locality": {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import traceback
 from typing import List, Optional
@@ -104,12 +103,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = make_config(file_values, args.command, **overrides)
         result = _COMMANDS[args.command][0](cfg)
         if args.command == "tune":
-            picked = {k: getattr(result, k) for k in ("gamma", "window", "beta", "k")}
-            print(" ".join(f"{k}={v}" for k, v in picked.items()))
-            if cfg.out_json:
-                with open(cfg.out_json, "w", encoding="utf-8") as fh:
-                    json.dump(picked, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+            print(" ".join(f"{k}={getattr(result, k)}"
+                           for k in ("gamma", "window", "beta", "k")))
         else:
             _print_report(result)
         return 0

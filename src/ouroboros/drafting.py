@@ -67,8 +67,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     cand: List[int] = []
     best = pool.lookup_k(context[-1], 1)
     if best:
-        tokens = best[0].tokens[:beta] if beta is not None else best[0].tokens
-        cand = list(tokens[1:])
+        cand = list(best[0].tokens[1:beta])
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
     drawn = sample(rows[:len(cand) + 1], temperature, rng)
     appended = drawn[:accept_len(cand, drawn) + 1]

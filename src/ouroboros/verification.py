@@ -70,8 +70,7 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
         if s.tokens[0] != draft[-1]:
             raise InputError(
                 f"suffix {s.tokens} does not start with the draft's last token")
-        tokens = s.tokens[:beta] if beta is not None else s.tokens
-        tails.append(list(tokens[1:]))
+        tails.append(list(s.tokens[1:beta]))
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
     n = len(draft)

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ouroboros
 from ouroboros import bench, cli
@@ -290,6 +292,22 @@ class TestTune:
         assert 15 <= picked.window <= 20
         assert 5 <= picked.beta <= 7
 
+    def test_out_json_is_written_from_python_as_from_the_cli(self, reference_corpus,
+                                                             tmp_path):
+        out, cli_out = tmp_path / "tune.json", tmp_path / "cli.json"
+        cfg = tune_config(reference_corpus, max_new=8, tune_slice=2,
+                          task_type="LH", out_json=str(out))
+        picked = tune(cfg)
+        assert json.loads(out.read_text()) == {
+            key: getattr(picked, key) for key in ("beta", "gamma", "k", "window")}
+        code = cli.main([
+            "tune", "--corpus", reference_corpus, "--tokenizer", "whitespace",
+            "--target-spec", "ngram:order=3", "--draft-spec", "perturbed:epsilon=0.05",
+            "--k", "3", "--ngram", "3", "--max-new", "8", "--seed", "1",
+            "--tune-slice", "2", "--task-type", "LH", "--out-json", str(cli_out)])
+        assert code == 0
+        assert cli_out.read_bytes() == out.read_bytes()
+
     def test_empty_slice_rejected(self, reference_corpus):
         # refused by the settings check, with an objective or without one
         for tune_slice in (0, -1):
@@ -337,6 +355,21 @@ class TestLocality:
         tasks = ["a"] * 20 + ["b"] * 20
         order = locality_order(tasks, 20, seed=0)
         assert [tasks[i] for i in order] == ["a"] * 20 + ["b"] * 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), max_size=40), st.integers(1, 6))
+    def test_order_is_round_robin_over_task_blocks(self, tasks, cn):
+        # reference: each round takes the next cn entries of every task, in
+        # order of the tasks' first appearance
+        queues = {}
+        for i, task in enumerate(tasks):
+            queues.setdefault(task, []).append(i)
+        want = []
+        while any(queues.values()):
+            for task, queue in queues.items():
+                want += queue[:cn]
+                del queue[:cn]
+        assert locality_order(tasks, cn, seed=0) == want
 
     def test_shuffle_is_a_seeded_permutation(self):
         tasks = ["a"] * 10 + ["b"] * 10
@@ -575,12 +608,24 @@ class TestCli:
         assert code == 1
         assert "unknown config key 'lengthening'" in capsys.readouterr().err
 
+    def test_repetitions_setting_is_gone(self, reference_corpus, tmp_path, capsys):
+        # another --seed gives more samples at T > 0; at T = 0 they repeat
+        code = cli.main(["run", "--corpus", reference_corpus, "--repetitions", "2"])
+        assert code == 1
+        assert "unrecognized arguments: --repetitions 2" in capsys.readouterr().err
+        cfg_path = tmp_path / "reps.cfg"
+        cfg_path.write_text("repetitions = 2\n", encoding="utf-8")
+        code = cli.main(["run", "--corpus", reference_corpus, "--config",
+                         str(cfg_path)])
+        assert code == 1
+        assert "unknown config key 'repetitions'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flag", [
         ("tune", ["--out-csv", "T.csv"]),
         ("run", ["--cn", "3"]), ("ablate", ["--cn", "3"]), ("tune", ["--cn", "3"]),
-        ("tune", ["--gamma", "3"]), ("tune", ["--repetitions", "3"]),
+        ("tune", ["--gamma", "3"]), ("tune", ["--pool-file", "P.txt"]),
         ("ablate", ["--engines", "vanilla"]), ("ablate", ["--no-reuse"]),
-        ("locality", ["--repetitions", "5"])])
+        ("locality", ["--engines", "vanilla"])])
     def test_flags_a_command_would_ignore_are_usage_errors(
             self, command, flag, reference_corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -592,7 +637,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, line", [
         ("run", "cn = 3"), ("ablate", "harvest = false"), ("tune", "gamma = 3"),
-        ("locality", "repetitions = 5"), ("run", "task_type = LH")])
+        ("locality", "engines = vanilla"), ("run", "task_type = LH")])
     def test_config_keys_a_command_would_ignore_exit_one(
             self, command, line, reference_corpus, tmp_path, capsys):
         cfg_path = tmp_path / "ignored.cfg"

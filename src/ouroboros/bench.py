@@ -7,6 +7,7 @@ two identical invocations produce byte-identical CSV/JSON bodies.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import statistics
@@ -42,8 +43,7 @@ Run = Tuple[int, str, EngineConfig]  # (entry, label, config) of one run
 @dataclass
 class Corpus:
     prompts: List[List[int]]
-    vocab_size: int
-    eos_id: int
+    vocab_size: int  # the last id is EOS
     tasks: Optional[List[str]] = None  # per-prompt task ids for tagged corpora
 
     def training_stream(self) -> List[int]:
@@ -74,8 +74,8 @@ def _split_task_tag(line: str, line_no: int) -> Tuple[str, str]:
 
 
 def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
-              ) -> Tuple[List[List[int]], int, int]:
-    """The prompts, the vocab size and the EOS id, the last id."""
+              ) -> Tuple[List[List[int]], int]:
+    """The prompts and the vocab size, whose last id is reserved for EOS."""
     if tokenizer == "byte":
         prompts = [list(line.encode("utf-8")) for _, line in lines]
         vocab_size = BYTE_VOCAB
@@ -89,7 +89,7 @@ def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
     for (line_no, _), ids in zip(lines, prompts):
         if len(ids) > MAX_PROMPT_TOKENS:
             raise InputError(f"line {line_no}: prompt exceeds {MAX_PROMPT_TOKENS} tokens")
-    return prompts, vocab_size, vocab_size - 1
+    return prompts, vocab_size
 
 
 def ingest_corpus(path: Union[str, Path], tokenizer: str,
@@ -98,8 +98,8 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
 
     The byte tokenizer maps each UTF-8 byte to its value (vocab 257 with EOS);
     the whitespace tokenizer assigns ids in order of first occurrence across
-    the whole file and reserves the next id for EOS.  ``tagged`` corpora carry
-    a ``task:<id>|`` prefix per line (locality experiment).
+    the whole file and reserves the next id for EOS; these fix the models'
+    vocab and EOS.  ``tagged`` lines carry a ``task:<id>|`` prefix (locality).
     """
     raw = [(i + 1, line) for i, line in enumerate(_read_lines(path, "corpus"))
            if line.strip()]
@@ -114,11 +114,11 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
             tasks.append(task)
             stripped.append((line_no, rest))
         raw = stripped
-    prompts, vocab_size, eos_id = _tokenize(raw, tokenizer)
+    prompts, vocab_size = _tokenize(raw, tokenizer)
     empties = [ln for (ln, _), p in zip(raw, prompts) if not p]
     if empties:
         raise InputError(f"line {empties[0]}: prompt has no tokens")
-    return Corpus(prompts, vocab_size, eos_id, tasks)
+    return Corpus(prompts, vocab_size, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +276,11 @@ def _aggregate(rows: List[dict]) -> dict:
 
 
 def write_csv(report: Report, path: Union[str, Path]) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in report.rows:
-        lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write each row's own columns in key order (locality adds ``task``)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(report.rows[0] if report.rows else CSV_COLUMNS)
+        writer.writerows(row.values() for row in report.rows)
 
 
 def write_json(report: Union[Report, dict], path: Union[str, Path]) -> None:
@@ -310,18 +311,12 @@ def _finish_report(cfg: BenchConfig, rows: List[dict], extra: dict = None) -> Re
 
 def build_models(cfg: BenchConfig, corpus: Corpus,
                  ) -> Tuple[LanguageModel, LanguageModel]:
-    """Target and draft models from their spec strings.
+    """Target and draft models over the corpus vocab, whose last id is EOS.
 
     n-gram specs train on the corpus stream; a bare perturbed draft spec wraps
-    the target model.  A spec may name a vocab only if it is the corpus vocab.
+    the target model, and a perturbed target spec must name its base.
     """
     tspec, dspec = map(parse_model_spec, (cfg.target_spec, cfg.draft_spec))
-    for role, spec in (("target", tspec), ("draft", dspec)):
-        if spec.vocab_size not in (0, corpus.vocab_size):
-            raise InputError(f"{role} model vocab {spec.vocab_size} != "
-                             f"corpus vocab {corpus.vocab_size}")
-    if tspec.kind == "perturbed" and not tspec.base:
-        tspec = dataclasses.replace(tspec, base="ngram")
     stream = corpus.training_stream()
     target = build_model(tspec, corpus.vocab_size, corpus=stream)
     draft = build_model(dspec, corpus.vocab_size, corpus=stream, base=target)

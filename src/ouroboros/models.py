@@ -325,49 +325,50 @@ def sample(dist: np.ndarray, temperature: float,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed form of a model spec string such as ``ngram:order=3,seed=7``."""
+    """Parsed form of a model spec string such as ``ngram:order=3``."""
 
     kind: str
-    vocab_size: int = 0  # 0 = take the vocab from the corpus/base
     order: int = 3
     epsilon: float = 0.0
     seed: int = 0
     swap_to: int = 0
     base: str = ""  # perturbed only: "", "counter", or "ngram"
-    eos_id: Optional[int] = None
 
     def __post_init__(self):
         if self.base not in ("", "counter", "ngram"):
             raise InputError(f"unknown base {self.base!r} (counter or ngram)")
 
 
-# spec key -> (ModelSpec field, parser); a field may be set once
-_SPEC_KEYS = {"vocab": ("vocab_size", int), "vocab_size": ("vocab_size", int),
-              "order": ("order", int), "epsilon": ("epsilon", float),
-              "seed": ("seed", int), "swap": ("swap_to", int),
-              "swap_to": ("swap_to", int), "eos": ("eos_id", int),
-              "base": ("base", lambda v: v.strip().lower())}
+# kind -> {ModelSpec field: parser}; perturbed also reads its named base's keys
+_SPEC_KEYS = {"counter": {}, "ngram": {"order": int},
+              "perturbed": {"epsilon": float, "seed": int, "swap_to": int,
+                            "base": lambda v: v.strip().lower()}}
 
 
 def parse_model_spec(text: str) -> ModelSpec:
-    """Parse ``kind[:key=value,...]``; kinds: counter, ngram, perturbed."""
+    """Parse ``kind[:key=value,...]``, each key a field its kind reads, once."""
     head, _, rest = text.strip().partition(":")
     kind = head.strip().lower()
-    if kind not in ("counter", "ngram", "perturbed"):
+    if kind not in _SPEC_KEYS:
         raise InputError(f"unknown model kind {kind!r}")
-    fields: dict = {}
+    items: dict = {}
     for part in rest.split(",") if rest else ():
         key, eq, value = part.partition("=")
         key = key.strip().lower()
         if not eq:
             raise InputError(f"bad model spec item {part!r}")
-        if key not in _SPEC_KEYS:
-            raise InputError(f"unknown model spec key {key!r}")
-        name, parse = _SPEC_KEYS[key]
-        if name in fields:
+        if key in items:
             raise InputError(f"model spec key {key!r} given twice in {text!r}")
+        items[key] = part, value
+    reads = _SPEC_KEYS[kind]
+    if kind == "perturbed" and "base" in items:
+        reads = {**reads, **_SPEC_KEYS.get(reads["base"](items["base"][1]), {})}
+    fields = {}
+    for key, (part, value) in items.items():
+        if key not in reads:
+            raise InputError(f"a {kind} spec does not read {key!r}")
         try:
-            fields[name] = parse(value)
+            fields[key] = reads[key](value)
         except ValueError as exc:
             raise InputError(f"bad value in model spec item {part!r}") from exc
     return ModelSpec(kind=kind, **fields)
@@ -376,22 +377,19 @@ def parse_model_spec(text: str) -> ModelSpec:
 def build_model(spec: ModelSpec, vocab_size: int,
                 corpus: Optional[TokenSeq] = None,
                 base: Optional[LanguageModel] = None) -> LanguageModel:
-    """Instantiate a model from a spec.
-
-    ``vocab_size`` comes from the tokenizer unless the ModelSpec overrides it;
-    ngram models train on ``corpus``; a perturbed spec wraps ``base`` unless it
-    names its own (counter, or ngram over the corpus).
-    """
-    v = spec.vocab_size or vocab_size
+    """Instantiate a model from a spec over ``vocab_size`` tokens, the last
+    of them EOS: ngram models train on ``corpus``; a perturbed spec wraps
+    ``base`` unless it names its own (counter, or ngram over the corpus)."""
     if spec.kind == "counter":
-        return CounterModel(v, eos_id=spec.eos_id)
+        return CounterModel(vocab_size)
     if spec.kind == "ngram":
         if corpus is None:
             raise InputError("ngram model spec requires a training corpus")
-        return build_ngram_model(corpus, spec.order, vocab_size=v, eos_id=spec.eos_id)
+        return build_ngram_model(corpus, spec.order, vocab_size=vocab_size)
     # perturbed
     if spec.base:
-        base = build_model(dataclasses.replace(spec, kind=spec.base), v, corpus)
+        base = build_model(dataclasses.replace(spec, kind=spec.base), vocab_size,
+                           corpus)
     elif base is None:
-        raise InputError("perturbed model spec requires a base model")
+        raise InputError("perturbed model spec needs a base model or a 'base' key")
     return PerturbedModel(base, spec.epsilon, seed=spec.seed, swap_to=spec.swap_to)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -49,19 +50,26 @@ def tune_config(corpus, **overrides):
                         **overrides)
 
 
+def model_eos_ids(path, corpus, tokenizer):
+    """The EOS ids of the target and draft built over ``corpus``."""
+    cfg = make_config(None, corpus=path, tokenizer=tokenizer,
+                      target_spec="ngram:order=1")
+    return [model.eos_id for model in bench.build_models(cfg, corpus)]
+
+
 class TestIngest:
     def test_byte_tokenizer_maps_bytes(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "ab\n")
         corpus = ingest_corpus(path, "byte")
         assert corpus.prompts == [[97, 98]]
         assert corpus.vocab_size == 257
-        assert corpus.eos_id == 256
+        assert model_eos_ids(path, corpus, "byte") == [256, 256]
 
     def test_whitespace_ids_by_first_occurrence(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "x y x\n")
         corpus = ingest_corpus(path, "whitespace")
         assert corpus.prompts == [[0, 1, 0]]
-        assert corpus.eos_id == 2
+        assert model_eos_ids(path, corpus, "whitespace") == [2, 2]
 
     def test_identical_lines_tokenize_identically(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "a b c\na b c\n")
@@ -406,6 +414,19 @@ class TestLocality:
         assert len(report.rows) == 80
         assert all("task" in row for row in report.rows)
 
+    def test_csv_keeps_each_rows_task(self, tmp_path):
+        # a task id may hold a comma; the CSV quotes it
+        text = tagged_corpus_text(entries_per_task=2).replace("task:code|",
+                                                              "task:code,py|")
+        out_csv, out_json = tmp_path / "loc.csv", tmp_path / "loc.json"
+        cfg = small_config(write_corpus(tmp_path, "c.txt", text), cn="1",
+                           out_csv=str(out_csv), out_json=str(out_json))
+        locality_experiment(cfg)
+        with out_csv.open(encoding="utf-8", newline="") as fh:
+            got = [row["task"] for row in csv.DictReader(fh)]
+        want = [row["task"] for row in json.loads(out_json.read_text())["rows"]]
+        assert got == want and "code,py" in got
+
     def test_missing_cn_rejected(self, tagged_corpus):
         cfg = make_config(None, corpus=tagged_corpus, max_new=4)
         with pytest.raises(InputError):
@@ -469,18 +490,31 @@ class TestCli:
         assert "entry=0" in err and "vanilla" in err
 
     @pytest.mark.parametrize("command", ["run", "ablate", "tune", "locality"])
-    @pytest.mark.parametrize("flag, spec, vocab", [
-        ("--target-spec", "counter:vocab=4", 4),
-        ("--target-spec", "counter:vocab=1000", 1000),
-        ("--draft-spec", "ngram:order=3,vocab=1000", 1000)])
-    def test_model_vocab_other_than_corpus_vocab_exits_one(
-            self, command, flag, spec, vocab, tagged_corpus, capsys):
+    @pytest.mark.parametrize("flag, spec, key", [
+        ("--draft-spec", "ngram:order=2,epsilon=0.5", "'epsilon'"),
+        ("--target-spec", "counter:vocab=4", "'vocab'"),
+        ("--draft-spec", "ngram:order=3,vocab=1000", "'vocab'"),
+        ("--target-spec", "counter:eos=99", "'eos'"),
+        ("--draft-spec", "perturbed:epsilon=0.1,order=7", "'order'"),
+        ("--target-spec", "perturbed:epsilon=0.1", "'base'"),
+        ("--target-spec", "perturbed:epsilon=0.1,base=ngram,order=2", None)])
+    def test_spec_reads_only_its_kinds_keys(
+            self, command, flag, spec, key, tagged_corpus, tmp_path, capsys):
+        # the last spec reads only its keys and its base's, so it runs
         cn = ["--cn", "3"] if command == "locality" else []
-        code = cli.main([command, "--corpus", tagged_corpus, *cn,
+        writes = [arg for name in ("out_json", "out_csv", "pool_file")
+                  if name in bench.COMMAND_SETTINGS[command]
+                  for arg in (bench.flag(name), str(tmp_path / name))]
+        code = cli.main([command, "--corpus", tagged_corpus, *cn, *writes,
                          "--max-new", "4", "--temperature", "1", flag, spec])
-        assert code == 1
         err = capsys.readouterr().err
-        assert f"model vocab {vocab} != corpus vocab" in err
+        if key is None:
+            assert code == 0, err
+            assert (tmp_path / "out_json").exists()
+        else:
+            assert code == 1
+            assert key in err
+            assert sorted(tmp_path.iterdir()) == [Path(tagged_corpus)]
 
     @pytest.mark.parametrize("args", [
         ["--temperature", "nan"], ["--temperature", "inf"],
@@ -514,16 +548,6 @@ class TestCli:
                          flag, str(bad)])
         assert code == 1
         assert "utf-8" in capsys.readouterr().err.lower()
-
-    def test_eos_outside_vocab_exits_one(self, tmp_path):
-        corpus = tmp_path / "four.txt"
-        corpus.write_text("red green blue red\nblue gray red green\n", encoding="utf-8")
-        proc = self.run_cli(
-            "run", "--corpus", str(corpus), "--tokenizer", "whitespace",
-            "--target-spec", "counter:eos=99", "--engines", "vanilla",
-            "--max-new", "4")
-        assert proc.returncode == 1
-        assert "eos 99 out of vocab 5" in proc.stderr
 
     def test_tune_prints_chosen_hyperparameters(self, reference_corpus):
         proc = self.run_cli(

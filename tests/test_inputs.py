@@ -19,7 +19,7 @@ from ouroboros import (BenchConfig, CounterModel, InputError, PhrasePool,
 VOCAB = 5
 CORPUS = [0, 1, 2, 3, 1, 2, 0, 3, 2, 1] * 3
 
-# Numbers stay small: a spec's vocab sizes the arrays an n-gram model allocates.
+# Keys no kind reads (vocab, vocab_size, swap, eos) are drawn too: each is refused.
 NUMBERS = st.one_of(st.integers(-3, 40).map(str),
                     st.sampled_from(["", "x", "0.5", "1e999", "nan", "inf", "-inf"]),
                     st.text(max_size=3))
@@ -44,7 +44,9 @@ def model_specs(draw):
     return f"{kind}:{','.join(items)}" if items else kind
 
 
-ALIASES = {"vocab": "vocab_size", "swap": "swap_to"}
+# the keys each kind reads; a perturbed spec also reads the keys of its named base
+READS = {"counter": set(), "ngram": {"order"},
+         "perturbed": {"epsilon", "seed", "swap_to", "base"}}
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,7 +54,8 @@ ALIASES = {"vocab": "vocab_size", "swap": "swap_to"}
 @example("perturbed:base=foo")
 @example("counter:base=foo")
 @example("ngram:order=3,order=5")
-@example("perturbed:swap=1,swap_to=2")
+@example("perturbed:swap_to=1,swap_to=2")
+@example("ngram:epsilon=0.5")
 def test_model_specs_fail_only_with_input_error(text):
     try:
         spec = parse_model_spec(text)
@@ -62,8 +65,9 @@ def test_model_specs_fail_only_with_input_error(text):
     assert spec.base in ("", "counter", "ngram")
     keys = [item.partition("=")[0].strip().lower()
             for item in text.partition(":")[2].split(",") if item]
-    names = [ALIASES.get(key, key) for key in keys]
-    assert len(set(names)) == len(names), "a repeated key was accepted"
+    assert len(set(keys)) == len(keys), "a repeated key was accepted"
+    assert set(keys) <= READS[spec.kind] | READS.get(spec.base, set()), \
+        "a key its kind does not read was accepted"
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(BenchConfig) if f.type == "float"]

@@ -321,11 +321,11 @@ def test_eos_outside_vocab_rejected(build, eos):
 
 class TestModelSpec:
     def test_parse_roundtrip(self):
-        spec = parse_model_spec("ngram:order=3,vocab=64,seed=7")
-        assert (spec.kind, spec.order, spec.vocab_size, spec.seed) == ("ngram", 3, 64, 7)
+        spec = parse_model_spec("ngram:order=3")
+        assert (spec.kind, spec.order) == ("ngram", 3)
 
     def test_parse_perturbed(self):
-        spec = parse_model_spec("perturbed:epsilon=0.25,base=counter,swap=2")
+        spec = parse_model_spec("perturbed:epsilon=0.25,base=counter,swap_to=2")
         assert spec.kind == "perturbed"
         assert spec.epsilon == 0.25
         assert spec.base == "counter"

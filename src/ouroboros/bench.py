@@ -19,9 +19,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__
-from .engines import (CostModel, EngineConfig, RunMetrics, generate_lookahead_target,
-                      generate_ouroboros, generate_speculative, generate_vanilla,
-                      modeled_speedup, modeled_time)
+from .engines import (CostModel, EngineConfig, RunMetrics, finite_time,
+                      generate_lookahead_target, generate_ouroboros,
+                      generate_speculative, generate_vanilla, modeled_speedup,
+                      modeled_time)
 from .errors import InputError, RunFailure
 from .models import LanguageModel, build_model, parse_model_spec
 from .pool import PhrasePool
@@ -242,11 +243,6 @@ class Report:
     version: str = __version__
     timestamp: str = ""
 
-    def to_dict(self) -> dict:
-        return {"version": self.version, "timestamp": self.timestamp,
-                "config": self.config, "rows": self.rows,
-                "aggregates": self.aggregates}
-
 
 _NUMERIC_COLS = CSV_COLUMNS[2:-1]  # tokens .. modeled_speedup
 
@@ -285,7 +281,7 @@ def write_csv(report: Report, path: Union[str, Path]) -> None:
 
 def write_json(report: Union[Report, dict], path: Union[str, Path]) -> None:
     """Write a report, or a plain dict such as tune's pick, as sorted JSON."""
-    data = report.to_dict() if isinstance(report, Report) else report
+    data = dataclasses.asdict(report) if isinstance(report, Report) else report
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
@@ -498,7 +494,7 @@ def tune(cfg: BenchConfig,
             runs = [(entry, "ouroboros", ecfg)
                     for entry in range(len(corpus.prompts))][:cfg.tune_slice]
             metrics = _execute(cfg, runs, corpus, target, draft)[1]
-            return sum(modeled_time(m, cost) for m in metrics)
+            return finite_time(sum(modeled_time(m, cost) for m in metrics))
 
     def sweep(hat: int, lo: int, hi: int, fn: Callable[[int], float]) -> int:
         # min keeps the first of equal values, so ties keep the sampled one

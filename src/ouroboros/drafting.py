@@ -114,7 +114,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         appended, new_phrases = draft_step(model, ctx, pool, columns, beta,
                                            temperature, rng, counter)
         forwards += 1
-        pool.insert_many(new_phrases)
+        pool.insert(*new_phrases)
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         ctx.extend(chunk)

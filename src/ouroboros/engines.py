@@ -102,13 +102,21 @@ class CostModel:
             raise InputError("tree surcharge must be finite and >= 0")
 
 
+def finite_time(time: float) -> float:
+    """``time``, unless finite costs overflowed it (to inf, or nan as 0 * inf)."""
+    if not time < math.inf:
+        raise InputError("modeled time overflows a float; lower t_draft, "
+                         "t_target or tree_surcharge")
+    return time
+
+
 def modeled_time(metrics: RunMetrics, cost: CostModel) -> float:
     """Total modeled clock time of a run under the cost model."""
-    return (metrics.draft_forwards * cost.t_draft
-            + metrics.target_forwards * cost.t_target
-            + cost.tree_surcharge_per_token
-            * (metrics.draft_branch_tokens * cost.t_draft
-               + metrics.target_branch_tokens * cost.t_target))
+    return finite_time(metrics.draft_forwards * cost.t_draft
+                       + metrics.target_forwards * cost.t_target
+                       + cost.tree_surcharge_per_token
+                       * (metrics.draft_branch_tokens * cost.t_draft
+                          + metrics.target_branch_tokens * cost.t_target))
 
 
 def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
@@ -116,7 +124,7 @@ def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
     denom = modeled_time(metrics, cost)
     if denom <= 0:
         raise InputError("run has no forwards; speedup undefined")
-    return metrics.tokens_emitted * cost.t_target / denom
+    return finite_time(metrics.tokens_emitted * cost.t_target) / denom
 
 
 class _Generation:
@@ -208,9 +216,8 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
 
         if cfg.harvest:
             if outcome.accept_len < len(d):
-                for tokens in harvest(d, outcome.verdicts, outcome.accept_len,
-                                      max_len=pool.max_phrase_len):
-                    pool.insert(tokens)
+                pool.insert(*harvest(d, outcome.verdicts, outcome.accept_len,
+                                     max_len=pool.max_phrase_len))
             elif suffixes:
                 correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
                                         outcome.chosen_branch)

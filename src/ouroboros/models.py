@@ -347,7 +347,7 @@ _SPEC_KEYS = {"counter": {}, "ngram": {"order": int},
 
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse ``kind[:key=value,...]``, each key a field its kind reads, once."""
-    head, _, rest = text.strip().partition(":")
+    head, _, rest = text.partition(":")
     kind = head.strip().lower()
     if kind not in _SPEC_KEYS:
         raise InputError(f"unknown model kind {kind!r}")

@@ -13,8 +13,8 @@ core keeps it as that bucket's eviction victim, forgets it on those events
 over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
-clock ticks either way.  ``insert_many`` checks its batch before it inserts
-any of it.
+clock ticks either way.  ``insert``, the one way to add new phrases, takes a
+batch and checks all of it before it adds any of it.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class PhrasePool:
 
     def _add(self, batch: Sequence[tuple], hits: int = 1) -> Optional[Phrase]:
         """Add checked phrases in order, each with ``hits``, as one insert
-        call apiece would; returns the last one's Phrase.  The one eviction
-        path: see the module docstring."""
+        call per phrase would; returns the last one's Phrase.  The one
+        eviction path: see the module docstring."""
         buckets, victims, cap = self._buckets, self._victims, self.capacity_per_key
         stamp, phrase = self.clock, None
         self.clock += len(batch)
@@ -136,23 +136,14 @@ class PhrasePool:
                 victims[key] = victim
         return phrase
 
-    def insert(self, tokens: Sequence[int], hits: int = 1) -> Phrase:
-        """Add a phrase (or fold ``hits`` into an existing duplicate).
-
-        Overflowing buckets evict the entry with the lowest
-        (hits, last_used) pair.
-        """
+    def insert(self, *phrases: Sequence[int], hits: int = 1) -> Optional[Phrase]:
+        """Add phrases in order, each with ``hits`` (folded into a stored
+        duplicate), as one call per phrase would: a full bucket evicts its
+        lowest (hits, last_used) entry.  Returns the last one's Phrase (None
+        for no phrases).  The batch is checked first: one refused adds none."""
         if hits < 0:
             raise InputError("hits must be >= 0")
-        return self._add(self._checked((tokens,)), hits)
-
-    def insert_many(self, phrases: Iterable[Sequence[int]]) -> int:
-        """Insert each phrase with one hit, in order, exactly as one
-        :meth:`insert` call apiece would; returns the count.  The batch is
-        checked first, so nothing is inserted when any phrase is refused."""
-        batch = self._checked(phrases)
-        self._add(batch)
-        return len(batch)
+        return self._add(self._checked(phrases), hits)
 
     def lookup_k(self, first: int, k: int) -> List[Phrase]:
         """Up to k phrases starting with ``first``, best (hits, recency) first.
@@ -272,8 +263,8 @@ class PhrasePool:
 
 
 def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
-    """Insert every length-n window of ``seq`` (stride 1), in order, as
-    :meth:`PhrasePool.insert_many` would; returns the count.  The tokens are
+    """Insert every length-n window of ``seq`` (stride 1), in order, as one
+    ``pool.insert`` of them all would; returns the count.  The tokens are
     checked once, and not at all for a TokenList of the pool's vocab."""
     if not 2 <= n <= pool.max_phrase_len:
         raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")

@@ -95,14 +95,12 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
                       for tail, bv in zip(tails, branch_verdicts)]
 
     chosen: Optional[int] = None
-    if accepted < len(draft):
-        emitted = draft[:accepted] + [verdicts[accepted]]
-    elif tails:
+    if accepted == n and tails:
         chosen = branch_accepts.index(max(branch_accepts))
         ext = branch_accepts[chosen] - 1
         emitted = draft + tails[chosen][:ext] + [branch_verdicts[chosen][ext]]
     else:
-        emitted = draft + [verdicts[len(draft)]]
+        emitted = draft[:accepted] + [verdicts[accepted]]
 
     return VerificationOutcome(
         verdicts=verdicts,
@@ -124,8 +122,10 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
     (truncated to ``max_len``).  Runs of one token carry no continuation and
     are dropped.
     """
-    if accepted >= len(draft):
+    if not 0 <= accepted < len(draft):
         raise InputError("harvest applies only to partially accepted drafts")
+    if len(verdicts) < len(draft):
+        raise InputError("need a verdict for every draft position")
     phrases: List[tuple] = []
     run_start = None
     # index accepted is the rejected position itself; matches resume after it
@@ -150,6 +150,8 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     becomes its beta-token correction.  Returns how many stored phrases were
     actually replaced (missing ones are soft misses).
     """
+    if len(branch_verdicts) != len(suffixes):
+        raise InputError("need one list of branch verdicts per suffix")
     replaced = 0
     for o, s in enumerate(suffixes):
         if o == chosen:

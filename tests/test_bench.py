@@ -528,6 +528,27 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, args, code", [
+        ("run", ["--t-target", "1e308"], 1),
+        ("run", ["--t-target", "1e308", "--engines", "vanilla"], 1),
+        ("run", ["--tree-surcharge", "1e308"], 1),
+        ("tune", ["--t-target", "1e308"], 1),
+        ("tune", ["--tree-surcharge", "1e308"], 1),
+        # vanilla scores no tree branches, so the surcharge costs it nothing
+        ("run", ["--tree-surcharge", "1e308", "--engines", "vanilla"], 0)])
+    def test_cost_settings_at_the_float_limit(
+            self, command, args, code, reference_corpus, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        got = cli.main([command, "--corpus", reference_corpus, "--max-new", "4",
+                        "--out-json", str(out), *args])
+        err = capsys.readouterr().err
+        assert got == code, err
+        if code:
+            assert "t_draft, t_target or tree_surcharge" in err
+            assert not out.exists()
+        else:  # a report holds no NaN or Infinity
+            json.loads(out.read_text(), parse_constant=pytest.fail)
+
     @pytest.mark.parametrize("command, args", [
         ("ablate", ["--seed", "-1"]), ("tune", ["--seed", "-1"]),
         ("tune", ["--tune-slice", "0"]), ("tune", ["--tune-slice", "-1"])])

@@ -19,21 +19,15 @@ def greedy_continuation(model, context, n):
 
 
 class RecordingPool(PhrasePool):
-    """A pool that remembers every phrase inserted into it, one by one or
-    in a batch."""
+    """A pool that remembers every phrase inserted into it."""
 
     def __init__(self, vocab_size):
         super().__init__(vocab_size)
         self.inserted = []
 
-    def insert(self, tokens, hits=1):
-        self.inserted.append(tuple(tokens))
-        return super().insert(tokens, hits)
-
-    def insert_many(self, phrases):
-        phrases = list(phrases)
+    def insert(self, *phrases, hits=1):
         self.inserted += [tuple(p) for p in phrases]
-        return super().insert_many(phrases)
+        return super().insert(*phrases, hits=hits)
 
 
 class TestInitLookahead:

@@ -331,6 +331,20 @@ class TestSpeedupModel:
         want = 4 * 0.5 + 2 * 2.0 + 0.25 * (8 * 0.5 + 6 * 2.0)
         assert modeled_time(m, cost) == pytest.approx(want)
 
+    @pytest.mark.parametrize("metrics, cost", [
+        # 2 target forwards of 1e308 each
+        (RunMetrics(tokens_emitted=2, target_forwards=2), CostModel(t_target=1e308)),
+        # a finite modeled time, but vanilla's time for 4 tokens overflows
+        (RunMetrics(tokens_emitted=4, target_forwards=1), CostModel(t_target=1e308)),
+        # a zero surcharge times overflowed branch tokens is nan
+        (RunMetrics(tokens_emitted=2, target_forwards=1, target_branch_tokens=2),
+         CostModel(t_target=1e308)),
+        (RunMetrics(tokens_emitted=2, target_forwards=1, target_branch_tokens=2),
+         CostModel(tree_surcharge_per_token=1e308))])
+    def test_overflowing_costs_rejected(self, metrics, cost):
+        with pytest.raises(InputError, match="t_draft, t_target or tree_surcharge"):
+            modeled_speedup(metrics, cost)
+
 
 @st.composite
 def boundary_cases(draw):

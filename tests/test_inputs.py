@@ -56,6 +56,7 @@ READS = {"counter": set(), "ngram": {"order"},
 @example("ngram:order=3,order=5")
 @example("perturbed:swap_to=1,swap_to=2")
 @example("ngram:epsilon=0.5")
+@example("counter:\r")  # whitespace after the colon is an item
 def test_model_specs_fail_only_with_input_error(text):
     try:
         spec = parse_model_spec(text)

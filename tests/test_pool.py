@@ -235,12 +235,14 @@ class TestInsertNgrams:
 
 
 class TestBatchInsert:
-    def test_insert_many_equals_one_insert_apiece(self):
+    def test_batch_insert_equals_one_insert_apiece(self):
         phrases = [(1, 2), (1, 3, 4), (2, 2), (1, 2), (1, 5), (1, 6)]
         one, batch = (PhrasePool(10, capacity_per_key=2) for _ in range(2))
         for tokens in phrases:
-            one.insert(tokens)
-        assert batch.insert_many(iter(phrases)) == len(phrases)
+            last = one.insert(tokens, hits=2)
+        got = batch.insert(*phrases, hits=2)
+        assert (got.tokens, got.hits, got.last_used) == (
+            last.tokens, last.hits, last.last_used)
         assert batch.clock == one.clock == len(phrases)
         assert ([(p.tokens, p.hits, p.last_used) for p in batch.phrases()]
                 == [(p.tokens, p.hits, p.last_used) for p in one.phrases()])
@@ -248,11 +250,11 @@ class TestBatchInsert:
     @pytest.mark.parametrize("phrases", [
         [(1, 2), (3, 10), (4, 5)], [(1, 2), (3, -1)], [(1, 2), (3,)],
         [(1, 2), (1, 2, 3, 4, 5)], [(1, 2), ()]])
-    def test_insert_many_refuses_the_whole_batch(self, phrases):
+    def test_batch_insert_refuses_the_whole_batch(self, phrases):
         pool = PhrasePool(10, max_phrase_len=4)
         pool.insert((7, 8))
         with pytest.raises(InputError):
-            pool.insert_many(phrases)
+            pool.insert(*phrases)
         assert pool.state() == {7: [((7, 8), 1)]} and pool.clock == 1
 
     @pytest.mark.parametrize("seq", [[1, 2, 10, 3], [1, -1, 2, 3],
@@ -270,11 +272,12 @@ class TestBatchInsert:
             insert_ngrams(pool, TokenList(10, range(8)), n)
         assert len(pool) == 0
 
-    # The four phrase entry points share one token check, which names the
-    # first out-of-vocab token in order and leaves the pool as it was.
+    # The phrase entry points (insert, with one phrase or a batch,
+    # insert_ngrams and replace_corrected) share one token check, which names
+    # the first out-of-vocab token in order and leaves the pool as it was.
     ENTRY_POINTS = {
         "insert": lambda pool, seq: pool.insert(seq),
-        "insert_many": lambda pool, seq: pool.insert_many([(1, 2), seq, (3, 17)]),
+        "insert batch": lambda pool, seq: pool.insert((1, 2), seq, (3, 17)),
         "insert_ngrams": lambda pool, seq: insert_ngrams(pool, seq, 2),
         "replace_corrected": lambda pool, seq: pool.replace_corrected((1, 2), seq),
     }
@@ -324,20 +327,23 @@ class TestBatchInsert:
                 pool = pool.copy()
                 continue
             for target in (pool, ref):
-                if op == "replace":
+                if op == "insert":
+                    tokens, hits = args
+                    target.insert(tokens, hits=hits)
+                elif op == "replace":
                     target.replace_corrected(*args)
                 else:
-                    getattr(target, op)(*args)
+                    target.lookup_k(*args)
             assert ([(p.tokens, p.hits, p.last_used) for p in pool.bucket(1)]
                     == [(p.tokens, p.hits, p.last_used) for p in ref.buckets[1]])
 
     def test_full_bucket_is_scanned_once_for_newcomers_that_lose(self, monkeypatch):
         pool = PhrasePool(10, capacity_per_key=4)
-        pool.insert_many([(1, t) for t in range(4)] * 2)  # every phrase has 2 hits
+        pool.insert(*[(1, t) for t in range(4)] * 2)  # every phrase has 2 hits
         ranked = []
         monkeypatch.setattr(pool_module, "_rank",
                             lambda p: ranked.append(p) or (p.hits, p.last_used))
-        pool.insert_many([(1, t, t) for t in range(10)])  # 1 hit each: all go
+        pool.insert(*[(1, t, t) for t in range(10)])  # 1 hit each: all go
         assert len(ranked) == 4
         assert [p.hits for p in pool.bucket(1)] == [2] * 4 and pool.clock == 18
 
@@ -441,7 +447,7 @@ class PoolMachine(RuleBasedStateMachine):
         for key in keys:
             full = [(key, t) for t in range(self.capacity)]
             for tokens, hits in [(t, 2) for t in full] + [((key, key, key), 1)]:
-                self.pool.insert(tokens, hits)
+                self.pool.insert(tokens, hits=hits)
                 self.ref.insert(tokens, hits)
             phrases += full
         return multiple(*phrases)
@@ -450,7 +456,7 @@ class PoolMachine(RuleBasedStateMachine):
           hits=st.integers(1, 3))
     def insert(self, tokens, hits):
         before = [p.tokens for p in self.pool.bucket(tokens[0])]
-        got, want = self.pool.insert(tokens, hits), self.ref.insert(tokens, hits)
+        got, want = self.pool.insert(tokens, hits=hits), self.ref.insert(tokens, hits)
         assert (got.tokens, got.hits) == (want.tokens, want.hits)
         after = [p.tokens for p in self.pool.bucket(tokens[0])]
         want_after = [p.tokens for p in self.ref.buckets[tokens[0]]]
@@ -487,11 +493,14 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(target=inserted,
           batch=st.lists(st.one_of(inserted, phrase_tokens), max_size=8))
-    def insert_many(self, batch):
+    def insert_batch(self, batch):
         before = {p.tokens for p in self.pool.phrases()}
-        assert self.pool.insert_many(batch) == len(batch)
-        for tokens in batch:
-            self.ref.insert(tokens)
+        got = self.pool.insert(*batch)
+        want = [self.ref.insert(tokens) for tokens in batch]
+        if batch:
+            assert (got.tokens, got.hits) == (want[-1].tokens, want[-1].hits)
+        else:
+            assert got is None
         kept = {p.tokens for p in self.pool.phrases()}
         want = {p.tokens for b in self.ref.buckets.values() for p in b}
         assert before - kept == before - want

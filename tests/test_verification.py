@@ -242,8 +242,19 @@ class TestHarvest:
         with pytest.raises(InputError):
             harvest([1, 2], [1, 2], 2)
 
+    def test_refuses_too_few_verdicts(self):
+        with pytest.raises(InputError, match="verdict for every draft position"):
+            harvest([1, 2, 3], [9], 0)
+
 
 class TestCorrectUnusedSuffixes:
+    def test_refuses_missing_branch_verdicts(self):
+        pool = PhrasePool(10)
+        pool.insert((1, 2, 3))
+        with pytest.raises(InputError, match="branch verdicts per suffix"):
+            correct_unused_suffixes(pool, [Phrase((1, 2, 3))], [], None)
+        assert pool.state() == {1: [((1, 2, 3), 1)]}
+
     def test_rewrites_unused_suffix_with_verdicts(self):
         pool = PhrasePool(10)
         pool.insert((6, 2, 3, 4))

@@ -47,22 +47,12 @@ class Corpus:
     vocab_size: int  # the last id is EOS
     tasks: Optional[List[str]] = None  # per-prompt task ids for tagged corpora
 
-    def training_stream(self) -> List[int]:
-        """All prompts concatenated, for fitting n-gram models.
-
-        No EOS separators: fitted models treat the corpus as one continuing
-        text, so generation from a full prompt line keeps producing
-        corpus-like text instead of stopping immediately.
-        """
-        stream: List[int] = []
-        for p in self.prompts:
-            stream.extend(p)
-        return stream
-
 
 def _read_lines(path: Union[str, Path], what: str) -> List[str]:
+    """The file's lines, read as UTF-8 with a byte-order mark ignored (decoded
+    whole: an incremental decoder would drop a lone partial mark)."""
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_bytes().decode("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -313,7 +303,12 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
     the target model, and a perturbed target spec must name its base.
     """
     tspec, dspec = map(parse_model_spec, (cfg.target_spec, cfg.draft_spec))
-    stream = corpus.training_stream()
+    # the prompts as one stream, without EOS separators: fitted models treat
+    # the corpus as one continuing text, so generation from a full prompt
+    # line keeps producing corpus-like text instead of stopping at once
+    stream: List[int] = []
+    for prompt in corpus.prompts:
+        stream.extend(prompt)
     target = build_model(tspec, corpus.vocab_size, corpus=stream)
     draft = build_model(dspec, corpus.vocab_size, corpus=stream, base=target)
     return target, draft
@@ -321,15 +316,21 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
 
 def _check_settings(cfg: BenchConfig, command: str) -> None:
     """Refuse a setting ``command`` does not read unless it has its default,
-    validate the config and check the paths it writes."""
+    validate the config and check the paths it writes: each must be
+    writable and name neither the corpus nor another of them."""
     default, reads = BenchConfig(), COMMAND_SETTINGS[command]
     for name in _KINDS:
         if name not in reads and getattr(cfg, name) != getattr(default, name):
             raise _unread(command, name)
     cfg.validate()
+    seen = {Path(cfg.corpus).resolve(): "corpus"}
     for name in ("pool_file", "out_csv", "out_json"):
         if getattr(cfg, name):
-            _check_writable(Path(getattr(cfg, name)), name.replace("_", " "))
+            path, what = Path(getattr(cfg, name)), name.replace("_", " ")
+            _check_writable(path, what)
+            if (where := path.resolve()) in seen:
+                raise InputError(f"{what} {path} is also the {seen[where]}")
+            seen[where] = what
 
 
 def _check_writable(path: Path, what: str) -> None:
@@ -420,7 +421,7 @@ _EVERY = ("corpus", "tokenizer", "target_spec", "draft_spec", "seed", "max_new",
           "temperature", "k", "ngram", "t_draft", "t_target", "tree_surcharge",
           "out_json")
 _SEARCHED = ("gamma", "beta", "window")
-_TOGGLES = ("harvest", "phrase_draft", "prompt_warmup")
+_TOGGLES = ("harvest", "phrase_draft")
 COMMAND_SETTINGS = {
     "run": _EVERY + _SEARCHED + _TOGGLES + ("engines", "reuse", "pool_file",
                                             "out_csv"),
@@ -452,8 +453,7 @@ def run_benchmark(cfg: BenchConfig) -> Report:
 
 # (rung, reuse, lengthening, EngineConfig toggles); each rung adds one component
 ABLATION_RUNGS = tuple(
-    (rung, i >= 4, i >= 2, dict(phrase_draft=i >= 1, prompt_warmup=i >= 1,
-                                harvest=i >= 3))
+    (rung, i >= 4, i >= 2, dict(phrase_draft=i >= 1, harvest=i >= 3))
     for i, rung in enumerate(("base", "+phrase_draft", "+lengthening",
                               "+harvest", "+reuse")))
 

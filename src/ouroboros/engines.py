@@ -45,7 +45,6 @@ class EngineConfig:
     seed: int = 0
     harvest: bool = True
     phrase_draft: bool = True
-    prompt_warmup: bool = True
 
     def validate(self) -> None:
         if self.gamma < 1:
@@ -67,8 +66,7 @@ class EngineConfig:
 
     def all_off(self) -> "EngineConfig":
         """Copy with every toggle off and ``k = 0`` (the ablation baseline)."""
-        return dataclasses.replace(self, k=0, harvest=False, phrase_draft=False,
-                                   prompt_warmup=False)
+        return dataclasses.replace(self, k=0, harvest=False, phrase_draft=False)
 
 
 @dataclass
@@ -142,9 +140,9 @@ class _Generation:
         self.rng = default_rng(cfg.seed)
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
 
-    def pool(self, pool: Optional[PhrasePool], warmup: bool) -> PhrasePool:
+    def pool(self, pool: Optional[PhrasePool], warmup: bool = True) -> PhrasePool:
         """The given pool, or a fresh one, grown to hold ``beta``- and
-        ``ngram``-token phrases; warmed with the prompt's n-grams."""
+        ``ngram``-token phrases; with ``warmup`` it takes the prompt's n-grams."""
         cfg = self.cfg
         if pool is None:
             pool = PhrasePool(self.target.vocab_size)
@@ -253,7 +251,7 @@ def generate_lookahead_target(target: LanguageModel, prompt: Sequence[int],
     """Lookahead decoding: the phrase-drafting loop run on the target model
     itself for the whole ``max_new`` budget, at ``cfg.temperature``."""
     gen = _Generation(target, prompt, cfg)
-    pool = gen.pool(pool, cfg.prompt_warmup)
+    pool = gen.pool(pool)
     out = generate_draft(target, gen.prompt, pool, cfg.max_new, cfg.window,
                          cfg.ngram, max_new=cfg.max_new, beta=cfg.beta,
                          temperature=cfg.temperature, rng=gen.rng,
@@ -269,9 +267,10 @@ def generate_ouroboros(target: LanguageModel, draft_model: LanguageModel,
     single-forward verification, phrase harvesting and suffix correction.
 
     ``pool`` may arrive pre-loaded (phrase reuse across queries); pass a fresh
-    one per prompt to measure cold starts.  With every toggle off and
+    one per prompt to measure cold starts.  It takes the prompt's n-grams
+    when phrase drafting or lengthening reads it.  With every toggle off and
     ``k = 0`` this is the speculative engine.
     """
     gen = _Generation(target, prompt, cfg, draft_model)
-    pool = gen.pool(pool, cfg.prompt_warmup and (cfg.phrase_draft or cfg.k > 0))
+    pool = gen.pool(pool, cfg.phrase_draft or cfg.k > 0)
     return _draft_and_verify(gen, draft_model, pool)

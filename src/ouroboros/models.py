@@ -54,14 +54,6 @@ def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
             raise InputError(f"{what} token {t} out of vocab {vocab_size}")
 
 
-def _eos_id(vocab_size: int, eos_id: Optional[int]) -> int:
-    """The EOS id (by default the last token), checked against the vocab."""
-    eos_id = vocab_size - 1 if eos_id is None else eos_id
-    if not 0 <= eos_id < vocab_size:
-        raise InputError(f"eos {eos_id} out of vocab {vocab_size}")
-    return eos_id
-
-
 class TokenList(list):
     """A context whose tokens were checked against ``vocab_size`` on entry, so
     forwards of a model with that vocab skip the check.  It grows only by
@@ -92,9 +84,10 @@ class TokenList(list):
 class LanguageModel:
     """Base contract: an immutable model with a pure next-token distribution.
 
-    Subclasses set ``vocab_size`` and ``eos_id`` and implement
-    :meth:`distribution`.  Purity (no hidden RNG or mutable state) is what
-    lets scans, tree scans, and step-by-step oracles agree exactly.
+    Subclasses set ``vocab_size`` and ``eos_id`` (the built-in models take
+    the last id) and implement :meth:`distribution`.  Purity (no hidden RNG
+    or mutable state) is what lets scans, tree scans, and step-by-step
+    oracles agree exactly.
     """
 
     vocab_size: int
@@ -122,11 +115,11 @@ class LanguageModel:
 class CounterModel(LanguageModel):
     """Fully deterministic model: after last token t, predicts (t+1) mod V."""
 
-    def __init__(self, vocab_size: int, eos_id: Optional[int] = None):
+    def __init__(self, vocab_size: int):
         if vocab_size < 2:
             raise InputError("counter model needs vocab_size >= 2")
         self.vocab_size = vocab_size
-        self.eos_id = _eos_id(vocab_size, eos_id)
+        self.eos_id = vocab_size - 1
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         probs = np.zeros(self.vocab_size, dtype=np.float64)
@@ -144,11 +137,10 @@ class NgramModel(LanguageModel):
     matrix, the backoff last; ``index`` maps each (order-1)-gram to its row
     id, and ``distribution`` and ``score`` both read rows through it."""
 
-    def __init__(self, order: int, index: dict, matrix: np.ndarray,
-                 eos_id: Optional[int] = None):
+    def __init__(self, order: int, index: dict, matrix: np.ndarray):
         self.order = order
         self.vocab_size = matrix.shape[1]
-        self.eos_id = _eos_id(self.vocab_size, eos_id)
+        self.eos_id = self.vocab_size - 1
         matrix.flags.writeable = False
         self._index, self._matrix = index, matrix
 
@@ -168,8 +160,7 @@ class NgramModel(LanguageModel):
 
 
 def build_ngram_model(corpus: TokenSeq, order: int,
-                      vocab_size: Optional[int] = None,
-                      eos_id: Optional[int] = None) -> NgramModel:
+                      vocab_size: Optional[int] = None) -> NgramModel:
     """Count n-grams in ``corpus`` and return the ML model with uniform backoff."""
     if order < 1:
         raise InputError("order must be >= 1")
@@ -177,7 +168,6 @@ def build_ngram_model(corpus: TokenSeq, order: int,
         raise InputError(f"corpus of {len(corpus)} tokens is too short for order {order}")
     if vocab_size is None:
         vocab_size = max(corpus) + 1
-    _eos_id(vocab_size, eos_id)
     _check_tokens(vocab_size, islice(corpus, order - 1, None), "corpus")
     index: dict = {}
     # count each n-gram by its cell in the flattened matrix, then write the
@@ -190,7 +180,7 @@ def build_ngram_model(corpus: TokenSeq, order: int,
     matrix.reshape(-1)[list(counts)] = list(counts.values())
     matrix[:-1] /= matrix[:-1].sum(axis=1, keepdims=True)
     matrix[-1] = 1.0 / vocab_size
-    return NgramModel(order, index, matrix, eos_id)
+    return NgramModel(order, index, matrix)
 
 
 class PerturbedModel(LanguageModel):

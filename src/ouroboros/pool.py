@@ -214,14 +214,13 @@ class PhrasePool:
         """Rebuild a pool from :meth:`save` output.
 
         Capacity and max length are sized to fit the file, so loading never
-        evicts or rejects what was saved.
+        evicts or rejects what was saved.  A file's byte-order mark is ignored.
         """
         if isinstance(source, (str, Path)):
-            data = Path(source).read_bytes()
             try:
-                text = data.decode("utf-8")
+                text = Path(source).read_bytes().decode("utf-8-sig")
             except UnicodeDecodeError as exc:
-                raise PoolFormatError(data.count(b"\n", 0, exc.start) + 1,
+                raise PoolFormatError(exc.object.count(b"\n", 0, exc.start) + 1,
                                       "not UTF-8 text") from exc
             return cls.load(io.StringIO(text, newline=None))
         header = source.readline()

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
-                       PerturbedModel, PhrasePool, build_ngram_model,
+from ouroboros import (CostModel, CounterModel, EngineConfig, PerturbedModel,
+                       PhrasePool, build_ngram_model,
                        forward_scan, forward_tree, generate_ouroboros,
                        generate_lookahead_target, generate_speculative,
                        generate_vanilla, locality_experiment,
@@ -25,6 +25,7 @@ from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
 from ouroboros.bench import ablation
 
 from corpora import reference_corpus_text, tagged_corpus_text, write_corpus
+from test_engines import OffByFive
 
 
 def report(line):
@@ -179,22 +180,6 @@ def test_05_ablation_direction(reference_corpus):
            f"jumps {c_base:.2f} -> {c_phrase:.2f}: PASS")
 
 
-class OffByFive(LanguageModel):
-    """Errs exactly when the true successor is a multiple of five."""
-
-    def __init__(self, vocab_size):
-        self.vocab_size = vocab_size
-        self.eos_id = vocab_size - 1
-
-    def distribution(self, context):
-        nxt = (context[-1] + 1) % self.vocab_size
-        if nxt % 5 == 0:
-            nxt = (nxt + 1) % self.vocab_size
-        probs = np.zeros(self.vocab_size)
-        probs[nxt] = 1.0
-        return probs
-
-
 def test_06_speedup_model_matches_hand_arithmetic():
     target = CounterModel(1000)
     draft = OffByFive(1000)
@@ -274,7 +259,7 @@ def test_08b_sampled_token_after_an_accepted_draft_chi_square():
     # draft must still follow the target.
     target = build_ngram_model([1, 2, 1, 3, 1, 2], order=2, vocab_size=4)
     cfg = EngineConfig(gamma=1, beta=3, k=3, window=2, ngram=2, max_new=2,
-                       temperature=1.0, prompt_warmup=False)
+                       temperature=1.0)
     n = 4000
     ours = np.zeros(4, dtype=int)
     for seed in range(n):
@@ -301,8 +286,7 @@ def test_08c_lookahead_sampled_drafting_chi_square():
     # draws a correction token other than 2.  Both must follow the target.
     target = build_ngram_model([0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 1, 1, 2, 0, 3,
                                 0, 1, 2], order=2, vocab_size=4)
-    cfg = EngineConfig(window=2, ngram=2, max_new=2, temperature=1.0,
-                       prompt_warmup=False)
+    cfg = EngineConfig(window=2, ngram=2, max_new=2, temperature=1.0)
     n = 4000
     after = np.zeros(4, dtype=int)
     corrections = np.zeros(4, dtype=int)
@@ -357,7 +341,7 @@ def test_10_locality_direction(tagged_corpus):
                       target_spec="ngram:order=3",
                       draft_spec="perturbed:epsilon=0.05",
                       gamma=4, beta=5, k=3, window=8, ngram=4, max_new=36,
-                      seed=3, prompt_warmup=False)
+                      seed=3)
 
     def tokens_per_draft_forward(rep):
         return rep.aggregates["ouroboros"]["tokens_per_draft_forward"]

@@ -71,6 +71,14 @@ class TestIngest:
         assert corpus.prompts == [[0, 1, 0]]
         assert model_eos_ids(path, corpus, "whitespace") == [2, 2]
 
+    @pytest.mark.parametrize("tokenizer", ["byte", "whitespace"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, tokenizer):
+        text = "the cat sat\non the mat\n"
+        plain = ingest_corpus(write_corpus(tmp_path, "plain.txt", text), tokenizer)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert ingest_corpus(marked, tokenizer) == plain
+
     def test_identical_lines_tokenize_identically(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "a b c\na b c\n")
         corpus = ingest_corpus(path, "whitespace")
@@ -111,6 +119,11 @@ class TestConfig:
                         encoding="utf-8")
         values = load_config_file(path)
         assert values == {"gamma": "7", "corpus": "c.txt"}
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_bytes(b"\xef\xbb\xbfcorpus = c.txt\ngamma = 7\n")
+        assert load_config_file(path) == {"corpus": "c.txt", "gamma": "7"}
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bench.cfg"
@@ -153,7 +166,7 @@ class TestConfig:
     @pytest.mark.parametrize("entry, command, key, value", [
         (ablation, "ablate", "engines", ("vanilla",)),
         (ablation, "ablate", "pool_file", "P.txt"),
-        (ablation, "ablate", "prompt_warmup", False),
+        (ablation, "ablate", "harvest", False),
         (tune, "tune", "engines", ("vanilla",)),
         (tune, "tune", "pool_file", "P.txt"),
         (tune, "tune", "gamma", 3),
@@ -398,7 +411,7 @@ class TestLocality:
                           target_spec="ngram:order=3",
                           draft_spec="perturbed:epsilon=0.05",
                           gamma=4, beta=5, k=3, window=8, ngram=4,
-                          max_new=24, seed=3, prompt_warmup=False)
+                          max_new=24, seed=3)
         on = locality_experiment(dataclasses.replace(cfg, cn="20"))
         off = locality_experiment(dataclasses.replace(cfg, cn="20", reuse=False))
         assert (sum(r["draft_fwd"] for r in on.rows)
@@ -640,6 +653,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:].replace('-', ' ')} {path}")
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("first, second", [
+        ("--corpus", "--pool-file"), ("--corpus", "--out-csv"),
+        ("--corpus", "--out-json"), ("--pool-file", "--out-csv"),
+        ("--pool-file", "--out-json"), ("--out-csv", "--out-json")])
+    def test_output_naming_an_input_or_another_output_exits_one(
+            self, first, second, reference_corpus, tmp_path, monkeypatch, capsys):
+        # the second path is spelt relative to the first's absolute one
+        monkeypatch.chdir(tmp_path)
+        corpus = Path(reference_corpus)
+        before = corpus.read_bytes()
+        same = corpus if first == "--corpus" else tmp_path / "same.txt"
+        paths = {"--corpus": str(corpus), first: str(same), second: same.name}
+        code = cli.main(["run", "--max-new", "4",
+                         *(arg for item in paths.items() for arg in item)])
+        assert code == 1
+        what = [flag[2:].replace("-", " ") for flag in (first, second)]
+        assert capsys.readouterr().err == \
+            f"error: {what[1]} {same.name} is also the {what[0]}\n"
+        assert corpus.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_prompt_warmup_setting_is_gone(self, reference_corpus, tmp_path, capsys):
+        # the pool takes the prompt's n-grams whenever a loop reads it
+        code = cli.main(["run", "--corpus", reference_corpus, "--no-prompt-warmup"])
+        assert code == 1
+        assert "unrecognized arguments: --no-prompt-warmup" in capsys.readouterr().err
+        cfg_path = tmp_path / "warm.cfg"
+        cfg_path.write_text("prompt_warmup = false\n", encoding="utf-8")
+        code = cli.main(["run", "--corpus", reference_corpus, "--config",
+                         str(cfg_path)])
+        assert code == 1
+        assert "unknown config key 'prompt_warmup'" in capsys.readouterr().err
 
     def test_lengthening_toggle_is_gone(self, reference_corpus, tmp_path, capsys):
         # k = 0 turns lengthening off; there is no second switch for it

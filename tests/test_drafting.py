@@ -156,7 +156,7 @@ class TestGenerateDraft:
         assert result.tokens == [4, 5, 6, 7]
 
     def test_draft_stops_at_eos(self):
-        model = CounterModel(10, eos_id=6)
+        model = CounterModel(7)
         pool = PhrasePool(10)
         result = generate_draft(model, [3], pool, gamma=6, width=2, ngram=3,
                                 max_new=100)

@@ -53,7 +53,7 @@ class TestVanilla:
         assert m.block_efficiency == 1.0
 
     def test_stops_at_eos(self):
-        out, _ = generate_vanilla(CounterModel(10, eos_id=6), [4],
+        out, _ = generate_vanilla(CounterModel(7), [4],
                                   EngineConfig(max_new=10))
         assert out == [5, 6]
 
@@ -108,8 +108,7 @@ class TestSpeculative:
 
 class TestLookaheadTarget:
     def test_empty_pool_no_warmup_is_token_level(self):
-        cfg = EngineConfig(gamma=4, window=4, ngram=3, max_new=12,
-                           prompt_warmup=False)
+        cfg = EngineConfig(gamma=4, window=4, ngram=3, max_new=12)
         out, m = generate_lookahead_target(CounterModel(1000), [1, 2, 3], cfg)
         want, _ = generate_vanilla(CounterModel(1000), [1, 2, 3], cfg)
         assert out == want
@@ -194,7 +193,7 @@ class TestOuroboros:
         assert pool.max_phrase_len == 6
 
     def test_eos_inside_accepted_span_truncates(self):
-        target = CounterModel(20, eos_id=9)
+        target = CounterModel(10)
         cfg = EngineConfig(gamma=6, max_new=30)
         out, _ = generate_ouroboros(target, target, [3], cfg)
         assert out == [4, 5, 6, 7, 8, 9]
@@ -368,12 +367,11 @@ def boundary_cases(draw):
           0, 0.0))
 def test_engines_agree_at_boundary_configs(case):
     corpus, vocab, prompt, cfg, eos_at, epsilon = case
-    model = build_ngram_model(corpus, order=2, vocab_size=vocab)
+    target = build_ngram_model(corpus, order=2, vocab_size=vocab)
     path = list(prompt)  # the target's greedy path, run past any EOS
     while len(path) < len(prompt) + cfg.max_new + 3:
-        path.append(int(np.argmax(next_distribution(model, path))))
-    target = build_ngram_model(corpus, order=2, vocab_size=vocab,
-                               eos_id=path[len(prompt) + eos_at])
+        path.append(int(np.argmax(next_distribution(target, path))))
+    target.eos_id = path[len(prompt) + eos_at]  # before the draft copies it
     draft = PerturbedModel(target, epsilon, seed=vocab)
     pool = PhrasePool(vocab)
     insert_ngrams(pool, path, 3)  # phrases with the EOS inside them
@@ -454,7 +452,7 @@ def test_sampled_lengthening_keeps_the_target_distribution():
     # first verdict would emit 1 after the draft 87.5% of the time.
     model = BigramTable()
     cfg = EngineConfig(gamma=1, k=3, max_new=2, temperature=1.0,
-                       harvest=False, prompt_warmup=False)
+                       harvest=False)
     n, ones = 2000, 0
     for seed in range(n):
         pool = PhrasePool(model.vocab_size)

@@ -12,7 +12,9 @@ digests were taken from the code in which each of those engines had its own
 loop, before they became configurations of the shared autoregressive,
 drafting and verify loops, which must leave every token and metric
 bit-identical; lookahead's sampled digest was retaken since (see
-``BASELINE_SHA256``).
+``BASELINE_SHA256``).  The ``ablate`` digests were taken from the code in
+which each rung also set a prompt warm-up switch of its own, before warm-up
+came to follow whichever loop reads the pool.
 """
 
 import dataclasses
@@ -125,3 +127,21 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
             tokens, metrics = BASELINES[engine](target, draft, prompt, ecfg)
             runs.append(repr((tokens, dataclasses.asdict(metrics))))
     assert sha256("\n".join(runs).encode()) == digest
+
+
+# ablate --out-csv: every rung's row for every prompt, greedy and sampled
+ABLATE_CSV_SHA256 = {
+    "0": "3150880ca6a23acf82f00e064d2322abeadda71f42df113a56ce1d7740722fc8",
+    "1": "84fe2f986cebf015f7efcb5f39952ed4713f8fcca2c23a4a9c13d5ff4c09479e",
+}
+
+
+@pytest.mark.parametrize("temperature", sorted(ABLATE_CSV_SHA256))
+def test_ablation_rows_are_pinned(tmp_path, capsys, temperature):
+    corpus = write_corpus(tmp_path, "golden.txt",
+                          reference_corpus_text(n_lines=6, line_len=50))
+    out = tmp_path / "A.csv"
+    assert cli.main(["ablate", "--corpus", corpus, "--tokenizer", "byte",
+                     "--max-new", "48", "--temperature", temperature,
+                     "--out-csv", str(out)]) == 0, capsys.readouterr().err
+    assert sha256(out.read_bytes()) == ABLATE_CSV_SHA256[temperature]

@@ -104,6 +104,7 @@ def scratch(tmp_path_factory):
 @example(b"max-new = 3\nMax_New = 7")
 @example(b"engines = ,")
 @example(b"engines = vanilla,vanilla")
+@example(b"\xef")  # a lone partial byte-order mark is not an empty file
 def test_config_files_fail_only_with_input_error(scratch, data):
     path = scratch / "bench.cfg"
     path.write_bytes(data)

@@ -307,16 +307,15 @@ class TestDistributionValidity:
                 assert (d >= 0).all()
 
 
-@pytest.mark.parametrize("eos", [-1, 5, 99])
 @pytest.mark.parametrize("build", [
-    lambda eos: CounterModel(5, eos_id=eos),
-    lambda eos: NgramModel(2, {}, np.full((1, 5), 0.2), eos_id=eos),
-    lambda eos: build_ngram_model([0, 1, 2, 3, 0, 1], 2, vocab_size=5, eos_id=eos),
+    lambda: CounterModel(5),
+    lambda: NgramModel(2, {}, np.full((1, 5), 0.2)),
+    lambda: build_ngram_model([0, 1, 2, 3, 0, 1], 2, vocab_size=5),
 ], ids=["counter", "ngram", "build_ngram"])
-def test_eos_outside_vocab_rejected(build, eos):
-    with pytest.raises(InputError, match=f"eos {eos} out of vocab 5"):
-        build(eos)
-    assert build(0).eos_id == 0 and build(4).eos_id == 4 and build(None).eos_id == 4
+def test_eos_is_the_last_id(build):
+    model = build()
+    assert (model.vocab_size, model.eos_id) == (5, 4)
+    assert PerturbedModel(model, 0.5).eos_id == 4
 
 
 class TestModelSpec:

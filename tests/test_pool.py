@@ -198,6 +198,16 @@ class TestPersistence:
         with pytest.raises(PoolFormatError, match="line 3: not UTF-8"):
             PhrasePool.load(path)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = b"ouroboros-pool v1 vocab=10\n3 6 7 8 9\n1 6 2 3\n"
+        path = tmp_path / "pool.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert PhrasePool.load(path).state() == \
+            PhrasePool.load(io.StringIO(text.decode())).state()
+        path.write_bytes(b"\xef\xbb\xbf" + text + b"2 \xff 7\n")
+        with pytest.raises(PoolFormatError, match="line 4: not UTF-8"):
+            PhrasePool.load(path)
+
     def test_one_token_phrase_rejected(self):
         text = "ouroboros-pool v1 vocab=10\n3 6\n"
         with pytest.raises(PoolFormatError, match="line 2"):

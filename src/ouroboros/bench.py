@@ -98,13 +98,9 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
         raise InputError(f"corpus {path} contains no prompts")
     tasks = None
     if tagged:
-        tasks = []
-        stripped = []
-        for line_no, line in raw:
-            task, rest = _split_task_tag(line, line_no)
-            tasks.append(task)
-            stripped.append((line_no, rest))
-        raw = stripped
+        split = [(line_no, *_split_task_tag(line, line_no)) for line_no, line in raw]
+        tasks = [task for _, task, _ in split]
+        raw = [(line_no, rest) for line_no, _, rest in split]
     prompts, vocab_size = _tokenize(raw, tokenizer)
     empties = [ln for (ln, _), p in zip(raw, prompts) if not p]
     if empties:

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import sys
 import traceback
+from pathlib import Path
 from typing import List, Optional
 
 from .bench import (COMMAND_SETTINGS, BenchConfig, Report, ablation, flag,
@@ -101,6 +102,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides = {k: getattr(args, k) for k in COMMAND_SETTINGS[args.command]}
         file_values = load_config_file(args.config) if args.config else None
         cfg = make_config(file_values, args.command, **overrides)
+        for name in ("pool_file", "out_csv", "out_json") if args.config else ():
+            path = getattr(cfg, name)
+            if path and Path(path).resolve() == Path(args.config).resolve():
+                raise InputError(f"{name.replace('_', ' ')} {path} is also the config file")
         result = _COMMANDS[args.command][0](cfg)
         if args.command == "tune":
             print(" ".join(f"{k}={getattr(result, k)}"

@@ -24,13 +24,13 @@ def window_columns(context: Sequence[int], width: int, ngram: int,
                    first: bool) -> List[List[int]]:
     """The lookahead window: ``width`` columns of ngram-1 context tokens.
 
-    The window is a function of the context.  At a draft's first step
-    (``first``) the columns cycle over the newest context tokens, newest
-    first, laid out row-major across the columns.  At every later step
-    column c is the (ngram-1)-token stretch ending c tokens before the
-    context end, so each column replays recent real text and its n-gram
-    extends that text by the model's own prediction.  Contexts shorter than
-    the window wrap cyclically in both layouts.
+    The window is a function of the context ``ctx`` (length L, n1 = ngram-1)
+    and reads one tail of it.  At a draft's first step (``first``) the
+    columns cycle over the newest tokens, newest first, row-major across the
+    columns: row r of column c is ``ctx[L-1 - (r*width + c) % min(L,
+    n1*width)]``.  Later, column c is the n1-token stretch ending c tokens
+    before the context end (token i is ``ctx[(L-n1-c+i) % L]``), so it
+    replays recent real text and its n-gram extends it by a prediction.
     """
     if width < 1:
         raise InputError("window width must be >= 1")
@@ -39,13 +39,12 @@ def window_columns(context: Sequence[int], width: int, ngram: int,
     if len(context) == 0:
         raise InputError("context must be non-empty")
     n1 = ngram - 1
+    size = n1 * width if first else n1 + width - 1
+    tail = (list(context[-size:]) * -(-size // len(context)))[-size:]
     if first:
-        rev = list(reversed(context[-n1 * width:]))
-        return [[rev[(r * width + c) % len(rev)] for r in range(n1)]
-                for c in range(width)]
-    length = len(context)
-    return [[context[(length - n1 - c + i) % length] for i in range(n1)]
-            for c in range(width)]
+        tail.reverse()
+        return [tail[c::width] for c in range(width)]
+    return [tail[s:s + n1] for s in range(width - 1, -1, -1)]
 
 
 def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
@@ -64,10 +63,8 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
-    cand: List[int] = []
     best = pool.lookup_k(context[-1], 1)
-    if best:
-        cand = list(best[0].tokens[1:beta])
+    cand = list(best[0].tokens[1:beta]) if best else []
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
     drawn = sample(rows[:len(cand) + 1], temperature, rng)
     appended = drawn[:accept_len(cand, drawn) + 1]

@@ -17,8 +17,11 @@ import dataclasses
 import hashlib
 import math
 import struct
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -27,6 +30,8 @@ import numpy as np
 from .errors import InputError
 
 TokenSeq = Sequence[int]
+_int64_le = (partial(array, "q") if array("q", [1]).tobytes() == struct.pack("<q", 1)
+             else lambda path: struct.pack(f"<{len(path)}q", *path))
 
 
 @dataclass
@@ -155,7 +160,8 @@ class NgramModel(LanguageModel):
         if n1 == 0:
             return self._matrix.take([get((), backoff)] * len(paths), axis=0)
         head = tuple(prefix[-n1:])
-        return self._matrix.take([get((head + tuple(path[-n1:]))[-n1:], backoff)
+        return self._matrix.take([get(tuple(path[-n1:]) if len(path) >= n1 else
+                                      (head + tuple(path))[-n1:], backoff)
                                   for path in paths], axis=0)
 
 
@@ -207,6 +213,12 @@ class PerturbedModel(LanguageModel):
         self.swap_to = swap_to
         self.vocab_size = base.vocab_size
         self.eos_id = base.eos_id
+        # a digest rolls exactly when below the least r with r / 2.0 ** 64 >= epsilon,
+        # which is at most a float spacing (2 ** 11) below ceil(epsilon * 2 ** 64)
+        top = math.ceil(epsilon * 2.0 ** 64)
+        near = range(max(0, top - 2 ** 11), top + 1)
+        least = near[bisect_left(near, True, key=lambda r: r / 2.0 ** 64 >= epsilon)]
+        self._cut = least.to_bytes(8, "big")
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         return self.score(context, [()])[0]
@@ -217,13 +229,13 @@ class PerturbedModel(LanguageModel):
         blake2b state by its own tokens, the same bytes in the same order.
         A row whose roll is below ``epsilon`` has its argmax swapped in place
         in the base model's matrix."""
-        root = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
-                               digest_size=8)
-        rows = self.base.score(prefix, paths)
+        copy = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
+                               digest_size=8).copy
+        rows, cut = self.base.score(prefix, paths), self._cut
         for i, path in enumerate(paths):
-            hasher = root.copy()
-            hasher.update(struct.pack(f"<{len(path)}q", *path))
-            if int.from_bytes(hasher.digest(), "big") / 2.0 ** 64 < self.epsilon:
+            hasher = copy()
+            hasher.update(_int64_le(path))
+            if hasher.digest() < cut:
                 top = int(rows[i].argmax())
                 tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
                 rows[i, top], rows[i, tgt] = rows[i, tgt], rows[i, top]
@@ -277,11 +289,11 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     if counter is not None:
         counter.add(branch_tokens=len(tokens))
     paths = [shared[:i] for i in range(len(shared) + 1)]
-    for j, b in enumerate(branches):
-        if full is not None and j >= full:
-            paths.append([*shared, *b])
-        else:
-            paths.extend([*shared, *b[:i]] for i in range(1, len(b) + 1))
+    split = len(branches) if full is None else full
+    for b in branches[:split]:
+        path = [*shared, *b]
+        paths += [path[:i] for i in range(len(shared) + 1, len(path) + 1)]
+    paths += [[*shared, *b] for b in branches[split:]] if len(shared) else branches[split:]
     return model.score(prefix, paths)
 
 

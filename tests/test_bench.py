@@ -675,6 +675,34 @@ class TestCli:
         assert corpus.read_bytes() == before
         assert list(tmp_path.iterdir()) == [corpus]
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, bench.flag(name)) for command in ("run", "ablate", "tune", "locality")
+        for name in ("pool_file", "out_csv", "out_json")
+        if name in bench.COMMAND_SETTINGS[command]])
+    @pytest.mark.parametrize("relative_config", [False, True])
+    def test_output_naming_the_config_file_exits_one_before_any_query(
+            self, command, flag, relative_config, tagged_corpus, tmp_path,
+            monkeypatch, capsys):
+        # one of the two paths is spelt relative, the other absolute
+        monkeypatch.chdir(tmp_path)
+        for name in ("generate_vanilla", "generate_speculative",
+                     "generate_lookahead_target", "generate_ouroboros"):
+            monkeypatch.setattr(bench, name, broken_engine)
+        config = tmp_path / "r.cfg"
+        config.write_text("max_new = 4\n", encoding="utf-8")
+        before = config.read_bytes()
+        config_arg, out_arg = (config.name, str(config)) if relative_config else (
+            str(config), config.name)
+        cn = ["--cn", "3"] if command == "locality" else []
+        code = cli.main([command, "--corpus", tagged_corpus, *cn,
+                         "--config", config_arg, flag, out_arg])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:].replace('-', ' ')} {out_arg} is also the config file\n")
+        assert config.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [config.name, Path(tagged_corpus).name])
+
     def test_prompt_warmup_setting_is_gone(self, reference_corpus, tmp_path, capsys):
         # the pool takes the prompt's n-grams whenever a loop reads it
         code = cli.main(["run", "--corpus", reference_corpus, "--no-prompt-warmup"])

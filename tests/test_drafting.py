@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ouroboros import (CounterModel, ForwardCounter, InputError, PhrasePool,
-                       build_ngram_model, draft_step, generate_draft,
+                       TokenList, build_ngram_model, draft_step, generate_draft,
                        next_distribution, window_columns)
 from ouroboros.drafting import clip
 
@@ -69,6 +71,43 @@ class TestLaterWindow:
         for first in (True, False):
             with pytest.raises(InputError):
                 window_columns([], width=2, ngram=3, first=first)
+
+
+def window_by_formula(ctx, width, ngram, first):
+    """window_columns' docstring formulas, read one token at a time."""
+    length, n1 = len(ctx), ngram - 1
+    if first:
+        cycle = min(length, n1 * width)
+        return [[ctx[length - 1 - (r * width + c) % cycle] for r in range(n1)]
+                for c in range(width)]
+    return [[ctx[(length - n1 - c + i) % length] for i in range(n1)]
+            for c in range(width)]
+
+
+def slice_boundaries(test):
+    """An ``@example`` per layout at each context length where the window's
+    tail slice changes shape: n1+width-2, n1+width-1, n1*width-1, n1*width."""
+    for width, ngram in ((4, 4), (16, 4), (3, 6), (20, 2)):
+        n1 = ngram - 1
+        for length in (n1 + width - 2, n1 + width - 1, n1 * width - 1, n1 * width):
+            ctx = list(range(100, 100 + length))
+            for first in (False, True):
+                for as_given in (ctx, TokenList(200, ctx)):
+                    test = example(as_given, width, ngram, first)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 199), min_size=1, max_size=80).flatmap(
+           lambda ctx: st.sampled_from([ctx, TokenList(200, ctx)])),
+       st.integers(1, 20), st.integers(2, 6), st.booleans())
+@slice_boundaries
+def test_window_columns_follow_the_docstring_formulas(ctx, width, ngram, first):
+    before = list(ctx)
+    columns = window_columns(ctx, width, ngram, first)
+    assert columns == window_by_formula(before, width, ngram, first)
+    assert all(type(column) is list for column in columns)
+    assert list(ctx) == before
 
 
 class TestDraftStep:

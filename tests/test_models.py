@@ -132,6 +132,33 @@ class TestPerturbedModel:
         m = PerturbedModel(CounterModel(10), epsilon=1.0, swap_to=0)
         assert int(np.argmax(m.distribution([9]))) == 1
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    def test_score_matches_per_path_distributions(self, epsilon):
+        # several rolled rows, one of them with its argmax at swap_to, and an
+        # empty path: each row equals a one-path call and the reference roll
+        base = build_ngram_model([1, 2, 3, 1, 2, 4, 5, 1, 3, 6, 6, 2], order=3,
+                                 vocab_size=8)
+        prefix = [3, 1]
+        paths = [(), [2], [2, 4], (6,), [4, 5, 1], [1, 3, 6, 6], [5], [0, 0]]
+        rolled = [i for i, path in enumerate(paths)
+                  if reference_roll(11, prefix + list(path)) < epsilon]
+        tops = [int(np.argmax(base.distribution(prefix + list(paths[i]))))
+                for i in rolled]
+        assert len(rolled) >= 3 and 0 in rolled
+        for swap_to in (tops[1], (tops[1] + 3) % 8):
+            model = PerturbedModel(base, epsilon, seed=11, swap_to=swap_to)
+            rows = model.score(TokenList(8, prefix), paths)
+            for i, (row, path) in enumerate(zip(rows, paths)):
+                assert np.array_equal(row, model.distribution(prefix + list(path)))
+                want = base.distribution(prefix + list(path)).copy()
+                if i in rolled:
+                    top = int(np.argmax(want))
+                    tgt = swap_to if swap_to != top else (swap_to + 1) % 8
+                    want[[top, tgt]] = want[[tgt, top]]
+                assert np.array_equal(row, want)
+            assert np.array_equal(model.score(prefix, [()])[0],
+                                  model.distribution(prefix))
+
     def test_seed_outside_int64_rejected(self):
         for seed in (-(2 ** 63) - 1, 2 ** 63):
             with pytest.raises(InputError):
@@ -199,6 +226,32 @@ class TestForwardTree:
     def test_negative_full_rejected(self):
         with pytest.raises(InputError):
             forward_tree(CounterModel(5), [1], [], [[2]], full=-1)
+
+    @pytest.mark.parametrize("shared", [[], [2], (2, 3)])
+    @pytest.mark.parametrize("full", [None, 0, 1, 3])
+    def test_branches_are_left_alone_and_not_aliased(self, shared, full):
+        # with no shared span a full branch reaches the model uncopied; the
+        # caller's branches stay as they were, and the rows are the caller's
+        model = PerturbedModel(build_ngram_model([1, 2, 3, 1, 2, 4, 5, 1, 3], order=2,
+                                                 vocab_size=8), 1.0, seed=5)
+        branches = [[4, 5], (6, 1), TokenList(8, [7]), []]
+        before = [list(b) for b in branches]
+        rows = forward_tree(model, [1], shared, branches, full=full)
+        assert [list(b) for b in branches] == before
+        assert [type(b) for b in branches] == [list, tuple, TokenList, list]
+        kept = rows.copy()
+        branches[0].append(3)
+        branches[0][0] = 2
+        branches[2].append(0)
+        branches[3].append(6)
+        assert np.array_equal(rows, kept)
+        ctx = [1, *shared]
+        want = [model.distribution(ctx[:i]) for i in range(1, len(ctx) + 1)]
+        for j, branch in enumerate(before):
+            steps = [len(branch)] if full is not None and j >= full else range(
+                1, len(branch) + 1)
+            want += [model.distribution(ctx + branch[:i]) for i in steps]
+        assert np.array_equal(rows, np.array(want))
 
 
 class TestSample:

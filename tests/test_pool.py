@@ -267,6 +267,23 @@ class TestBatchInsert:
             pool.insert(*phrases)
         assert pool.state() == {7: [((7, 8), 1)]} and pool.clock == 1
 
+    @pytest.mark.parametrize("phrases, bad", [
+        ([(1,), (1, 2), (2, 3, 4)], 1),                  # first
+        ([(1, 2), (1, 2, 3, 4, 5), (2, 3)], 5),          # in the middle
+        ([(1, 2), (2, 3, 4), ()], 0),                    # last
+        ([(1, 2), (9, 9, 9, 9, 9, 9), (3,)], 6),         # the first of two
+        ([(1, 2), (3,), (9, 9, 9, 9, 9, 9)], 1),
+        ([(3, 10), (1, 2), (4,)], 1),                    # lengths before vocab
+    ])
+    def test_bad_length_names_the_first_offender_and_adds_nothing(self, phrases, bad):
+        pool = PhrasePool(10, max_phrase_len=4)
+        pool.insert((7, 8), (1, 2))
+        before = pool.state()
+        with pytest.raises(InputError) as info:
+            pool.insert(*phrases)
+        assert str(info.value) == f"phrase length {bad} outside [2, 4]"
+        assert pool.state() == before and pool.clock == 2 and len(pool) == 2
+
     @pytest.mark.parametrize("seq", [[1, 2, 10, 3], [1, -1, 2, 3],
                                      TokenList(11, [1, 2, 10, 3])])
     def test_insert_ngrams_refuses_out_of_vocab_tokens(self, seq):

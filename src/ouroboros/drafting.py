@@ -52,14 +52,17 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
                temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
                counter: Optional[ForwardCounter] = None,
-               ) -> Tuple[List[int], List[tuple]]:
+               ) -> Tuple[List[int], List[tuple], np.ndarray]:
     """One drafting forward: verify one pooled phrase and advance the window.
 
-    Returns (appended, new_phrases).  ``appended`` is ``verify``'s rule on one
-    draw per phrase row: the longest prefix of the phrase continuation that
-    matches the draws, plus one correction token, so it is never empty and
-    always extends the greedy path at temperature 0.  ``new_phrases`` are the
-    window ``columns``' n-grams (see :func:`window_columns`), one per column.
+    Returns (appended, new_phrases, rows).  ``appended`` is ``verify``'s rule
+    on one draw per phrase row, all in one ``sample`` call: the longest prefix
+    of the phrase continuation that matches the draws, plus one correction
+    token, so it is never empty and always extends the greedy path at
+    temperature 0.  At T > 0 it is an exact autoregressive draw from the
+    model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
+    ``new_phrases`` are the window ``columns``' n-grams (see
+    :func:`window_columns`), one per column, always the rows' argmax.
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
@@ -70,15 +73,17 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     appended = drawn[:accept_len(cand, drawn) + 1]
     grams = rows[len(cand) + 1:].argmax(axis=1).tolist()
     new_phrases = [(*col, gram) for col, gram in zip(columns, grams)]
-    return appended, new_phrases
+    return appended, new_phrases, rows[:len(appended)]
 
 
 @dataclass
 class DraftResult:
-    """A finished draft: its tokens and the forwards it cost."""
+    """A finished draft: its tokens, the forwards it cost and, when sampled,
+    the model's rows the tokens were drawn from, one per token."""
 
     tokens: List[int]
     forwards_used: int
+    rows: Optional[np.ndarray]
 
 
 def clip(chunk: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int], bool]:
@@ -98,21 +103,26 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     """Draft at least ``gamma`` tokens (phrase by phrase) unless EOS or
     ``max_new`` intervenes; window n-grams are inserted into the pool as they
     appear, so later steps can already use them.  Greedy unless a
-    ``temperature`` and an ``rng`` are given."""
+    ``temperature`` and an ``rng`` are given; at T > 0 the tokens are an
+    autoregressive draw from the model, and ``rows`` holds the rows drawn
+    from (None at T = 0)."""
     if gamma < 1:
         raise InputError("gamma must be >= 1")
     if max_new < 1:
         raise InputError("max_new must be >= 1")
     ctx = TokenList(model.vocab_size, context)
     tokens: List[int] = []
+    rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     forwards, done = 0, False
     while not done and len(tokens) < gamma:
         columns = window_columns(ctx, width, ngram, first=forwards == 0)
-        appended, new_phrases = draft_step(model, ctx, pool, columns, beta,
-                                           temperature, rng, counter)
+        appended, new_phrases, drawn_from = draft_step(
+            model, ctx, pool, columns, beta, temperature, rng, counter)
         forwards += 1
         pool.insert(*new_phrases)
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
+        if rows is not None:
+            rows.append(drawn_from[:len(chunk)])
         ctx.extend(chunk)
-    return DraftResult(tokens, forwards)
+    return DraftResult(tokens, forwards, None if rows is None else np.concatenate(rows))

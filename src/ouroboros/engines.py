@@ -4,7 +4,8 @@
 * lookahead    - ``generate_draft`` (phrase drafting) on the target, for the
                  whole budget.
 * speculative  - ``_draft_and_verify`` with every acceleration off: the draft
-                 model drafts token by token, verification is exact match.
+                 model drafts token by token, verification is exact match
+                 (at T > 0, speculative sampling).
 * ouroboros    - ``_draft_and_verify`` with phrase drafting, draft lengthening
                  and phrase harvest/reuse.
 
@@ -173,24 +174,41 @@ class _Generation:
 
 def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
                     temperature: float, rng: Optional[np.random.Generator],
-                    counter: ForwardCounter) -> List[int]:
-    """Up to ``n`` tokens after ``context``, one forward each, ending at EOS."""
+                    counter: ForwardCounter,
+                    ) -> Tuple[List[int], Optional[List[np.ndarray]]]:
+    """Up to ``n`` tokens after ``context``, one forward each, ending at EOS,
+    and, at T > 0, the row each token was drawn from (None at T = 0)."""
     ctx = TokenList(model.vocab_size, context)
+    rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     for _ in range(n):
-        tok = sample(next_distribution(model, ctx, counter), temperature, rng)
+        row = next_distribution(model, ctx, counter)
+        tok = sample(row, temperature, rng)
+        if rows is not None:
+            rows.append(row)
         ctx.append(tok)
         if tok == model.eos_id:
             break
-    return ctx[len(context):]
+    return ctx[len(context):], rows
 
 
 def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
                       pool: Optional[PhrasePool]) -> Tuple[List[int], RunMetrics]:
-    """Until EOS or ``max_new``: draft (by phrases or token by token, always
-    greedily), lengthen with K pool suffixes, verify in one target forward,
-    then harvest phrases from a rejected draft or correct the unused
-    suffixes.  ``pool`` may be None when no loop reads or writes it."""
+    """Until EOS or ``max_new``: draft (by phrases or token by token), lengthen
+    with K pool suffixes, verify in one target forward, then harvest phrases
+    from a rejected draft or correct the unused suffixes.  ``pool`` may be
+    None when no loop reads or writes it.
+
+    At temperature 0 the draft is greedy and verification is exact match.  At
+    T > 0 the draft samples from the draft model at ``cfg.temperature`` and
+    ``verify`` keeps its tokens by the speculative sampling rule, given the
+    rows they were drawn from.  Two seeded streams then replay a run: the
+    target's, ``default_rng(seed)``, draws ``verify``'s verdicts, then its
+    ratio uniforms, then its correction uniform (see ``verify``); the
+    draft's, ``default_rng((seed, 1))``, draws ``draft_step``'s one ``sample``
+    call per phrase step, one uniform per phrase row, or, token by token, one
+    uniform per draft token."""
     cfg, target = gen.cfg, gen.target
+    drng = default_rng((cfg.seed, 1)) if cfg.temperature > 0 else None
     ctx = TokenList(target.vocab_size, gen.prompt)
     out: List[int] = []
     steps: List[Tuple[int, int, int]] = []
@@ -199,18 +217,21 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
         remaining = cfg.max_new - len(out)
         glen = min(cfg.gamma, remaining)
         if cfg.phrase_draft:
-            d = generate_draft(draft_model, ctx, pool, glen, cfg.window,
-                               cfg.ngram, max_new=remaining, beta=cfg.beta,
-                               counter=gen.dcounter).tokens
+            drafted = generate_draft(draft_model, ctx, pool, glen, cfg.window,
+                                     cfg.ngram, max_new=remaining, beta=cfg.beta,
+                                     temperature=cfg.temperature, rng=drng,
+                                     counter=gen.dcounter)
+            d, q = drafted.tokens, drafted.rows
         else:
-            d = _autoregressive(draft_model, ctx, glen, 0.0, None, gen.dcounter)
+            d, q = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,
+                                   gen.dcounter)
 
         suffixes = []
         if cfg.k > 0 and d[-1] != target.eos_id:
             suffixes = pool.lookup_k(d[-1], cfg.k)
 
         outcome = verify(target, ctx, d, suffixes, cfg.temperature, gen.rng,
-                         beta=cfg.beta, counter=gen.tcounter)
+                         beta=cfg.beta, counter=gen.tcounter, draft_rows=q)
 
         if cfg.harvest:
             if outcome.accept_len < len(d):
@@ -230,8 +251,8 @@ def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
                      cfg: EngineConfig) -> Tuple[List[int], RunMetrics]:
     """Autoregressive decoding: one target forward per emitted token."""
     gen = _Generation(target, prompt, cfg)
-    out = _autoregressive(target, gen.prompt, cfg.max_new, cfg.temperature,
-                          gen.rng, gen.tcounter)
+    out, _ = _autoregressive(target, gen.prompt, cfg.max_new, cfg.temperature,
+                             gen.rng, gen.tcounter)
     return out, gen.metrics(out)
 
 

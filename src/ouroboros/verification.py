@@ -2,15 +2,16 @@
 
 One target forward scores the whole draft plus up to K phrase suffixes
 branching off its last token.  The accepted prefix follows the exact-match
-rule; when the draft is fully accepted the best-surviving suffix extends the
-emission for free.  Discarded drafts are mined for positionally matching runs
-and unused suffixes are corrected in place in the pool.
+rule or, at T > 0 given the rows the draft was drawn from, the speculative
+sampling rule; when the draft is fully accepted the best-surviving suffix
+extends the emission for free.  Discarded drafts are mined for positionally
+matching runs and unused suffixes are corrected in place in the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,20 +48,59 @@ class VerificationOutcome:
     match_count: int
 
 
+def _tempered(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """The rows as ``sample`` draws from them at ``temperature`` != 1: scaled
+    to a peak of 1, raised to 1/temperature and renormalised."""
+    probs = np.asarray(rows, dtype=np.float64)
+    probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _ratio_accept(draft: List[int], p: np.ndarray, q: Sequence[np.ndarray],
+                  temperature: float, rng: np.random.Generator,
+                  ) -> Tuple[int, Optional[int]]:
+    """Speculative sampling (Leviathan et al., 2023; Chen et al., 2023) over a
+    draft drawn from ``q``: keep x_i while u_i * q_i(x_i) < p_i(x_i), with one
+    uniform per draft token, and at the first rejection draw the correction
+    from max(0, p_i - q_i), renormalised, with one more uniform.  At T = 1
+    the rows are read as the probability vectors the models return.  Returns
+    (accepted, correction), the correction None when all are kept."""
+    if temperature != 1.0:
+        p, q = _tempered(p, temperature), _tempered(q, temperature)
+    for i, u in enumerate(rng.random(len(draft)).tolist()):
+        x = draft[i]
+        if u * q[i][x] >= p[i][x]:
+            return i, sample(np.maximum(p[i] - q[i], 0.0), 1.0, rng)
+    return len(draft), None
+
+
 def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
            suffixes: Sequence[Phrase], temperature: float = 0.0,
            rng: Optional[np.random.Generator] = None,
            beta: Optional[int] = None,
-           counter: Optional[ForwardCounter] = None) -> VerificationOutcome:
+           counter: Optional[ForwardCounter] = None,
+           draft_rows: Optional[Sequence[np.ndarray]] = None,
+           ) -> VerificationOutcome:
     """Score draft + suffixes in one target forward and decide the emission.
 
     Each token-tree node gets one verdict, so suffixes that share a prefix
     share its verdicts, each suffix's first verdict is the draft end's, and
-    sampled lengthening emits what the target samples.  The verdicts are
-    drawn in one ``sample`` call, in the order the nodes first appear (the
-    draft's positions, then each suffix's new tail nodes), so sampled runs
-    replay exactly under one seed.  Suffix tails are truncated to beta-1
-    tokens when ``beta`` is given.
+    sampled lengthening emits what the target samples.  Suffix tails are
+    truncated to beta-1 tokens when ``beta`` is given.
+
+    The draft is accepted up to its first mismatch with the verdicts, unless
+    ``draft_rows`` gives the row each draft token was drawn from (q) and
+    T > 0: then speculative sampling decides, and a rejected position emits
+    a draw from max(0, p - q) in place of its verdict (see
+    :func:`_ratio_accept`; p and q are tempered as ``sample`` tempers them).
+    Either way the verdicts feed harvest, suffix correction and, after a fully
+    accepted draft, the bonus token and the suffix walk.
+
+    Draw order on ``rng``, so sampled runs replay exactly under one seed:
+    first the verdicts, in one ``sample`` call, in the order the nodes first
+    appear (the draft's positions, then each suffix's new tail nodes); then,
+    under the ratio rule, one uniform per draft token; then, on a rejection,
+    one uniform for the correction.
     """
     draft = list(draft)
     if not draft:
@@ -90,7 +130,14 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     verdicts = drawn[:n + 1]
     branch_verdicts = [[drawn[d] for d in at] for at in draws]
 
-    accepted = accept_len(draft, verdicts)
+    correction = None
+    if draft_rows is not None and temperature > 0:
+        if len(draft_rows) != n:
+            raise InputError("need one draft row per draft token")
+        accepted, correction = _ratio_accept(draft, rows[:n], draft_rows,
+                                             temperature, rng)
+    else:
+        accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)
                       for tail, bv in zip(tails, branch_verdicts)]
 
@@ -100,7 +147,8 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
         ext = branch_accepts[chosen] - 1
         emitted = draft + tails[chosen][:ext] + [branch_verdicts[chosen][ext]]
     else:
-        emitted = draft[:accepted] + [verdicts[accepted]]
+        emitted = draft[:accepted] + [verdicts[accepted] if correction is None
+                                      else correction]
 
     return VerificationOutcome(
         verdicts=verdicts,

@@ -10,22 +10,25 @@ import dataclasses
 import io
 import itertools
 import json
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ouroboros import (CostModel, CounterModel, EngineConfig, PerturbedModel,
-                       PhrasePool, build_ngram_model,
+import ouroboros
+from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
+                       PerturbedModel, PhrasePool, build_ngram_model,
                        forward_scan, forward_tree, generate_ouroboros,
                        generate_lookahead_target, generate_speculative,
                        generate_vanilla, locality_experiment,
                        make_config, modeled_speedup, next_distribution,
-                       run_benchmark)
+                       run_benchmark, verify)
 from ouroboros.bench import ablation
 
 from corpora import reference_corpus_text, tagged_corpus_text, write_corpus
 from test_engines import OffByFive
+from test_verification import tempered
 
 
 def report(line):
@@ -313,6 +316,89 @@ def test_08c_lookahead_sampled_drafting_chi_square():
     report(f"8c lookahead's sampled draft step matches the model after an "
            f"accepted phrase token and at a correction (chi-square "
            f"p={p_values[0]:.3f}, {p_values[1]:.3f}): PASS")
+
+
+class RowTable(LanguageModel):
+    """Order 1: the row after a context is its last token's row, with an EOS
+    column that is never drawn."""
+
+    def __init__(self, rows):
+        self.rows = np.hstack([rows, np.zeros((len(rows), 1))])
+        self.vocab_size = len(self.rows) + 1
+        self.eos_id = len(self.rows)
+
+    def distribution(self, context):
+        return self.rows[context[-1]]
+
+
+def pooled_chi_square(observed, expected):
+    """Pearson's statistic over groups of draws that share one expected row;
+    a group counts only when each token of its row's support expects at least
+    five draws.  Returns (statistic, dof, p-value)."""
+    stat, dof = 0.0, 0
+    for key, counts in observed.items():
+        want, n = expected[key], sum(counts.values())
+        support = np.flatnonzero(want)
+        assert set(counts) <= set(support.tolist())   # no draw of probability 0
+        if len(support) < 2 or n * want[support].min() < 5:
+            continue
+        stat += sum((counts[t] - n * want[t]) ** 2 / (n * want[t]) for t in support)
+        dof += len(support) - 1
+    return stat, dof, stats.chi2.sf(stat, dof)
+
+
+@pytest.mark.parametrize("engine", ["speculative", "ouroboros"])
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_08d_tokens_after_a_rejection_and_after_a_whole_draft_chi_square(
+        monkeypatch, engine, temperature):
+    # The target has random rows over five tokens, and each of the draft's
+    # rows is an even mix of the target's and a random one.  Two kinds of
+    # emitted token are grouped by the row they must follow: the correction
+    # drawn where verify rejects a draft token, which follows max(0, p - q)
+    # renormalised, and the token after a wholly kept draft, which follows p;
+    # p and q are the target's and the draft's rows there, tempered.  The
+    # pooled chi-square over all tokens cannot see a bias confined to either
+    # kind.
+    gen = np.random.default_rng(8)
+    p_rows = gen.dirichlet(np.full(5, 2.0), size=5)
+    target = RowTable(p_rows)
+    draft = RowTable((p_rows + gen.dirichlet(np.full(5, 2.0), size=5)) / 2)
+    observed = {kind: defaultdict(Counter) for kind in ("correction", "after draft")}
+    expected = {}
+
+    def spy(*args, **kwargs):
+        out = verify(*args, **kwargs)
+        prefix, tokens, a = args[1], args[2], out.accept_len
+        context = list(prefix) + list(tokens[:a])
+        want = tempered(target.distribution(context), temperature)
+        kind = "after draft"
+        if a < len(tokens):
+            want = np.maximum(want - tempered(draft.distribution(context), temperature),
+                              0.0)
+            want /= want.sum()
+            kind = "correction"
+        expected[want.tobytes()] = want
+        observed[kind][want.tobytes()][out.emitted[a]] += 1
+        return out
+
+    monkeypatch.setattr(ouroboros.engines, "verify", spy)
+    cfg = EngineConfig(gamma=4, beta=4, k=3, window=4, ngram=3, max_new=32,
+                       temperature=temperature)
+    pool, prompts = PhrasePool(target.vocab_size), gen.integers(0, 5, size=(300, 2))
+    for seed, prompt in enumerate(prompts.tolist()):
+        run = dataclasses.replace(cfg, seed=seed)
+        if engine == "speculative":
+            generate_speculative(target, draft, prompt, run)
+        else:
+            generate_ouroboros(target, draft, prompt, run, pool)
+    p_values = {}
+    for kind, groups in observed.items():
+        _, dof, p_values[kind] = pooled_chi_square(groups, expected)
+        assert dof >= 4, kind   # most of the five contexts' rows entered the test
+    assert min(p_values.values()) > 0.01
+    report(f"8d {engine} at T={temperature}: corrections after a rejection and "
+           f"tokens after a whole draft match the model (chi-square "
+           f"p={p_values['correction']:.3f}, {p_values['after draft']:.3f}): PASS")
 
 
 def test_09_k_sweep_has_interior_minimum(tagged_corpus):

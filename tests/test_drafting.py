@@ -117,7 +117,7 @@ class TestDraftStep:
         pool.insert((3, 4, 5, 6, 7))
         columns = window_columns([1, 2, 3], width=4, ngram=3, first=True)
         counter = ForwardCounter()
-        appended, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
+        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4, 5, 6, 7, 8]
         assert counter.calls == 1
 
@@ -126,7 +126,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         pool.insert((3, 4, 9, 9))
         columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
-        appended, _ = draft_step(model, [1, 2, 3], pool, columns)
+        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns)
         assert appended == [4, 5]
 
     def test_empty_bucket_degenerates_to_one_token(self):
@@ -134,7 +134,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
         counter = ForwardCounter()
-        appended, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
+        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4]
         assert counter.calls == 1
 
@@ -143,7 +143,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7, 8, 9))
         columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
-        appended, _ = draft_step(model, [1, 2, 3], pool, columns, beta=4)
+        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, beta=4)
         # 3 continuation tokens survive the cut, plus the correction
         assert appended == [4, 5, 6, 7]
 
@@ -151,7 +151,7 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         columns = window_columns([1, 2, 3], width=5, ngram=4, first=True)
-        _, phrases = draft_step(model, [1, 2, 3], pool, columns)
+        _, phrases, _ = draft_step(model, [1, 2, 3], pool, columns)
         assert len(phrases) == 5
         assert all(len(p) == 4 for p in phrases)
         assert all(0 <= t < 20 for p in phrases for t in p)
@@ -163,10 +163,10 @@ class TestDraftStep:
         pool = PhrasePool(50)
         ctx = [10, 11, 12, 13, 14]
         columns = window_columns(ctx, width=2, ngram=3, first=True)
-        appended, _ = draft_step(model, ctx, pool, columns)
+        appended, _, _ = draft_step(model, ctx, pool, columns)
         ctx = ctx + appended
         columns = window_columns(ctx, width=2, ngram=3, first=False)
-        _, phrases = draft_step(model, ctx, pool, columns)
+        _, phrases, _ = draft_step(model, ctx, pool, columns)
         for p in phrases:
             assert p == tuple(range(p[0], p[0] + 3))
 

@@ -17,7 +17,9 @@ from ouroboros import (CostModel, CounterModel, EngineConfig, InputError,
                        build_ngram_model, generate_lookahead_target,
                        generate_ouroboros, generate_speculative,
                        generate_vanilla, insert_ngrams, modeled_speedup,
-                       modeled_time, next_distribution)
+                       modeled_time, next_distribution, verify)
+
+from test_verification import tempered
 
 
 class OffByFive(LanguageModel):
@@ -463,3 +465,41 @@ def test_sampled_lengthening_keeps_the_target_distribution():
         assert out[0] == 0
         ones += out[1] == 1
     assert stats.binomtest(ones, n, 0.5).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_a_sampled_phrase_draft_starts_with_a_draw_from_the_draft_row(
+        monkeypatch, temperature):
+    # Every argmax of the draft model is swapped, so its rows differ from the
+    # target's.  The pool holds a phrase for the prompt's last token, so the
+    # first draft step checks it.  The first drafted token must follow the
+    # draft model's tempered row at the prompt, and verify must get that row.
+    rng = np.random.default_rng(3)
+    target = build_ngram_model([int(t) for t in rng.integers(0, 5, size=300)],
+                               order=2, vocab_size=6)
+    draft = PerturbedModel(target, 1.0, seed=1)
+    prompt = [2, 3]
+    row = draft.distribution(prompt)
+    assert not np.array_equal(row, target.distribution(prompt))
+    drafts = []
+
+    def spy(*args, **kwargs):
+        drafts.append((list(args[2]), kwargs["draft_rows"]))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(ouroboros.engines, "verify", spy)
+    cfg = EngineConfig(gamma=3, max_new=4, temperature=temperature)
+    n, counts = 2000, np.zeros(6, dtype=int)
+    for seed in range(n):
+        pool = PhrasePool(6)
+        pool.insert((3, int(np.argmax(row)), 1, 2))
+        del drafts[:]
+        generate_ouroboros(target, draft, prompt, dataclasses.replace(cfg, seed=seed),
+                           pool)
+        first, rows = drafts[0]
+        assert len(rows) == len(first)
+        assert np.array_equal(rows[0], row)
+        counts[first[0]] += 1
+    want = tempered(row, temperature)
+    for token in range(6):
+        assert stats.binomtest(int(counts[token]), n, want[token]).pvalue > 1e-6

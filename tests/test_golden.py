@@ -4,17 +4,22 @@ Which phrases a run drafts from depends on every pool insert, eviction
 victim and recency stamp, so a drift in any of them changes the saved pool
 file or the emitted tokens.  The greedy digests were taken from the code
 before the pool gained its eviction-victim index and batch insert, which must
-leave both bit-identical.  The sampled digests (the T=1 half of
-``TOKENS_SHA256``, and the sampled run's pool and tokens) were retaken when
-``verify`` came to draw one verdict per token-tree node, so that suffixes
-sharing a prefix share its draws.  The vanilla, speculative and lookahead
-digests were taken from the code in which each of those engines had its own
-loop, before they became configurations of the shared autoregressive,
-drafting and verify loops, which must leave every token and metric
-bit-identical; lookahead's sampled digest was retaken since (see
-``BASELINE_SHA256``).  The ``ablate`` digests were taken from the code in
-which each rung also set a prompt warm-up switch of its own, before warm-up
-came to follow whichever loop reads the pool.
+leave both bit-identical.  The vanilla, speculative and lookahead digests were
+taken from the code in which each of those engines had its own loop, before
+they became configurations of the shared autoregressive, drafting and verify
+loops, which must leave every token and metric bit-identical.  The ``ablate``
+digests were taken from the code in which each rung also set a prompt warm-up
+switch of its own, before warm-up came to follow whichever loop reads the
+pool.  Greedy and sampled runs are pinned apart, so that a change to
+sampling cannot move a greedy pin.
+
+The sampled (T = 1) digests of ouroboros and speculative - ``TOKENS_SHA256``
+T1, ``SAMPLED_*``, ``BASELINE_SHA256["speculative-T1"]`` and
+``ABLATE_CSV_SHA256["1"]`` - were retaken when drafts at T > 0 came to be
+drawn from the draft model on a stream of their own, ``default_rng((seed,
+1))``, and kept by the speculative sampling rule; the greedy digests did not
+move.  Lookahead's sampled digest was retaken earlier (see
+``BASELINE_SHA256``).
 """
 
 import dataclasses
@@ -33,37 +38,50 @@ from corpora import reference_corpus_text, write_corpus
 # window inserts evict all the time
 ARGS = ("--tokenizer", "byte", "--engines", "ouroboros", "--max-new", "48")
 POOL_SHA256 = "47471b464c43eafe7be34ea7a9a9d5ff30ca0e3d14f2a3c9d9679e01c83e1c81"
-TOKENS_SHA256 = "989225b0dc859191375192d81999894c124b15d8794e29b484c9e08affdae339"
+# temperature -> digest of the tokens every prompt emits from the saved pool
+TOKENS_SHA256 = {
+    "0": "ebdfc1cf44f40710346dcf445cc04d62fcbc5e85cc28533517d0d329e5b1f845",
+    "1": "cc91470ebea1f0af88d1d3785bea12e4655e27c065ad940d90e73abdcd97e7be",
+}
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_saved_pool_and_emitted_tokens_are_pinned(tmp_path, capsys):
+@pytest.fixture
+def saved_pool(tmp_path, capsys):
+    """The golden corpus and the pool file two ``run`` calls leave behind."""
     corpus = write_corpus(tmp_path, "golden.txt",
                           reference_corpus_text(n_lines=6, line_len=50))
     pool_file = tmp_path / "P.txt"
     for _ in range(2):  # the second run starts from the first run's pool
         assert cli.main(["run", "--corpus", corpus, *ARGS,
                          "--pool-file", str(pool_file)]) == 0, capsys.readouterr().err
+    return corpus, pool_file
+
+
+def test_saved_pool_is_pinned(saved_pool):
+    _, pool_file = saved_pool
     assert sha256(pool_file.read_bytes()) == POOL_SHA256
 
+
+@pytest.mark.parametrize("temperature", sorted(TOKENS_SHA256))
+def test_emitted_tokens_are_pinned(saved_pool, temperature):
+    corpus, pool_file = saved_pool
     cfg = make_config(None, corpus=corpus, tokenizer="byte", max_new=48)
     target, draft = build_models(cfg, ingest_corpus(corpus, "byte"))
-    emitted = []
-    for temperature in (0.0, 1.0):
-        pool = PhrasePool.load(pool_file)
-        for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
-            ecfg = dataclasses.replace(cfg.engine_config(), seed=seed,
-                                       temperature=temperature)
-            tokens, _ = generate_ouroboros(target, draft, prompt, ecfg, pool)
-            emitted.append(" ".join(map(str, tokens)))
-    assert sha256("\n".join(emitted).encode()) == TOKENS_SHA256
+    pool, emitted = PhrasePool.load(pool_file), []
+    for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
+        ecfg = dataclasses.replace(cfg.engine_config(), seed=seed,
+                                   temperature=float(temperature))
+        tokens, _ = generate_ouroboros(target, draft, prompt, ecfg, pool)
+        emitted.append(" ".join(map(str, tokens)))
+    assert sha256("\n".join(emitted).encode()) == TOKENS_SHA256[temperature]
 
 
-SAMPLED_POOL_SHA256 = "fa6066513132cc0189cff91a27c994c1d7706d87d5a28eb2996b25da8588d862"
-SAMPLED_TOKENS_SHA256 = "515ffaab00d39c6dfed0bfcd1becc2977feb853259f69eb9bcb5265e462f4e9c"
+SAMPLED_POOL_SHA256 = "bf547f036f97a949d13ea450142354d09e1aca3b1b29774d29301d5e15942229"
+SAMPLED_TOKENS_SHA256 = "8689e351430e8a67a8fb2a38f4cb649ee5b6696196b8d8b0a37ed1988e882a8f"
 
 
 def test_sampled_run_is_pinned(tmp_path, capsys):
@@ -92,12 +110,17 @@ def test_sampled_run_is_pinned(tmp_path, capsys):
 # pin -> (engine, temperatures, digest).  Lookahead's T = 1 digest was
 # retaken when its draft step came to draw every phrase row in one ``sample``
 # call (one uniform per row, where it stopped at the first mismatch before);
-# its greedy digest did not move.
+# its greedy digest did not move.  Speculative's pin, which hashed both
+# temperatures, was split into these two when its T = 1 draft came to be
+# sampled and kept by the speculative sampling rule; the T = 0 half is the
+# greedy half of the old digest, taken from the code before that change.
 BASELINE_SHA256 = {
     "vanilla": ("vanilla", (0.0, 1.0),
                 "01577b1e04426ad735deebfcce1b91e3a708e6de9a76a7399e0447b07c2fe69d"),
-    "speculative": ("speculative", (0.0, 1.0),
-                    "3455766c142e74182b895c827335b9cacbc7e389faaa38037e09c62ea78f1413"),
+    "speculative-T0": ("speculative", (0.0,),
+                       "fd9e8b91e086b81bc476aeb8487267c88e86cd8af18f6b0821c6a5cccba6bc73"),
+    "speculative-T1": ("speculative", (1.0,),
+                       "aae37c19d4bd8cbd8bd59257b1e6859f4397629f5e0de8ec97ddde876e9578c2"),
     "lookahead-T0": ("lookahead", (0.0,),
                      "5928287ab551bacf5a1df1d35fc5ffdfca15fbe61091732144b96014d39dff15"),
     "lookahead-T1": ("lookahead", (1.0,),
@@ -132,7 +155,7 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
 # ablate --out-csv: every rung's row for every prompt, greedy and sampled
 ABLATE_CSV_SHA256 = {
     "0": "3150880ca6a23acf82f00e064d2322abeadda71f42df113a56ce1d7740722fc8",
-    "1": "84fe2f986cebf015f7efcb5f39952ed4713f8fcca2c23a4a9c13d5ff4c09479e",
+    "1": "122156c195e7dd07583684c39df3feffc790b5e42bd2cc309a58bd0983361959",
 }
 
 

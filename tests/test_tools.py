@@ -1,5 +1,6 @@
-"""tools/ab_passes.py, run as a script the way a benchmark pair runs it."""
+"""tools/ab_passes.py and tools/modeled_sweep.py, run as scripts."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -35,3 +36,20 @@ def test_outputs_that_differ_exit_one(tmp_path):
                      "--engine", "speculative")
     assert proc.returncode == 1
     assert proc.stderr == "ab_passes: the two sides' outputs differ\n"
+
+
+def test_the_sweep_gives_the_benchmarks_modeled_numbers():
+    # seed 1, ouroboros on reuse-stream: the sweep's eta and its modeled
+    # speedup at t_target/t_draft 10 and no surcharge are perfbench's
+    sweep = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "modeled_sweep.py"), "--seeds", "1",
+         "--workloads", "reuse-stream", "--engines", "ouroboros", "--json"],
+        capture_output=True, text=True, timeout=600, check=True)
+    ours = json.loads(sweep.stdout)["workloads"]["reuse-stream"]["ouroboros"]
+    bench = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "reuse-stream", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
+    metrics = json.loads(bench.stdout.strip().splitlines()[-1])["metrics"]
+    assert ours["eta"]["values"] == [metrics["eta"]["value"]]
+    assert ours["modeled_speedup_10_0"]["values"] == [metrics["modeled_speedup"]["value"]]

@@ -347,3 +347,57 @@ def test_sampled_token_after_an_accepted_draft_follows_the_target(case):
         out = verify(target, [start], [end], suffixes, temperature=1.0, rng=rng)
         hits += out.emitted[1] == watched
     assert stats.binomtest(hits, n, rows[end][watched]).pvalue > LENGTHENING_ALPHA
+
+
+def tempered(row, temperature):
+    """``sample``'s distribution for one row, written out again."""
+    row = (row / row.max()) ** (1.0 / temperature)
+    return row / row.sum()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_ratio_rule_emits_what_the_target_samples(temperature, seed):
+    # Random target rows p and draft rows q over four tokens.  Each 3-token
+    # draft is drawn from q, and verify keeps it by the speculative sampling
+    # rule; the first emitted token, a kept draft token or a correction drawn
+    # from max(0, p - q), must follow the tempered p.
+    gen = np.random.default_rng(seed)
+    target = RowModel(gen.dirichlet(np.ones(4), size=4))
+    draft_model = RowModel(gen.dirichlet(np.ones(4), size=4))
+    rng, drng = np.random.default_rng(100 + seed), np.random.default_rng(200 + seed)
+    n, start = 4000, 0
+    counts, accepted = np.zeros(target.vocab_size, dtype=int), set()
+    for _ in range(n):
+        ctx, rows = [start], []
+        for _ in range(3):
+            rows.append(draft_model.distribution(ctx))
+            ctx.append(sample(rows[-1], temperature, drng))
+        out = verify(target, [start], ctx[1:], [], temperature, rng, draft_rows=rows)
+        counts[out.emitted[0]] += 1
+        accepted.add(out.accept_len)
+    assert {0, 3} <= accepted   # both corrections and whole drafts were seen
+    want = tempered(target.distribution([start]), temperature)
+    for token in range(4):
+        assert stats.binomtest(int(counts[token]), n, want[token]).pvalue > 1e-6
+    assert counts[4] == 0
+
+
+def test_ratio_rule_draw_order_and_its_certain_cases():
+    # one-hot rows: the draft [1, 2, 5] agrees with the counting target on its
+    # first two tokens (kept with certainty), and its third has p = 0
+    # (rejected with certainty); the correction is the target's own token 3
+    target, rows = CounterModel(10), [np.eye(10)[t] for t in (1, 2, 5)]
+    rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+    out = verify(target, [0], [1, 2, 5], [], 1.0, rng, draft_rows=rows)
+    assert (out.accept_len, out.emitted, out.verdicts) == (2, [1, 2, 3], [1, 2, 3, 6])
+    # the verdicts, then one uniform per draft token, then one for the correction
+    replay.random(4)
+    replay.random(3)
+    replay.random(1)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # at temperature 0 the rows are ignored: exact match, no draws
+    out = verify(target, [0], [1, 2, 5], [], 0.0, None, draft_rows=rows)
+    assert (out.accept_len, out.emitted) == (2, [1, 2, 3])
+    with pytest.raises(InputError, match="one draft row per draft token"):
+        verify(target, [0], [1, 2, 5], [], 1.0, rng, draft_rows=rows[:2])

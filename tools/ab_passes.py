@@ -55,10 +55,10 @@ def load_package(checkout: Path, name: str):
 
 
 class Side:
-    """One checkout's models, primed pool and engine, ready to replay passes."""
+    """One checkout's models and primed pool, ready to replay passes."""
 
-    def __init__(self, pkg, workload, engine: str, seed: int, corpus_path: Path):
-        self.pkg, self.wl, self.engine, self.seed = pkg, workload, engine, seed
+    def __init__(self, pkg, workload, seed: int, corpus_path: Path):
+        self.pkg, self.wl, self.seed = pkg, workload, seed
         bench = pkg.bench
         corpus = bench.ingest_corpus(str(corpus_path), workload.tokenizer)
         cfg = bench.BenchConfig(target_spec=TARGET_SPEC, draft_spec=DRAFT_SPEC,
@@ -83,26 +83,32 @@ class Side:
                                              temperature=self.wl.temperature,
                                              seed=self.seed * 1_000_003 + prompt)
 
-    def one_pass(self):
-        """Replay the stream once; returns (tokens, engine seconds, digest)."""
+    def calls(self, engine: str):
+        """Replay the stream once through ``engine``; yields every call's
+        (tokens, RunMetrics, seconds)."""
         eng, clock = self.pkg.engines, time.perf_counter
         shared = (self.pkg.pool.PhrasePool.load(io.StringIO(self.pool_text))
                   if self.pool_text is not None else None)
-        digest = hashlib.sha256()
-        tokens, seconds = 0, 0.0
         for i in self.wl.stream:
             p, cfg = self.prompts[i], self.config(i)
             t0 = clock()
-            if self.engine == "vanilla":
+            if engine == "vanilla":
                 out, m = eng.generate_vanilla(self.target, p, cfg)
-            elif self.engine == "speculative":
+            elif engine == "speculative":
                 out, m = eng.generate_speculative(self.target, self.draft, p, cfg)
-            elif self.engine == "lookahead":
+            elif engine == "lookahead":
                 out, m = eng.generate_lookahead_target(self.target, p, cfg)
             else:
                 pool = shared if shared is not None else self.new_pool()
                 out, m = eng.generate_ouroboros(self.target, self.draft, p, cfg, pool)
-            seconds += clock() - t0
+            yield out, m, clock() - t0
+
+    def one_pass(self, engine: str):
+        """Replay the stream once; returns (tokens, engine seconds, digest)."""
+        digest = hashlib.sha256()
+        tokens, seconds = 0, 0.0
+        for out, m, secs in self.calls(engine):
+            seconds += secs
             tokens += len(out)
             digest.update(repr((out, m.target_forwards, m.draft_forwards,
                                 m.target_branch_tokens)).encode())
@@ -132,13 +138,13 @@ def main(argv=None) -> int:
         corpus_path = Path(tmp) / "corpus.txt"
         corpus_path.write_text("\n".join(wl.lines) + "\n", encoding="utf-8")
         sides = {s: Side(load_package(Path(getattr(args, s)).resolve(), f"ouroboros_{s}"),
-                         wl, args.engine, args.seed, corpus_path)
+                         wl, args.seed, corpus_path)
                  for s in SIDES}
     rates = {s: [] for s in SIDES}
     digests = {s: set() for s in SIDES}
     for n in range(args.passes):
         for side in (SIDES if n % 2 == 0 else SIDES[::-1]):
-            tokens, seconds, digest = sides[side].one_pass()
+            tokens, seconds, digest = sides[side].one_pass(args.engine)
             rates[side].append(tokens / seconds)
             digests[side].add(digest)
     stats = {s: quartiles(rates[s]) for s in SIDES}

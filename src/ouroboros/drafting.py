@@ -83,7 +83,7 @@ class DraftResult:
 
     tokens: List[int]
     forwards_used: int
-    rows: Optional[np.ndarray]
+    rows: Optional[List[np.ndarray]]
 
 
 def clip(chunk: Sequence[int], remaining: int, eos_id: int) -> Tuple[List[int], bool]:
@@ -123,6 +123,6 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:
-            rows.append(drawn_from[:len(chunk)])
+            rows.extend(drawn_from[:len(chunk)])
         ctx.extend(chunk)
-    return DraftResult(tokens, forwards, None if rows is None else np.concatenate(rows))
+    return DraftResult(tokens, forwards, rows)

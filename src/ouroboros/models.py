@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
+from operator import index
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -51,12 +52,17 @@ class ForwardCounter:
 
 
 def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
-    """Check every token, unless ``tokens`` is a TokenList of this vocab."""
+    """Check that every token is an integer (read through ``operator.index``)
+    in ``range(vocab_size)``, unless ``tokens`` is a TokenList of this vocab."""
     if type(tokens) is TokenList and tokens.vocab_size == vocab_size:
         return
     for t in tokens:
-        if not 0 <= t < vocab_size:
-            raise InputError(f"{what} token {t} out of vocab {vocab_size}")
+        try:
+            if 0 <= index(t) < vocab_size:
+                continue
+        except TypeError:
+            raise InputError(f"{what} token {t!r} is not an integer") from None
+        raise InputError(f"{what} token {t} out of vocab {vocab_size}")
 
 
 class TokenList(list):
@@ -70,8 +76,12 @@ class TokenList(list):
         self.extend(tokens)
 
     def append(self, token: int) -> None:
-        if not 0 <= token < self.vocab_size:
-            raise InputError(f"context token {token} out of vocab {self.vocab_size}")
+        # inline, not _check_tokens, as every decoded token passes here
+        try:
+            if not 0 <= index(token) < self.vocab_size:
+                raise InputError(f"context token {token} out of vocab {self.vocab_size}")
+        except TypeError:
+            raise InputError(f"context token {token!r} is not an integer") from None
         super().append(token)
 
     def extend(self, tokens: Iterable[int]) -> None:
@@ -175,18 +185,18 @@ def build_ngram_model(corpus: TokenSeq, order: int,
     if vocab_size is None:
         vocab_size = max(corpus) + 1
     _check_tokens(vocab_size, islice(corpus, order - 1, None), "corpus")
-    index: dict = {}
+    row_ids: dict = {}  # not `index`, which names operator.index here
     # count each n-gram by its cell in the flattened matrix, then write the
     # counts straight into the float64 matrix, whose last row is the backoff
     keys = (zip(*(islice(corpus, j, None) for j in range(order - 1)))
             if order > 1 else repeat(()))
-    counts = Counter(index.setdefault(key, len(index)) * vocab_size + nxt
+    counts = Counter(row_ids.setdefault(key, len(row_ids)) * vocab_size + nxt
                      for key, nxt in zip(keys, islice(corpus, order - 1, None)))
-    matrix = np.zeros((len(index) + 1, vocab_size))
+    matrix = np.zeros((len(row_ids) + 1, vocab_size))
     matrix.reshape(-1)[list(counts)] = list(counts.values())
     matrix[:-1] /= matrix[:-1].sum(axis=1, keepdims=True)
     matrix[-1] = 1.0 / vocab_size
-    return NgramModel(order, index, matrix)
+    return NgramModel(order, row_ids, matrix)
 
 
 class PerturbedModel(LanguageModel):
@@ -297,6 +307,16 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     return model.score(prefix, paths)
 
 
+def _tempered(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """The float64 rows a draw at ``temperature`` reads, renormalised: at
+    T != 1 each row is first scaled to a peak of 1, so a flat row cannot
+    underflow to 0/0, and raised to 1/temperature."""
+    probs = np.asarray(rows, dtype=np.float64)
+    if temperature != 1.0:
+        probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def sample(dist: np.ndarray, temperature: float,
            rng: Optional[np.random.Generator] = None) -> Union[int, List[int]]:
     """Draw a token from a row, or a list of one per row of a matrix: argmax
@@ -315,11 +335,8 @@ def sample(dist: np.ndarray, temperature: float,
         raise InputError("temperature must be finite")
     if rng is None:
         raise InputError("sampling with temperature > 0 requires an rng")
-    probs = np.asarray(dist if dist.ndim == 2 else dist[None], dtype=np.float64)
-    if temperature != 1.0:
-        # scaled to a peak of 1 first, so a flat row cannot underflow to 0/0
-        probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)
-    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf = np.cumsum(_tempered(dist if dist.ndim == 2 else dist[None], temperature),
+                    axis=1)
     cdf /= cdf[:, -1:]
     drawn = (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1).tolist()
     return drawn if dist.ndim == 2 else drawn[0]

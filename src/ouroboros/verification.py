@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, forward_tree, sample
+from .models import ForwardCounter, LanguageModel, _tempered, forward_tree, sample
 from .pool import Phrase, PhrasePool
 
 
@@ -46,14 +46,6 @@ class VerificationOutcome:
     chosen_branch: Optional[int]
     emitted: List[int]
     match_count: int
-
-
-def _tempered(rows: np.ndarray, temperature: float) -> np.ndarray:
-    """The rows as ``sample`` draws from them at ``temperature`` != 1: scaled
-    to a peak of 1, raised to 1/temperature and renormalised."""
-    probs = np.asarray(rows, dtype=np.float64)
-    probs = np.power(probs / probs.max(axis=1, keepdims=True), 1.0 / temperature)
-    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def _ratio_accept(draft: List[int], p: np.ndarray, q: Sequence[np.ndarray],

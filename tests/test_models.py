@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros import (CounterModel, ForwardCounter, InputError, NgramModel,
-                       PerturbedModel, TokenList, build_model, build_ngram_model,
-                       forward_scan, forward_tree, next_distribution,
-                       parse_model_spec, sample)
+                       PerturbedModel, PhrasePool, TokenList, build_model,
+                       build_ngram_model, forward_scan, forward_tree,
+                       next_distribution, parse_model_spec, sample)
 
 
 def argmaxes(dists):
@@ -540,3 +540,27 @@ class TestTokenList:
     def test_branch_check_names_the_first_bad_token(self):
         with pytest.raises(InputError, match="branch token -2 out of vocab 10"):
             forward_tree(CounterModel(10), [1], [2], [[3], [4, -2], [11]])
+
+    @pytest.mark.parametrize("call", [
+        lambda: next_distribution(CounterModel(10), [2.5]),
+        lambda: next_distribution(PerturbedModel(CounterModel(10), 0.5), [1, 2.5]),
+        lambda: next_distribution(build_ngram_model([1, 2, 3, 1, 2, 4], 2), [1, 2.5]),
+        lambda: forward_tree(CounterModel(10), [1], [2], [[3], [4, 5.0]]),
+        lambda: PhrasePool(10).insert((1, 2), (3, 2.5)),
+        lambda: TokenList(10, [1]).append(2.5),
+        lambda: TokenList(10, [1, None]),
+    ])
+    def test_non_integer_tokens_are_refused(self, call):
+        with pytest.raises(InputError, match="token .* is not an integer"):
+            call()
+
+    def test_numpy_integer_tokens_are_accepted(self):
+        model, five = CounterModel(10), np.int64(5)
+        assert int(np.argmax(next_distribution(model, [1, five]))) == 6
+        assert argmaxes(forward_tree(model, [five], [], [[five]])) == [6, 6]
+        ctx = TokenList(10, [five])
+        ctx.append(np.int64(6))
+        assert ctx == [5, 6]
+        pool = PhrasePool(10)
+        pool.insert((five, np.int64(7)))
+        assert [ph.tokens for ph in pool.lookup_k(5, 1)] == [(5, 7)]

@@ -1,41 +1,53 @@
-"""tools/ab_passes.py and tools/modeled_sweep.py, run as scripts."""
+"""tools/modeled_sweep.py, run as a script."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ENGINES = ["lookahead", "ouroboros", "speculative", "vanilla"]
 
 
-def ab_passes(parent, change, *args):
+def long_context_sweep(checkout, *args):
+    """The sweep's JSON output on long-context at seed 1, run from ``checkout``."""
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_passes.py"), "--parent", str(parent),
-         "--change", str(change), "--seed", "1", "--passes", "1", *args],
-        capture_output=True, text=True, timeout=600)
+        [sys.executable, str(checkout / "tools" / "modeled_sweep.py"), "--seeds", "1",
+         "--workloads", "long-context", "--json", *args],
+        capture_output=True, text=True, timeout=600, check=True).stdout
 
 
-def test_a_checkout_against_itself_agrees():
-    proc = ab_passes(ROOT, ROOT, "--workload", "long-context")
-    assert proc.returncode == 0, proc.stderr
-    assert "long-context ouroboros seed 1: ratio" in proc.stdout
-    assert "won 0/1 pairs" in proc.stdout or "won 1/1 pairs" in proc.stdout
+def test_the_sweep_repeats_itself_with_one_digest_per_seed():
+    first = long_context_sweep(ROOT)
+    assert long_context_sweep(ROOT) == first
+    engines = json.loads(first)["workloads"]["long-context"]
+    assert sorted(engines) == ENGINES
+    for numbers in engines.values():
+        [digest] = numbers["sha256"]
+        assert re.fullmatch("[0-9a-f]{64}", digest)
 
 
-def test_outputs_that_differ_exit_one(tmp_path):
+def test_the_digest_tells_changed_forwards_apart(tmp_path):
     # a shorter default draft keeps the greedy tokens but changes the forwards
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    for part in ("src", "tools", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
     engines = tmp_path / "src" / "ouroboros" / "engines.py"
     text = engines.read_text(encoding="utf-8")
     assert "    gamma: int = 5 " in text
     engines.write_text(text.replace("    gamma: int = 5 ", "    gamma: int = 4 "),
                        encoding="utf-8")
-    proc = ab_passes(ROOT, tmp_path, "--workload", "long-context",
-                     "--engine", "speculative")
-    assert proc.returncode == 1
-    assert proc.stderr == "ab_passes: the two sides' outputs differ\n"
+    ours, theirs = (json.loads(long_context_sweep(checkout, "--engines",
+                                                  "vanilla,speculative"))
+                    ["workloads"]["long-context"] for checkout in (ROOT, tmp_path))
+    for engine in ("vanilla", "speculative"):
+        assert theirs[engine]["tokens_emitted"] == ours[engine]["tokens_emitted"]
+    assert theirs["vanilla"]["sha256"] == ours["vanilla"]["sha256"]
+    assert theirs["speculative"]["sha256"] != ours["speculative"]["sha256"]
+    for count in ("target_forwards", "draft_forwards"):
+        assert theirs["speculative"][count] != ours["speculative"][count]
 
 
 def test_the_sweep_gives_the_benchmarks_modeled_numbers():

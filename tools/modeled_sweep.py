@@ -1,35 +1,41 @@
-"""Every engine's exact modeled numbers, over workloads and seeds.
+"""Every engine's exact modeled numbers and output digest, over workloads and seeds.
 
     python3 tools/modeled_sweep.py --seeds 1-5
-    python3 tools/modeled_sweep.py --seeds 1 --workloads reuse-stream \\
-        --engines ouroboros --json
+    python3 tools/modeled_sweep.py --seeds 1,89 --json > sweep.json
 
-For each perfbench workload and seed, the models are built and the shared
-pool is primed as ``perfbench/run.py`` builds and primes them (with
-``tools/ab_passes.py``'s ``Side``), and each engine replays the prompt stream
-once, untimed.  Per workload and engine it reports, as the median and the
-range over the seeds, a pass's tokens, target and draft forwards, target and
-draft branch tokens, block efficiency ``eta`` (tokens per target forward),
-drafting reduction ``c`` (draft tokens per draft forward) and the modeled
-speedup at each ``t_target/t_draft`` ratio and tree surcharge.  These are
-counts and functions of counts: they repeat exactly from run to run, and at
-ratio 10 and surcharge 0 they are the ``eta`` and ``modeled_speedup`` that
-``perfbench/run.py`` reports for ouroboros.  ``--json`` prints one JSON
-document in place of the table.
+For each perfbench workload and seed, ``perfbench/run.py``'s own ``Bench``
+builds the models and primes the shared pool file, and each engine replays
+the prompt stream once, untimed, from a fresh ``Bench.setup()``.  Per
+workload and engine it reports, as the median and the range over the seeds,
+a pass's tokens, target and draft forwards, target and draft branch tokens,
+block efficiency ``eta`` (tokens per target forward), drafting reduction
+``c`` (draft tokens per draft forward) and the modeled speedup at each
+``t_target/t_draft`` ratio and tree surcharge.  These are counts and
+functions of counts: they repeat exactly from run to run, and at ratio 10
+and surcharge 0 they are the ``eta`` and ``modeled_speedup`` that
+``perfbench/run.py`` reports for ouroboros.
+
+Per workload, engine and seed it also reports a SHA-256 over every call's
+emitted tokens, target and draft forwards and ``target_branch_tokens``, in
+stream order.  ``--json`` prints one JSON document, with the full digests, in
+place of the table, which shows their first 16 hex digits.  Two checkouts
+that do the same work print the same JSON, byte for byte, at any seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-from ab_passes import ROOT, Side, load_package
-from run import ENGINES
-from workloads import WORKLOADS, make_workload
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from run import ENGINES, Bench, import_program  # noqa: E402
+from workloads import WORKLOADS, make_workload  # noqa: E402
 
 RATIOS = (3, 5, 10)              # t_target / t_draft
 SURCHARGES = (0, 0.05, 0.2)      # modeled cost per tree branch token, per forward time
@@ -41,13 +47,28 @@ def speedup_key(ratio: float, surcharge: float) -> str:
     return f"modeled_speedup_{ratio:g}_{surcharge:g}"
 
 
-def pass_numbers(pkg, side: Side, engine: str) -> dict:
-    """One untimed pass of ``engine``: its summed counts and what follows."""
-    eng = pkg.engines
+def replay(bench: Bench, engine: str) -> tuple:
+    """One untimed pass of ``engine`` from a fresh set-up: its summed counts
+    and what follows, and the pass's digest."""
+    eng = bench.pkg.engines
+    corpus, target, draft, pool = bench.setup()
     totals = dict.fromkeys(COUNTS, 0)
-    for _, m, _ in side.calls(engine):
+    digest = hashlib.sha256()
+    for i in bench.wl.stream:
+        p, cfg = corpus.prompts[i], bench.engine_config(i)
+        if engine == "vanilla":
+            out, m = eng.generate_vanilla(target, p, cfg)
+        elif engine == "speculative":
+            out, m = eng.generate_speculative(target, draft, p, cfg)
+        elif engine == "lookahead":
+            out, m = eng.generate_lookahead_target(target, p, cfg)
+        else:
+            out, m = eng.generate_ouroboros(target, draft, p, cfg,
+                                            pool if pool is not None else bench.new_pool())
         for name in COUNTS:
             totals[name] += getattr(m, name)
+        digest.update(repr((out, m.target_forwards, m.draft_forwards,
+                            m.target_branch_tokens)).encode())
     run = eng.RunMetrics(**totals)
     numbers = {**totals,
                "eta": run.tokens_emitted / run.target_forwards,
@@ -57,28 +78,33 @@ def pass_numbers(pkg, side: Side, engine: str) -> dict:
             cost = eng.CostModel(t_draft=1.0, t_target=float(ratio),
                                  tree_surcharge_per_token=float(surcharge))
             numbers[speedup_key(ratio, surcharge)] = eng.modeled_speedup(run, cost)
-    return numbers
+    return numbers, digest.hexdigest()
 
 
 def sweep(pkg, workloads, engines, seeds) -> dict:
-    """workload -> engine -> number -> {median, min, max, values} over seeds."""
+    """workload -> engine -> number -> {median, min, max, values} over seeds,
+    and "sha256" -> one digest per seed."""
     result = {}
     for name in workloads:
         per_seed = {e: [] for e in engines}
+        digests = {e: [] for e in engines}
         for seed in seeds:
-            wl = make_workload(name, seed)
             with tempfile.TemporaryDirectory() as tmp:
-                corpus = Path(tmp) / "corpus.txt"
-                corpus.write_text("\n".join(wl.lines) + "\n", encoding="utf-8")
-                side = Side(pkg, wl, seed, corpus)
-            for engine in engines:
-                per_seed[engine].append(pass_numbers(pkg, side, engine))
+                bench = Bench(pkg, make_workload(name, seed), seed, Path(tmp))
+                bench.prepare()
+                if bench.problems:
+                    sys.exit(f"modeled_sweep: {name} seed {seed}: {bench.problems[0]}")
+                for engine in engines:
+                    numbers, digest = replay(bench, engine)
+                    per_seed[engine].append(numbers)
+                    digests[engine].append(digest)
         result[name] = {
-            engine: {key: {"median": statistics.median(r[key] for r in runs),
-                           "min": min(r[key] for r in runs),
-                           "max": max(r[key] for r in runs),
-                           "values": [r[key] for r in runs]}
-                     for key in runs[0]}
+            engine: {**{key: {"median": statistics.median(r[key] for r in runs),
+                              "min": min(r[key] for r in runs),
+                              "max": max(r[key] for r in runs),
+                              "values": [r[key] for r in runs]}
+                        for key in runs[0]},
+                     "sha256": digests[engine]}
             for engine, runs in per_seed.items()}
     return result
 
@@ -115,6 +141,7 @@ def print_table(result: dict, seeds: list) -> None:
                     for ratio in RATIOS)
                 print(f"    modeled speedup at surcharge {surcharge:g}, by "
                       f"t_target/t_draft: {speedups}")
+            print(f"    sha256 by seed: {' '.join(d[:16] for d in nums['sha256'])}")
 
 
 def main(argv=None) -> int:
@@ -130,8 +157,7 @@ def main(argv=None) -> int:
         unknown = sorted(set(given) - set(known))
         if unknown:
             parser.error(f"unknown {', '.join(unknown)} (choose from {', '.join(known)})")
-    pkg = load_package(ROOT, "ouroboros")
-    result = sweep(pkg, workloads, engines, args.seeds)
+    result = sweep(import_program(), workloads, engines, args.seeds)
     if args.json:
         print(json.dumps({"seeds": args.seeds, "workloads": result}, indent=1))
     else:

@@ -2,9 +2,11 @@
 
 Each draft step spends ONE forward to do two things at once: verify the best
 pooled phrase for the current last token (emitting its matching prefix plus
-one correction token), and advance W window columns that each yield a fresh
-N-gram for the pool.  On the draft model this drafts for ouroboros; on the
-target, run for the whole budget, it is lookahead decoding.
+one correction token), and advance W window columns, the context's most
+recent (N-1)-token stretches, that each yield an N-gram for the pool; a
+stretch is scored only when it first enters the window in an engine call.
+On the draft model this drafts for ouroboros; on the target, run for the
+whole budget, it is lookahead decoding.
 """
 
 from __future__ import annotations
@@ -20,17 +22,13 @@ from .pool import PhrasePool
 from .verification import accept_len
 
 
-def window_columns(context: Sequence[int], width: int, ngram: int,
-                   first: bool) -> List[List[int]]:
+def window_columns(context: Sequence[int], width: int, ngram: int) -> List[List[int]]:
     """The lookahead window: ``width`` columns of ngram-1 context tokens.
 
     The window is a function of the context ``ctx`` (length L, n1 = ngram-1)
-    and reads one tail of it.  At a draft's first step (``first``) the
-    columns cycle over the newest tokens, newest first, row-major across the
-    columns: row r of column c is ``ctx[L-1 - (r*width + c) % min(L,
-    n1*width)]``.  Later, column c is the n1-token stretch ending c tokens
-    before the context end (token i is ``ctx[(L-n1-c+i) % L]``), so it
-    replays recent real text and its n-gram extends it by a prediction.
+    and reads one tail of it: column c is the n1-token stretch ending c
+    tokens before the context end (token i is ``ctx[(L-n1-c+i) % L]``), so
+    it replays recent real text and its n-gram extends it by a prediction.
     """
     if width < 1:
         raise InputError("window width must be >= 1")
@@ -38,17 +36,13 @@ def window_columns(context: Sequence[int], width: int, ngram: int,
         raise InputError("ngram order must be >= 2")
     if len(context) == 0:
         raise InputError("context must be non-empty")
-    n1 = ngram - 1
-    size = n1 * width if first else n1 + width - 1
+    size = ngram + width - 2
     tail = (list(context[-size:]) * -(-size // len(context)))[-size:]
-    if first:
-        tail.reverse()
-        return [tail[c::width] for c in range(width)]
-    return [tail[s:s + n1] for s in range(width - 1, -1, -1)]
+    return [tail[s:s + ngram - 1] for s in range(width - 1, -1, -1)]
 
 
 def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
-               columns: List[List[int]], beta: Optional[int] = None,
+               columns: Sequence[Sequence[int]], beta: Optional[int] = None,
                temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
                counter: Optional[ForwardCounter] = None,
@@ -99,27 +93,36 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
                    max_new: int, beta: Optional[int] = None,
                    temperature: float = 0.0,
                    rng: Optional[np.random.Generator] = None,
-                   counter: Optional[ForwardCounter] = None) -> DraftResult:
+                   counter: Optional[ForwardCounter] = None,
+                   memo: Optional[dict] = None) -> DraftResult:
     """Draft at least ``gamma`` tokens (phrase by phrase) unless EOS or
-    ``max_new`` intervenes; window n-grams are inserted into the pool as they
-    appear, so later steps can already use them.  Greedy unless a
-    ``temperature`` and an ``rng`` are given; at T > 0 the tokens are an
-    autoregressive draw from the model, and ``rows`` holds the rows drawn
-    from (None at T = 0)."""
+    ``max_new`` intervenes.  Greedy unless a ``temperature`` and an ``rng``
+    are given; at T > 0 the tokens are an autoregressive draw from the
+    model, and ``rows`` holds the rows drawn from (None at T = 0).
+
+    ``memo`` maps each window stretch (a tuple) to the token the model put
+    after it when it first entered the window; an engine call passes one
+    dict to all its drafts (None starts a fresh one).  A step scores only
+    the stretches missing from it, then inserts all ``width`` n-grams,
+    stretch plus memo token, into the pool.  The memo is exact for a model
+    whose row after ``ctx + stretch`` depends on the stretch alone."""
     if gamma < 1:
         raise InputError("gamma must be >= 1")
     if max_new < 1:
         raise InputError("max_new must be >= 1")
     ctx = TokenList(model.vocab_size, context)
+    memo = {} if memo is None else memo
     tokens: List[int] = []
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     forwards, done = 0, False
     while not done and len(tokens) < gamma:
-        columns = window_columns(ctx, width, ngram, first=forwards == 0)
+        columns = [tuple(col) for col in window_columns(ctx, width, ngram)]
+        fresh = list(dict.fromkeys(col for col in columns if col not in memo))
         appended, new_phrases, drawn_from = draft_step(
-            model, ctx, pool, columns, beta, temperature, rng, counter)
+            model, ctx, pool, fresh, beta, temperature, rng, counter)
         forwards += 1
-        pool.insert(*new_phrases)
+        memo.update((phrase[:-1], phrase[-1]) for phrase in new_phrases)
+        pool.insert(*((*col, memo[col]) for col in columns))
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:

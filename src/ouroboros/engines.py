@@ -212,6 +212,7 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
     ctx = TokenList(target.vocab_size, gen.prompt)
     out: List[int] = []
     steps: List[Tuple[int, int, int]] = []
+    memo: dict = {}  # the window's n-grams, for every draft of this call
     done = False
     while not done:
         remaining = cfg.max_new - len(out)
@@ -220,7 +221,7 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
             drafted = generate_draft(draft_model, ctx, pool, glen, cfg.window,
                                      cfg.ngram, max_new=remaining, beta=cfg.beta,
                                      temperature=cfg.temperature, rng=drng,
-                                     counter=gen.dcounter)
+                                     counter=gen.dcounter, memo=memo)
             d, q = drafted.tokens, drafted.rows
         else:
             d, q = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,

@@ -184,7 +184,7 @@ def build_ngram_model(corpus: TokenSeq, order: int,
         raise InputError(f"corpus of {len(corpus)} tokens is too short for order {order}")
     if vocab_size is None:
         vocab_size = max(corpus) + 1
-    _check_tokens(vocab_size, islice(corpus, order - 1, None), "corpus")
+    _check_tokens(vocab_size, corpus, "corpus")
     row_ids: dict = {}  # not `index`, which names operator.index here
     # count each n-gram by its cell in the flattened matrix, then write the
     # counts straight into the float64 matrix, whose last row is the backoff

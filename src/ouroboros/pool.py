@@ -95,7 +95,10 @@ class PhrasePool:
 
     def _checked(self, phrases: Iterable[Sequence[int]]) -> List[tuple]:
         """The phrases as tuples, each checked for its length and vocab."""
-        batch = list(map(tuple, phrases))
+        try:
+            batch = list(map(tuple, phrases))
+        except TypeError:
+            raise InputError("a phrase must be a sequence of tokens") from None
         longest = self.max_phrase_len
         for tokens in batch:
             if not 2 <= len(tokens) <= longest:

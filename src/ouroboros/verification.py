@@ -192,12 +192,5 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     """
     if len(branch_verdicts) != len(suffixes):
         raise InputError("need one list of branch verdicts per suffix")
-    replaced = 0
-    for o, s in enumerate(suffixes):
-        if o == chosen:
-            continue
-        tail_len = len(branch_verdicts[o]) - 1
-        corrected = (s.tokens[0],) + tuple(branch_verdicts[o][:tail_len])
-        if pool.replace_corrected(s.tokens, corrected):
-            replaced += 1
-    return replaced
+    return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]))
+               for o, s in enumerate(suffixes) if o != chosen)

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ouroboros import (CounterModel, ForwardCounter, InputError, PhrasePool,
-                       TokenList, build_ngram_model, draft_step, generate_draft,
+from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError,
+                       LanguageModel, PerturbedModel, PhrasePool, TokenList,
+                       build_ngram_model, draft_step, generate_draft,
+                       generate_lookahead_target, generate_ouroboros,
                        next_distribution, window_columns)
 from ouroboros.drafting import clip
 
@@ -32,80 +36,60 @@ class RecordingPool(PhrasePool):
         return super().insert(*phrases, hits=hits)
 
 
-class TestInitLookahead:
-    """The window a draft starts from: window_columns(..., first=True)."""
-
-    def test_cyclic_fill_row_major_newest_first(self):
-        # rows [3, 2] and [1, 3], read column by column
-        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
-        assert columns == [[3, 1], [2, 3]]
-
-    def test_degenerate_one_by_one_grid(self):
-        columns = window_columns([4, 9], width=1, ngram=2, first=True)
-        assert columns == [[9]]
-
-    def test_deterministic(self):
-        a = window_columns([5, 6, 7, 8], width=3, ngram=4, first=True)
-        b = window_columns([5, 6, 7, 8], width=3, ngram=4, first=True)
-        assert a == b
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(InputError):
-            window_columns([1], width=0, ngram=3, first=True)
-        with pytest.raises(InputError):
-            window_columns([1], width=2, ngram=1, first=True)
-
-
 class TestLaterWindow:
-    """After a draft's first step: window_columns(..., first=False)."""
+    """The window every draft step reads: window_columns(context, width, ngram)."""
 
     def test_columns_end_further_back_one_token_at_a_time(self):
-        columns = window_columns([1, 2, 3, 4, 5], width=3, ngram=3, first=False)
+        columns = window_columns([1, 2, 3, 4, 5], width=3, ngram=3)
         assert columns == [[4, 5], [3, 4], [2, 3]]
 
     def test_short_context_wraps_cyclically(self):
-        columns = window_columns([7, 8], width=3, ngram=4, first=False)
+        columns = window_columns([7, 8], width=3, ngram=4)
         assert columns == [[8, 7, 8], [7, 8, 7], [8, 7, 8]]
 
+    def test_degenerate_one_by_one_grid(self):
+        columns = window_columns([4, 9], width=1, ngram=2)
+        assert columns == [[9]]
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(InputError):
+            window_columns([1], width=0, ngram=3)
+        with pytest.raises(InputError):
+            window_columns([1], width=2, ngram=1)
+
     def test_empty_context_rejected(self):
-        for first in (True, False):
-            with pytest.raises(InputError):
-                window_columns([], width=2, ngram=3, first=first)
+        with pytest.raises(InputError):
+            window_columns([], width=2, ngram=3)
 
 
-def window_by_formula(ctx, width, ngram, first):
-    """window_columns' docstring formulas, read one token at a time."""
+def window_by_formula(ctx, width, ngram):
+    """window_columns' docstring formula, read one token at a time."""
     length, n1 = len(ctx), ngram - 1
-    if first:
-        cycle = min(length, n1 * width)
-        return [[ctx[length - 1 - (r * width + c) % cycle] for r in range(n1)]
-                for c in range(width)]
     return [[ctx[(length - n1 - c + i) % length] for i in range(n1)]
             for c in range(width)]
 
 
 def slice_boundaries(test):
-    """An ``@example`` per layout at each context length where the window's
-    tail slice changes shape: n1+width-2, n1+width-1, n1*width-1, n1*width."""
+    """An ``@example`` per (width, ngram) at each context length where the
+    window's tail slice changes shape: n1+width-2 and n1+width-1."""
     for width, ngram in ((4, 4), (16, 4), (3, 6), (20, 2)):
         n1 = ngram - 1
-        for length in (n1 + width - 2, n1 + width - 1, n1 * width - 1, n1 * width):
+        for length in (n1 + width - 2, n1 + width - 1):
             ctx = list(range(100, 100 + length))
-            for first in (False, True):
-                for as_given in (ctx, TokenList(200, ctx)):
-                    test = example(as_given, width, ngram, first)(test)
+            for as_given in (ctx, TokenList(200, ctx)):
+                test = example(as_given, width, ngram)(test)
     return test
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 199), min_size=1, max_size=80).flatmap(
            lambda ctx: st.sampled_from([ctx, TokenList(200, ctx)])),
-       st.integers(1, 20), st.integers(2, 6), st.booleans())
+       st.integers(1, 20), st.integers(2, 6))
 @slice_boundaries
-def test_window_columns_follow_the_docstring_formulas(ctx, width, ngram, first):
+def test_window_columns_follow_the_docstring_formulas(ctx, width, ngram):
     before = list(ctx)
-    columns = window_columns(ctx, width, ngram, first)
-    assert columns == window_by_formula(before, width, ngram, first)
+    columns = window_columns(ctx, width, ngram)
+    assert columns == window_by_formula(before, width, ngram)
     assert all(type(column) is list for column in columns)
     assert list(ctx) == before
 
@@ -115,7 +99,7 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7))
-        columns = window_columns([1, 2, 3], width=4, ngram=3, first=True)
+        columns = window_columns([1, 2, 3], width=4, ngram=3)
         counter = ForwardCounter()
         appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4, 5, 6, 7, 8]
@@ -125,14 +109,14 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 9, 9))
-        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        columns = window_columns([1, 2, 3], width=2, ngram=3)
         appended, _, _ = draft_step(model, [1, 2, 3], pool, columns)
         assert appended == [4, 5]
 
     def test_empty_bucket_degenerates_to_one_token(self):
         model = CounterModel(20)
         pool = PhrasePool(20)
-        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        columns = window_columns([1, 2, 3], width=2, ngram=3)
         counter = ForwardCounter()
         appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
         assert appended == [4]
@@ -142,7 +126,7 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7, 8, 9))
-        columns = window_columns([1, 2, 3], width=2, ngram=3, first=True)
+        columns = window_columns([1, 2, 3], width=2, ngram=3)
         appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, beta=4)
         # 3 continuation tokens survive the cut, plus the correction
         assert appended == [4, 5, 6, 7]
@@ -150,22 +134,22 @@ class TestDraftStep:
     def test_emits_one_ngram_per_window_column(self):
         model = CounterModel(20)
         pool = PhrasePool(20)
-        columns = window_columns([1, 2, 3], width=5, ngram=4, first=True)
+        columns = window_columns([1, 2, 3], width=5, ngram=4)
         _, phrases, _ = draft_step(model, [1, 2, 3], pool, columns)
         assert len(phrases) == 5
         assert all(len(p) == 4 for p in phrases)
         assert all(0 <= t < 20 for p in phrases for t in p)
 
     def test_window_ngrams_extend_recent_text(self):
-        # after one step the window replays recent stretches of real context,
-        # so a counter model turns them into consecutive runs
+        # the window replays recent stretches of real context, so a counter
+        # model turns them into consecutive runs
         model = CounterModel(50)
         pool = PhrasePool(50)
         ctx = [10, 11, 12, 13, 14]
-        columns = window_columns(ctx, width=2, ngram=3, first=True)
+        columns = window_columns(ctx, width=2, ngram=3)
         appended, _, _ = draft_step(model, ctx, pool, columns)
         ctx = ctx + appended
-        columns = window_columns(ctx, width=2, ngram=3, first=False)
+        columns = window_columns(ctx, width=2, ngram=3)
         _, phrases, _ = draft_step(model, ctx, pool, columns)
         for p in phrases:
             assert p == tuple(range(p[0], p[0] + 3))
@@ -205,9 +189,13 @@ class TestGenerateDraft:
     def test_new_phrases_are_inserted_into_the_pool(self):
         model = CounterModel(40)
         pool = RecordingPool(40)
+        counter = ForwardCounter()
         generate_draft(model, [1, 2, 3], pool, gamma=4, width=3, ngram=3,
-                       max_new=100)
+                       max_new=100, counter=counter)
+        # every step inserts all 3 n-grams but scores only the stretches new
+        # to the window: all 3 at the first step, then the newest one
         assert len(pool.inserted) == 4 * 3
+        assert counter.branch_tokens == (3 + 1 + 1 + 1) * 2
         for ph in set(pool.inserted):
             assert ph in [p.tokens for p in pool.bucket(ph[0])]
 
@@ -242,6 +230,114 @@ class TestGenerateDraft:
         for tok in runs[0]:
             assert next_distribution(model, ctx)[tok] > 0
             ctx.append(tok)
+
+
+class LoggingModel(LanguageModel):
+    """Delegates to ``base`` and logs the paths of every ``score`` call."""
+
+    def __init__(self, base):
+        self.base, self.vocab_size, self.eos_id = base, base.vocab_size, base.eos_id
+        self.paths = []
+
+    def distribution(self, context):
+        return self.base.distribution(context)
+
+    def score(self, prefix, paths):
+        self.paths += [tuple(path) for path in paths]
+        return self.base.score(prefix, paths)
+
+
+def draft_scoring_every_column(model, context, pool, gamma, width, ngram,
+                               max_new, temperature, rng):
+    """generate_draft with no memo: every step scores all its columns."""
+    ctx, tokens, forwards, done = list(context), [], 0, False
+    while not done and len(tokens) < gamma:
+        appended, phrases, _ = draft_step(model, ctx, pool,
+                                          window_columns(ctx, width, ngram),
+                                          temperature=temperature, rng=rng)
+        forwards += 1
+        pool.insert(*phrases)
+        chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
+        tokens += chunk
+        ctx += chunk
+    return tokens, forwards
+
+
+class TestWindowMemo:
+    """generate_draft scores a window stretch the first time it enters the
+    window in an engine call, and takes its n-gram from the memo after."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(3, 10), st.integers(2, 5),
+           st.integers(1, 8), st.sampled_from([0.0, 1.0]), st.data())
+    def test_the_memo_drafts_as_scoring_every_column_would(
+            self, seed, vocab, ngram, width, temperature, data):
+        # an n-gram model of order <= ngram reads only the stretch, so the
+        # memo's token is the one scoring the stretch again would give
+        order = data.draw(st.integers(1, ngram), label="order")
+        gammas = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=4),
+                           label="gammas")
+        rng = np.random.default_rng(seed)
+        model = build_ngram_model(rng.integers(0, vocab, 200).tolist(), order,
+                                  vocab_size=vocab)
+        prompt = rng.integers(0, vocab, int(rng.integers(1, 8))).tolist()
+        runs = []
+        for memoised in (True, False):
+            pool, ctx, memo, drafts = PhrasePool(vocab), list(prompt), {}, []
+            draws = np.random.default_rng(seed)
+            for gamma in gammas:  # successive drafts of one engine call
+                if memoised:
+                    result = generate_draft(model, ctx, pool, gamma, width, ngram,
+                                            max_new=12, temperature=temperature,
+                                            rng=draws, memo=memo)
+                    tokens, forwards = result.tokens, result.forwards_used
+                else:
+                    tokens, forwards = draft_scoring_every_column(
+                        model, ctx, pool, gamma, width, ngram, 12, temperature,
+                        draws)
+                drafts.append((tokens, forwards))
+                ctx += tokens
+            runs.append((drafts, pool.state(), pool.clock))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(3, 5), st.integers(1, 8),
+           st.sampled_from(["ouroboros", "lookahead"]), st.sampled_from([0.0, 1.0]))
+    def test_an_engine_call_scores_each_window_stretch_once(
+            self, seed, ngram, width, engine, temperature):
+        rng = np.random.default_rng(seed)
+        target = build_ngram_model(rng.integers(0, 8, 300).tolist(), 3, vocab_size=8)
+        prompt = rng.integers(0, 7, int(rng.integers(1, 10))).tolist()
+        # beta = ngram - 1 keeps every phrase path shorter than a stretch
+        cfg = EngineConfig(window=width, ngram=ngram, beta=ngram - 1, max_new=40,
+                           temperature=temperature, seed=seed)
+        if engine == "ouroboros":
+            logged = LoggingModel(PerturbedModel(target, 0.2, seed=seed))
+            generate_ouroboros(target, logged, prompt, cfg)
+        else:
+            logged = LoggingModel(target)
+            generate_lookahead_target(logged, prompt, cfg)
+        stretches = [path for path in logged.paths if len(path) == ngram - 1]
+        assert stretches and len(stretches) == len(set(stretches))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.sampled_from(["ouroboros", "lookahead"]),
+           st.sampled_from([0.0, 1.0]))
+    def test_no_memo_outlives_an_engine_call(self, seed, engine, temperature):
+        rng = np.random.default_rng(seed)
+        corpus = rng.integers(0, 8, 300).tolist()
+        target = build_ngram_model(corpus, 3, vocab_size=8)
+        draft = PerturbedModel(target, 0.2, seed=seed)
+        prompt = rng.integers(0, 7, int(rng.integers(1, 10))).tolist()
+        cfg = EngineConfig(max_new=32, temperature=temperature, seed=seed)
+        runs = []
+        for _ in range(2):
+            if engine == "ouroboros":
+                tokens, metrics = generate_ouroboros(target, draft, prompt, cfg)
+            else:
+                tokens, metrics = generate_lookahead_target(target, prompt, cfg)
+            runs.append((tokens, dataclasses.asdict(metrics)))
+        assert runs[0] == runs[1]
 
 
 class TestClip:

@@ -20,6 +20,15 @@ drawn from the draft model on a stream of their own, ``default_rng((seed,
 1))``, and kept by the speculative sampling rule; the greedy digests did not
 move.  Lookahead's sampled digest was retaken earlier (see
 ``BASELINE_SHA256``).
+
+The digests that hash forward counters or T = 1 pool dynamics -
+``POOL_SHA256``, ``TOKENS_SHA256`` T1, ``SAMPLED_*``, lookahead's two
+``BASELINE_SHA256`` pins and both ``ABLATE_CSV_SHA256`` - were retaken when
+the window lost its newest-first first step and came to score each stretch
+once per engine call, through a memo of its n-grams.  The greedy tokens did
+not move: ``TOKENS_SHA256`` T0 and the other baseline pins kept their
+digests, and a digest of the tokens alone of the lookahead T0 runs and of
+the T0 ablation runs read the same before and after.
 """
 
 import dataclasses
@@ -37,11 +46,11 @@ from corpora import reference_corpus_text, write_corpus
 # byte tokens: long prompts put many n-grams in few buckets, so warm-up and
 # window inserts evict all the time
 ARGS = ("--tokenizer", "byte", "--engines", "ouroboros", "--max-new", "48")
-POOL_SHA256 = "47471b464c43eafe7be34ea7a9a9d5ff30ca0e3d14f2a3c9d9679e01c83e1c81"
+POOL_SHA256 = "07e93811f5eba0a41f290ebe5358421ca8f2044980d795a12e4b314bf72fcceb"
 # temperature -> digest of the tokens every prompt emits from the saved pool
 TOKENS_SHA256 = {
     "0": "ebdfc1cf44f40710346dcf445cc04d62fcbc5e85cc28533517d0d329e5b1f845",
-    "1": "cc91470ebea1f0af88d1d3785bea12e4655e27c065ad940d90e73abdcd97e7be",
+    "1": "eac57965975ebc1895efc44b6f9263081b0493c2a29bb7c7802ed79c4199b902",
 }
 
 
@@ -80,8 +89,8 @@ def test_emitted_tokens_are_pinned(saved_pool, temperature):
     assert sha256("\n".join(emitted).encode()) == TOKENS_SHA256[temperature]
 
 
-SAMPLED_POOL_SHA256 = "bf547f036f97a949d13ea450142354d09e1aca3b1b29774d29301d5e15942229"
-SAMPLED_TOKENS_SHA256 = "8689e351430e8a67a8fb2a38f4cb649ee5b6696196b8d8b0a37ed1988e882a8f"
+SAMPLED_POOL_SHA256 = "93eb90b4b02ad78a1ce4c833ed3892c837e1210119c6753523a0df3fccdafdbb"
+SAMPLED_TOKENS_SHA256 = "312976eda95116de47aafaef9845050899764c732e3245427531c6c89a751f6b"
 
 
 def test_sampled_run_is_pinned(tmp_path, capsys):
@@ -122,9 +131,9 @@ BASELINE_SHA256 = {
     "speculative-T1": ("speculative", (1.0,),
                        "aae37c19d4bd8cbd8bd59257b1e6859f4397629f5e0de8ec97ddde876e9578c2"),
     "lookahead-T0": ("lookahead", (0.0,),
-                     "5928287ab551bacf5a1df1d35fc5ffdfca15fbe61091732144b96014d39dff15"),
+                     "fbac926d51e327e97a523cd7acb2ef41a1978532d2f35cf37cdee3209e0a8bc0"),
     "lookahead-T1": ("lookahead", (1.0,),
-                     "c4df2ce780c2c8f4fac72ff8965aee48fef0ec40417d11c01a6cd5949b635fd7"),
+                     "777ee668b2c399975cbc738769d157f7b96d3e8cb446904b07c99f90f6de8edc"),
 }
 BASELINES = {
     "vanilla": lambda target, draft, prompt, cfg: generate_vanilla(target, prompt, cfg),
@@ -154,8 +163,8 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
 
 # ablate --out-csv: every rung's row for every prompt, greedy and sampled
 ABLATE_CSV_SHA256 = {
-    "0": "3150880ca6a23acf82f00e064d2322abeadda71f42df113a56ce1d7740722fc8",
-    "1": "122156c195e7dd07583684c39df3feffc790b5e42bd2cc309a58bd0983361959",
+    "0": "3bf09eefa61314b87ad4d064c38474865a00b4e8e1fdcd3f1015e9aa4a117ab6",
+    "1": "66ccb93965322f79d2790ef29e43ba61bdf0feaaf4e3c55626d39cb1f45c1848",
 }
 
 

@@ -59,6 +59,12 @@ class TestNgramModel:
         with pytest.raises(InputError):
             build_ngram_model([1, 2, 3], order=0)
 
+    @pytest.mark.parametrize("corpus", [[7, 1, 2, 1, 2], [2.5, 1, 2, 1, 2]])
+    def test_every_corpus_token_is_checked(self, corpus):
+        # the first order - 1 tokens only ever stand in a key, and are checked too
+        with pytest.raises(InputError, match="^corpus token"):
+            build_ngram_model(corpus, 2, vocab_size=5)
+
     def test_table_is_one_read_only_matrix(self):
         m = build_ngram_model([1, 2, 1, 3, 1, 2], order=2)
         assert not m._matrix.flags.writeable

@@ -328,6 +328,14 @@ class TestBatchInsert:
         with pytest.raises(InputError, match="phrase token 13 out of vocab 10"):
             insert_ngrams(pool, list(seq), 2)
 
+    @pytest.mark.parametrize("phrases", [(5,), ([1, 2], 5), ((1, 2), None)])
+    def test_a_phrase_that_is_not_a_sequence_is_refused(self, phrases):
+        pool = PhrasePool(10)
+        pool.insert((1, 2))
+        with pytest.raises(InputError, match="^a phrase must be a sequence of tokens$"):
+            pool.insert(*phrases)
+        assert pool.state() == {1: [((1, 2), 1)]} and pool.clock == 1
+
     def test_negative_hits_rejected(self):
         with pytest.raises(InputError):
             PhrasePool(10).insert((1, 2), hits=-1)

@@ -29,8 +29,19 @@ def test_the_sweep_repeats_itself_with_one_digest_per_seed():
         assert re.fullmatch("[0-9a-f]{64}", digest)
 
 
+def test_greedy_engines_share_one_tokens_digest():
+    # long-context is greedy, so every engine emits vanilla's tokens
+    engines = json.loads(long_context_sweep(ROOT))["workloads"]["long-context"]
+    digests = {engine: numbers["tokens_sha256"] for engine, numbers in engines.items()}
+    [digest] = digests["vanilla"]
+    assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert all(d == [digest] for d in digests.values())
+    assert len({numbers["sha256"][0] for numbers in engines.values()}) == 4
+
+
 def test_the_digest_tells_changed_forwards_apart(tmp_path):
-    # a shorter default draft keeps the greedy tokens but changes the forwards
+    # a shorter default draft keeps the greedy tokens but changes the forwards,
+    # so the full digest moves and the tokens digest does not
     for part in ("src", "tools", "perfbench"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -46,6 +57,7 @@ def test_the_digest_tells_changed_forwards_apart(tmp_path):
         assert theirs[engine]["tokens_emitted"] == ours[engine]["tokens_emitted"]
     assert theirs["vanilla"]["sha256"] == ours["vanilla"]["sha256"]
     assert theirs["speculative"]["sha256"] != ours["speculative"]["sha256"]
+    assert theirs["speculative"]["tokens_sha256"] == ours["speculative"]["tokens_sha256"]
     for count in ("target_forwards", "draft_forwards"):
         assert theirs["speculative"][count] != ours["speculative"][count]
 

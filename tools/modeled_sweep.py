@@ -17,9 +17,12 @@ and surcharge 0 they are the ``eta`` and ``modeled_speedup`` that
 
 Per workload, engine and seed it also reports a SHA-256 over every call's
 emitted tokens, target and draft forwards and ``target_branch_tokens``, in
-stream order.  ``--json`` prints one JSON document, with the full digests, in
-place of the table, which shows their first 16 hex digits.  Two checkouts
-that do the same work print the same JSON, byte for byte, at any seeds.
+stream order, and ``tokens_sha256`` over the emitted tokens alone: a change
+that moves the counts can show with it that the tokens did not move, and at
+temperature 0 every engine's tokens digest is vanilla's.  ``--json`` prints
+one JSON document, with the full digests, in place of the table, which shows
+their first 16 hex digits.  Two checkouts that do the same work print the
+same JSON, byte for byte, at any seeds.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ def speedup_key(ratio: float, surcharge: float) -> str:
 
 def replay(bench: Bench, engine: str) -> tuple:
     """One untimed pass of ``engine`` from a fresh set-up: its summed counts
-    and what follows, and the pass's digest."""
+    and what follows, and the pass's digests of everything and of the tokens."""
     eng = bench.pkg.engines
     corpus, target, draft, pool = bench.setup()
     totals = dict.fromkeys(COUNTS, 0)
-    digest = hashlib.sha256()
+    digest, tokens_digest = hashlib.sha256(), hashlib.sha256()
     for i in bench.wl.stream:
         p, cfg = corpus.prompts[i], bench.engine_config(i)
         if engine == "vanilla":
@@ -69,6 +72,7 @@ def replay(bench: Bench, engine: str) -> tuple:
             totals[name] += getattr(m, name)
         digest.update(repr((out, m.target_forwards, m.draft_forwards,
                             m.target_branch_tokens)).encode())
+        tokens_digest.update(repr(out).encode())
     run = eng.RunMetrics(**totals)
     numbers = {**totals,
                "eta": run.tokens_emitted / run.target_forwards,
@@ -78,16 +82,17 @@ def replay(bench: Bench, engine: str) -> tuple:
             cost = eng.CostModel(t_draft=1.0, t_target=float(ratio),
                                  tree_surcharge_per_token=float(surcharge))
             numbers[speedup_key(ratio, surcharge)] = eng.modeled_speedup(run, cost)
-    return numbers, digest.hexdigest()
+    return numbers, {"sha256": digest.hexdigest(),
+                     "tokens_sha256": tokens_digest.hexdigest()}
 
 
 def sweep(pkg, workloads, engines, seeds) -> dict:
     """workload -> engine -> number -> {median, min, max, values} over seeds,
-    and "sha256" -> one digest per seed."""
+    and "sha256" and "tokens_sha256" -> one digest per seed each."""
     result = {}
     for name in workloads:
         per_seed = {e: [] for e in engines}
-        digests = {e: [] for e in engines}
+        digests = {e: {"sha256": [], "tokens_sha256": []} for e in engines}
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 bench = Bench(pkg, make_workload(name, seed), seed, Path(tmp))
@@ -97,14 +102,15 @@ def sweep(pkg, workloads, engines, seeds) -> dict:
                 for engine in engines:
                     numbers, digest = replay(bench, engine)
                     per_seed[engine].append(numbers)
-                    digests[engine].append(digest)
+                    for kind, value in digest.items():
+                        digests[engine][kind].append(value)
         result[name] = {
             engine: {**{key: {"median": statistics.median(r[key] for r in runs),
                               "min": min(r[key] for r in runs),
                               "max": max(r[key] for r in runs),
                               "values": [r[key] for r in runs]}
                         for key in runs[0]},
-                     "sha256": digests[engine]}
+                     **digests[engine]}
             for engine, runs in per_seed.items()}
     return result
 
@@ -141,7 +147,8 @@ def print_table(result: dict, seeds: list) -> None:
                     for ratio in RATIOS)
                 print(f"    modeled speedup at surcharge {surcharge:g}, by "
                       f"t_target/t_draft: {speedups}")
-            print(f"    sha256 by seed: {' '.join(d[:16] for d in nums['sha256'])}")
+            for kind in ("sha256", "tokens_sha256"):
+                print(f"    {kind} by seed: {' '.join(d[:16] for d in nums[kind])}")
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 Each draft step spends ONE forward to do two things at once: verify the best
 pooled phrase for the current last token (emitting its matching prefix plus
 one correction token), and advance W window columns, the context's most
-recent (N-1)-token stretches, that each yield an N-gram for the pool; a
-stretch is scored only when it first enters the window in an engine call.
+recent (N-1)-token stretches, each yielding an N-gram tuple for the pool
+that is built when the stretch first enters the window in an engine call.
 On the draft model this drafts for ouroboros; on the target, run for the
 whole budget, it is lookahead decoding.
 """
@@ -22,8 +22,8 @@ from .pool import PhrasePool
 from .verification import accept_len
 
 
-def window_columns(context: Sequence[int], width: int, ngram: int) -> List[List[int]]:
-    """The lookahead window: ``width`` columns of ngram-1 context tokens.
+def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple]:
+    """The lookahead window: ``width`` tuples of ngram-1 context tokens.
 
     The window is a function of the context ``ctx`` (length L, n1 = ngram-1)
     and reads one tail of it: column c is the n1-token stretch ending c
@@ -37,7 +37,7 @@ def window_columns(context: Sequence[int], width: int, ngram: int) -> List[List[
     if len(context) == 0:
         raise InputError("context must be non-empty")
     size = ngram + width - 2
-    tail = (list(context[-size:]) * -(-size // len(context)))[-size:]
+    tail = (tuple(context[-size:]) * -(-size // len(context)))[-size:]
     return [tail[s:s + ngram - 1] for s in range(width - 1, -1, -1)]
 
 
@@ -55,7 +55,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     token, so it is never empty and always extends the greedy path at
     temperature 0.  At T > 0 it is an exact autoregressive draw from the
     model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
-    ``new_phrases`` are the window ``columns``' n-grams (see
+    ``new_phrases`` are the window ``columns``' n-gram tuples (see
     :func:`window_columns`), one per column, always the rows' argmax.
     """
     if len(context) == 0:
@@ -100,12 +100,12 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     are given; at T > 0 the tokens are an autoregressive draw from the
     model, and ``rows`` holds the rows drawn from (None at T = 0).
 
-    ``memo`` maps each window stretch (a tuple) to the token the model put
-    after it when it first entered the window; an engine call passes one
-    dict to all its drafts (None starts a fresh one).  A step scores only
-    the stretches missing from it, then inserts all ``width`` n-grams,
-    stretch plus memo token, into the pool.  The memo is exact for a model
-    whose row after ``ctx + stretch`` depends on the stretch alone."""
+    ``memo`` maps each window stretch to its n-gram tuple, scored when the
+    stretch first entered the window; an engine call passes one dict to all
+    its drafts (None starts a fresh one).  A step scores only the stretches
+    missing from it, then inserts the memo's ``width`` n-grams, as they are,
+    into the pool.  The memo is exact for a model whose row after ``ctx +
+    stretch`` depends on the stretch alone."""
     if gamma < 1:
         raise InputError("gamma must be >= 1")
     if max_new < 1:
@@ -116,13 +116,13 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     forwards, done = 0, False
     while not done and len(tokens) < gamma:
-        columns = [tuple(col) for col in window_columns(ctx, width, ngram)]
+        columns = window_columns(ctx, width, ngram)
         fresh = list(dict.fromkeys(col for col in columns if col not in memo))
         appended, new_phrases, drawn_from = draft_step(
             model, ctx, pool, fresh, beta, temperature, rng, counter)
         forwards += 1
-        memo.update((phrase[:-1], phrase[-1]) for phrase in new_phrases)
-        pool.insert(*((*col, memo[col]) for col in columns))
+        memo.update(zip(fresh, new_phrases))
+        pool.insert(*map(memo.__getitem__, columns))
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:

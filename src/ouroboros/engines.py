@@ -27,7 +27,7 @@ from numpy.random import default_rng  # numpy 2 would load it on the first call
 
 # draft_step is called only inside drafting; it is bound here too because the
 # benchmark's tracer (perfbench/spans.py) wraps every module's binding of it
-from .drafting import clip, draft_step, generate_draft  # noqa: F401
+from .drafting import DraftResult, clip, draft_step, generate_draft  # noqa: F401
 from .errors import InputError
 from .models import ForwardCounter, LanguageModel, TokenList, next_distribution, sample
 from .pool import PhrasePool, insert_ngrams
@@ -142,11 +142,14 @@ class _Generation:
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
 
     def pool(self, pool: Optional[PhrasePool], warmup: bool = True) -> PhrasePool:
-        """The given pool, or a fresh one, grown to hold ``beta``- and
-        ``ngram``-token phrases; with ``warmup`` it takes the prompt's n-grams."""
-        cfg = self.cfg
+        """The given pool, which must share the target's vocab, or a fresh
+        one, grown to hold ``beta``- and ``ngram``-token phrases; with
+        ``warmup`` it takes the prompt's n-grams."""
+        cfg, vocab = self.cfg, self.target.vocab_size
         if pool is None:
-            pool = PhrasePool(self.target.vocab_size)
+            pool = PhrasePool(vocab)
+        elif pool.vocab_size != vocab:
+            raise InputError(f"pool vocab {pool.vocab_size} != model vocab {vocab}")
         pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
         if warmup:
             insert_ngrams(pool, self.prompt, cfg.ngram)
@@ -174,10 +177,9 @@ class _Generation:
 
 def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
                     temperature: float, rng: Optional[np.random.Generator],
-                    counter: ForwardCounter,
-                    ) -> Tuple[List[int], Optional[List[np.ndarray]]]:
+                    counter: ForwardCounter) -> DraftResult:
     """Up to ``n`` tokens after ``context``, one forward each, ending at EOS,
-    and, at T > 0, the row each token was drawn from (None at T = 0)."""
+    with, at T > 0, the row each token was drawn from (None at T = 0)."""
     ctx = TokenList(model.vocab_size, context)
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     for _ in range(n):
@@ -188,7 +190,7 @@ def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
         ctx.append(tok)
         if tok == model.eos_id:
             break
-    return ctx[len(context):], rows
+    return DraftResult(ctx[len(context):], len(ctx) - len(context), rows)
 
 
 def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
@@ -209,7 +211,7 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
     uniform per draft token."""
     cfg, target = gen.cfg, gen.target
     drng = default_rng((cfg.seed, 1)) if cfg.temperature > 0 else None
-    ctx = TokenList(target.vocab_size, gen.prompt)
+    ctx = gen.prompt  # grows by the emitted tokens
     out: List[int] = []
     steps: List[Tuple[int, int, int]] = []
     memo: dict = {}  # the window's n-grams, for every draft of this call
@@ -222,17 +224,17 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
                                      cfg.ngram, max_new=remaining, beta=cfg.beta,
                                      temperature=cfg.temperature, rng=drng,
                                      counter=gen.dcounter, memo=memo)
-            d, q = drafted.tokens, drafted.rows
         else:
-            d, q = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,
-                                   gen.dcounter)
+            drafted = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,
+                                      gen.dcounter)
+        d = drafted.tokens
 
         suffixes = []
         if cfg.k > 0 and d[-1] != target.eos_id:
             suffixes = pool.lookup_k(d[-1], cfg.k)
 
         outcome = verify(target, ctx, d, suffixes, cfg.temperature, gen.rng,
-                         beta=cfg.beta, counter=gen.tcounter, draft_rows=q)
+                         beta=cfg.beta, counter=gen.tcounter, draft_rows=drafted.rows)
 
         if cfg.harvest:
             if outcome.accept_len < len(d):
@@ -252,8 +254,8 @@ def generate_vanilla(target: LanguageModel, prompt: Sequence[int],
                      cfg: EngineConfig) -> Tuple[List[int], RunMetrics]:
     """Autoregressive decoding: one target forward per emitted token."""
     gen = _Generation(target, prompt, cfg)
-    out, _ = _autoregressive(target, gen.prompt, cfg.max_new, cfg.temperature,
-                             gen.rng, gen.tcounter)
+    out = _autoregressive(target, gen.prompt, cfg.max_new, cfg.temperature,
+                          gen.rng, gen.tcounter).tokens
     return out, gen.metrics(out)
 
 

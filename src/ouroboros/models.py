@@ -17,11 +17,9 @@ import dataclasses
 import hashlib
 import math
 import struct
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice, repeat
 from operator import index
 from typing import Iterable, List, Optional, Sequence, Union
@@ -31,8 +29,6 @@ import numpy as np
 from .errors import InputError
 
 TokenSeq = Sequence[int]
-_int64_le = (partial(array, "q") if array("q", [1]).tobytes() == struct.pack("<q", 1)
-             else lambda path: struct.pack(f"<{len(path)}q", *path))
 
 
 @dataclass
@@ -244,7 +240,7 @@ class PerturbedModel(LanguageModel):
         rows, cut = self.base.score(prefix, paths), self._cut
         for i, path in enumerate(paths):
             hasher = copy()
-            hasher.update(_int64_le(path))
+            hasher.update(struct.pack(f"<{len(path)}q", *path))
             if hasher.digest() < cut:
                 top = int(rows[i].argmax())
                 tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
@@ -303,7 +299,7 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     for b in branches[:split]:
         path = [*shared, *b]
         paths += [path[:i] for i in range(len(shared) + 1, len(path) + 1)]
-    paths += [[*shared, *b] for b in branches[split:]] if len(shared) else branches[split:]
+    paths += [[*shared, *b] for b in branches[split:]]
     return model.score(prefix, paths)
 
 

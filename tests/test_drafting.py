@@ -41,15 +41,15 @@ class TestLaterWindow:
 
     def test_columns_end_further_back_one_token_at_a_time(self):
         columns = window_columns([1, 2, 3, 4, 5], width=3, ngram=3)
-        assert columns == [[4, 5], [3, 4], [2, 3]]
+        assert columns == [(4, 5), (3, 4), (2, 3)]
 
     def test_short_context_wraps_cyclically(self):
         columns = window_columns([7, 8], width=3, ngram=4)
-        assert columns == [[8, 7, 8], [7, 8, 7], [8, 7, 8]]
+        assert columns == [(8, 7, 8), (7, 8, 7), (8, 7, 8)]
 
     def test_degenerate_one_by_one_grid(self):
         columns = window_columns([4, 9], width=1, ngram=2)
-        assert columns == [[9]]
+        assert columns == [(9,)]
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InputError):
@@ -65,7 +65,7 @@ class TestLaterWindow:
 def window_by_formula(ctx, width, ngram):
     """window_columns' docstring formula, read one token at a time."""
     length, n1 = len(ctx), ngram - 1
-    return [[ctx[(length - n1 - c + i) % length] for i in range(n1)]
+    return [tuple(ctx[(length - n1 - c + i) % length] for i in range(n1))
             for c in range(width)]
 
 
@@ -90,7 +90,7 @@ def test_window_columns_follow_the_docstring_formulas(ctx, width, ngram):
     before = list(ctx)
     columns = window_columns(ctx, width, ngram)
     assert columns == window_by_formula(before, width, ngram)
-    assert all(type(column) is list for column in columns)
+    assert all(type(column) is tuple for column in columns)
     assert list(ctx) == before
 
 

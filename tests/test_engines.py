@@ -250,17 +250,40 @@ class TestOuroboros:
 
     @pytest.mark.parametrize("engine", ["phrase draft", "suffix", "lookahead"])
     def test_out_of_vocab_pooled_token_rejected(self, engine):
-        # a pool of a wider vocab hands the engine a token the model lacks
+        # a pool of a wider vocab would hand the engine a token the model lacks
         target = CounterModel(10)
         pool = PhrasePool(100)
         for t in range(10):
             pool.insert((t, 50, (t + 2) % 10))
         cfg = EngineConfig(gamma=3, max_new=8, phrase_draft=engine != "suffix")
-        with pytest.raises(InputError, match="token 50 out of vocab 10"):
+        with pytest.raises(InputError, match="pool vocab 100 != model vocab 10"):
             if engine == "lookahead":
                 generate_lookahead_target(target, [1], cfg, pool)
             else:
                 generate_ouroboros(target, target, [1], cfg, pool)
+
+    @pytest.mark.parametrize("engine", ["phrase draft", "suffix", "lookahead"])
+    def test_a_pool_of_another_vocab_is_refused_before_any_forward(self, engine):
+        # every phrase lies in the model's range, so only the vocab tells
+        rows = []
+
+        class Logged(CounterModel):  # every forward reads distribution
+            def distribution(self, context):
+                rows.append(tuple(context))
+                return super().distribution(context)
+
+        target = Logged(10)
+        pool = PhrasePool(1000)
+        pool.insert(*((t, (t + 1) % 10, (t + 2) % 10) for t in range(10)))
+        before = pool.state()
+        cfg = EngineConfig(gamma=3, max_new=8, phrase_draft=engine != "suffix")
+        with pytest.raises(InputError, match="pool vocab 1000 != model vocab 10"):
+            if engine == "lookahead":
+                generate_lookahead_target(target, [1], cfg, pool)
+            else:
+                generate_ouroboros(target, target, [1], cfg, pool)
+        assert rows == []
+        assert pool.state() == before
 
 
 class TestAcceptMonotonicity:

@@ -1,11 +1,15 @@
-"""tools/modeled_sweep.py, run as a script."""
+"""tools/modeled_sweep.py, run as a script, and tools/bench_pairs.py with its runs stubbed."""
 
+import argparse
+import importlib.util
 import json
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINES = ["lookahead", "ouroboros", "speculative", "vanilla"]
@@ -77,3 +81,47 @@ def test_the_sweep_gives_the_benchmarks_modeled_numbers():
     metrics = json.loads(bench.stdout.strip().splitlines()[-1])["metrics"]
     assert ours["eta"]["values"] == [metrics["eta"]["value"]]
     assert ours["modeled_speedup_10_0"]["values"] == [metrics["modeled_speedup"]["value"]]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_batches_add_up_and_a_duplicate_run_is_refused(tmp_path):
+    # run_once is stubbed, so no benchmark runs: each side reads its own rate
+    bench_pairs = load_bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())
+             ["end_to_end"]]
+    rates = {"parent": 100.0, "change": 110.0}
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"attempted": 1, "failed": 0, "correct": True,
+                "metrics": {n: {"value": rates[Path(checkout).name]} for n in names}}
+
+    bench_pairs.run_once = run_once
+    raw, out = tmp_path / "runs.jsonl", tmp_path / "BENCH.json"
+    batch = dict(parent=str(tmp_path / "parent"), change=str(tmp_path / "change"),
+                 workload="sampled", seed=7, seconds=0.5, raw=str(raw))
+    for pairs in (2, 3):  # two batches appended to one raw file
+        bench_pairs.run_pairs(argparse.Namespace(pairs=pairs, **batch))
+    bench_pairs.run_pairs(argparse.Namespace(pairs=1, **{**batch, "seed": 8}))
+    recs = [json.loads(line) for line in raw.read_text().splitlines()]
+    assert [r["pair"] for r in recs if r["seed"] == 7] == [p for p in range(5)
+                                                          for _ in range(2)]
+    assert [r["pair"] for r in recs if r["seed"] == 8] == [0, 0]
+    assert [r["first"] for r in recs if r["side"] == "parent" and r["seed"] == 7] == [
+        "parent", "change", "parent", "change", "parent"]
+    summary = argparse.Namespace(raw=str(raw), out=str(out), parent_label="p",
+                                 change_label="c")
+    bench_pairs.summarise(summary)
+    row = json.loads(out.read_text())["workloads"]["sampled"]
+    assert (row["seed"], row["pairs"]) == (7, 5)
+    assert row["metrics"]["tokens_per_s"]["change_wins"] == 5
+    with raw.open("a") as fh:  # the same run again
+        fh.write(json.dumps(recs[0]) + "\n")
+    with pytest.raises(SystemExit, match="recorded twice"):
+        bench_pairs.summarise(summary)

@@ -6,10 +6,13 @@
 
 ``run`` runs ``perfbench/run.py --trace 0`` in each checkout, alternating
 which side goes first from pair to pair, and appends every run's result line
-to the raw file as soon as the run ends.  ``summarise`` reads the raw file
-and, per workload and end-to-end metric of ``BENCHMARK.json``, reports each
-side's median and quartiles, the ratio of the medians (change over parent)
-and how many pairs the change won (ties count for neither side).
+to the raw file as soon as the run ends; its pairs are numbered after those
+the raw file already holds for the same workload, seed and seconds, so
+batches add up.  ``summarise`` reads the raw file and, per workload and
+end-to-end metric of ``BENCHMARK.json``, reports each side's median and
+quartiles, the ratio of the medians (change over parent) and how many pairs
+the change won (ties count for neither side).  A run recorded twice (same
+workload, seed, seconds, pair and side) is an error.
 """
 
 from __future__ import annotations
@@ -36,18 +39,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def records(path: Path) -> list:
+    """The raw file's records, one per line."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def run_pairs(args: argparse.Namespace) -> None:
     dirs = {"parent": Path(args.parent), "change": Path(args.change)}
-    with open(args.raw, "a", encoding="utf-8") as raw:
-        for pair in range(args.pairs):
+    batch, raw = (args.workload, args.seed, args.seconds), Path(args.raw)
+    start = 1 + max((rec["pair"] for rec in (records(raw) if raw.exists() else ())
+                     if (rec["workload"], rec["seed"], rec["seconds"]) == batch),
+                    default=-1)
+    with open(raw, "a", encoding="utf-8") as out:
+        for pair in range(start, start + args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 result = run_once(dirs[side], args.workload, args.seed, args.seconds)
                 record = {"workload": args.workload, "seed": args.seed,
                           "seconds": args.seconds, "pair": pair, "side": side,
                           "first": order[0], "result": result}
-                raw.write(json.dumps(record, sort_keys=True) + "\n")
-                raw.flush()
+                out.write(json.dumps(record, sort_keys=True) + "\n")
+                out.flush()
                 tps = result["metrics"]["tokens_per_s"]["value"]
                 print(f"{args.workload} pair {pair} {side}: tokens_per_s {tps:.0f}",
                       flush=True)
@@ -61,10 +73,13 @@ def quartiles(values: list) -> dict:
 def summarise(args: argparse.Namespace) -> None:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict = {}
-    for line in Path(args.raw).read_text(encoding="utf-8").splitlines():
-        rec = json.loads(line)
+    for rec in records(Path(args.raw)):
         key = (rec["workload"], rec["seed"], rec["seconds"])
-        runs.setdefault(key, {}).setdefault(rec["pair"], {})[rec["side"]] = rec["result"]
+        sides = runs.setdefault(key, {}).setdefault(rec["pair"], {})
+        if rec["side"] in sides:
+            sys.exit(f"{args.raw}: {rec['side']} run of pair {rec['pair']} recorded "
+                     f"twice for {key}")
+        sides[rec["side"]] = rec["result"]
     workloads = {}
     for (workload, seed, seconds), pairs in sorted(runs.items()):
         pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]

@@ -103,9 +103,9 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     ``memo`` maps each window stretch to its n-gram tuple, scored when the
     stretch first entered the window; an engine call passes one dict to all
     its drafts (None starts a fresh one).  A step scores only the stretches
-    missing from it, then inserts the memo's ``width`` n-grams, as they are,
-    into the pool.  The memo is exact for a model whose row after ``ctx +
-    stretch`` depends on the stretch alone."""
+    missing from it and checks their n-grams for the pool, then adds all
+    ``width`` memo n-grams as one ``pool.insert`` of them would.  The memo is
+    exact for a model whose row after ``ctx + stretch`` depends on it alone."""
     if gamma < 1:
         raise InputError("gamma must be >= 1")
     if max_new < 1:
@@ -121,8 +121,8 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         appended, new_phrases, drawn_from = draft_step(
             model, ctx, pool, fresh, beta, temperature, rng, counter)
         forwards += 1
-        memo.update(zip(fresh, new_phrases))
-        pool.insert(*map(memo.__getitem__, columns))
+        memo.update(zip(fresh, pool._checked(new_phrases)))
+        pool._add([memo[col] for col in columns])
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:

@@ -33,6 +33,10 @@ from .models import ForwardCounter, LanguageModel, TokenList, next_distribution,
 from .pool import PhrasePool, insert_ngrams
 from .verification import correct_unused_suffixes, harvest, verify
 
+# tools/modeled_sweep.py, long-context (4,096-token prompts), seeds 1-10: warm-ups
+# of 64-512 tokens beat the whole prompt; 256 led lookahead's `eta`, tied ouroboros's
+WARMUP_TOKENS = 256
+
 
 @dataclass
 class EngineConfig:
@@ -142,9 +146,9 @@ class _Generation:
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
 
     def pool(self, pool: Optional[PhrasePool], warmup: bool = True) -> PhrasePool:
-        """The given pool, which must share the target's vocab, or a fresh
-        one, grown to hold ``beta``- and ``ngram``-token phrases; with
-        ``warmup`` it takes the prompt's n-grams."""
+        """The given pool, which must share the target's vocab, or a fresh one,
+        grown to hold ``beta``- and ``ngram``-token phrases; ``warmup`` adds the
+        n-grams of the prompt's last ``WARMUP_TOKENS`` tokens, not older ones."""
         cfg, vocab = self.cfg, self.target.vocab_size
         if pool is None:
             pool = PhrasePool(vocab)
@@ -152,7 +156,7 @@ class _Generation:
             raise InputError(f"pool vocab {pool.vocab_size} != model vocab {vocab}")
         pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
         if warmup:
-            insert_ngrams(pool, self.prompt, cfg.ngram)
+            insert_ngrams(pool, self.prompt[-WARMUP_TOKENS:], cfg.ngram)
         return pool
 
     def metrics(self, out: List[int],

@@ -13,8 +13,8 @@ core keeps it as that bucket's eviction victim, forgets it on those events
 over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
-clock ticks either way.  ``insert``, the one way to add new phrases, takes a
-batch and checks all of it before it adds any of it.
+clock ticks either way.  ``insert`` checks a whole batch before it adds any
+of it; warm-up and window n-grams are checked once, where they enter.
 """
 
 from __future__ import annotations

@@ -25,15 +25,15 @@ def greedy_continuation(model, context, n):
 
 
 class RecordingPool(PhrasePool):
-    """A pool that remembers every phrase inserted into it."""
+    """A pool that remembers every phrase added to it, by any entry point."""
 
     def __init__(self, vocab_size):
         super().__init__(vocab_size)
         self.inserted = []
 
-    def insert(self, *phrases, hits=1):
-        self.inserted += [tuple(p) for p in phrases]
-        return super().insert(*phrases, hits=hits)
+    def _add(self, batch, hits=1):
+        self.inserted += batch
+        return super()._add(batch, hits)
 
 
 class TestLaterWindow:
@@ -198,6 +198,19 @@ class TestGenerateDraft:
         assert counter.branch_tokens == (3 + 1 + 1 + 1) * 2
         for ph in set(pool.inserted):
             assert ph in [p.tokens for p in pool.bucket(ph[0])]
+
+    @pytest.mark.parametrize("pool, ngram", [
+        (PhrasePool(10), 3),                    # the n-grams hold tokens 14-16
+        (PhrasePool(20, max_phrase_len=3), 4),  # the n-grams are too long
+    ], ids=["out-of-vocab", "too-long"])
+    def test_window_ngrams_the_pool_refuses_change_nothing(self, pool, ngram):
+        # a step checks its new n-grams before the memo or the pool takes them
+        pool.insert((1, 2), (3, 4, 5))
+        state, clock, memo = pool.state(), pool.clock, {}
+        with pytest.raises(InputError):
+            generate_draft(CounterModel(20), [14, 15], pool, gamma=4, width=3,
+                           ngram=ngram, max_new=100, memo=memo)
+        assert (pool.state(), pool.clock, memo) == (state, clock, {})
 
     def test_draft_always_extends_the_greedy_path(self):
         rng = np.random.default_rng(17)

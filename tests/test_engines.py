@@ -183,6 +183,29 @@ class TestOuroboros:
         assert (len(pool) > 0) == warmed
 
     @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
+    def test_prompt_warmup_reads_only_the_prompt_tail(self, engine):
+        # tokens 900-943 occur only before the prompt's last 256 tokens, and
+        # one draft step's window reads only the tail
+        target, pool = CounterModel(1000), PhrasePool(1000)
+        prompt = list(range(900, 944)) + [t % 50 for t in range(256)]
+        cfg = EngineConfig(max_new=1, harvest=False)
+        if engine == "ouroboros":
+            generate_ouroboros(target, target, prompt, cfg, pool)
+        else:
+            generate_lookahead_target(target, prompt, cfg, pool)
+        assert not [key for key in range(900, 944) if pool.bucket(key)]
+        assert pool.bucket(0)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 255, 256, 257, 600])
+    def test_prompt_warmup_is_insert_ngrams_over_the_prompt_tail(self, length):
+        prompt = [t * 7 % 97 for t in range(length)]
+        cfg = EngineConfig(ngram=3)
+        warmed = ouroboros.engines._Generation(CounterModel(100), prompt, cfg).pool(None)
+        reference = PhrasePool(100)  # a short prompt gives all its n-grams
+        insert_ngrams(reference, prompt if length <= 256 else prompt[-256:], 3)
+        assert (warmed.state(), warmed.clock) == (reference.state(), reference.clock)
+
+    @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
     def test_a_small_pool_grows_to_fit_beta_and_ngram(self, engine):
         target = CounterModel(100)
         pool = PhrasePool(100, max_phrase_len=4)

@@ -18,11 +18,10 @@ import hashlib
 import math
 import struct
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import index
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -173,26 +172,74 @@ class NgramModel(LanguageModel):
 
 def build_ngram_model(corpus: TokenSeq, order: int,
                       vocab_size: Optional[int] = None) -> NgramModel:
-    """Count n-grams in ``corpus`` and return the ML model with uniform backoff."""
+    """Count n-grams in ``corpus`` and return the ML model with uniform backoff.
+
+    The count runs in numpy passes over blocks of positions: each context
+    folds into one integer label; the block's labels, by first occurrence,
+    give new key tuples their row ids in the order a token-by-token count
+    meets them; the (row, next token) cells are added into the matrix."""
+    order = _integer(order, "order")
+    vocab_size = None if vocab_size is None else _integer(vocab_size, "vocab_size")
     if order < 1:
         raise InputError("order must be >= 1")
+    if not hasattr(corpus, "__len__"):
+        raise InputError(f"corpus must be a sequence of tokens, not {type(corpus).__name__}")
     if len(corpus) <= order:
         raise InputError(f"corpus of {len(corpus)} tokens is too short for order {order}")
-    if vocab_size is None:
-        vocab_size = max(corpus) + 1
-    _check_tokens(vocab_size, corpus, "corpus")
-    row_ids: dict = {}  # not `index`, which names operator.index here
-    # count each n-gram by its cell in the flattened matrix, then write the
-    # counts straight into the float64 matrix, whose last row is the backoff
-    keys = (zip(*(islice(corpus, j, None) for j in range(order - 1)))
-            if order > 1 else repeat(()))
-    counts = Counter(row_ids.setdefault(key, len(row_ids)) * vocab_size + nxt
-                     for key, nxt in zip(keys, islice(corpus, order - 1, None)))
-    matrix = np.zeros((len(row_ids) + 1, vocab_size))
-    matrix.reshape(-1)[list(counts)] = list(counts.values())
+    if vocab_size is None:  # every token reads as an integer before the largest is taken
+        vocab_size = max(_integer(t, "corpus token") for t in corpus) + 1
+    n1, row_ids, counts = order - 1, {}, np.zeros(0)  # not `index`: operator.index
+    for tokens in _token_blocks(corpus, vocab_size, n1):
+        size = len(tokens) - n1  # positions in this block
+        label = np.zeros(size, np.int64)
+        for j in range(n1):
+            if int(label.max()) >= 2 ** 63 // vocab_size:  # re-rank: the fold would overflow
+                label = np.unique(label, return_inverse=True)[1]
+            label *= vocab_size
+            label += tokens[j:j + size]
+        first, inverse = np.unique(label, return_index=True, return_inverse=True)[1:]
+        by_first = first.argsort(kind="stable")  # the sort np.unique already runs
+        keys = zip(*(tokens[first[by_first] + j].tolist() for j in range(n1))) if n1 else [()]
+        rows = np.empty(len(first), np.int64)
+        rows[by_first] = [row_ids.setdefault(key, len(row_ids)) for key in keys]
+        # a zero row per new key; the last row, the backoff, is never counted
+        counts.resize((len(row_ids) + 1) * vocab_size, refcheck=False)
+        np.add.at(counts, rows[inverse] * vocab_size + tokens[n1:], 1.0)
+    matrix = counts.reshape(-1, vocab_size)
     matrix[:-1] /= matrix[:-1].sum(axis=1, keepdims=True)
     matrix[-1] = 1.0 / vocab_size
     return NgramModel(order, row_ids, matrix)
+
+
+_BLOCK = 8192  # positions one counting pass takes, so its arrays stay small
+
+
+def _integer(value, what: str) -> int:
+    """``value`` read through ``operator.index``, as ``_check_tokens`` reads a token."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
+
+
+def _token_blocks(corpus: TokenSeq, vocab_size: int, overlap: int) -> Iterator[np.ndarray]:
+    """``corpus`` read through ``operator.index`` into int64 arrays, each of
+    the ``overlap`` last tokens of the one before and up to ``_BLOCK`` new
+    tokens, the first of ``overlap`` more.  A token that is no integer or out
+    of vocab gets ``_check_tokens``' message for the first such token."""
+    tokens, block = map(index, corpus), np.zeros(0, np.int64)
+    for s in range(0, len(corpus) - overlap, _BLOCK):
+        kept = block[len(block) - overlap:]
+        count = min(_BLOCK, len(corpus) - overlap - s) + overlap - len(kept)
+        try:
+            new = np.fromiter(tokens, np.int64, count)
+        except (TypeError, OverflowError):
+            new = None
+        if new is None or not 0 <= new.min() <= new.max() < vocab_size:
+            _check_tokens(vocab_size, corpus, "corpus")
+            raise InputError("corpus tokens must fit in a signed 64-bit integer")
+        block = np.concatenate((kept, new))
+        yield block
 
 
 class PerturbedModel(LanguageModel):

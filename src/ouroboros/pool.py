@@ -126,17 +126,18 @@ class PhrasePool:
                 if victims.get(key) is phrase:
                     del victims[key]
                 continue
-            phrase = Phrase(tokens, hits, stamp)
             if len(bucket) < cap:
-                bucket[tokens] = phrase
+                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
                 continue
             victim = victims.get(key) or min(bucket.values(), key=_rank)
             if victim.hits <= hits:  # else the newcomer is the lowest and goes
                 del bucket[victim.tokens]
-                bucket[tokens] = phrase
+                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
                 victims.pop(key, None)
             else:
                 victims[key] = victim
+        if phrase is None and batch:  # the last phrase was refused
+            phrase = Phrase(batch[-1], hits, stamp)
         return phrase
 
     def insert(self, *phrases: Sequence[int], hits: int = 1) -> Optional[Phrase]:

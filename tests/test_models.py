@@ -1,4 +1,7 @@
 import hashlib
+from collections import Counter
+from itertools import islice, repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from ouroboros import (CounterModel, ForwardCounter, InputError, NgramModel,
                        PerturbedModel, PhrasePool, TokenList, build_model,
                        build_ngram_model, forward_scan, forward_tree,
                        next_distribution, parse_model_spec, sample)
+from ouroboros import models
 
 
 def argmaxes(dists):
@@ -106,6 +110,94 @@ def test_ngram_score_equals_stacked_distributions(case):
     assert rows.flags.writeable and not np.shares_memory(rows, model._matrix)
     for row, path in zip(rows, paths):
         assert np.array_equal(row, model.distribution(list(prefix) + path))
+
+
+class TestNgramInputs:
+    @pytest.mark.parametrize("corpus, order, vocab_size, message", [
+        (["a", "b", "a", "b"], 2, None, "^corpus token 'a' is not an integer$"),
+        ([1, "a", 1, 2], 2, None, "^corpus token 'a' is not an integer$"),
+        ([1, 2, 1, 2], 2.0, None, "^order 2.0 is not an integer$"),
+        ([1, 2, 1, 2], 2, 2.0, "^vocab_size 2.0 is not an integer$"),
+        ((t for t in [1, 2, 1, 2]), 2, None, "^corpus must be a sequence"),
+    ], ids=["str-tokens", "str-token-before-max", "float-order", "float-vocab",
+            "generator"])
+    def test_unreadable_input_is_an_input_error(self, corpus, order, vocab_size, message):
+        with pytest.raises(InputError, match=message):
+            build_ngram_model(corpus, order, vocab_size=vocab_size)
+
+    @pytest.mark.parametrize("corpus, message", [
+        ([1, 2, -1, 2.5, 1], "^corpus token -1 out of vocab 5$"),
+        ([1, 2, 2.5, -1, 1], "^corpus token 2.5 is not an integer$"),
+        ([1, 2, 1, 2 ** 70, 2.5], f"^corpus token {2 ** 70} out of vocab 5$"),
+        ([True, 2, 1, 9], "^corpus token 9 out of vocab 5$"),
+    ])
+    def test_the_first_bad_token_is_named(self, corpus, message):
+        # a block of tokens read at once still names the first bad one
+        for block in (2, 8192):
+            with mock.patch.object(models, "_BLOCK", block), \
+                    pytest.raises(InputError, match=message):
+                build_ngram_model(corpus, 2, vocab_size=5)
+
+
+def counted_by_loop(corpus, order, vocab_size=None):
+    """The row ids and matrix of a token-by-token n-gram count: the oracle
+    that the array passes of build_ngram_model must match exactly."""
+    if vocab_size is None:
+        vocab_size = max(corpus) + 1
+    row_ids = {}
+    keys = (zip(*(islice(corpus, j, None) for j in range(order - 1)))
+            if order > 1 else repeat(()))
+    counts = Counter(row_ids.setdefault(key, len(row_ids)) * vocab_size + nxt
+                     for key, nxt in zip(keys, islice(corpus, order - 1, None)))
+    matrix = np.zeros((len(row_ids) + 1, vocab_size))
+    matrix.reshape(-1)[list(counts)] = list(counts.values())
+    matrix[:-1] /= matrix[:-1].sum(axis=1, keepdims=True)
+    matrix[-1] = 1.0 / vocab_size
+    return row_ids, matrix
+
+
+def assert_counted_as_by_loop(corpus, order, vocab_size=None):
+    model = build_ngram_model(corpus, order, vocab_size=vocab_size)
+    row_ids, matrix = counted_by_loop(list(corpus), order, vocab_size)
+    assert list(model._index.items()) == list(row_ids.items())
+    assert model._matrix.tobytes() == matrix.tobytes()
+    return model
+
+
+@st.composite
+def counted_corpora(draw):
+    """A corpus over a few token values anywhere below a vocab of 2 to 8192,
+    so contexts repeat and labels reach the top of the vocab, held as a list,
+    tuple, TokenList, np.int64 list or bools; an order of 1 to 6, a vocab
+    given or taken from the corpus, and a block size that splits it or not."""
+    vocab, order = draw(st.integers(2, 8192)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4,
+                           unique=True))
+    kind = draw(st.sampled_from(["list", "tuple", "TokenList", "int64", "bool"]))
+    if kind == "bool":
+        values = [False, True]
+    corpus = draw(st.lists(st.sampled_from(values), min_size=order + 1, max_size=40))
+    corpus = {"list": list, "tuple": tuple, "TokenList": lambda c: TokenList(vocab, c),
+              "int64": lambda c: [np.int64(t) for t in c], "bool": list}[kind](corpus)
+    given_vocab = vocab if draw(st.booleans()) else None
+    return corpus, order, given_vocab, draw(st.sampled_from([1, 2, 3, 7, 8192]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_corpora())
+def test_array_count_equals_the_token_loop(case):
+    corpus, order, vocab_size, block = case
+    with mock.patch.object(models, "_BLOCK", block):
+        assert_counted_as_by_loop(corpus, order, vocab_size)
+
+
+def test_a_fold_past_int64_keeps_contexts_apart():
+    # 4096 * 8192 ** 4 is 2 ** 64: a plain int64 fold of (4096, 1, 2, 3, 4)
+    # wraps to the label of (0, 1, 2, 3, 4), merging the two rows
+    corpus = [0, 1, 2, 3, 4, 5, 4096, 1, 2, 3, 4, 6]
+    model = assert_counted_as_by_loop(corpus, 6, 8192)
+    assert int(np.argmax(model.distribution([4096, 1, 2, 3, 4]))) == 6
+    assert int(np.argmax(model.distribution([0, 1, 2, 3, 4]))) == 5
 
 
 class TestPerturbedModel:

@@ -24,7 +24,7 @@ from .engines import (CostModel, EngineConfig, RunMetrics, finite_time,
                       generate_speculative, generate_vanilla, modeled_speedup,
                       modeled_time)
 from .errors import InputError, RunFailure
-from .models import LanguageModel, build_model, parse_model_spec
+from .models import LanguageModel, TokenList, _integer, build_model, parse_model_spec
 from .pool import PhrasePool
 
 ENGINE_NAMES = ("vanilla", "speculative", "lookahead", "ouroboros")
@@ -43,7 +43,7 @@ Run = Tuple[int, str, EngineConfig]  # (entry, label, config) of one run
 
 @dataclass
 class Corpus:
-    prompts: List[List[int]]
+    prompts: List[TokenList]  # of the corpus vocab: engine calls skip their check
     vocab_size: int  # the last id is EOS
     tasks: Optional[List[str]] = None  # per-prompt task ids for tagged corpora
 
@@ -65,10 +65,11 @@ def _split_task_tag(line: str, line_no: int) -> Tuple[str, str]:
 
 
 def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
-              ) -> Tuple[List[List[int]], int]:
-    """The prompts and the vocab size, whose last id is reserved for EOS."""
+              ) -> Tuple[List[TokenList], int]:
+    """The prompts, as TokenLists built without a check (the tokenizer makes
+    only ids in the vocab), and the vocab size, whose last id is EOS."""
     if tokenizer == "byte":
-        prompts = [list(line.encode("utf-8")) for _, line in lines]
+        prompts = [line.encode("utf-8") for _, line in lines]
         vocab_size = BYTE_VOCAB
     elif tokenizer == "whitespace":
         vocab: Dict[str, int] = {}
@@ -77,9 +78,12 @@ def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
         vocab_size = len(vocab) + 1
     else:
         raise InputError(f"unknown tokenizer {tokenizer!r} (byte or whitespace)")
-    for (line_no, _), ids in zip(lines, prompts):
+    for i, ((line_no, _), ids) in enumerate(zip(lines, prompts)):
         if len(ids) > MAX_PROMPT_TOKENS:
             raise InputError(f"line {line_no}: prompt exceeds {MAX_PROMPT_TOKENS} tokens")
+        prompts[i] = tokens = TokenList.__new__(TokenList)
+        tokens.vocab_size = vocab_size
+        list.extend(tokens, ids)
     return prompts, vocab_size
 
 
@@ -519,8 +523,8 @@ def locality_order(tasks: Sequence[str], cn: Union[int, str],
         rng.shuffle(indices)
         return indices
     try:
-        cn = int(cn)
-    except (TypeError, ValueError) as exc:
+        cn = int(cn) if isinstance(cn, str) else _integer(cn, "cn")
+    except ValueError as exc:
         raise InputError(f"cn must be an integer or 'shuffle', got {cn!r}") from exc
     if cn < 1:
         raise InputError("cn must be >= 1")

@@ -20,6 +20,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +30,8 @@ from numpy.random import default_rng  # numpy 2 would load it on the first call
 # benchmark's tracer (perfbench/spans.py) wraps every module's binding of it
 from .drafting import DraftResult, clip, draft_step, generate_draft  # noqa: F401
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, TokenList, next_distribution, sample
+from .models import (ForwardCounter, LanguageModel, TokenList, _integer,
+                     next_distribution, sample)
 from .pool import PhrasePool, insert_ngrams
 from .verification import correct_unused_suffixes, harvest, verify
 
@@ -52,6 +54,8 @@ class EngineConfig:
     phrase_draft: bool = True
 
     def validate(self) -> None:
+        for name in ("gamma", "beta", "k", "window", "ngram", "max_new", "seed"):
+            _integer(getattr(self, name), name)
         if self.gamma < 1:
             raise InputError("gamma must be >= 1")
         if self.beta < 2:
@@ -66,7 +70,7 @@ class EngineConfig:
             raise InputError("max_new must be >= 1")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
-        if not 0 <= self.temperature < math.inf:
+        if not (isinstance(self.temperature, Real) and 0 <= self.temperature < math.inf):
             raise InputError("temperature must be finite and >= 0")
 
     def all_off(self) -> "EngineConfig":
@@ -99,9 +103,11 @@ class CostModel:
     tree_surcharge_per_token: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.t_draft < math.inf and 0 < self.t_target < math.inf):
+        if not all(isinstance(t, Real) and 0 < t < math.inf
+                   for t in (self.t_draft, self.t_target)):
             raise InputError("forward times must be finite and > 0")
-        if not 0 <= self.tree_surcharge_per_token < math.inf:
+        surcharge = self.tree_surcharge_per_token
+        if not (isinstance(surcharge, Real) and 0 <= surcharge < math.inf):
             raise InputError("tree surcharge must be finite and >= 0")
 
 
@@ -136,9 +142,9 @@ class _Generation:
     def __init__(self, target: LanguageModel, prompt: Sequence[int],
                  cfg: EngineConfig, draft_model: Optional[LanguageModel] = None):
         cfg.validate()
+        prompt = TokenList(target.vocab_size, prompt)
         if len(prompt) == 0:
             raise InputError("prompt must be non-empty")
-        prompt = TokenList(target.vocab_size, prompt)
         if draft_model is not None and draft_model.vocab_size != target.vocab_size:
             raise InputError("draft and target vocabularies differ")
         self.target, self.prompt, self.cfg = target, prompt, cfg

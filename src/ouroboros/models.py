@@ -1,14 +1,14 @@
 """Toy language models behind one scoring hook.
 
 A model is a pure function from a token context to a next-token probability
-vector.  ``LanguageModel.score(prefix, paths)`` returns one ``(len(paths), V)``
-matrix whose row i is the distribution after ``prefix + paths[i]``; the
-caller owns that matrix.  ``forward_tree`` counts as ONE forward call,
-mirroring how a masked transformer scores a token tree in a single pass, and
-alone decides which rows a forward returns; ``forward_scan`` is its tree with
-no branches.  Every row is bit-identical to what an independent single-step
-call would produce.  ``sample`` draws one token from a row, or one per row of
-a matrix.
+vector.  It implements ``score(prefix, paths)``: one ``(len(paths), V)``
+matrix, owned by the caller, whose row i is the distribution after ``prefix +
+paths[i]``; ``distribution`` reads one row (``NgramModel`` keeps a fast path).
+``forward_tree`` counts as ONE forward call, mirroring how a masked
+transformer scores a token tree in a single pass, and alone decides which rows
+a forward returns; ``forward_scan`` is its tree with no branches.  Every row is
+bit-identical to what an independent single-step call would produce.
+``sample`` draws one token from a row, or one per row of a matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 from operator import index
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -66,7 +67,6 @@ class TokenList(list):
     ``append`` and ``extend``; other in-place changes are refused."""
 
     def __init__(self, vocab_size: int, tokens: Iterable[int] = ()):
-        super().__init__()
         self.vocab_size = vocab_size
         self.extend(tokens)
 
@@ -92,34 +92,27 @@ class TokenList(list):
 
 
 class LanguageModel:
-    """Base contract: an immutable model with a pure next-token distribution.
+    """Base contract: an immutable model with pure next-token distributions.
 
     Subclasses set ``vocab_size`` and ``eos_id`` (the built-in models take
-    the last id) and implement :meth:`distribution`.  Purity (no hidden RNG
-    or mutable state) is what lets scans, tree scans, and step-by-step
-    oracles agree exactly.
+    the last id) and implement :meth:`score`.  Purity (no hidden RNG or
+    mutable state) is what lets scans, tree scans, and step-by-step oracles
+    agree exactly.
     """
 
     vocab_size: int
     eos_id: int
 
-    def distribution(self, context: TokenSeq) -> np.ndarray:
-        """Return P(next token | context) as a length-``vocab_size`` vector."""
-        raise NotImplementedError
-
     def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
         """Return a fresh ``(len(paths), vocab_size)`` float64 matrix, owned by
         the caller, whose row i is the distribution after ``prefix +
-        paths[i]``.  The default stacks :meth:`distribution` rows, computed on
-        one reused context; a model may override it to share work across the
-        paths, provided every row stays bit-identical."""
-        ctx = list(prefix)
-        rows = np.empty((len(paths), self.vocab_size), dtype=np.float64)
-        for i, path in enumerate(paths):
-            del ctx[len(prefix):]
-            ctx.extend(path)
-            rows[i] = self.distribution(ctx)
-        return rows
+        paths[i]``."""
+        raise NotImplementedError
+
+    def distribution(self, context: TokenSeq) -> np.ndarray:
+        """Return P(next token | context) as a length-``vocab_size`` vector:
+        the one row of ``score(context, [()])``."""
+        return self.score(context, [()])[0]
 
 
 class CounterModel(LanguageModel):
@@ -131,10 +124,11 @@ class CounterModel(LanguageModel):
         self.vocab_size = vocab_size
         self.eos_id = vocab_size - 1
 
-    def distribution(self, context: TokenSeq) -> np.ndarray:
-        probs = np.zeros(self.vocab_size, dtype=np.float64)
-        probs[(context[-1] + 1) % self.vocab_size] = 1.0
-        return probs
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
+        last = [path[-1] if len(path) else prefix[-1] for path in paths]
+        rows = np.zeros((len(paths), self.vocab_size), dtype=np.float64)
+        rows[range(len(paths)), [(t + 1) % self.vocab_size for t in last]] = 1.0
+        return rows
 
 
 class NgramModel(LanguageModel):
@@ -145,7 +139,8 @@ class NgramModel(LanguageModel):
     training corpus (including contexts shorter than order-1) back off to the
     uniform distribution.  The rows are one read-only ``(keys + 1, V)``
     matrix, the backoff last; ``index`` maps each (order-1)-gram to its row
-    id, and ``distribution`` and ``score`` both read rows through it."""
+    id.  ``score`` and ``distribution``, a fast path that builds no matrix for
+    one row, both read rows through it."""
 
     def __init__(self, order: int, index: dict, matrix: np.ndarray):
         self.order = order
@@ -247,23 +242,20 @@ class PerturbedModel(LanguageModel):
 
     With probability ``epsilon`` per position, decided by hashing (seed,
     context) rather than by a shared RNG stream, the probability mass of the
-    argmax token is swapped with that of a fixed ``swap_to`` token.  Being a
-    pure function of the context keeps engines and step-by-step oracles in
-    exact agreement.
+    argmax token is swapped with that of token 0, or of token 1 when the
+    argmax is 0.  Being a pure function of the context keeps engines and
+    step-by-step oracles in exact agreement.
     """
 
-    def __init__(self, base: LanguageModel, epsilon: float, seed: int = 0,
-                 swap_to: int = 0):
-        if not 0.0 <= epsilon <= 1.0:
+    def __init__(self, base: LanguageModel, epsilon: float, seed: int = 0):
+        if not isinstance(epsilon, Real) or not 0.0 <= epsilon <= 1.0:
             raise InputError("epsilon must be in [0, 1]")
-        if not 0 <= swap_to < base.vocab_size:
-            raise InputError("swap_to out of vocab")
+        seed = _integer(seed, "seed")
         if not -2 ** 63 <= seed < 2 ** 63:
             raise InputError("seed must fit in a signed 64-bit integer")
         self.base = base
         self.epsilon = epsilon
         self.seed = seed
-        self.swap_to = swap_to
         self.vocab_size = base.vocab_size
         self.eos_id = base.eos_id
         # a digest rolls exactly when below the least r with r / 2.0 ** 64 >= epsilon,
@@ -272,9 +264,6 @@ class PerturbedModel(LanguageModel):
         near = range(max(0, top - 2 ** 11), top + 1)
         least = near[bisect_left(near, True, key=lambda r: r / 2.0 ** 64 >= epsilon)]
         self._cut = least.to_bytes(8, "big")
-
-    def distribution(self, context: TokenSeq) -> np.ndarray:
-        return self.score(context, [()])[0]
 
     def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
         """The roll hashes the seed and the context as int64 little-endian
@@ -290,7 +279,7 @@ class PerturbedModel(LanguageModel):
             hasher.update(struct.pack(f"<{len(path)}q", *path))
             if hasher.digest() < cut:
                 top = int(rows[i].argmax())
-                tgt = self.swap_to if self.swap_to != top else (self.swap_to + 1) % self.vocab_size
+                tgt = 0 if top else 1 % self.vocab_size
                 rows[i, top], rows[i, tgt] = rows[i, tgt], rows[i, top]
         return rows
 
@@ -393,7 +382,6 @@ class ModelSpec:
     order: int = 3
     epsilon: float = 0.0
     seed: int = 0
-    swap_to: int = 0
     base: str = ""  # perturbed only: "", "counter", or "ngram"
 
     def __post_init__(self):
@@ -403,7 +391,7 @@ class ModelSpec:
 
 # kind -> {ModelSpec field: parser}; perturbed also reads its named base's keys
 _SPEC_KEYS = {"counter": {}, "ngram": {"order": int},
-              "perturbed": {"epsilon": float, "seed": int, "swap_to": int,
+              "perturbed": {"epsilon": float, "seed": int,
                             "base": lambda v: v.strip().lower()}}
 
 
@@ -454,4 +442,4 @@ def build_model(spec: ModelSpec, vocab_size: int,
                            corpus)
     elif base is None:
         raise InputError("perturbed model spec needs a base model or a 'base' key")
-    return PerturbedModel(base, spec.epsilon, seed=spec.seed, swap_to=spec.swap_to)
+    return PerturbedModel(base, spec.epsilon, seed=spec.seed)

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import InputError, PoolFormatError
-from .models import _check_tokens
+from .models import _check_tokens, _integer
 
 POOL_MAGIC = "ouroboros-pool"
 POOL_VERSION = "v1"
@@ -145,6 +145,7 @@ class PhrasePool:
         duplicate), as one call per phrase would: a full bucket evicts its
         lowest (hits, last_used) entry.  Returns the last one's Phrase (None
         for no phrases).  The batch is checked first: one refused adds none."""
+        hits = _integer(hits, "hits")
         if hits < 0:
             raise InputError("hits must be >= 0")
         return self._add(self._checked(phrases), hits)

@@ -327,8 +327,8 @@ class RowTable(LanguageModel):
         self.vocab_size = len(self.rows) + 1
         self.eos_id = len(self.rows)
 
-    def distribution(self, context):
-        return self.rows[context[-1]]
+    def score(self, prefix, paths):
+        return self.rows[[path[-1] if len(path) else prefix[-1] for path in paths]]
 
 
 def pooled_chi_square(observed, expected):

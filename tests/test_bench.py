@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ouroboros
 from ouroboros import bench, cli
-from ouroboros import (InputError, PhrasePool, RunFailure,
+from ouroboros import (InputError, PhrasePool, RunFailure, TokenList,
                        ablation, ingest_corpus, load_config_file,
                        locality_experiment, locality_order, make_config,
                        run_benchmark, tune)
@@ -78,6 +79,13 @@ class TestIngest:
         marked = tmp_path / "marked.txt"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert ingest_corpus(marked, tokenizer) == plain
+
+    @pytest.mark.parametrize("tokenizer", ["byte", "whitespace"])
+    def test_prompts_are_token_lists_of_the_corpus_vocab(self, tmp_path, tokenizer):
+        # so an engine call takes them without checking them again
+        corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), tokenizer)
+        assert [type(p) for p in corpus.prompts] == [TokenList, TokenList]
+        assert {p.vocab_size for p in corpus.prompts} == {corpus.vocab_size}
 
     def test_identical_lines_tokenize_identically(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "a b c\na b c\n")
@@ -405,6 +413,17 @@ class TestLocality:
             locality_order(["a"], "sometimes", seed=0)
         with pytest.raises(InputError):
             locality_order(["a"], 0, seed=0)
+
+    @pytest.mark.parametrize("cn, ok", [(2, True), ("2", True), (np.int64(2), True),
+                                        (2.5, False), ("2.5", False), (None, False),
+                                        ([2], False)])
+    def test_cn_is_read_as_an_integer(self, cn, ok):
+        tasks = ["a", "b"] * 3
+        if ok:
+            assert locality_order(tasks, cn, seed=0) == [0, 2, 1, 3, 4, 5]
+        else:
+            with pytest.raises(InputError, match="cn"):
+                locality_order(tasks, cn, seed=0)
 
     def test_reuse_cuts_draft_forwards(self, tagged_corpus):
         cfg = make_config(None, corpus=tagged_corpus, tokenizer="whitespace",

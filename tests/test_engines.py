@@ -30,13 +30,14 @@ class OffByFive(LanguageModel):
         self.vocab_size = vocab_size
         self.eos_id = vocab_size - 1
 
-    def distribution(self, context):
-        nxt = (context[-1] + 1) % self.vocab_size
-        if nxt % 5 == 0:
-            nxt = (nxt + 1) % self.vocab_size
-        probs = np.zeros(self.vocab_size)
-        probs[nxt] = 1.0
-        return probs
+    def score(self, prefix, paths):
+        rows = np.zeros((len(paths), self.vocab_size))
+        for i, path in enumerate(paths):
+            nxt = ((path[-1] if len(path) else prefix[-1]) + 1) % self.vocab_size
+            if nxt % 5 == 0:
+                nxt = (nxt + 1) % self.vocab_size
+            rows[i, nxt] = 1.0
+        return rows
 
 
 def seeded_counter_pool(vocab, length=5):
@@ -69,6 +70,41 @@ class TestVanilla:
     def test_empty_prompt_rejected(self):
         with pytest.raises(InputError):
             generate_vanilla(CounterModel(10), [], EngineConfig())
+
+
+ENGINES = {
+    "vanilla": lambda m, prompt, cfg: generate_vanilla(m, prompt, cfg),
+    "speculative": lambda m, prompt, cfg: generate_speculative(m, m, prompt, cfg),
+    "lookahead": lambda m, prompt, cfg: generate_lookahead_target(m, prompt, cfg),
+    "ouroboros": lambda m, prompt, cfg: generate_ouroboros(m, m, prompt, cfg),
+}
+
+
+@pytest.mark.parametrize("engine, field, value", [
+    (engine, field, value) for engine in sorted(ENGINES)
+    for field, value in [("k", 1.5), ("beta", 3.5), ("max_new", 2.5), ("gamma", 2.5),
+                         ("window", 2.5), ("ngram", 3.5), ("seed", 1.5),
+                         ("temperature", "1"), ("temperature", None)]
+    if (engine, field) != ("speculative", "k")])  # all_off sets speculative's k to 0
+def test_a_config_value_of_the_wrong_type_is_an_input_error(engine, field, value):
+    with pytest.raises(InputError, match=field):
+        ENGINES[engine](CounterModel(10), [1], EngineConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_any_iterable_is_a_prompt(engine):
+    model, cfg = CounterModel(10), EngineConfig(max_new=6)
+    assert (ENGINES[engine](model, (t for t in [3, 4]), cfg)
+            == ENGINES[engine](model, [3, 4], cfg))
+    with pytest.raises(InputError, match="prompt must be non-empty"):
+        ENGINES[engine](model, (t for t in []), cfg)
+
+
+@pytest.mark.parametrize("args", [("1", 10.0), (1.0, "10"), (1.0, 10.0, "0"),
+                                  (None, 10.0), (1.0, 10.0, None)])
+def test_a_cost_that_is_not_a_number_is_an_input_error(args):
+    with pytest.raises(InputError):
+        CostModel(*args)
 
 
 class TestSpeculative:
@@ -248,7 +284,7 @@ class TestOuroboros:
 
     def test_progress_every_iteration(self):
         target = CounterModel(50)
-        draft = PerturbedModel(target, 0.5, seed=4, swap_to=1)
+        draft = PerturbedModel(target, 0.5, seed=4)
         cfg = EngineConfig(gamma=3, max_new=30)
         _, m = generate_ouroboros(target, draft, [2], cfg)
         assert m.tokens_emitted == 30
@@ -290,10 +326,10 @@ class TestOuroboros:
         # every phrase lies in the model's range, so only the vocab tells
         rows = []
 
-        class Logged(CounterModel):  # every forward reads distribution
-            def distribution(self, context):
-                rows.append(tuple(context))
-                return super().distribution(context)
+        class Logged(CounterModel):  # every forward reads score
+            def score(self, prefix, paths):
+                rows.append(tuple(prefix))
+                return super().score(prefix, paths)
 
         target = Logged(10)
         pool = PhrasePool(1000)
@@ -489,9 +525,10 @@ class BigramTable(LanguageModel):
 
     vocab_size, eos_id = 5, 4
 
-    def distribution(self, context):
-        return {3: np.array([1.0, 0, 0, 0, 0]),
-                0: np.array([0, 0.5, 0.5, 0, 0])}.get(context[-1], np.full(5, 0.2))
+    def score(self, prefix, paths):
+        rows = {3: [1.0, 0, 0, 0, 0], 0: [0, 0.5, 0.5, 0, 0]}
+        return np.array([rows.get(path[-1] if len(path) else prefix[-1], [0.2] * 5)
+                         for path in paths])
 
 
 def test_sampled_lengthening_keeps_the_target_distribution():

@@ -19,7 +19,8 @@ from ouroboros import (BenchConfig, CounterModel, InputError, PhrasePool,
 VOCAB = 5
 CORPUS = [0, 1, 2, 3, 1, 2, 0, 3, 2, 1] * 3
 
-# Keys no kind reads (vocab, vocab_size, swap, eos) are drawn too: each is refused.
+# Keys no kind reads (vocab, vocab_size, swap, swap_to, eos) are drawn too: each is
+# refused.
 NUMBERS = st.one_of(st.integers(-3, 40).map(str),
                     st.sampled_from(["", "x", "0.5", "1e999", "nan", "inf", "-inf"]),
                     st.text(max_size=3))
@@ -46,7 +47,7 @@ def model_specs(draw):
 
 # the keys each kind reads; a perturbed spec also reads the keys of its named base
 READS = {"counter": set(), "ngram": {"order"},
-         "perturbed": {"epsilon", "seed", "swap_to", "base"}}
+         "perturbed": {"epsilon", "seed", "base"}}
 
 
 @settings(max_examples=300, deadline=None)
@@ -55,6 +56,7 @@ READS = {"counter": set(), "ngram": {"order"},
 @example("counter:base=foo")
 @example("ngram:order=3,order=5")
 @example("perturbed:swap_to=1,swap_to=2")
+@example("perturbed:epsilon=0.1,swap_to=2")
 @example("ngram:epsilon=0.5")
 @example("counter:\r")  # whitespace after the colon is an item
 def test_model_specs_fail_only_with_input_error(text):

@@ -29,6 +29,28 @@ class TestCounterModel:
         m = CounterModel(10)
         assert int(np.argmax(m.distribution([9]))) == 0
 
+    def test_score_has_a_one_hot_row_per_path(self):
+        rows = CounterModel(10).score(TokenList(10, [4]), [(), [9], (2, 3), [7]])
+        assert rows.shape == (4, 10) and rows.dtype == np.float64
+        assert argmaxes(rows) == [5, 0, 4, 8] and (rows.sum(axis=1) == 1.0).all()
+
+
+def test_score_is_the_one_hook_and_distribution_its_one_row_read():
+    with pytest.raises(NotImplementedError):
+        models.LanguageModel().distribution([1])
+    # only the n-gram model keeps its own one-row fast path
+    assert [cls.__name__ for cls in (models.LanguageModel, CounterModel, NgramModel,
+                                     PerturbedModel) if "distribution" in vars(cls)] == [
+        "LanguageModel", "NgramModel"]
+
+    class Scored(models.LanguageModel):
+        vocab_size, eos_id = 3, 2
+
+        def score(self, prefix, paths):
+            return np.array([[len(prefix) + len(path), 0.0, 1.0] for path in paths])
+
+    assert np.array_equal(Scored().distribution([0, 1]), [2.0, 0.0, 1.0])
+
 
 class TestNgramModel:
     def test_bigram_frequencies_counted_by_hand(self):
@@ -202,7 +224,7 @@ def test_a_fold_past_int64_keeps_contexts_apart():
 
 class TestPerturbedModel:
     def test_certain_swap_moves_argmax_to_fixed_token(self):
-        m = PerturbedModel(CounterModel(10), epsilon=1.0, swap_to=0)
+        m = PerturbedModel(CounterModel(10), epsilon=1.0)
         d = m.distribution([1, 5])
         assert d[0] == 1.0
 
@@ -227,13 +249,14 @@ class TestPerturbedModel:
 
     def test_swap_target_collision_picks_neighbour(self):
         # argmax would be 0 after token V-1; the swap must still move it
-        m = PerturbedModel(CounterModel(10), epsilon=1.0, swap_to=0)
+        m = PerturbedModel(CounterModel(10), epsilon=1.0)
         assert int(np.argmax(m.distribution([9]))) == 1
 
     @pytest.mark.parametrize("epsilon", [0.5, 1.0])
     def test_score_matches_per_path_distributions(self, epsilon):
-        # several rolled rows, one of them with its argmax at swap_to, and an
-        # empty path: each row equals a one-path call and the reference roll
+        # several rolled rows, at epsilon 1 some with their argmax at the swap
+        # target 0, and an empty path: each row equals a one-path call and the
+        # reference roll
         base = build_ngram_model([1, 2, 3, 1, 2, 4, 5, 1, 3, 6, 6, 2], order=3,
                                  vocab_size=8)
         prefix = [3, 1]
@@ -243,24 +266,30 @@ class TestPerturbedModel:
         tops = [int(np.argmax(base.distribution(prefix + list(paths[i]))))
                 for i in rolled]
         assert len(rolled) >= 3 and 0 in rolled
-        for swap_to in (tops[1], (tops[1] + 3) % 8):
-            model = PerturbedModel(base, epsilon, seed=11, swap_to=swap_to)
-            rows = model.score(TokenList(8, prefix), paths)
-            for i, (row, path) in enumerate(zip(rows, paths)):
-                assert np.array_equal(row, model.distribution(prefix + list(path)))
-                want = base.distribution(prefix + list(path)).copy()
-                if i in rolled:
-                    top = int(np.argmax(want))
-                    tgt = swap_to if swap_to != top else (swap_to + 1) % 8
-                    want[[top, tgt]] = want[[tgt, top]]
-                assert np.array_equal(row, want)
-            assert np.array_equal(model.score(prefix, [()])[0],
-                                  model.distribution(prefix))
+        assert epsilon < 1.0 or 0 in tops
+        model = PerturbedModel(base, epsilon, seed=11)
+        rows = model.score(TokenList(8, prefix), paths)
+        for i, (row, path) in enumerate(zip(rows, paths)):
+            assert np.array_equal(row, model.distribution(prefix + list(path)))
+            want = base.distribution(prefix + list(path)).copy()
+            if i in rolled:
+                top = int(np.argmax(want))
+                tgt = 0 if top else 1
+                want[[top, tgt]] = want[[tgt, top]]
+            assert np.array_equal(row, want)
+        assert np.array_equal(model.score(prefix, [()])[0],
+                              model.distribution(prefix))
 
     def test_seed_outside_int64_rejected(self):
         for seed in (-(2 ** 63) - 1, 2 ** 63):
             with pytest.raises(InputError):
                 PerturbedModel(CounterModel(10), epsilon=0.5, seed=seed)
+
+    @pytest.mark.parametrize("epsilon, seed", [("0.1", 0), (None, 0), (0.1, 1.5),
+                                               (0.1, "1"), (0.1, None)])
+    def test_an_argument_of_the_wrong_type_is_an_input_error(self, epsilon, seed):
+        with pytest.raises(InputError, match="epsilon" if seed == 0 else "seed"):
+            PerturbedModel(CounterModel(10), epsilon, seed=seed)
 
 
 class TestForwardScan:
@@ -475,11 +504,15 @@ class TestModelSpec:
         assert (spec.kind, spec.order) == ("ngram", 3)
 
     def test_parse_perturbed(self):
-        spec = parse_model_spec("perturbed:epsilon=0.25,base=counter,swap_to=2")
+        spec = parse_model_spec("perturbed:epsilon=0.25,base=counter,seed=2")
         assert spec.kind == "perturbed"
         assert spec.epsilon == 0.25
         assert spec.base == "counter"
-        assert spec.swap_to == 2
+        assert spec.seed == 2
+
+    def test_the_swap_target_is_no_spec_key(self):
+        with pytest.raises(InputError, match="does not read 'swap_to'"):
+            parse_model_spec("perturbed:epsilon=0.1,swap_to=2")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -526,8 +559,7 @@ def trees(draw):
         model = CounterModel(vocab)
     for _ in range(draw(st.integers(0, 2))):
         model = PerturbedModel(model, draw(st.sampled_from([0.0, 0.3, 1.0])),
-                               seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
-                               swap_to=draw(st.integers(0, vocab - 1)))
+                               seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)))
     size = draw(st.one_of(st.integers(1, 30), st.integers(1, 5000)))
     prefix = [int(t) for t in rng.integers(0, vocab, size=size)]
     if draw(st.booleans()):
@@ -566,14 +598,14 @@ class TestScanHook:
         rng = np.random.default_rng(3)
         base = CounterModel(300)
         for seed in (-(2 ** 63), -7, 0, 12345, 2 ** 63 - 1):
-            model = PerturbedModel(base, epsilon, seed=seed, swap_to=4)
+            model = PerturbedModel(base, epsilon, seed=seed)
             for n in (1, 2, 17, 4100):
                 ctx = [int(t) for t in rng.integers(0, 300, size=n)]
                 want = base.distribution(ctx)
                 if reference_roll(seed, ctx) < epsilon:
                     want = want.copy()
                     top = int(np.argmax(want))
-                    tgt = 4 if top != 4 else 5
+                    tgt = 0 if top else 1
                     want[[top, tgt]] = want[[tgt, top]]
                 assert np.array_equal(model.distribution(ctx), want)
                 assert np.array_equal(forward_scan(model, ctx, [])[0], want)

@@ -340,6 +340,23 @@ class TestBatchInsert:
         with pytest.raises(InputError):
             PhrasePool(10).insert((1, 2), hits=-1)
 
+    @pytest.mark.parametrize("hits, stored", [(True, 1), (2, 2), (1.5, None),
+                                              ("2", None)])
+    def test_hits_are_stored_as_the_int_the_pool_file_holds(self, hits, stored):
+        pool = PhrasePool(10)
+        if stored is None:
+            with pytest.raises(InputError, match="^hits .* is not an integer$"):
+                pool.insert((1, 2), hits=hits)
+            assert len(pool) == 0 and pool.clock == 0
+            return
+        pool.insert((1, 2), hits=hits)
+        assert type(pool.bucket(1)[0].hits) is int
+        sink = io.StringIO()
+        pool.save(sink)
+        assert sink.getvalue().splitlines()[1] == f"{stored} 1 2"
+        loaded = PhrasePool.load(io.StringIO(sink.getvalue()))
+        assert loaded.state() == {1: [((1, 2), stored)]}
+
     # A full bucket of two whose victim (1, 2) is known, because the newcomer
     # (1, 4) lost to it; then an event that changes the lowest phrase; then
     # newcomers that must evict whatever is lowest now.

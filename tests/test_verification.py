@@ -52,13 +52,16 @@ class ContextModel(LanguageModel):
     def __init__(self):
         self.scored = []
 
-    def distribution(self, context):
-        self.scored.append(list(context))
-        code = self.code(context)
-        probs = np.random.default_rng(code).random(self.vocab_size)
-        probs *= 0.5 / probs.sum()
-        probs[code] += 0.5
-        return probs
+    def score(self, prefix, paths):
+        rows = np.empty((len(paths), self.vocab_size))
+        for probs, path in zip(rows, paths):
+            context = [*prefix, *path]
+            self.scored.append(context)
+            code = self.code(context)
+            probs[:] = np.random.default_rng(code).random(self.vocab_size)
+            probs *= 0.5 / probs.sum()
+            probs[code] += 0.5
+        return rows
 
     def code(self, context):
         return sum((i + 1) * t for i, t in enumerate(context)) % self.vocab_size
@@ -305,10 +308,11 @@ class RowModel(LanguageModel):
         self.eos_id = len(rows)   # never drawn
         self.vocab_size = len(rows) + 1
 
-    def distribution(self, context):
-        row = np.zeros(self.vocab_size)
-        row[:self.rows.shape[1]] = self.rows[context[-1]]
-        return row
+    def score(self, prefix, paths):
+        rows = np.zeros((len(paths), self.vocab_size))
+        rows[:, :self.rows.shape[1]] = self.rows[[path[-1] if len(path) else prefix[-1]
+                                                  for path in paths]]
+        return rows
 
 
 @st.composite

@@ -24,7 +24,8 @@ from .engines import (CostModel, EngineConfig, RunMetrics, finite_time,
                       generate_speculative, generate_vanilla, modeled_speedup,
                       modeled_time)
 from .errors import InputError, RunFailure
-from .models import LanguageModel, TokenList, _integer, build_model, parse_model_spec
+from .models import (LanguageModel, TokenList, _flag, _integer, build_model,
+                     parse_model_spec)
 from .pool import PhrasePool
 
 ENGINE_NAMES = ("vanilla", "speculative", "lookahead", "ouroboros")
@@ -101,7 +102,7 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
     if not raw:
         raise InputError(f"corpus {path} contains no prompts")
     tasks = None
-    if tagged:
+    if _flag(tagged, "tagged"):
         split = [(line_no, *_split_task_tag(line, line_no)) for line_no, line in raw]
         tasks = [task for _, task, _ in split]
         raw = [(line_no, rest) for line_no, _, rest in split]
@@ -153,8 +154,8 @@ class BenchConfig(EngineConfig):
                 raise InputError(f"unknown or repeated engine {name!r}")
         if self.task_type.upper() not in ("HH", "LH"):
             raise InputError(f"task type must be HH or LH, got {self.task_type!r}")
-        if self.tune_slice < 1:
-            raise InputError("tune_slice must be >= 1, not an empty corpus slice")
+        self.tune_slice = _integer(self.tune_slice, "tune_slice", 1)
+        _flag(self.reuse, "reuse")
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -517,17 +518,15 @@ def locality_order(tasks: Sequence[str], cn: Union[int, str],
                    seed: int) -> List[int]:
     """Order entry indices so exactly ``cn`` consecutive entries share a task,
     or shuffle when ``cn == "shuffle"``."""
-    indices = list(range(len(tasks)))
+    seed, indices = _integer(seed, "seed", 0), list(range(len(tasks)))
     if cn == "shuffle":
         rng = np.random.default_rng(seed)
         rng.shuffle(indices)
         return indices
     try:
-        cn = int(cn) if isinstance(cn, str) else _integer(cn, "cn")
-    except ValueError as exc:
-        raise InputError(f"cn must be an integer or 'shuffle', got {cn!r}") from exc
-    if cn < 1:
-        raise InputError("cn must be >= 1")
+        cn = _integer(int(cn) if isinstance(cn, str) else cn, "cn", 1)
+    except ValueError as exc:  # the reader's InputError too
+        raise InputError(f"cn must be an integer >= 1 or 'shuffle', got {cn!r}") from exc
     # the j-th entry of a task goes in block j // cn; a stable sort by
     # (block, the task's first appearance) keeps each block's entries in order
     rank = {task: r for r, task in enumerate(dict.fromkeys(tasks))}

@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, TokenList, forward_tree, sample
+from .models import (ForwardCounter, LanguageModel, TokenList, _integer, _real,
+                     forward_tree, sample)
 from .pool import PhrasePool
 from .verification import accept_len
 
@@ -30,10 +31,7 @@ def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple
     tokens before the context end (token i is ``ctx[(L-n1-c+i) % L]``), so
     it replays recent real text and its n-gram extends it by a prediction.
     """
-    if width < 1:
-        raise InputError("window width must be >= 1")
-    if ngram < 2:
-        raise InputError("ngram order must be >= 2")
+    width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
     if len(context) == 0:
         raise InputError("context must be non-empty")
     size = ngram + width - 2
@@ -58,6 +56,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     ``new_phrases`` are the window ``columns``' n-gram tuples (see
     :func:`window_columns`), one per column, always the rows' argmax.
     """
+    beta = None if beta is None else _integer(beta, "beta", 2)
     if len(context) == 0:
         raise InputError("context must be non-empty")
     best = pool.lookup_k(context[-1], 1)
@@ -106,10 +105,8 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     missing from it and checks their n-grams for the pool, then adds all
     ``width`` memo n-grams as one ``pool.insert`` of them would.  The memo is
     exact for a model whose row after ``ctx + stretch`` depends on it alone."""
-    if gamma < 1:
-        raise InputError("gamma must be >= 1")
-    if max_new < 1:
-        raise InputError("max_new must be >= 1")
+    gamma, max_new = _integer(gamma, "gamma", 1), _integer(max_new, "max_new", 1)
+    temperature = _real(temperature, "temperature")
     ctx = TokenList(model.vocab_size, context)
     memo = {} if memo is None else memo
     tokens: List[int] = []

@@ -20,7 +20,6 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +29,8 @@ from numpy.random import default_rng  # numpy 2 would load it on the first call
 # benchmark's tracer (perfbench/spans.py) wraps every module's binding of it
 from .drafting import DraftResult, clip, draft_step, generate_draft  # noqa: F401
 from .errors import InputError
-from .models import (ForwardCounter, LanguageModel, TokenList, _integer,
-                     next_distribution, sample)
+from .models import (ForwardCounter, LanguageModel, TokenList, _flag, _integer,
+                     _real, next_distribution, sample)
 from .pool import PhrasePool, insert_ngrams
 from .verification import correct_unused_suffixes, harvest, verify
 
@@ -54,24 +53,12 @@ class EngineConfig:
     phrase_draft: bool = True
 
     def validate(self) -> None:
-        for name in ("gamma", "beta", "k", "window", "ngram", "max_new", "seed"):
-            _integer(getattr(self, name), name)
-        if self.gamma < 1:
-            raise InputError("gamma must be >= 1")
-        if self.beta < 2:
-            raise InputError("beta must be >= 2")
-        if self.k < 0:
-            raise InputError("k must be >= 0")
-        if self.window < 1:
-            raise InputError("window must be >= 1")
-        if self.ngram < 2:
-            raise InputError("ngram must be >= 2")
-        if self.max_new < 1:
-            raise InputError("max_new must be >= 1")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
-        if not (isinstance(self.temperature, Real) and 0 <= self.temperature < math.inf):
-            raise InputError("temperature must be finite and >= 0")
+        for name, low in (("gamma", 1), ("beta", 2), ("k", 0), ("window", 1),
+                          ("ngram", 2), ("max_new", 1), ("seed", 0)):
+            setattr(self, name, _integer(getattr(self, name), name, low))
+        _real(self.temperature, "temperature")
+        _flag(self.harvest, "harvest")
+        _flag(self.phrase_draft, "phrase_draft")
 
     def all_off(self) -> "EngineConfig":
         """Copy with every toggle off and ``k = 0`` (the ablation baseline)."""
@@ -103,12 +90,9 @@ class CostModel:
     tree_surcharge_per_token: float = 0.0
 
     def __post_init__(self):
-        if not all(isinstance(t, Real) and 0 < t < math.inf
-                   for t in (self.t_draft, self.t_target)):
-            raise InputError("forward times must be finite and > 0")
-        surcharge = self.tree_surcharge_per_token
-        if not (isinstance(surcharge, Real) and 0 <= surcharge < math.inf):
-            raise InputError("tree surcharge must be finite and >= 0")
+        _real(self.t_draft, "t_draft", positive=True)
+        _real(self.t_target, "t_target", positive=True)
+        _real(self.tree_surcharge_per_token, "tree_surcharge_per_token")
 
 
 def finite_time(time: float) -> float:
@@ -274,6 +258,7 @@ def generate_speculative(target: LanguageModel, draft_model: LanguageModel,
                          ) -> Tuple[List[int], RunMetrics]:
     """Draft gamma tokens one by one, verify them in one target forward: the
     draft-then-verify loop with every acceleration off."""
+    cfg.validate()  # before all_off sets k = 0
     gen = _Generation(target, prompt, cfg.all_off(), draft_model)
     return _draft_and_verify(gen, draft_model, None)
 

@@ -47,6 +47,34 @@ class ForwardCounter:
         self.branch_tokens += branch_tokens
 
 
+def _integer(value, what: str, low: Optional[int] = None) -> int:
+    """``value`` read through ``operator.index``, as ``_check_tokens`` reads a
+    token, and at least ``low`` when one is given."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}")
+    return value
+
+
+def _real(value, what: str, positive: bool = False, high: float = math.inf) -> float:
+    """``value`` if it is a finite real number >= 0 (> 0 if ``positive``) and <= ``high``."""
+    if (isinstance(value, Real) and (0 < value if positive else 0 <= value)
+            and value <= high and value < math.inf):
+        return value
+    bound = f"in [0, {high:g}]" if high < math.inf else "> 0" if positive else ">= 0"
+    raise InputError(f"{what} must be a finite real number {bound}, not {value!r}")
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` if it is exactly ``True`` or ``False``."""
+    if value is True or value is False:
+        return value
+    raise InputError(f"{what} must be True or False, not {value!r}")
+
+
 def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
     """Check that every token is an integer (read through ``operator.index``)
     in ``range(vocab_size)``, unless ``tokens`` is a TokenList of this vocab."""
@@ -67,8 +95,11 @@ class TokenList(list):
     ``append`` and ``extend``; other in-place changes are refused."""
 
     def __init__(self, vocab_size: int, tokens: Iterable[int] = ()):
-        self.vocab_size = vocab_size
+        self.vocab_size = _integer(vocab_size, "vocab_size", 1)
         self.extend(tokens)
+
+    def __reduce__(self):  # pickle would extend the list before setting vocab_size
+        return TokenList, (self.vocab_size, list(self))
 
     def append(self, token: int) -> None:
         # inline, not _check_tokens, as every decoded token passes here
@@ -119,10 +150,8 @@ class CounterModel(LanguageModel):
     """Fully deterministic model: after last token t, predicts (t+1) mod V."""
 
     def __init__(self, vocab_size: int):
-        if vocab_size < 2:
-            raise InputError("counter model needs vocab_size >= 2")
-        self.vocab_size = vocab_size
-        self.eos_id = vocab_size - 1
+        self.vocab_size = _integer(vocab_size, "vocab_size", 2)
+        self.eos_id = self.vocab_size - 1
 
     def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
         last = [path[-1] if len(path) else prefix[-1] for path in paths]
@@ -143,7 +172,7 @@ class NgramModel(LanguageModel):
     one row, both read rows through it."""
 
     def __init__(self, order: int, index: dict, matrix: np.ndarray):
-        self.order = order
+        self.order = _integer(order, "order", 1)
         self.vocab_size = matrix.shape[1]
         self.eos_id = self.vocab_size - 1
         matrix.flags.writeable = False
@@ -173,10 +202,8 @@ def build_ngram_model(corpus: TokenSeq, order: int,
     folds into one integer label; the block's labels, by first occurrence,
     give new key tuples their row ids in the order a token-by-token count
     meets them; the (row, next token) cells are added into the matrix."""
-    order = _integer(order, "order")
+    order = _integer(order, "order", 1)
     vocab_size = None if vocab_size is None else _integer(vocab_size, "vocab_size")
-    if order < 1:
-        raise InputError("order must be >= 1")
     if not hasattr(corpus, "__len__"):
         raise InputError(f"corpus must be a sequence of tokens, not {type(corpus).__name__}")
     if len(corpus) <= order:
@@ -207,14 +234,6 @@ def build_ngram_model(corpus: TokenSeq, order: int,
 
 
 _BLOCK = 8192  # positions one counting pass takes, so its arrays stay small
-
-
-def _integer(value, what: str) -> int:
-    """``value`` read through ``operator.index``, as ``_check_tokens`` reads a token."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InputError(f"{what} {value!r} is not an integer") from None
 
 
 def _token_blocks(corpus: TokenSeq, vocab_size: int, overlap: int) -> Iterator[np.ndarray]:
@@ -248,14 +267,11 @@ class PerturbedModel(LanguageModel):
     """
 
     def __init__(self, base: LanguageModel, epsilon: float, seed: int = 0):
-        if not isinstance(epsilon, Real) or not 0.0 <= epsilon <= 1.0:
-            raise InputError("epsilon must be in [0, 1]")
-        seed = _integer(seed, "seed")
+        self.epsilon = epsilon = _real(epsilon, "epsilon", high=1.0)
+        self.seed = seed = _integer(seed, "seed")
         if not -2 ** 63 <= seed < 2 ** 63:
             raise InputError("seed must fit in a signed 64-bit integer")
         self.base = base
-        self.epsilon = epsilon
-        self.seed = seed
         self.vocab_size = base.vocab_size
         self.eos_id = base.eos_id
         # a digest rolls exactly when below the least r with r / 2.0 ** 64 >= epsilon,
@@ -320,14 +336,13 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     may be ragged or empty.  This is the functional stand-in for a tree
     attention mask: one forward regardless of branch count.
     """
+    full = None if full is None else _integer(full, "full", 0)
     if len(prefix) == 0:
         raise InputError("prefix must be non-empty")
     _check_tokens(model.vocab_size, prefix, "prefix")
     _check_tokens(model.vocab_size, shared, "shared")
     tokens = list(chain.from_iterable(branches))
     _check_tokens(model.vocab_size, tokens, "branch")
-    if full is not None and full < 0:
-        raise InputError("full must be >= 0")
     if counter is not None:
         counter.add(branch_tokens=len(tokens))
     paths = [shared[:i] for i in range(len(shared) + 1)]
@@ -357,8 +372,11 @@ def sample(dist: np.ndarray, temperature: float,
     is drawn as ``rng.choice(V, p=row)`` would draw it (a normalised cumsum
     against one uniform), so the tokens and ``rng`` end as row-by-row
     ``rng.choice`` calls leave them; tests pin that."""
-    if temperature < 0:
-        raise InputError("temperature must be >= 0")
+    try:  # inline, not _real, as every drawn token passes here
+        if temperature < 0:
+            raise InputError("temperature must be >= 0")
+    except TypeError:
+        raise InputError(f"temperature {temperature!r} is not a real number") from None
     if temperature == 0.0:
         if dist.ndim == 2:
             return dist.argmax(axis=1).tolist()

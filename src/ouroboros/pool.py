@@ -50,12 +50,9 @@ _rank = attrgetter("hits", "last_used")  # retention order, lowest goes first
 class PhrasePool:
     def __init__(self, vocab_size: int, capacity_per_key: int = 16,
                  max_phrase_len: int = 16):
-        if vocab_size < 1 or capacity_per_key < 1 or max_phrase_len < 2:
-            raise InputError("vocab_size >= 1, capacity_per_key >= 1 and "
-                             "max_phrase_len >= 2 required")
-        self.vocab_size = vocab_size
-        self.capacity_per_key = capacity_per_key
-        self.max_phrase_len = max_phrase_len
+        self.vocab_size = _integer(vocab_size, "vocab_size", 1)
+        self.capacity_per_key = _integer(capacity_per_key, "capacity_per_key", 1)
+        self.max_phrase_len = _integer(max_phrase_len, "max_phrase_len", 2)
         self.clock = 0
         # key -> {tokens: Phrase}; dict order is bucket order
         self._buckets: dict = {}
@@ -69,7 +66,7 @@ class PhrasePool:
 
     def bucket(self, key: int) -> List[Phrase]:
         """The phrases stored under ``key``, in bucket order (a copy)."""
-        return list(self._buckets.get(key, {}).values())
+        return list(self._buckets.get(_integer(key, "key"), {}).values())
 
     def phrases(self) -> Iterator[Phrase]:
         for key in sorted(self._buckets):
@@ -145,9 +142,7 @@ class PhrasePool:
         duplicate), as one call per phrase would: a full bucket evicts its
         lowest (hits, last_used) entry.  Returns the last one's Phrase (None
         for no phrases).  The batch is checked first: one refused adds none."""
-        hits = _integer(hits, "hits")
-        if hits < 0:
-            raise InputError("hits must be >= 0")
+        hits = _integer(hits, "hits", 0)
         return self._add(self._checked(phrases), hits)
 
     def lookup_k(self, first: int, k: int) -> List[Phrase]:
@@ -155,8 +150,7 @@ class PhrasePool:
 
         Returned phrases have their recency refreshed.
         """
-        if k < 0:
-            raise InputError("k must be >= 0")
+        first, k = _integer(first, "first"), _integer(k, "k", 0)
         bucket = self._buckets.get(first)
         if not bucket or k == 0:
             return []
@@ -270,7 +264,8 @@ def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
     """Insert every length-n window of ``seq`` (stride 1), in order, as one
     ``pool.insert`` of them all would; returns the count.  The tokens are
     checked once, and not at all for a TokenList of the pool's vocab."""
-    if not 2 <= n <= pool.max_phrase_len:
+    n = _integer(n, "n", 2)
+    if n > pool.max_phrase_len:
         raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
     if len(seq) < n:
         return 0

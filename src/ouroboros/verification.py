@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .models import ForwardCounter, LanguageModel, _tempered, forward_tree, sample
+from .models import (ForwardCounter, LanguageModel, _integer, _tempered,
+                     forward_tree, sample)
 from .pool import Phrase, PhrasePool
 
 
@@ -94,6 +95,7 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     under the ratio rule, one uniform per draft token; then, on a rejection,
     one uniform for the correction.
     """
+    beta = None if beta is None else _integer(beta, "beta", 2)
     draft = list(draft)
     if not draft:
         raise InputError("draft must be non-empty")
@@ -162,7 +164,9 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
     (truncated to ``max_len``).  Runs of one token carry no continuation and
     are dropped.
     """
-    if not 0 <= accepted < len(draft):
+    accepted = _integer(accepted, "accepted", 0)
+    max_len = None if max_len is None else _integer(max_len, "max_len", 2)
+    if accepted >= len(draft):
         raise InputError("harvest applies only to partially accepted drafts")
     if len(verdicts) < len(draft):
         raise InputError("need a verdict for every draft position")
@@ -190,6 +194,7 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     becomes its beta-token correction.  Returns how many stored phrases were
     actually replaced (missing ones are soft misses).
     """
+    chosen = None if chosen is None else _integer(chosen, "chosen", 0)
     if len(branch_verdicts) != len(suffixes):
         raise InputError("need one list of branch verdicts per suffix")
     return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]))

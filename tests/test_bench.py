@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,14 @@ class TestIngest:
         corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), tokenizer)
         assert [type(p) for p in corpus.prompts] == [TokenList, TokenList]
         assert {p.vocab_size for p in corpus.prompts} == {corpus.vocab_size}
+
+    def test_a_corpus_and_its_token_lists_survive_pickle(self, tmp_path):
+        corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), "whitespace")
+        back = pickle.loads(pickle.dumps(corpus))
+        assert back == corpus
+        assert [(type(p), p.vocab_size) for p in back.prompts] == [(TokenList, 4)] * 2
+        tokens = pickle.loads(pickle.dumps(TokenList(5, [1, 2])))
+        assert (type(tokens), tokens.vocab_size, tokens) == (TokenList, 5, [1, 2])
 
     def test_identical_lines_tokenize_identically(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "a b c\na b c\n")
@@ -341,9 +350,9 @@ class TestTune:
         # refused by the settings check, with an objective or without one
         for tune_slice in (0, -1):
             cfg = tune_config(reference_corpus, tune_slice=tune_slice, task_type="LH")
-            with pytest.raises(InputError, match="empty corpus slice"):
+            with pytest.raises(InputError, match="tune_slice must be >= 1"):
                 tune(cfg)
-            with pytest.raises(InputError, match="empty corpus slice"):
+            with pytest.raises(InputError, match="tune_slice must be >= 1"):
                 tune(cfg, objective=lambda g, w, b, k: 1.0)
 
     @pytest.mark.parametrize("setting", [dict(gamma=3), dict(pool_file="P.txt")])

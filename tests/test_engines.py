@@ -84,8 +84,7 @@ ENGINES = {
     (engine, field, value) for engine in sorted(ENGINES)
     for field, value in [("k", 1.5), ("beta", 3.5), ("max_new", 2.5), ("gamma", 2.5),
                          ("window", 2.5), ("ngram", 3.5), ("seed", 1.5),
-                         ("temperature", "1"), ("temperature", None)]
-    if (engine, field) != ("speculative", "k")])  # all_off sets speculative's k to 0
+                         ("k", -1), ("temperature", "1"), ("temperature", None)]])
 def test_a_config_value_of_the_wrong_type_is_an_input_error(engine, field, value):
     with pytest.raises(InputError, match=field):
         ENGINES[engine](CounterModel(10), [1], EngineConfig(**{field: value}))

@@ -92,15 +92,21 @@ def load_bench_pairs():
 
 
 def test_bench_pairs_batches_add_up_and_a_duplicate_run_is_refused(tmp_path):
-    # run_once is stubbed, so no benchmark runs: each side reads its own rate
+    # run_once is stubbed, so no benchmark runs: each side reads its own rate,
+    # but the parent's vanilla rate swings from run to run
     bench_pairs = load_bench_pairs()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())
              ["end_to_end"]]
-    rates = {"parent": 100.0, "change": 110.0}
+    rates, runs = {"parent": 100.0, "change": 110.0}, {"parent": 0, "change": 0}
 
     def run_once(checkout, workload, seed, seconds):
+        side = Path(checkout).name
+        runs[side] += 1
+        values = dict.fromkeys(names, rates[side])
+        if side == "parent":
+            values["vanilla_tokens_per_s"] = (60.0, 140.0)[runs[side] % 2]
         return {"attempted": 1, "failed": 0, "correct": True,
-                "metrics": {n: {"value": rates[Path(checkout).name]} for n in names}}
+                "metrics": {n: {"value": v} for n, v in values.items()}}
 
     bench_pairs.run_once = run_once
     raw, out = tmp_path / "runs.jsonl", tmp_path / "BENCH.json"
@@ -121,6 +127,12 @@ def test_bench_pairs_batches_add_up_and_a_duplicate_run_is_refused(tmp_path):
     row = json.loads(out.read_text())["workloads"]["sampled"]
     assert (row["seed"], row["pairs"]) == (7, 5)
     assert row["metrics"]["tokens_per_s"]["change_wins"] == 5
+    # 10% more tok/s is ok; 10% more MB is worse than peak_rss_mb's 9% bound;
+    # 110 against a parent spread of 60-140 is unresolved
+    verdicts = {n: m["verdict"] for n, m in row["metrics"].items()}
+    assert [verdicts[n] for n in ("tokens_per_s", "peak_rss_mb", "vanilla_tokens_per_s")
+            ] == ["ok", "worse", "unresolved"]
+    assert row["worse"] == ["peak_rss_mb"]
     with raw.open("a") as fh:  # the same run again
         fh.write(json.dumps(recs[0]) + "\n")
     with pytest.raises(SystemExit, match="recorded twice"):

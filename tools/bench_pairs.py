@@ -10,9 +10,10 @@ to the raw file as soon as the run ends; its pairs are numbered after those
 the raw file already holds for the same workload, seed and seconds, so
 batches add up.  ``summarise`` reads the raw file and, per workload and
 end-to-end metric of ``BENCHMARK.json``, reports each side's median and
-quartiles, the ratio of the medians (change over parent) and how many pairs
-the change won (ties count for neither side).  A run recorded twice (same
-workload, seed, seconds, pair and side) is an error.
+quartiles, the ratio of the medians (change over parent), how many pairs
+the change won (ties count for neither side) and a verdict (see
+``verdict``); each workload lists its ``worse`` metrics.  A run recorded
+twice (same workload, seed, seconds, pair and side) is an error.
 """
 
 from __future__ import annotations
@@ -70,6 +71,22 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(values: dict, stats: dict, bound: float, higher: bool) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound``, as a share of the parent's median; else ``unresolved``
+    when the parent's quartile spread is wider than that share and not every
+    change run beats every parent run; else ``ok``."""
+    sign, parent = (1 if higher else -1), stats["parent"]
+    share = bound * abs(parent["median"])
+    if sign * (parent["median"] - stats["change"]["median"]) > share:
+        return "worse"
+    beats_all = (min(sign * v for v in values["change"])
+                 > max(sign * v for v in values["parent"]))
+    if parent["q3"] - parent["q1"] > share and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarise(args: argparse.Namespace) -> None:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict = {}
@@ -102,7 +119,10 @@ def summarise(args: argparse.Namespace) -> None:
                 "ratio": stats["change"]["median"] / stats["parent"]["median"],
                 "change_wins": wins,
                 "identical": len(set(values["parent"] + values["change"])) == 1,
+                "verdict": verdict(values, stats, m["bound"], higher),
             }
+        row["worse"] = [name for name, got in row["metrics"].items()
+                        if got["verdict"] == "worse"]
         workloads[workload] = row
     out = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",

@@ -117,7 +117,7 @@ def ingest_corpus(path: Union[str, Path], tokenizer: str,
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig(EngineConfig):
     target_spec: str = "ngram:order=3"
     draft_spec: str = "perturbed:epsilon=0.1"
@@ -142,11 +142,9 @@ class BenchConfig(EngineConfig):
     def cost_model(self) -> CostModel:
         return CostModel(self.t_draft, self.t_target, self.tree_surcharge)
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         self.cost_model()
-        if not self.corpus:
-            raise InputError("no corpus configured")
         if not self.engines:
             raise InputError("no engines configured")
         for i, name in enumerate(self.engines):
@@ -154,7 +152,7 @@ class BenchConfig(EngineConfig):
                 raise InputError(f"unknown or repeated engine {name!r}")
         if self.task_type.upper() not in ("HH", "LH"):
             raise InputError(f"task type must be HH or LH, got {self.task_type!r}")
-        self.tune_slice = _integer(self.tune_slice, "tune_slice", 1)
+        object.__setattr__(self, "tune_slice", _integer(self.tune_slice, "tune_slice", 1))
         _flag(self.reuse, "reuse")
 
 
@@ -187,9 +185,9 @@ def make_config(file_values: Optional[Dict[str, str]] = None,
                 command: Optional[str] = None, **overrides) -> BenchConfig:
     """Build a BenchConfig from file values, then apply overrides (flags win).
     A string value is coerced by its field's type.  With ``command``, a key
-    that subcommand does not read (``COMMAND_SETTINGS``) is refused."""
-    cfg = BenchConfig()
-    reads = COMMAND_SETTINGS[command] if command else _KINDS
+    that subcommand does not read (``COMMAND_SETTINGS``) is refused; then
+    building the config refuses a value outside its field's range."""
+    values, reads = {}, COMMAND_SETTINGS[command] if command else _KINDS
 
     def coerce(name: str, value):
         if isinstance(value, str):
@@ -216,10 +214,10 @@ def make_config(file_values: Optional[Dict[str, str]] = None,
             if name not in reads:
                 raise _unread(command, name)
             try:
-                setattr(cfg, name, coerce(name, value))
+                values[name] = coerce(name, value)
             except ValueError as exc:
                 raise InputError(f"bad value for {name}: {value!r}") from exc
-    return cfg
+    return BenchConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +275,10 @@ def write_json(report: Union[Report, dict], path: Union[str, Path]) -> None:
                           encoding="utf-8")
 
 
-def _finish_report(cfg: BenchConfig, rows: List[dict], extra: dict = None) -> Report:
-    aggregates = _aggregate(rows)
-    if extra:
-        aggregates.update(extra)
+def _finish_report(cfg: BenchConfig, rows: List[dict]) -> Report:
     config_echo = dataclasses.asdict(cfg)
     config_echo["engines"] = list(cfg.engines)
-    report = Report(config=config_echo, rows=rows, aggregates=aggregates,
+    report = Report(config=config_echo, rows=rows, aggregates=_aggregate(rows),
                     timestamp=datetime.now(timezone.utc).isoformat())
     if cfg.out_csv:
         write_csv(report, cfg.out_csv)
@@ -317,13 +312,14 @@ def build_models(cfg: BenchConfig, corpus: Corpus,
 
 def _check_settings(cfg: BenchConfig, command: str) -> None:
     """Refuse a setting ``command`` does not read unless it has its default,
-    validate the config and check the paths it writes: each must be
-    writable and name neither the corpus nor another of them."""
+    and a config without a corpus, and check the paths it writes: each must
+    be writable and name neither the corpus nor another of them."""
     default, reads = BenchConfig(), COMMAND_SETTINGS[command]
     for name in _KINDS:
         if name not in reads and getattr(cfg, name) != getattr(default, name):
             raise _unread(command, name)
-    cfg.validate()
+    if not cfg.corpus:
+        raise InputError("no corpus configured")
     seen = {Path(cfg.corpus).resolve(): "corpus"}
     for name in ("pool_file", "out_csv", "out_json"):
         if getattr(cfg, name):
@@ -548,9 +544,4 @@ def locality_experiment(cfg: BenchConfig) -> Report:
     rows = _execute(cfg, runs, corpus, target, draft)[0]
     for row in rows:
         row["task"] = corpus.tasks[row["entry"]]
-    extra = {"locality": {
-        "cn": cfg.cn if cfg.cn == "shuffle" else int(cfg.cn),
-        "reuse": cfg.reuse,
-        "order": order,
-    }}
-    return _finish_report(cfg, rows, extra)
+    return _finish_report(cfg, rows)

@@ -85,10 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_report(report: Report) -> None:
-    for engine in sorted(report.aggregates):
-        stats = report.aggregates[engine]
-        if not isinstance(stats, dict) or "eta" not in stats:
-            continue
+    for engine, stats in sorted(report.aggregates.items()):
         print(f"{engine:24s} runs={stats['runs']:3d} "
               f"eta={stats['eta']['mean']:7.3f} "
               f"c={stats['c']['mean']:7.3f} "

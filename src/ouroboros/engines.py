@@ -39,8 +39,10 @@ from .verification import correct_unused_suffixes, harvest, verify
 WARMUP_TOKENS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
+    """The engines' settings, checked when built (a replaced copy too)."""
+
     gamma: int = 5            # draft length per iteration
     beta: int = 6             # phrase length budget for lengthening
     k: int = 3                # suffixes tried per verification; 0 = no lengthening
@@ -52,10 +54,10 @@ class EngineConfig:
     harvest: bool = True
     phrase_draft: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, low in (("gamma", 1), ("beta", 2), ("k", 0), ("window", 1),
                           ("ngram", 2), ("max_new", 1), ("seed", 0)):
-            setattr(self, name, _integer(getattr(self, name), name, low))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         _real(self.temperature, "temperature")
         _flag(self.harvest, "harvest")
         _flag(self.phrase_draft, "phrase_draft")
@@ -125,7 +127,6 @@ class _Generation:
 
     def __init__(self, target: LanguageModel, prompt: Sequence[int],
                  cfg: EngineConfig, draft_model: Optional[LanguageModel] = None):
-        cfg.validate()
         prompt = TokenList(target.vocab_size, prompt)
         if len(prompt) == 0:
             raise InputError("prompt must be non-empty")
@@ -258,7 +259,6 @@ def generate_speculative(target: LanguageModel, draft_model: LanguageModel,
                          ) -> Tuple[List[int], RunMetrics]:
     """Draft gamma tokens one by one, verify them in one target forward: the
     draft-then-verify loop with every acceleration off."""
-    cfg.validate()  # before all_off sets k = 0
     gen = _Generation(target, prompt, cfg.all_off(), draft_model)
     return _draft_and_verify(gen, draft_model, None)
 

@@ -460,4 +460,6 @@ def build_model(spec: ModelSpec, vocab_size: int,
                            corpus)
     elif base is None:
         raise InputError("perturbed model spec needs a base model or a 'base' key")
+    elif base.vocab_size != vocab_size:
+        raise InputError(f"base model vocab {base.vocab_size} != vocab_size {vocab_size}")
     return PerturbedModel(base, spec.epsilon, seed=spec.seed)

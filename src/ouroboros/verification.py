@@ -194,7 +194,8 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     becomes its beta-token correction.  Returns how many stored phrases were
     actually replaced (missing ones are soft misses).
     """
-    chosen = None if chosen is None else _integer(chosen, "chosen", 0)
+    if chosen is not None and _integer(chosen, "chosen", 0) >= len(suffixes):
+        raise InputError(f"chosen {chosen} is past the {len(suffixes)} suffixes")
     if len(branch_verdicts) != len(suffixes):
         raise InputError("need one list of branch verdicts per suffix")
     return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]))

@@ -202,9 +202,9 @@ class TestConfig:
         assert not (tmp_path / "P.txt").exists()
 
     def test_validation_catches_unknown_engine(self, reference_corpus):
-        cfg = small_config(reference_corpus, engines=("vanila",))
-        with pytest.raises(InputError):
-            cfg.validate()
+        # the config refuses it when built, before any entry point runs
+        with pytest.raises(InputError, match="unknown or repeated engine 'vanila'"):
+            small_config(reference_corpus, engines=("vanila",))
 
 
 class TestRunBenchmark:
@@ -347,13 +347,13 @@ class TestTune:
         assert cli_out.read_bytes() == out.read_bytes()
 
     def test_empty_slice_rejected(self, reference_corpus):
-        # refused by the settings check, with an objective or without one
+        # refused when the config is built, and so when a copy is
+        cfg = tune_config(reference_corpus, task_type="LH")
         for tune_slice in (0, -1):
-            cfg = tune_config(reference_corpus, tune_slice=tune_slice, task_type="LH")
             with pytest.raises(InputError, match="tune_slice must be >= 1"):
-                tune(cfg)
+                tune_config(reference_corpus, tune_slice=tune_slice, task_type="LH")
             with pytest.raises(InputError, match="tune_slice must be >= 1"):
-                tune(cfg, objective=lambda g, w, b, k: 1.0)
+                dataclasses.replace(cfg, tune_slice=tune_slice)
 
     @pytest.mark.parametrize("setting", [dict(gamma=3), dict(pool_file="P.txt")])
     def test_objective_does_not_skip_the_config_check(self, reference_corpus,
@@ -451,7 +451,9 @@ class TestLocality:
                           draft_spec="perturbed:epsilon=0.0",
                           gamma=2, max_new=6, seed=0)
         report = locality_experiment(dataclasses.replace(cfg, cn="20"))
-        assert report.aggregates["locality"]["cn"] == 20
+        assert report.config["cn"] == "20" and report.config["reuse"] is True
+        tasks = ingest_corpus(tagged_corpus, "whitespace", tagged=True).tasks
+        assert [r["entry"] for r in report.rows] == locality_order(tasks, 20, seed=0)
         assert len(report.rows) == 80
         assert all("task" in row for row in report.rows)
 
@@ -472,6 +474,16 @@ class TestLocality:
         cfg = make_config(None, corpus=tagged_corpus, max_new=4)
         with pytest.raises(InputError):
             locality_experiment(cfg)
+
+
+@pytest.mark.parametrize("entry, settings", [
+    (run_benchmark, {}), (ablation, {}), (locality_experiment, dict(cn="1"))])
+def test_aggregates_are_a_fold_of_the_rows(entry, settings, tmp_path):
+    # one entry per engine label, read from the rows alone
+    path = write_corpus(tmp_path, "c.txt", tagged_corpus_text(entries_per_task=2))
+    report = entry(small_config(path, max_new=6, **settings))
+    assert report.aggregates == bench._aggregate(report.rows)
+    assert sorted(report.aggregates) == sorted({r["engine"] for r in report.rows})
 
 
 class TestCli:

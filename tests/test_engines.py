@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import numbers
 import os
 import subprocess
 import sys
@@ -12,12 +14,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ouroboros
-from ouroboros import (CostModel, CounterModel, EngineConfig, InputError,
-                       LanguageModel, PerturbedModel, PhrasePool, RunMetrics,
-                       build_ngram_model, generate_lookahead_target,
+from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
+                       InputError, LanguageModel, PerturbedModel, PhrasePool,
+                       RunMetrics, build_ngram_model, generate_lookahead_target,
                        generate_ouroboros, generate_speculative,
                        generate_vanilla, insert_ngrams, modeled_speedup,
                        modeled_time, next_distribution, verify)
+from ouroboros.bench import ENGINE_NAMES
 
 from test_verification import tempered
 
@@ -97,6 +100,61 @@ def test_any_iterable_is_a_prompt(engine):
             == ENGINES[engine](model, [3, 4], cfg))
     with pytest.raises(InputError, match="prompt must be non-empty"):
         ENGINES[engine](model, (t for t in []), cfg)
+
+
+LEAST = {"gamma": 1, "beta": 2, "k": 0, "window": 1, "ngram": 2, "max_new": 1,
+         "seed": 0, "tune_slice": 1}  # each integer field's least value
+VALUES = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(), st.none(),
+                   st.sampled_from([np.int64(2), np.float64(0.5), "1", 2.5]))
+BENCH_VALUES = {"engines": st.lists(st.sampled_from(ENGINE_NAMES + ("vanila",)),
+                                    max_size=3).map(tuple),
+                "task_type": st.sampled_from(["HH", "lh", "XX", ""])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from([EngineConfig, BenchConfig]), data=st.data())
+def test_a_config_holds_its_ranges_once_built(cls, data):
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}  # "int", ...
+    names = [n for n in kinds if kinds[n] in ("int", "float", "bool")]
+    values = data.draw(st.dictionaries(st.sampled_from(names), VALUES, max_size=3))
+    values.update(data.draw(st.fixed_dictionaries(
+        {}, optional=BENCH_VALUES if cls is BenchConfig else {})))
+    try:
+        cfg = cls(**values)
+    except InputError:
+        return
+    for name, kind in kinds.items():
+        value = getattr(cfg, name)
+        if kind == "int":
+            assert type(value) is int and value >= LEAST[name], name
+        elif kind == "float":
+            low = 0 < value if name in ("t_draft", "t_target") else 0 <= value
+            assert isinstance(value, numbers.Real) and low and value < math.inf, name
+        elif kind == "bool":
+            assert value is True or value is False, name
+    if cls is BenchConfig:
+        assert cfg.engines and set(cfg.engines) <= set(ENGINE_NAMES)
+        assert len(set(cfg.engines)) == len(cfg.engines)
+        assert cfg.task_type.upper() in ("HH", "LH")
+    with pytest.raises(InputError, match="gamma must be >= 1"):
+        dataclasses.replace(cfg, gamma=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.gamma = 4
+
+
+def test_a_config_stores_the_int_it_read():
+    cfg = EngineConfig(gamma=np.int64(5), seed=True)
+    assert type(cfg.gamma) is int and cfg.gamma == 5
+    assert type(cfg.seed) is int and cfg.seed == 1
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_an_engine_call_leaves_its_config_as_it_was(engine):
+    # speculative runs all_off's copy; no engine rewrites the caller's fields
+    cfg = EngineConfig(gamma=np.int64(3), k=np.int64(2), max_new=6)
+    before = [(type(v), v) for v in dataclasses.astuple(cfg)]
+    ENGINES[engine](CounterModel(10), [1], cfg)
+    assert [(type(v), v) for v in dataclasses.astuple(cfg)] == before
 
 
 @pytest.mark.parametrize("args", [("1", 10.0), (1.0, "10"), (1.0, 10.0, "0"),

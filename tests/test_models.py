@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouroboros import (CounterModel, ForwardCounter, InputError, NgramModel,
-                       PerturbedModel, PhrasePool, TokenList, build_model,
-                       build_ngram_model, forward_scan, forward_tree,
+from ouroboros import (CounterModel, ForwardCounter, InputError, ModelSpec,
+                       NgramModel, PerturbedModel, PhrasePool, TokenList,
+                       build_model, build_ngram_model, forward_scan, forward_tree,
                        next_distribution, parse_model_spec, sample)
 from ouroboros import models
 
@@ -530,6 +530,12 @@ class TestModelSpec:
                             vocab_size=12, base=target)
         assert draft.vocab_size == 12
         assert draft.base is target
+
+    def test_a_wrapped_base_must_have_the_vocab_size(self):
+        spec = ModelSpec("perturbed", epsilon=0.1)
+        with pytest.raises(InputError, match="base model vocab 10 != vocab_size 99"):
+            build_model(spec, 99, base=CounterModel(10))
+        assert build_model(spec, 10, base=CounterModel(10)).vocab_size == 10
 
     def test_build_ngram_requires_corpus(self):
         with pytest.raises(InputError):

@@ -258,6 +258,15 @@ class TestCorrectUnusedSuffixes:
             correct_unused_suffixes(pool, [Phrase((1, 2, 3))], [], None)
         assert pool.state() == {1: [((1, 2, 3), 1)]}
 
+    def test_refuses_a_chosen_branch_past_the_suffixes(self):
+        # an index past the list would spare no suffix, as chosen=None does
+        pool = PhrasePool(10)
+        suffixes = [pool.insert((6, 2, 3)), pool.insert((6, 4, 5))]
+        before = pool.state()
+        with pytest.raises(InputError, match="chosen 5 is past the 2 suffixes"):
+            correct_unused_suffixes(pool, suffixes, [[9, 9, 9], [8, 8, 8]], chosen=5)
+        assert pool.state() == before
+
     def test_rewrites_unused_suffix_with_verdicts(self):
         pool = PhrasePool(10)
         pool.insert((6, 2, 3, 4))

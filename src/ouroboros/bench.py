@@ -28,14 +28,21 @@ from .models import (LanguageModel, TokenList, _flag, _integer, build_model,
                      parse_model_spec)
 from .pool import PhrasePool
 
-ENGINE_NAMES = ("vanilla", "speculative", "lookahead", "ouroboros")
+# name -> run(target, draft, prompt, cfg, pool) -> (tokens, RunMetrics); only
+# ouroboros reads the pool.  Each finds its generate_* in this module at call time.
+ENGINES: Dict[str, Callable[..., Tuple[List[int], RunMetrics]]] = {
+    "vanilla": lambda t, d, prompt, cfg, pool: generate_vanilla(t, prompt, cfg),
+    "speculative": lambda t, d, prompt, cfg, pool: generate_speculative(t, d, prompt, cfg),
+    "lookahead": lambda t, d, prompt, cfg, pool: generate_lookahead_target(t, prompt, cfg),
+    "ouroboros": lambda t, d, prompt, cfg, pool: generate_ouroboros(t, d, prompt, cfg, pool),
+}
 CSV_COLUMNS = ("entry", "engine", "tokens", "target_fwd", "draft_fwd", "iters",
                "mean_A", "mean_match", "c", "eta", "modeled_speedup", "seed")
 MAX_PROMPT_TOKENS = 8192
 
 BYTE_VOCAB = 257  # 256 byte values + EOS
 
-Run = Tuple[int, str, EngineConfig]  # (entry, label, config) of one run
+Run = Tuple[int, str]  # (entry, label) of one run
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +130,7 @@ class BenchConfig(EngineConfig):
     draft_spec: str = "perturbed:epsilon=0.1"
     corpus: str = ""
     tokenizer: str = "whitespace"
-    engines: Tuple[str, ...] = ENGINE_NAMES
+    engines: Tuple[str, ...] = tuple(ENGINES)
     reuse: bool = True
     t_draft: float = 1.0
     t_target: float = 10.0
@@ -135,22 +142,22 @@ class BenchConfig(EngineConfig):
     task_type: str = "HH"
     tune_slice: int = 8
 
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(**{f.name: getattr(self, f.name)
-                               for f in dataclasses.fields(EngineConfig)})
-
     def cost_model(self) -> CostModel:
         return CostModel(self.t_draft, self.t_target, self.tree_surcharge)
 
     def __post_init__(self):
         super().__post_init__()
         self.cost_model()
+        if not (isinstance(self.engines, (tuple, list))
+                and all(isinstance(name, str) for name in self.engines)):
+            raise InputError(f"engines must be a list of names, got {self.engines!r}")
+        object.__setattr__(self, "engines", tuple(self.engines))
         if not self.engines:
             raise InputError("no engines configured")
         for i, name in enumerate(self.engines):
-            if name not in ENGINE_NAMES or name in self.engines[:i]:
+            if name not in ENGINES or name in self.engines[:i]:
                 raise InputError(f"unknown or repeated engine {name!r}")
-        if self.task_type.upper() not in ("HH", "LH"):
+        if not isinstance(self.task_type, str) or self.task_type.upper() not in ("HH", "LH"):
             raise InputError(f"task type must be HH or LH, got {self.task_type!r}")
         object.__setattr__(self, "tune_slice", _integer(self.tune_slice, "tune_slice", 1))
         _flag(self.reuse, "reuse")
@@ -348,9 +355,9 @@ def _setup(cfg: BenchConfig, command: str,
 
 def _execute(cfg: BenchConfig, runs: Sequence[Run], corpus: Corpus, target,
              draft) -> Tuple[List[dict], List[RunMetrics]]:
-    """Run (entry, label, config) items in order, each at seed ``config.seed
-    + 104729 * entry``; return one report row and the metrics of each run.
-    The label names the engine, optionally followed by ``:<rung>``.
+    """Run (entry, label) items in order under ``cfg``, each at seed
+    ``cfg.seed + 104729 * entry``; return one report row and the metrics of
+    each run.  The label names the engine, optionally followed by ``:<rung>``.
 
     The pool policy: with ``cfg.reuse`` on, every ouroboros run shares one
     pool; otherwise each run gets its own.  A pool starts as a copy of the
@@ -368,21 +375,13 @@ def _execute(cfg: BenchConfig, runs: Sequence[Run], corpus: Corpus, target,
             raise InputError(f"pool file vocab {preload.vocab_size} != "
                              f"corpus vocab {corpus.vocab_size}")
     rows, metrics, pool, cost = [], [], None, cfg.cost_model()
-    for entry, label, ecfg in runs:
-        ecfg = dataclasses.replace(ecfg, seed=ecfg.seed + 104729 * entry)
-        engine, prompt = label.split(":")[0], corpus.prompts[entry]
+    for entry, label in runs:
+        ecfg = dataclasses.replace(cfg, seed=cfg.seed + 104729 * entry)
+        engine = label.split(":")[0]
+        if engine == "ouroboros" and (pool is None or not cfg.reuse):
+            pool = preload.copy() if preload else PhrasePool(target.vocab_size)
         try:
-            if engine == "vanilla":
-                _, m = generate_vanilla(target, prompt, ecfg)
-            elif engine == "speculative":
-                _, m = generate_speculative(target, draft, prompt, ecfg)
-            elif engine == "lookahead":
-                _, m = generate_lookahead_target(target, prompt, ecfg)
-            else:
-                if pool is None or not cfg.reuse:
-                    pool = preload.copy() if preload else PhrasePool(
-                        target.vocab_size)
-                _, m = generate_ouroboros(target, draft, prompt, ecfg, pool)
+            _, m = ENGINES[engine](target, draft, corpus.prompts[entry], ecfg, pool)
         except InputError:
             raise
         except Exception as exc:
@@ -442,15 +441,13 @@ def _unread(command: str, name: str) -> InputError:
 def run_benchmark(cfg: BenchConfig) -> Report:
     """Run entries x engines and report every run's metrics."""
     corpus, target, draft = _setup(cfg, "run")
-    ecfg = cfg.engine_config()
-    runs = [(entry, engine, ecfg)
-            for entry in range(len(corpus.prompts)) for engine in cfg.engines]
+    runs = [(entry, engine) for entry in range(len(corpus.prompts)) for engine in cfg.engines]
     return _finish_report(cfg, _execute(cfg, runs, corpus, target, draft)[0])
 
 
-# (rung, reuse, lengthening, EngineConfig toggles); each rung adds one component
+# (rung, lengthening, the settings it sets); each rung adds one component
 ABLATION_RUNGS = tuple(
-    (rung, i >= 4, i >= 2, dict(phrase_draft=i >= 1, harvest=i >= 3))
+    (rung, i >= 2, dict(phrase_draft=i >= 1, harvest=i >= 3, reuse=i >= 4))
     for i, rung in enumerate(("base", "+phrase_draft", "+lengthening",
                               "+harvest", "+reuse")))
 
@@ -459,26 +456,23 @@ def ablation(cfg: BenchConfig) -> Report:
     """Enable the four components cumulatively and measure each rung."""
     corpus, target, draft = _setup(cfg, "ablate")
     rows: List[dict] = []
-    for rung, reuse, lengthening, toggles in ABLATION_RUNGS:
-        rung_cfg = dataclasses.replace(cfg.engine_config(),
-                                       k=cfg.k if lengthening else 0, **toggles)
-        runs = [(entry, f"ouroboros:{rung}", rung_cfg)
-                for entry in range(len(corpus.prompts))]
-        rows += _execute(dataclasses.replace(cfg, reuse=reuse), runs, corpus,
-                         target, draft)[0]
+    for rung, lengthening, settings in ABLATION_RUNGS:
+        rung_cfg = dataclasses.replace(cfg, k=cfg.k if lengthening else 0, **settings)
+        runs = [(entry, f"ouroboros:{rung}") for entry in range(len(corpus.prompts))]
+        rows += _execute(rung_cfg, runs, corpus, target, draft)[0]
     return _finish_report(cfg, rows)
 
 
 def tune(cfg: BenchConfig,
          objective: Optional[Callable[[int, int, int, int], float]] = None,
-         ) -> EngineConfig:
+         ) -> BenchConfig:
     """Heuristic hyperparameter search: K fixed at ``cfg.k``, seeded starting
     samples for W/beta/gamma, then coordinate minimization of gamma, W, beta
     in that order against modeled clock time (sweeps try the sampled value
     first, so ties keep it).  ``objective(gamma, window, beta, k)`` defaults
     to the modeled time of ouroboros over the first ``tune_slice`` entries.
-    With ``cfg.out_json`` set, the picked gamma, window, beta and k are
-    written there."""
+    Returns ``cfg`` with the picked gamma, window and beta; with
+    ``cfg.out_json`` set, they and k are written there too."""
     if objective is not None:
         _check_settings(cfg, "tune")
     else:
@@ -486,11 +480,9 @@ def tune(cfg: BenchConfig,
         cost = cfg.cost_model()
 
         def objective(gamma: int, window: int, beta: int, k: int) -> float:
-            ecfg = dataclasses.replace(cfg.engine_config(), gamma=gamma,
-                                       window=window, beta=beta, k=k)
-            runs = [(entry, "ouroboros", ecfg)
-                    for entry in range(len(corpus.prompts))][:cfg.tune_slice]
-            metrics = _execute(cfg, runs, corpus, target, draft)[1]
+            ecfg = dataclasses.replace(cfg, gamma=gamma, window=window, beta=beta, k=k)
+            runs = [(entry, "ouroboros") for entry in range(len(corpus.prompts))]
+            metrics = _execute(ecfg, runs[:cfg.tune_slice], corpus, target, draft)[1]
             return finite_time(sum(modeled_time(m, cost) for m in metrics))
 
     def sweep(hat: int, lo: int, hi: int, fn: Callable[[int], float]) -> int:
@@ -507,7 +499,7 @@ def tune(cfg: BenchConfig,
     b0 = sweep(b_hat, 5, 7, lambda b: objective(g0, w0, b, k))
     if cfg.out_json:
         write_json(dict(gamma=g0, window=w0, beta=b0, k=k), cfg.out_json)
-    return dataclasses.replace(cfg.engine_config(), gamma=g0, window=w0, beta=b0)
+    return dataclasses.replace(cfg, gamma=g0, window=w0, beta=b0)
 
 
 def locality_order(tasks: Sequence[str], cn: Union[int, str],
@@ -539,8 +531,7 @@ def locality_experiment(cfg: BenchConfig) -> Report:
     if cfg.cn == "":
         raise InputError("locality experiment needs --cn <n|shuffle>")
     corpus, target, draft = _setup(cfg, "locality")
-    order = locality_order(corpus.tasks, cfg.cn, cfg.seed)
-    runs = [(entry, "ouroboros", cfg.engine_config()) for entry in order]
+    runs = [(entry, "ouroboros") for entry in locality_order(corpus.tasks, cfg.cn, cfg.seed)]
     rows = _execute(cfg, runs, corpus, target, draft)[0]
     for row in rows:
         row["task"] = corpus.tasks[row["entry"]]

@@ -15,8 +15,8 @@ import traceback
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import (COMMAND_SETTINGS, BenchConfig, Report, ablation, flag,
-                    load_config_file, locality_experiment, make_config,
+from .bench import (COMMAND_SETTINGS, ENGINES, BenchConfig, Report, ablation,
+                    flag, load_config_file, locality_experiment, make_config,
                     run_benchmark, tune)
 from .errors import InputError, RunFailure
 
@@ -42,7 +42,7 @@ _FLAG_TEXT = {
     "draft_spec": ("SPEC", "draft model; a bare perturbed spec wraps the target"),
     "corpus": ("FILE", "one prompt per line"),
     "tokenizer": ("{byte,whitespace}", None),
-    "engines": ("LIST", "comma list from vanilla,speculative,lookahead,ouroboros"),
+    "engines": ("LIST", f"comma list from {','.join(ENGINES)}"),
     "gamma": ("N", "draft length"),
     "beta": ("N", "phrase length budget"),
     "k": ("N", "suffixes per verification"),

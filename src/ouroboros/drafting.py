@@ -32,8 +32,11 @@ def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple
     it replays recent real text and its n-gram extends it by a prediction.
     """
     width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
-    if len(context) == 0:
-        raise InputError("context must be non-empty")
+    try:
+        if len(context) == 0:
+            raise InputError("context must be non-empty")
+    except TypeError:
+        raise InputError("context must be a sequence of tokens") from None
     size = ngram + width - 2
     tail = (tuple(context[-size:]) * -(-size // len(context)))[-size:]
     return [tail[s:s + ngram - 1] for s in range(width - 1, -1, -1)]

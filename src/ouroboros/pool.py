@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 from .errors import InputError, PoolFormatError
 from .models import _check_tokens, _integer
@@ -86,10 +86,6 @@ class PhrasePool:
 
     # -- mutation ----------------------------------------------------------
 
-    def _tick(self) -> int:
-        self.clock += 1
-        return self.clock
-
     def _checked(self, phrases: Iterable[Sequence[int]]) -> List[tuple]:
         """The phrases as tuples, each checked for its length and vocab."""
         try:
@@ -103,12 +99,11 @@ class PhrasePool:
         _check_tokens(self.vocab_size, chain.from_iterable(batch), "phrase")
         return batch
 
-    def _add(self, batch: Sequence[tuple], hits: int = 1) -> Optional[Phrase]:
+    def _add(self, batch: Sequence[tuple], hits: int = 1) -> None:
         """Add checked phrases in order, each with ``hits``, as one insert
-        call per phrase would; returns the last one's Phrase.  The one
-        eviction path: see the module docstring."""
+        call per phrase would: the one eviction path (see the module docstring)."""
         buckets, victims, cap = self._buckets, self._victims, self.capacity_per_key
-        stamp, phrase = self.clock, None
+        stamp = self.clock
         self.clock += len(batch)
         for tokens in batch:
             stamp += 1
@@ -124,26 +119,23 @@ class PhrasePool:
                     del victims[key]
                 continue
             if len(bucket) < cap:
-                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
+                bucket[tokens] = Phrase(tokens, hits, stamp)
                 continue
             victim = victims.get(key) or min(bucket.values(), key=_rank)
             if victim.hits <= hits:  # else the newcomer is the lowest and goes
                 del bucket[victim.tokens]
-                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
+                bucket[tokens] = Phrase(tokens, hits, stamp)
                 victims.pop(key, None)
             else:
                 victims[key] = victim
-        if phrase is None and batch:  # the last phrase was refused
-            phrase = Phrase(batch[-1], hits, stamp)
-        return phrase
 
-    def insert(self, *phrases: Sequence[int], hits: int = 1) -> Optional[Phrase]:
+    def insert(self, *phrases: Sequence[int], hits: int = 1) -> None:
         """Add phrases in order, each with ``hits`` (folded into a stored
         duplicate), as one call per phrase would: a full bucket evicts its
-        lowest (hits, last_used) entry.  Returns the last one's Phrase (None
-        for no phrases).  The batch is checked first: one refused adds none."""
+        lowest (hits, last_used) entry.  The batch is checked first: one
+        refused adds none."""
         hits = _integer(hits, "hits", 0)
-        return self._add(self._checked(phrases), hits)
+        self._add(self._checked(phrases), hits)
 
     def lookup_k(self, first: int, k: int) -> List[Phrase]:
         """Up to k phrases starting with ``first``, best (hits, recency) first.
@@ -161,7 +153,8 @@ class PhrasePool:
         if len(chosen) == len(bucket):  # the victim is refreshed too
             self._victims.pop(first, None)
         for p in chosen:
-            p.last_used = self._tick()
+            self.clock += 1
+            p.last_used = self.clock
         return chosen
 
     def replace_corrected(self, old_tokens: Sequence[int],
@@ -260,16 +253,17 @@ class PhrasePool:
         return pool
 
 
-def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> int:
+def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> None:
     """Insert every length-n window of ``seq`` (stride 1), in order, as one
-    ``pool.insert`` of them all would; returns the count.  The tokens are
-    checked once, and not at all for a TokenList of the pool's vocab."""
+    ``pool.insert`` of them all would.  The tokens are checked once, and not
+    at all for a TokenList of the pool's vocab."""
     n = _integer(n, "n", 2)
     if n > pool.max_phrase_len:
         raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
-    if len(seq) < n:
-        return 0
+    try:
+        if len(seq) < n:
+            return
+    except TypeError:
+        raise InputError("seq must be a sequence of tokens") from None
     _check_tokens(pool.vocab_size, seq, "phrase")
-    grams = list(zip(*(seq[i:] for i in range(n))))
-    pool._add(grams)
-    return len(grams)
+    pool._add(list(zip(*(seq[i:] for i in range(n)))))

@@ -23,8 +23,11 @@ from .pool import Phrase, PhrasePool
 
 def accept_len(draft: Sequence[int], verdicts: Sequence[int]) -> int:
     """Length of the longest draft prefix that matches the verdicts."""
-    if len(verdicts) < len(draft):
-        raise InputError("need a verdict for every draft position")
+    try:
+        if len(verdicts) < len(draft):
+            raise InputError("need a verdict for every draft position")
+    except TypeError:
+        raise InputError("draft and verdicts must be sequences of tokens") from None
     n = 0
     for d, v in zip(draft, verdicts):
         if d != v:
@@ -35,6 +38,10 @@ def accept_len(draft: Sequence[int], verdicts: Sequence[int]) -> int:
 
 def match_count(draft: Sequence[int], verdicts: Sequence[int]) -> int:
     """Positionwise agreement count over the common length (>= accept_len)."""
+    try:
+        len(draft), len(verdicts)
+    except TypeError:
+        raise InputError("draft and verdicts must be sequences of tokens") from None
     return sum(1 for d, v in zip(draft, verdicts) if d == v)
 
 
@@ -166,10 +173,13 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
     """
     accepted = _integer(accepted, "accepted", 0)
     max_len = None if max_len is None else _integer(max_len, "max_len", 2)
-    if accepted >= len(draft):
-        raise InputError("harvest applies only to partially accepted drafts")
-    if len(verdicts) < len(draft):
-        raise InputError("need a verdict for every draft position")
+    try:
+        if accepted >= len(draft):
+            raise InputError("harvest applies only to partially accepted drafts")
+        if len(verdicts) < len(draft):
+            raise InputError("need a verdict for every draft position")
+    except TypeError:
+        raise InputError("draft and verdicts must be sequences of tokens") from None
     phrases: List[tuple] = []
     run_start = None
     # index accepted is the rejected position itself; matches resume after it

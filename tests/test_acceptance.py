@@ -24,7 +24,7 @@ from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
                        generate_vanilla, locality_experiment,
                        make_config, modeled_speedup, next_distribution,
                        run_benchmark, verify)
-from ouroboros.bench import ablation
+from ouroboros.bench import ENGINES, ablation
 
 from corpora import reference_corpus_text, tagged_corpus_text, write_corpus
 from test_engines import OffByFive
@@ -386,11 +386,7 @@ def test_08d_tokens_after_a_rejection_and_after_a_whole_draft_chi_square(
                        temperature=temperature)
     pool, prompts = PhrasePool(target.vocab_size), gen.integers(0, 5, size=(300, 2))
     for seed, prompt in enumerate(prompts.tolist()):
-        run = dataclasses.replace(cfg, seed=seed)
-        if engine == "speculative":
-            generate_speculative(target, draft, prompt, run)
-        else:
-            generate_ouroboros(target, draft, prompt, run, pool)
+        ENGINES[engine](target, draft, prompt, dataclasses.replace(cfg, seed=seed), pool)
     p_values = {}
     for kind, groups in observed.items():
         _, dof, p_values[kind] = pooled_chi_square(groups, expected)

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import ouroboros
 from ouroboros import bench, cli
 from ouroboros import (InputError, PhrasePool, RunFailure, TokenList,
-                       ablation, ingest_corpus, load_config_file,
-                       locality_experiment, locality_order, make_config,
-                       run_benchmark, tune)
+                       ablation, generate_lookahead_target, generate_ouroboros,
+                       generate_speculative, generate_vanilla, ingest_corpus,
+                       load_config_file, locality_experiment, locality_order,
+                       make_config, run_benchmark, tune)
 from ouroboros.bench import CSV_COLUMNS
 
 from corpora import (reference_corpus_text, tagged_corpus_text, write_corpus)
@@ -260,6 +261,27 @@ class TestRunBenchmark:
         cfg = small_config(reference_corpus, engines=("vanilla",))
         with pytest.raises(RunFailure, match=r"entry=0 engine=vanilla"):
             run_benchmark(cfg)
+
+
+def test_the_engine_table_runs_each_engine_as_its_direct_call(reference_corpus):
+    cfg = small_config(reference_corpus)
+    corpus = ingest_corpus(reference_corpus, "whitespace")
+    target, draft = bench.build_models(cfg, corpus)
+    prompt, pool = corpus.prompts[0], PhrasePool(corpus.vocab_size)
+    pool.insert(*zip(corpus.prompts[1], corpus.prompts[1][1:]))
+    direct = {
+        "vanilla": generate_vanilla(target, prompt, cfg),
+        "speculative": generate_speculative(target, draft, prompt, cfg),
+        "lookahead": generate_lookahead_target(target, prompt, cfg),
+        "ouroboros": generate_ouroboros(target, draft, prompt, cfg, pool.copy()),
+    }
+    assert list(bench.ENGINES) == list(direct)
+    for name, run in bench.ENGINES.items():
+        given = pool.copy()
+        assert run(target, draft, prompt, cfg, given) == direct[name], name
+        # only ouroboros reads the pool it is handed, and so changes it
+        moved = (given.state(), given.clock) != (pool.state(), pool.clock)
+        assert moved == (name == "ouroboros"), name
 
 
 class TestAblation:

@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 import ouroboros
 from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
                        InputError, ModelSpec, NgramModel, PerturbedModel, Phrase,
-                       PhrasePool, RunMetrics, TokenList, build_model,
+                       PhrasePool, RunMetrics, TokenList, accept_len, build_model,
                        build_ngram_model, correct_unused_suffixes, draft_step,
                        forward_tree, generate_draft, generate_ouroboros, harvest,
-                       ingest_corpus, insert_ngrams, locality_order, modeled_speedup,
-                       run_benchmark, sample, verify, window_columns)
+                       ingest_corpus, insert_ngrams, locality_order, match_count,
+                       modeled_speedup, run_benchmark, sample, verify, window_columns)
 
 EXCLUDED = {
     "InputError": "an exception the library raises",
@@ -109,7 +109,8 @@ def inserted(**kw):
 
 def ngrams_inserted(**kw):
     pool = PhrasePool(10)
-    return insert_ngrams(pool, [1, 2, 3, 4, 5], **kw), pool.state()
+    insert_ngrams(pool, [1, 2, 3, 4, 5], **kw)
+    return pool.state()
 
 
 def stepped(**kw):
@@ -250,3 +251,25 @@ def test_a_numpy_integer_gives_the_result_of_its_int(name, param):
     value = valid.get(param, DEFAULTS[name].get(param))
     assert type(value) is int, f"give {name}'s {param} an int in VALID"
     assert call(**{**valid, param: np.int64(value)}) == call(**valid)
+
+
+# each token-sequence argument of the parts that take its length, given a
+# generator or an int: the length they read is their check
+SEQUENCE_CALLS = {
+    "accept_len(draft)": lambda seq: accept_len(seq, [1, 2, 3]),
+    "accept_len(verdicts)": lambda seq: accept_len([1, 2], seq),
+    "match_count(draft)": lambda seq: match_count(seq, [1, 2]),
+    "match_count(verdicts)": lambda seq: match_count([1, 2], seq),
+    "harvest(draft)": lambda seq: harvest(seq, [1, 2, 3, 4], 0),
+    "harvest(verdicts)": lambda seq: harvest([1, 2, 3], seq, 0),
+    "window_columns": lambda seq: window_columns(seq, 2, 3),
+    "insert_ngrams": lambda seq: insert_ngrams(PhrasePool(10), seq, 2),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SEQUENCE_CALLS))
+@pytest.mark.parametrize("value", [lambda: (t for t in [1, 2, 3]), lambda: 3],
+                         ids=["generator", "int"])
+def test_a_token_argument_that_is_not_a_sequence_is_an_input_error(call, value):
+    with pytest.raises(InputError, match="must be (a sequence|sequences) of tokens$"):
+        SEQUENCE_CALLS[call](value())

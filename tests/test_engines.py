@@ -20,7 +20,7 @@ from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
                        generate_ouroboros, generate_speculative,
                        generate_vanilla, insert_ngrams, modeled_speedup,
                        modeled_time, next_distribution, verify)
-from ouroboros.bench import ENGINE_NAMES
+from ouroboros.bench import ENGINES as TABLE
 
 from test_verification import tempered
 
@@ -75,12 +75,9 @@ class TestVanilla:
             generate_vanilla(CounterModel(10), [], EngineConfig())
 
 
-ENGINES = {
-    "vanilla": lambda m, prompt, cfg: generate_vanilla(m, prompt, cfg),
-    "speculative": lambda m, prompt, cfg: generate_speculative(m, m, prompt, cfg),
-    "lookahead": lambda m, prompt, cfg: generate_lookahead_target(m, prompt, cfg),
-    "ouroboros": lambda m, prompt, cfg: generate_ouroboros(m, m, prompt, cfg),
-}
+# each engine of the table with one model as target and draft, and no pool
+ENGINES = {name: lambda m, prompt, cfg, run=run: run(m, m, prompt, cfg, None)
+           for name, run in TABLE.items()}
 
 
 @pytest.mark.parametrize("engine, field, value", [
@@ -106,9 +103,10 @@ LEAST = {"gamma": 1, "beta": 2, "k": 0, "window": 1, "ngram": 2, "max_new": 1,
          "seed": 0, "tune_slice": 1}  # each integer field's least value
 VALUES = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(), st.none(),
                    st.sampled_from([np.int64(2), np.float64(0.5), "1", 2.5]))
-BENCH_VALUES = {"engines": st.lists(st.sampled_from(ENGINE_NAMES + ("vanila",)),
-                                    max_size=3).map(tuple),
-                "task_type": st.sampled_from(["HH", "lh", "XX", ""])}
+NAMES = st.lists(st.sampled_from(tuple(TABLE) + ("vanila",)), max_size=3)
+BENCH_VALUES = {"engines": st.one_of(NAMES, NAMES.map(tuple),
+                                     st.sampled_from([0, None, "vanilla", [1]])),
+                "task_type": st.sampled_from(["HH", "lh", "XX", "", 0, None])}
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,13 +131,22 @@ def test_a_config_holds_its_ranges_once_built(cls, data):
         elif kind == "bool":
             assert value is True or value is False, name
     if cls is BenchConfig:
-        assert cfg.engines and set(cfg.engines) <= set(ENGINE_NAMES)
+        assert type(cfg.engines) is tuple
+        assert cfg.engines and set(cfg.engines) <= set(TABLE)
         assert len(set(cfg.engines)) == len(cfg.engines)
         assert cfg.task_type.upper() in ("HH", "LH")
     with pytest.raises(InputError, match="gamma must be >= 1"):
         dataclasses.replace(cfg, gamma=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.gamma = 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("engines", 1), ("engines", "vanilla"), ("engines", None), ("engines", ["vanilla", 1]),
+    ("task_type", 0), ("task_type", None)])
+def test_a_bench_config_field_of_the_wrong_kind_is_named(field, value):
+    with pytest.raises(InputError, match=f"^{field.replace('_', ' ')} must be"):
+        BenchConfig(**{field: value})
 
 
 def test_a_config_stores_the_int_it_read():

@@ -36,10 +36,9 @@ import hashlib
 
 import pytest
 
-from ouroboros import (PhrasePool, cli, generate_lookahead_target,
-                       generate_ouroboros, generate_speculative,
-                       generate_vanilla, ingest_corpus, make_config)
-from ouroboros.bench import build_models
+from ouroboros import (PhrasePool, cli, generate_ouroboros, ingest_corpus,
+                       make_config)
+from ouroboros.bench import ENGINES, build_models
 
 from corpora import reference_corpus_text, write_corpus
 
@@ -82,8 +81,7 @@ def test_emitted_tokens_are_pinned(saved_pool, temperature):
     target, draft = build_models(cfg, ingest_corpus(corpus, "byte"))
     pool, emitted = PhrasePool.load(pool_file), []
     for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
-        ecfg = dataclasses.replace(cfg.engine_config(), seed=seed,
-                                   temperature=float(temperature))
+        ecfg = dataclasses.replace(cfg, seed=seed, temperature=float(temperature))
         tokens, _ = generate_ouroboros(target, draft, prompt, ecfg, pool)
         emitted.append(" ".join(map(str, tokens)))
     assert sha256("\n".join(emitted).encode()) == TOKENS_SHA256[temperature]
@@ -108,7 +106,7 @@ def test_sampled_run_is_pinned(tmp_path, capsys):
     target, draft = build_models(cfg, ingest_corpus(corpus, "byte"))
     pool, emitted = PhrasePool.load(pool_file), []
     for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
-        ecfg = dataclasses.replace(cfg.engine_config(), seed=seed)
+        ecfg = dataclasses.replace(cfg, seed=seed)
         tokens, _ = generate_ouroboros(target, draft, prompt, ecfg, pool)
         emitted.append(" ".join(map(str, tokens)))
     pool.save(pool_file)
@@ -135,12 +133,6 @@ BASELINE_SHA256 = {
     "lookahead-T1": ("lookahead", (1.0,),
                      "777ee668b2c399975cbc738769d157f7b96d3e8cb446904b07c99f90f6de8edc"),
 }
-BASELINES = {
-    "vanilla": lambda target, draft, prompt, cfg: generate_vanilla(target, prompt, cfg),
-    "speculative": generate_speculative,
-    "lookahead": lambda target, draft, prompt, cfg:
-        generate_lookahead_target(target, prompt, cfg),
-}
 
 
 @pytest.mark.parametrize("pin", sorted(BASELINE_SHA256))
@@ -154,9 +146,8 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
     runs = []
     for temperature in temperatures:
         for seed, prompt in enumerate(ingest_corpus(corpus, "byte").prompts):
-            ecfg = dataclasses.replace(cfg.engine_config(), seed=seed,
-                                       temperature=temperature)
-            tokens, metrics = BASELINES[engine](target, draft, prompt, ecfg)
+            ecfg = dataclasses.replace(cfg, seed=seed, temperature=temperature)
+            tokens, metrics = ENGINES[engine](target, draft, prompt, ecfg, None)
             runs.append(repr((tokens, dataclasses.asdict(metrics))))
     assert sha256("\n".join(runs).encode()) == digest
 

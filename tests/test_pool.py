@@ -75,11 +75,12 @@ class TestLookup:
 
     def test_lookup_refreshes_recency(self):
         pool = PhrasePool(10)
-        a = pool.insert((6, 2, 3))
-        before = a.last_used
+        pool.insert((6, 2, 3))
+        before = pool.bucket(6)[0].last_used
         pool.insert((7, 1, 2))
         got = pool.lookup_k(6, 1)
         assert got[0].last_used > before
+        assert pool.bucket(6)[0].last_used == got[0].last_used == pool.clock
 
     def test_results_start_with_the_queried_token(self):
         pool = PhrasePool(10)
@@ -234,14 +235,15 @@ class TestPersistence:
 class TestInsertNgrams:
     def test_sliding_windows_inserted(self):
         pool = PhrasePool(10)
-        n = insert_ngrams(pool, [1, 2, 3, 4], 3)
-        assert n == 2
+        insert_ngrams(pool, [1, 2, 3, 4], 3)
+        assert pool.clock == 2
         assert tokens_of(pool.bucket(1)) == [(1, 2, 3)]
         assert tokens_of(pool.bucket(2)) == [(2, 3, 4)]
 
     def test_short_sequence_inserts_nothing(self):
         pool = PhrasePool(10)
-        assert insert_ngrams(pool, [1, 2], 4) == 0
+        insert_ngrams(pool, [1, 2], 4)
+        assert pool.state() == {} and pool.clock == 0
 
 
 class TestBatchInsert:
@@ -249,10 +251,8 @@ class TestBatchInsert:
         phrases = [(1, 2), (1, 3, 4), (2, 2), (1, 2), (1, 5), (1, 6)]
         one, batch = (PhrasePool(10, capacity_per_key=2) for _ in range(2))
         for tokens in phrases:
-            last = one.insert(tokens, hits=2)
-        got = batch.insert(*phrases, hits=2)
-        assert (got.tokens, got.hits, got.last_used) == (
-            last.tokens, last.hits, last.last_used)
+            one.insert(tokens, hits=2)
+        batch.insert(*phrases, hits=2)
         assert batch.clock == one.clock == len(phrases)
         assert ([(p.tokens, p.hits, p.last_used) for p in batch.phrases()]
                 == [(p.tokens, p.hits, p.last_used) for p in one.phrases()])
@@ -323,7 +323,7 @@ class TestBatchInsert:
     def test_same_vocab_token_list_is_not_checked_again(self):
         pool, seq = PhrasePool(10), TokenList(10, [1, 2])
         list.append(seq, 13)  # slips past the entry check on purpose
-        assert insert_ngrams(pool, seq, 2) == 2
+        insert_ngrams(pool, seq, 2)
         assert pool.state() == {1: [((1, 2), 1)], 2: [((2, 13), 1)]}
         with pytest.raises(InputError, match="phrase token 13 out of vocab 10"):
             insert_ngrams(pool, list(seq), 2)
@@ -508,8 +508,8 @@ class PoolMachine(RuleBasedStateMachine):
           hits=st.integers(1, 3))
     def insert(self, tokens, hits):
         before = [p.tokens for p in self.pool.bucket(tokens[0])]
-        got, want = self.pool.insert(tokens, hits=hits), self.ref.insert(tokens, hits)
-        assert (got.tokens, got.hits) == (want.tokens, want.hits)
+        assert self.pool.insert(tokens, hits=hits) is None
+        self.ref.insert(tokens, hits)
         after = [p.tokens for p in self.pool.bucket(tokens[0])]
         want_after = [p.tokens for p in self.ref.buckets[tokens[0]]]
         assert set(before) - set(after) == set(before) - set(want_after)
@@ -547,12 +547,9 @@ class PoolMachine(RuleBasedStateMachine):
           batch=st.lists(st.one_of(inserted, phrase_tokens), max_size=8))
     def insert_batch(self, batch):
         before = {p.tokens for p in self.pool.phrases()}
-        got = self.pool.insert(*batch)
-        want = [self.ref.insert(tokens) for tokens in batch]
-        if batch:
-            assert (got.tokens, got.hits) == (want[-1].tokens, want[-1].hits)
-        else:
-            assert got is None
+        assert self.pool.insert(*batch) is None
+        for tokens in batch:
+            self.ref.insert(tokens)
         kept = {p.tokens for p in self.pool.phrases()}
         want = {p.tokens for b in self.ref.buckets.values() for p in b}
         assert before - kept == before - want
@@ -562,7 +559,9 @@ class PoolMachine(RuleBasedStateMachine):
           n=st.integers(2, MAX_LEN), token_list=st.booleans())
     def insert_ngrams(self, seq, n, token_list):
         source = TokenList(VOCAB, seq) if token_list else seq
-        assert insert_ngrams(self.pool, source, n) == max(0, len(seq) - n + 1)
+        clock = self.pool.clock
+        assert insert_ngrams(self.pool, source, n) is None
+        assert self.pool.clock == clock + max(0, len(seq) - n + 1)
         for i in range(len(seq) - n + 1):
             self.ref.insert(tuple(seq[i:i + n]))
 

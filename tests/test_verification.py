@@ -261,8 +261,8 @@ class TestCorrectUnusedSuffixes:
     def test_refuses_a_chosen_branch_past_the_suffixes(self):
         # an index past the list would spare no suffix, as chosen=None does
         pool = PhrasePool(10)
-        suffixes = [pool.insert((6, 2, 3)), pool.insert((6, 4, 5))]
-        before = pool.state()
+        pool.insert((6, 2, 3), (6, 4, 5))
+        suffixes, before = pool.bucket(6), pool.state()
         with pytest.raises(InputError, match="chosen 5 is past the 2 suffixes"):
             correct_unused_suffixes(pool, suffixes, [[9, 9, 9], [8, 8, 8]], chosen=5)
         assert pool.state() == before
@@ -287,8 +287,8 @@ class TestCorrectUnusedSuffixes:
 
     def test_identical_verdicts_are_a_refresh(self):
         pool = PhrasePool(10)
-        before = pool.insert((6, 7, 8), hits=2)
-        stamp = before.last_used
+        pool.insert((6, 7, 8), hits=2)
+        stamp = pool.bucket(6)[0].last_used
         correct_unused_suffixes(pool, [Phrase((6, 7, 8))], [[7, 8, 1]],
                                 chosen=None)
         bucket = pool.bucket(6)
@@ -300,7 +300,8 @@ class TestCorrectUnusedSuffixes:
         # verify cuts each tail to beta - 1 tokens, so the stored 8-token
         # phrase is replaced by the draft end's verdict and five more
         pool = PhrasePool(20)
-        suffixes = [pool.insert((3, 9, 9, 9, 9, 9, 9, 9)), pool.insert((3, 4, 5))]
+        pool.insert((3, 9, 9, 9, 9, 9, 9, 9), (3, 4, 5))
+        suffixes = pool.bucket(3)
         outcome = verify(CounterModel(20), [1, 2], [3], suffixes, beta=6)
         assert outcome.chosen_branch == 1
         assert correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,

@@ -53,21 +53,13 @@ def speedup_key(ratio: float, surcharge: float) -> str:
 def replay(bench: Bench, engine: str) -> tuple:
     """One untimed pass of ``engine`` from a fresh set-up: its summed counts
     and what follows, and the pass's digests of everything and of the tokens."""
-    eng = bench.pkg.engines
+    eng, run_engine = bench.pkg.engines, bench.pkg.bench.ENGINES[engine]
     corpus, target, draft, pool = bench.setup()
     totals = dict.fromkeys(COUNTS, 0)
     digest, tokens_digest = hashlib.sha256(), hashlib.sha256()
     for i in bench.wl.stream:
-        p, cfg = corpus.prompts[i], bench.engine_config(i)
-        if engine == "vanilla":
-            out, m = eng.generate_vanilla(target, p, cfg)
-        elif engine == "speculative":
-            out, m = eng.generate_speculative(target, draft, p, cfg)
-        elif engine == "lookahead":
-            out, m = eng.generate_lookahead_target(target, p, cfg)
-        else:
-            out, m = eng.generate_ouroboros(target, draft, p, cfg,
-                                            pool if pool is not None else bench.new_pool())
+        out, m = run_engine(target, draft, corpus.prompts[i], bench.engine_config(i),
+                            bench.new_pool() if pool is None else pool)
         for name in COUNTS:
             totals[name] += getattr(m, name)
         digest.update(repr((out, m.target_forwards, m.draft_forwards,

@@ -89,9 +89,7 @@ def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
     for i, ((line_no, _), ids) in enumerate(zip(lines, prompts)):
         if len(ids) > MAX_PROMPT_TOKENS:
             raise InputError(f"line {line_no}: prompt exceeds {MAX_PROMPT_TOKENS} tokens")
-        prompts[i] = tokens = TokenList.__new__(TokenList)
-        tokens.vocab_size = vocab_size
-        list.extend(tokens, ids)
+        prompts[i] = TokenList._known_good(vocab_size, ids)
     return prompts, vocab_size
 
 

@@ -37,9 +37,14 @@ def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple
             raise InputError("context must be non-empty")
     except TypeError:
         raise InputError("context must be a sequence of tokens") from None
-    size = ngram + width - 2
+    return _stretches(context, width, ngram - 1)
+
+
+def _stretches(context: Sequence[int], count: int, n1: int) -> List[tuple]:
+    """The window's ``count`` newest n1-token columns, newest first."""
+    size = n1 + count - 1
     tail = (tuple(context[-size:]) * -(-size // len(context)))[-size:]
-    return [tail[s:s + ngram - 1] for s in range(width - 1, -1, -1)]
+    return [tail[s:s + n1] for s in range(count - 1, -1, -1)]
 
 
 def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
@@ -51,13 +56,14 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     """One drafting forward: verify one pooled phrase and advance the window.
 
     Returns (appended, new_phrases, rows).  ``appended`` is ``verify``'s rule
-    on one draw per phrase row, all in one ``sample`` call: the longest prefix
-    of the phrase continuation that matches the draws, plus one correction
-    token, so it is never empty and always extends the greedy path at
-    temperature 0.  At T > 0 it is an exact autoregressive draw from the
-    model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
+    on one draw per phrase row: the longest prefix of the phrase continuation
+    that matches the draws, plus one correction token, so it is never empty
+    and always extends the greedy path at temperature 0.  At T > 0 the draws
+    are one ``sample`` call, ``appended`` is an exact autoregressive draw from
+    the model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
     ``new_phrases`` are the window ``columns``' n-gram tuples (see
-    :func:`window_columns`), one per column, always the rows' argmax.
+    :func:`window_columns`), one per column, always the rows' argmax; at
+    T = 0 one ``argmax`` over all the rows gives the draws and the n-grams.
     """
     beta = None if beta is None else _integer(beta, "beta", 2)
     if len(context) == 0:
@@ -65,10 +71,11 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     best = pool.lookup_k(context[-1], 1)
     cand = list(best[0].tokens[1:beta]) if best else []
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
-    drawn = sample(rows[:len(cand) + 1], temperature, rng)
+    split = len(cand) + 1
+    picks = rows.argmax(axis=1).tolist()  # the n-grams, and at T = 0 the draws
+    drawn = picks[:split] if temperature == 0 else sample(rows[:split], temperature, rng)
     appended = drawn[:accept_len(cand, drawn) + 1]
-    grams = rows[len(cand) + 1:].argmax(axis=1).tolist()
-    new_phrases = [(*col, gram) for col, gram in zip(columns, grams)]
+    new_phrases = [(*col, gram) for col, gram in zip(columns, picks[split:])]
     return appended, new_phrases, rows[:len(appended)]
 
 
@@ -105,27 +112,41 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     ``memo`` maps each window stretch to its n-gram tuple, scored when the
     stretch first entered the window; an engine call passes one dict to all
     its drafts (None starts a fresh one).  A step scores only the stretches
-    missing from it and checks their n-grams for the pool, then adds all
-    ``width`` memo n-grams as one ``pool.insert`` of them would.  The memo is
-    exact for a model whose row after ``ctx + stretch`` depends on it alone."""
+    missing from it, checks their n-grams for the pool where the check can
+    fail (a pool vocab below the model's, or ``ngram`` over the pool's
+    ``max_phrase_len``), then adds all ``width`` memo n-grams as one
+    ``pool.insert`` of them would.  The memo is exact for a model whose row
+    after ``ctx + stretch`` depends on it alone.  :func:`window_columns`
+    builds the window at the first step and while the context is shorter
+    than the ``ngram + width - 2`` tokens it reads; else the window slides by
+    the m tokens last appended, building and reading from the memo only the
+    m columns they made, so a step's cost grows with m, not ``width``, but
+    for its pool adds."""
     gamma, max_new = _integer(gamma, "gamma", 1), _integer(max_new, "max_new", 1)
     temperature = _real(temperature, "temperature")
     ctx = TokenList(model.vocab_size, context)
+    width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
     memo = {} if memo is None else memo
+    checked = pool.vocab_size < model.vocab_size or ngram > pool.max_phrase_len
     tokens: List[int] = []
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
-    forwards, done = 0, False
+    grams: List[tuple] = []  # the window's memo n-grams, newest stretch first
+    forwards, new, done = 0, width, False
     while not done and len(tokens) < gamma:
-        columns = window_columns(ctx, width, ngram)
-        fresh = list(dict.fromkeys(col for col in columns if col not in memo))
+        head = (window_columns(ctx, width, ngram) if new == width
+                else _stretches(ctx, new, ngram - 1))
+        fresh = [col for col in dict.fromkeys(head) if col not in memo]
         appended, new_phrases, drawn_from = draft_step(
             model, ctx, pool, fresh, beta, temperature, rng, counter)
         forwards += 1
-        memo.update(zip(fresh, pool._checked(new_phrases)))
-        pool._add([memo[col] for col in columns])
+        memo.update(zip(fresh, pool._checked(new_phrases) if checked else new_phrases))
+        grams = [memo[col] for col in head] + grams[:width - new]
+        pool._add(grams)
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:
             rows.extend(drawn_from[:len(chunk)])
         ctx.extend(chunk)
+        # slide by the chunk, unless the context is too short to fill the window
+        new = min(len(chunk), width) if len(ctx) >= ngram + width - 2 else width
     return DraftResult(tokens, forwards, rows)

@@ -147,7 +147,8 @@ class _Generation:
             raise InputError(f"pool vocab {pool.vocab_size} != model vocab {vocab}")
         pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
         if warmup:
-            insert_ngrams(pool, self.prompt[-WARMUP_TOKENS:], cfg.ngram)
+            insert_ngrams(pool, TokenList._known_good(
+                vocab, self.prompt[-WARMUP_TOKENS:]), cfg.ngram)
         return pool
 
     def metrics(self, out: List[int],

@@ -98,6 +98,14 @@ class TokenList(list):
         self.vocab_size = _integer(vocab_size, "vocab_size", 1)
         self.extend(tokens)
 
+    @classmethod
+    def _known_good(cls, vocab_size: int, tokens: Iterable[int]) -> "TokenList":
+        """A TokenList of tokens known to be in ``range(vocab_size)``, unchecked."""
+        self = cls.__new__(cls)
+        self.vocab_size = vocab_size
+        list.extend(self, tokens)
+        return self
+
     def __reduce__(self):  # pickle would extend the list before setting vocab_size
         return TokenList, (self.vocab_size, list(self))
 

@@ -9,7 +9,7 @@ from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError,
                        LanguageModel, PerturbedModel, PhrasePool, TokenList,
                        build_ngram_model, draft_step, generate_draft,
                        generate_lookahead_target, generate_ouroboros,
-                       next_distribution, window_columns)
+                       insert_ngrams, next_distribution, window_columns)
 from ouroboros.drafting import clip
 
 
@@ -351,6 +351,84 @@ class TestWindowMemo:
                 tokens, metrics = generate_lookahead_target(target, prompt, cfg)
             runs.append((tokens, dataclasses.asdict(metrics)))
         assert runs[0] == runs[1]
+
+
+class StepLog(LanguageModel):
+    """Delegates to ``base`` and, with the pool below, logs each draft step:
+    the lookup, then the forward's context, paths and memo as it stood, then
+    the batch handed to the pool."""
+
+    def __init__(self, base, memo, log):
+        self.base, self.vocab_size, self.eos_id = base, base.vocab_size, base.eos_id
+        self.memo, self.log = memo, log
+
+    def score(self, prefix, paths):
+        self.log.append(("score", list(prefix), [tuple(p) for p in paths],
+                         dict(self.memo)))
+        return self.base.score(prefix, paths)
+
+
+class StepLogPool(PhrasePool):
+    def __init__(self, vocab_size, log):
+        super().__init__(vocab_size)
+        self.log = log
+
+    def lookup_k(self, first, k):
+        found = super().lookup_k(first, k)
+        self.log.append(("lookup", [p.tokens for p in found]))
+        return found
+
+    def _add(self, batch, hits=1):
+        self.log.append(("add", list(batch)))
+        super()._add(batch, hits)
+
+
+class TestSlidingWindow:
+    """generate_draft slides its window by each step's chunk and rebuilds it
+    only when it must; at every step the pool gets the n-grams of the window
+    rebuilt from the context, and only stretches the memo lacks are scored."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.booleans(), st.integers(4, 12),
+           st.integers(2, 5), st.integers(1, 8), st.integers(2, 16),
+           st.sampled_from([0.0, 1.0]), st.integers(1, 12), st.integers(1, 30),
+           st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    @example(1, True, 12, 3, 2, 16, 0.0, 3, 29, [11, 11])  # 16-token steps, EOS
+    @example(2, True, 12, 5, 8, 2, 0.0, 1, 30, [5, 5, 5])  # the window wraps
+    @example(3, False, 6, 2, 3, 9, 1.0, 2, 7, [12])        # ends at max_new
+    def test_each_step_adds_the_rebuilt_windows_ngrams(
+            self, seed, counting, vocab, ngram, width, beta, temperature,
+            prompt_len, max_new, gammas):
+        rng = np.random.default_rng(seed)
+        if counting:  # the greedy path t, t+1, ... ends at EOS = vocab - 1
+            model = CounterModel(vocab)
+        else:  # an order <= ngram reads only the stretch
+            order = int(rng.integers(1, ngram + 1))
+            model = build_ngram_model(rng.integers(0, vocab, 200).tolist(), order,
+                                      vocab_size=vocab)
+        prompt = rng.integers(0, vocab - 1, prompt_len).tolist()
+        log, memo = [], {}
+        pool = StepLogPool(vocab, log)
+        # phrases beta long along the greedy path let one step append up to
+        # beta tokens, more than a narrow window
+        path = prompt + greedy_continuation(model, prompt, 40)
+        insert_ngrams(pool, path, beta)
+        del log[:]
+        logged = StepLog(model, memo, log)
+        ctx, draws = list(prompt), np.random.default_rng(seed)
+        for gamma in gammas:  # successive drafts of one engine call
+            result = generate_draft(logged, ctx, pool, gamma, width, ngram, max_new,
+                                    beta, temperature, draws, memo=memo)
+            ctx += result.tokens
+        assert [event[0] for event in log] == ["lookup", "score", "add"] * (len(log) // 3)
+        for i in range(0, len(log), 3):
+            (_, found), (_, context, paths, known), (_, batch) = log[i:i + 3]
+            columns = window_columns(context, width, ngram)
+            assert batch == [memo[col] for col in columns] == [
+                (*col, int(np.argmax(model.distribution(list(col))))) for col in columns]
+            cand = found[0][1:beta] if found else ()
+            fresh = list(dict.fromkeys(col for col in columns if col not in known))
+            assert paths == [cand[:j] for j in range(len(cand) + 1)] + fresh
 
 
 class TestClip:

@@ -16,7 +16,8 @@ from scipy import stats
 import ouroboros
 from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
                        InputError, LanguageModel, PerturbedModel, PhrasePool,
-                       RunMetrics, build_ngram_model, generate_lookahead_target,
+                       RunMetrics, TokenList, build_ngram_model,
+                       generate_lookahead_target,
                        generate_ouroboros, generate_speculative,
                        generate_vanilla, insert_ngrams, modeled_speedup,
                        modeled_time, next_distribution, verify)
@@ -304,6 +305,23 @@ class TestOuroboros:
         reference = PhrasePool(100)  # a short prompt gives all its n-grams
         insert_ngrams(reference, prompt if length <= 256 else prompt[-256:], 3)
         assert (warmed.state(), warmed.clock) == (reference.state(), reference.clock)
+
+    @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
+    def test_the_prompt_tail_is_not_checked_again(self, engine, monkeypatch):
+        # the prompt was checked as it became a TokenList, so its warm-up tail
+        # reaches insert_ngrams as a TokenList of the pool's vocab, which
+        # insert_ngrams does not check again
+        tails, real = [], ouroboros.engines.insert_ngrams
+        monkeypatch.setattr(ouroboros.engines, "insert_ngrams",
+                            lambda pool, seq, n: tails.append(seq) or real(pool, seq, n))
+        target, prompt = CounterModel(100), [t % 50 for t in range(300)]
+        cfg = EngineConfig(max_new=4)
+        if engine == "ouroboros":
+            generate_ouroboros(target, target, prompt, cfg)
+        else:
+            generate_lookahead_target(target, prompt, cfg)
+        [tail] = tails
+        assert (type(tail), tail.vocab_size, tail) == (TokenList, 100, prompt[-256:])
 
     @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
     def test_a_small_pool_grows_to_fit_beta_and_ngram(self, engine):

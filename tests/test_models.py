@@ -651,6 +651,13 @@ class TestTokenList:
         with pytest.raises(InputError):
             next_distribution(CounterModel(10), wide)
 
+    def test_known_good_tokens_skip_only_the_entry_check(self):
+        ctx = TokenList._known_good(10, [1, 12])  # the caller vouches for them
+        assert (type(ctx), ctx.vocab_size, ctx) == (TokenList, 10, [1, 12])
+        with pytest.raises(InputError):
+            ctx.extend([3, 10])
+        assert ctx == [1, 12]
+
     def test_same_vocab_list_is_not_checked_again(self):
         model = CounterModel(10)
         ctx = TokenList(10, [3])

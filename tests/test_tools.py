@@ -83,6 +83,26 @@ def test_the_sweep_gives_the_benchmarks_modeled_numbers():
     assert ours["modeled_speedup_10_0"]["values"] == [metrics["modeled_speedup"]["value"]]
 
 
+# The sweep's full digests of the two phrase-drafting engines on reuse-stream at
+# seed 1: every call's tokens, target and draft forwards and target branch
+# tokens.  Speed work on drafting or the pool must leave them as they are; a
+# change that declares an algorithm change retakes them and says so.
+PHRASE_ENGINE_SHA256 = {
+    "lookahead": "2f2c735f44924f4559749d37b52acfd4243c18374f0d36a866ec9eef2c17b419",
+    "ouroboros": "997e7a33cc7dd4caca5d1b8b1c4c867b14a0d766ccefa41a672da9588bf351f9",
+}
+
+
+def test_the_phrase_drafting_engines_are_pinned():
+    sweep = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "modeled_sweep.py"), "--seeds", "1",
+         "--workloads", "reuse-stream", "--engines", "lookahead,ouroboros", "--json"],
+        capture_output=True, text=True, timeout=600, check=True)
+    engines = json.loads(sweep.stdout)["workloads"]["reuse-stream"]
+    assert {engine: numbers["sha256"] for engine, numbers in engines.items()} == {
+        engine: [digest] for engine, digest in PHRASE_ENGINE_SHA256.items()}
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   ROOT / "tools" / "bench_pairs.py")

@@ -112,22 +112,25 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     ``memo`` maps each window stretch to its n-gram tuple, scored when the
     stretch first entered the window; an engine call passes one dict to all
     its drafts (None starts a fresh one).  A step scores only the stretches
-    missing from it, checks their n-grams for the pool where the check can
-    fail (a pool vocab below the model's, or ``ngram`` over the pool's
-    ``max_phrase_len``), then adds all ``width`` memo n-grams as one
-    ``pool.insert`` of them would.  The memo is exact for a model whose row
-    after ``ctx + stretch`` depends on it alone.  :func:`window_columns`
-    builds the window at the first step and while the context is shorter
-    than the ``ngram + width - 2`` tokens it reads; else the window slides by
-    the m tokens last appended, building and reading from the memo only the
-    m columns they made, so a step's cost grows with m, not ``width``, but
-    for its pool adds."""
+    missing from it, then adds all ``width`` memo n-grams as one
+    ``pool.insert`` of them would.  A pool that cannot hold every window
+    n-gram (its vocab below the model's, or its ``max_phrase_len`` below
+    ``ngram``) is refused at entry, before any forward.  The memo is exact
+    for a model whose row after ``ctx + stretch`` depends on it alone.
+    :func:`window_columns` builds the window at the first step and while the
+    context is shorter than the ``ngram + width - 2`` tokens it reads; else
+    the window slides by the m tokens last appended, building and reading
+    from the memo only the m columns they made, so a step's cost grows with
+    m, not ``width``, but for its pool adds."""
     gamma, max_new = _integer(gamma, "gamma", 1), _integer(max_new, "max_new", 1)
     temperature = _real(temperature, "temperature")
     ctx = TokenList(model.vocab_size, context)
     width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
+    if pool.vocab_size < model.vocab_size or ngram > pool.max_phrase_len:
+        raise InputError(f"a pool of vocab {pool.vocab_size} and max_phrase_len "
+                         f"{pool.max_phrase_len} cannot hold {ngram}-grams of "
+                         f"vocab {model.vocab_size}")
     memo = {} if memo is None else memo
-    checked = pool.vocab_size < model.vocab_size or ngram > pool.max_phrase_len
     tokens: List[int] = []
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     grams: List[tuple] = []  # the window's memo n-grams, newest stretch first
@@ -139,7 +142,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         appended, new_phrases, drawn_from = draft_step(
             model, ctx, pool, fresh, beta, temperature, rng, counter)
         forwards += 1
-        memo.update(zip(fresh, pool._checked(new_phrases) if checked else new_phrases))
+        memo.update(zip(fresh, new_phrases))
         grams = [memo[col] for col in head] + grams[:width - new]
         pool._add(grams)
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)

@@ -13,12 +13,10 @@ core keeps it as that bucket's eviction victim, forgets it on those events
 over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
-clock ticks either way.  It also keeps each bucket's best (highest) phrase
-once a lookup finds it: a phrase added or bumped takes over when its hits
-are at least the best's, its stamp being the newest, and ``replace_corrected``
-forgets it, so the one-phrase lookup of each draft step scans no bucket.
-``insert`` checks a whole batch before it adds any of it; warm-up and window
-n-grams are checked once, where they enter.
+clock ticks either way.  The victims are the pool's one cache; a lookup
+sorts its bucket.  ``insert`` checks a whole batch before it adds any of it;
+warm-up n-grams are checked once, where they enter, and window n-grams not
+at all: ``generate_draft`` refuses a pool that could not hold them.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ class PhrasePool:
         self._buckets: dict = {}
         # key -> its full bucket's lowest (hits, last_used) phrase, while known
         self._victims: dict = {}
-        # key -> its bucket's highest (hits, last_used) phrase, while known
-        self._bests: dict = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -108,7 +104,7 @@ class PhrasePool:
     def _add(self, batch: Sequence[tuple], hits: int = 1) -> None:
         """Add checked phrases in order, each with ``hits``, as one insert
         call per phrase would: the one eviction path (see the module docstring)."""
-        buckets, victims, bests = self._buckets, self._victims, self._bests
+        buckets, victims = self._buckets, self._victims
         cap, stamp = self.capacity_per_key, self.clock
         self.clock += len(batch)
         for tokens in batch:
@@ -124,18 +120,15 @@ class PhrasePool:
                 if victims.get(key) is phrase:
                     del victims[key]
             elif len(bucket) < cap:
-                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
+                bucket[tokens] = Phrase(tokens, hits, stamp)
             else:
                 victim = victims.get(key) or min(bucket.values(), key=_rank)
                 if victim.hits > hits:  # the newcomer is the lowest and goes
                     victims[key] = victim
                     continue
                 del bucket[victim.tokens]
-                phrase = bucket[tokens] = Phrase(tokens, hits, stamp)
+                bucket[tokens] = Phrase(tokens, hits, stamp)
                 victims.pop(key, None)
-            best = bests.get(key)  # an evicted best (capacity 1) has <= hits
-            if best is not None and best.hits <= phrase.hits:
-                bests[key] = phrase
 
     def insert(self, *phrases: Sequence[int], hits: int = 1) -> None:
         """Add phrases in order, each with ``hits`` (folded into a stored
@@ -154,16 +147,12 @@ class PhrasePool:
         bucket = self._buckets.get(first)
         if not bucket or k == 0:
             return []
-        if k == 1:
-            chosen = [self._bests.get(first) or max(bucket.values(), key=_rank)]
-        else:
-            chosen = sorted(bucket.values(), key=_rank, reverse=True)[:k]
+        chosen = sorted(bucket.values(), key=_rank, reverse=True)[:k]
         if len(chosen) == len(bucket):  # the victim is refreshed too
             self._victims.pop(first, None)
         for p in chosen:
             self.clock += 1
             p.last_used = self.clock
-        self._bests[first] = chosen[0] if k == 1 else max(chosen, key=_rank)
         return chosen
 
     def replace_corrected(self, old_tokens: Sequence[int],
@@ -182,7 +171,6 @@ class PhrasePool:
         if old is None:
             return False
         self._victims.pop(old_tokens[0], None)
-        self._bests.pop(old_tokens[0], None)
         self._add((corrected,), hits=old.hits)
         return True
 

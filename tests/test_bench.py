@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ouroboros
 from ouroboros import bench, cli
-from ouroboros import (InputError, PhrasePool, RunFailure, TokenList,
+from ouroboros import (BenchConfig, InputError, PhrasePool, RunFailure, TokenList,
                        ablation, generate_lookahead_target, generate_ouroboros,
                        generate_speculative, generate_vanilla, ingest_corpus,
                        load_config_file, locality_experiment, locality_order,
@@ -563,6 +563,52 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "entry=0" in err and "vanilla" in err
+
+    def test_an_engines_input_error_passes_through_and_exits_one(
+            self, reference_corpus, monkeypatch, capsys):
+        def refusing(*args, **kwargs):
+            raise InputError("engine refused")
+
+        monkeypatch.setattr(bench, "generate_vanilla", refusing)
+        with pytest.raises(InputError, match="^engine refused$"):
+            run_benchmark(small_config(reference_corpus, engines=("vanilla",)))
+        code = cli.main(["run", "--corpus", reference_corpus,
+                         "--engines", "vanilla", "--max-new", "4"])
+        assert (code, capsys.readouterr().err) == (1, "error: engine refused\n")
+
+    def test_no_corpus_exits_one(self, capsys):
+        assert cli.main(["run", "--max-new", "4"]) == 1
+        assert capsys.readouterr().err == "error: no corpus configured\n"
+
+    def test_a_tagged_line_with_no_prompt_exits_one(self, tmp_path, capsys):
+        path = write_corpus(tmp_path, "t.txt", "task:a|x y\ntask:b|   \n")
+        code = cli.main(["locality", "--corpus", path, "--cn", "1", "--max-new", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 2: prompt has no tokens\n"
+
+    @pytest.mark.parametrize("fault", ["unreadable", "another vocab"])
+    def test_a_pool_file_it_cannot_use_exits_one_and_stays(
+            self, fault, reference_corpus, tmp_path, monkeypatch, capsys):
+        pool_file = tmp_path / "P.txt"
+        pool = PhrasePool(4)
+        pool.insert((1, 2, 3))
+        pool.save(pool_file)
+        before = pool_file.read_bytes()
+        vocab = ingest_corpus(reference_corpus, BenchConfig().tokenizer).vocab_size
+        want = f"pool file vocab 4 != corpus vocab {vocab}"
+        if fault == "unreadable":
+            def unreadable(source):
+                raise OSError("disk gone")
+
+            monkeypatch.setattr(PhrasePool, "load", unreadable)
+            want = f"cannot read pool file {pool_file}: disk gone"
+        for name in ("generate_vanilla", "generate_speculative",
+                     "generate_lookahead_target", "generate_ouroboros"):
+            monkeypatch.setattr(bench, name, broken_engine)
+        code = cli.main(["run", "--corpus", reference_corpus, "--max-new", "4",
+                         "--pool-file", str(pool_file)])
+        assert (code, capsys.readouterr().err) == (1, f"error: {want}\n")
+        assert pool_file.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["run", "ablate", "tune", "locality"])
     @pytest.mark.parametrize("flag, spec, key", [

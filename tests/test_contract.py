@@ -27,9 +27,10 @@ from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
                        InputError, ModelSpec, NgramModel, PerturbedModel, Phrase,
                        PhrasePool, RunMetrics, TokenList, accept_len, build_model,
                        build_ngram_model, correct_unused_suffixes, draft_step,
-                       forward_tree, generate_draft, generate_ouroboros, harvest,
-                       ingest_corpus, insert_ngrams, locality_order, match_count,
-                       modeled_speedup, run_benchmark, sample, verify, window_columns)
+                       ForwardCounter, forward_tree, generate_draft, generate_ouroboros,
+                       harvest, ingest_corpus, insert_ngrams, locality_order, match_count,
+                       modeled_speedup, next_distribution, run_benchmark, sample, verify,
+                       window_columns)
 
 EXCLUDED = {
     "InputError": "an exception the library raises",
@@ -273,3 +274,45 @@ SEQUENCE_CALLS = {
 def test_a_token_argument_that_is_not_a_sequence_is_an_input_error(call, value):
     with pytest.raises(InputError, match="must be (a sequence|sequences) of tokens$"):
         SEQUENCE_CALLS[call](value())
+
+
+# refusals of an argument outside the contract that no valid call above meets:
+# each call raises InputError with its message, and none runs a forward
+REFUSALS = {
+    "draft_step(empty context)": (
+        lambda counter: draft_step(CounterModel(10), [], filled_pool(), [(2, 3)],
+                                   counter=counter),
+        "context must be non-empty"),
+    "generate_draft(empty context)": (
+        lambda counter: generate_draft(target(), [], filled_pool(), 3, 2, 3, 5,
+                                       counter=counter),
+        "context must be non-empty"),
+    "generate_draft(pool of a smaller vocab)": (
+        lambda counter: generate_draft(target(), [1, 2], PhrasePool(5), 3, 2, 3, 5,
+                                       counter=counter),
+        "a pool of vocab 5 and max_phrase_len 16 cannot hold 3-grams of vocab 8$"),
+    "generate_draft(ngram past the pool's max_phrase_len)": (
+        lambda counter: generate_draft(target(), [1, 2], PhrasePool(10, max_phrase_len=2),
+                                       3, 2, 3, 5, counter=counter),
+        "a pool of vocab 10 and max_phrase_len 2 cannot hold 3-grams of vocab 8$"),
+    "next_distribution(empty context)": (
+        lambda counter: next_distribution(CounterModel(10), [], counter),
+        "context must be non-empty"),
+    "verify(empty draft)": (
+        lambda counter: verify(CounterModel(10), [1], [], [], counter=counter),
+        "draft must be non-empty"),
+    "sample(no rng)": (lambda counter: sample(np.array([0.2, 0.8]), 1.0),
+                       "requires an rng"),
+    "build_ngram_model(token past int64)": (
+        lambda counter: build_ngram_model([2 ** 63, 1, 2], 2, vocab_size=2 ** 64),
+        "must fit in a signed 64-bit integer"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REFUSALS))
+def test_an_empty_or_unusable_argument_is_refused_before_any_forward(call):
+    run, message = REFUSALS[call]
+    counter = ForwardCounter()
+    with pytest.raises(InputError, match=message):
+        run(counter)
+    assert (counter.calls, counter.branch_tokens) == (0, 0)

@@ -504,22 +504,6 @@ class PoolMachine(RuleBasedStateMachine):
             phrases += full
         return multiple(*phrases)
 
-    @initialize(target=inserted,
-                keys=st.sets(st.integers(0, VOCAB - 1), min_size=1))
-    def known_bests(self, keys):
-        """Look up the best phrase of some buckets, adding one to an empty
-        bucket first, so their cached bests are known from the start and a
-        bump, an eviction, a replace or a copy must keep them right."""
-        phrases = []
-        for key in sorted(keys):
-            if not self.pool.bucket(key):
-                self.pool.insert((key, key))
-                self.ref.insert((key, key))
-                phrases.append((key, key))
-            self.lookup_k(key, 1)
-        assert set(self.pool._bests) >= keys
-        return multiple(*phrases)
-
     @rule(target=inserted, tokens=st.one_of(inserted, phrase_tokens),
           hits=st.integers(1, 3))
     def insert(self, tokens, hits):
@@ -550,7 +534,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool.save(buf)
         assert buf.getvalue() == self.ref.text()
         self.pool = PhrasePool.load(io.StringIO(buf.getvalue()))
-        assert self.pool._victims == self.pool._bests == {}
+        assert self.pool._victims == {}
         self.pool.capacity_per_key, self.pool.max_phrase_len = self.capacity, MAX_LEN
         saved = self.ref
         self.ref = ListPool(VOCAB, self.capacity)
@@ -584,16 +568,11 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule()
     def copy(self):
-        """Go on with a copy, whose victim and best indexes start empty, after
-        checking that a copy looks up what the original, with its own, does."""
+        """Go on with a copy, whose victim index starts empty."""
         original = self.snapshot()
-        probe = self.pool.copy()
-        self.pool, kept = self.pool.copy(), self.pool
+        self.pool = self.pool.copy()
         assert self.snapshot() == original
-        assert self.pool._victims == self.pool._bests == probe._bests == {}
-        for key in range(VOCAB):
-            assert ([p.tokens for p in probe.lookup_k(key, 1)]
-                    == [p.tokens for p in kept.lookup_k(key, 1)])
+        assert self.pool._victims == {}
 
     @invariant()
     def known_victims_are_lowest(self):
@@ -603,14 +582,6 @@ class PoolMachine(RuleBasedStateMachine):
             bucket = self.pool.bucket(key)
             assert len(bucket) == self.capacity
             assert victim is min(bucket, key=lambda p: (p.hits, p.last_used))
-
-    @invariant()
-    def known_bests_are_highest(self):
-        """A best the pool keeps for a bucket is that bucket's highest
-        phrase itself."""
-        for key, best in self.pool._bests.items():
-            assert best is max(self.pool.bucket(key),
-                               key=lambda p: (p.hits, p.last_used))
 
     @invariant()
     def same_state(self):

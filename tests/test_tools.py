@@ -83,24 +83,40 @@ def test_the_sweep_gives_the_benchmarks_modeled_numbers():
     assert ours["modeled_speedup_10_0"]["values"] == [metrics["modeled_speedup"]["value"]]
 
 
-# The sweep's full digests of the two phrase-drafting engines on reuse-stream at
-# seed 1: every call's tokens, target and draft forwards and target branch
-# tokens.  Speed work on drafting or the pool must leave them as they are; a
-# change that declares an algorithm change retakes them and says so.
-PHRASE_ENGINE_SHA256 = {
-    "lookahead": "2f2c735f44924f4559749d37b52acfd4243c18374f0d36a866ec9eef2c17b419",
-    "ouroboros": "997e7a33cc7dd4caca5d1b8b1c4c867b14a0d766ccefa41a672da9588bf351f9",
+# The sweep's full digests of every engine on every workload at seed 1: every
+# call's tokens, target and draft forwards and target branch tokens.  Speed work
+# on any layer must leave them as they are; a change that declares an algorithm
+# change retakes them and says so.
+SWEEP_SHA256 = {
+    "reuse-stream": {
+        "vanilla": "df1abff2bc32d53faa375c79477d7bcebb9867753bcdc91b82ba8e52d41f725e",
+        "speculative": "4cf6694036668fa02a1443459f0a57bb78cc2139e2d92fea06db8cb9a958d0aa",
+        "lookahead": "2f2c735f44924f4559749d37b52acfd4243c18374f0d36a866ec9eef2c17b419",
+        "ouroboros": "997e7a33cc7dd4caca5d1b8b1c4c867b14a0d766ccefa41a672da9588bf351f9",
+    },
+    "long-context": {
+        "vanilla": "9468d13f92fb149d19c6d16be6a900fb42c0dd36694d9063fe42a09b62bc6e6e",
+        "speculative": "0889f9aef8cc43b25d936e41d948d92e742d7e14ca96ecc2afe9e300536b5642",
+        "lookahead": "d7e18834f3dce91f4ff89aac59f5a2233ea4db5a533ff332493da118bd1b3597",
+        "ouroboros": "55c5fd83b77eff6ce47a6bacbd26c50d3f405e6cd2a94be63e282ebb86350241",
+    },
+    "sampled": {
+        "vanilla": "b3289ae0b6d5917d6b3bd3bb7a6625ab6f8fcebb695c6fe92bd85bab9ac721c7",
+        "speculative": "1d50cc51d60c38ee693cdac7ea15c6d5fd674f2d4bbfb3afa409211ed7d80a21",
+        "lookahead": "34aae5aaac0dc5bcf5bc8418b478adb8c90d373ebac5ebf0750a400895ad2c07",
+        "ouroboros": "faaf06e45f2121f20fbf5ded87a57fb7a913a7aa12696cbfca38801a55ba8b0d",
+    },
 }
 
 
-def test_the_phrase_drafting_engines_are_pinned():
+def test_every_engine_is_pinned_on_every_workload():
     sweep = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "modeled_sweep.py"), "--seeds", "1",
-         "--workloads", "reuse-stream", "--engines", "lookahead,ouroboros", "--json"],
+        [sys.executable, str(ROOT / "tools" / "modeled_sweep.py"), "--seeds", "1", "--json"],
         capture_output=True, text=True, timeout=600, check=True)
-    engines = json.loads(sweep.stdout)["workloads"]["reuse-stream"]
-    assert {engine: numbers["sha256"] for engine, numbers in engines.items()} == {
-        engine: [digest] for engine, digest in PHRASE_ENGINE_SHA256.items()}
+    assert {workload: {engine: numbers["sha256"] for engine, numbers in engines.items()}
+            for workload, engines in json.loads(sweep.stdout)["workloads"].items()} == {
+        workload: {engine: [digest] for engine, digest in engines.items()}
+        for workload, engines in SWEEP_SHA256.items()}
 
 
 def load_bench_pairs():

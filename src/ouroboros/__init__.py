@@ -6,13 +6,9 @@ __version__ = "0.1.0"
 
 from .errors import InputError, PoolFormatError, RunFailure
 from .models import (CounterModel, ForwardCounter, LanguageModel, ModelSpec,
-                     NgramModel, PerturbedModel, TokenList, build_model,
-                     build_ngram_model, forward_scan, forward_tree,
-                     next_distribution, parse_model_spec, sample)
-from .pool import Phrase, PhrasePool, insert_ngrams
-from .drafting import DraftResult, draft_step, generate_draft, window_columns
-from .verification import (VerificationOutcome, accept_len,
-                           correct_unused_suffixes, harvest, match_count, verify)
+                     NgramModel, PerturbedModel, build_model, build_ngram_model,
+                     parse_model_spec, sample)
+from .pool import Phrase, PhrasePool
 from .engines import (CostModel, EngineConfig, RunMetrics,
                       generate_lookahead_target, generate_ouroboros,
                       generate_speculative, generate_vanilla, modeled_speedup,
@@ -21,16 +17,15 @@ from .bench import (BenchConfig, Corpus, Report, ablation, ingest_corpus,
                     load_config_file, locality_experiment, locality_order,
                     make_config, run_benchmark, tune, write_csv, write_json)
 
+# The library's boundary: each of these checks its input.  The engines' inner
+# calls (drafting, verification, the forwards) take checked plain lists and
+# stay in their modules.
 __all__ = [
     "InputError", "PoolFormatError", "RunFailure",
     "CounterModel", "ForwardCounter", "LanguageModel", "ModelSpec",
-    "NgramModel", "PerturbedModel", "TokenList", "build_model",
-    "build_ngram_model", "forward_scan", "forward_tree", "next_distribution",
+    "NgramModel", "PerturbedModel", "build_model", "build_ngram_model",
     "parse_model_spec", "sample",
-    "Phrase", "PhrasePool", "insert_ngrams",
-    "DraftResult", "draft_step", "generate_draft", "window_columns",
-    "VerificationOutcome", "accept_len", "correct_unused_suffixes", "harvest",
-    "match_count", "verify",
+    "Phrase", "PhrasePool",
     "CostModel", "EngineConfig", "RunMetrics", "generate_lookahead_target",
     "generate_ouroboros", "generate_speculative", "generate_vanilla",
     "modeled_speedup", "modeled_time",

@@ -24,8 +24,7 @@ from .engines import (CostModel, EngineConfig, RunMetrics, finite_time,
                       generate_speculative, generate_vanilla, modeled_speedup,
                       modeled_time)
 from .errors import InputError, RunFailure
-from .models import (LanguageModel, TokenList, _flag, _integer, build_model,
-                     parse_model_spec)
+from .models import LanguageModel, _flag, _integer, build_model, parse_model_spec
 from .pool import PhrasePool
 
 # name -> run(target, draft, prompt, cfg, pool) -> (tokens, RunMetrics); only
@@ -51,7 +50,10 @@ Run = Tuple[int, str]  # (entry, label) of one run
 
 @dataclass
 class Corpus:
-    prompts: List[TokenList]  # of the corpus vocab: engine calls skip their check
+    """What ``ingest_corpus`` read: plain lists of token ids, each checked
+    again by the engine call that takes it as its prompt."""
+
+    prompts: List[List[int]]
     vocab_size: int  # the last id is EOS
     tasks: Optional[List[str]] = None  # per-prompt task ids for tagged corpora
 
@@ -73,11 +75,10 @@ def _split_task_tag(line: str, line_no: int) -> Tuple[str, str]:
 
 
 def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
-              ) -> Tuple[List[TokenList], int]:
-    """The prompts, as TokenLists built without a check (the tokenizer makes
-    only ids in the vocab), and the vocab size, whose last id is EOS."""
+              ) -> Tuple[List[List[int]], int]:
+    """The prompts, as lists of ids, and the vocab size, whose last id is EOS."""
     if tokenizer == "byte":
-        prompts = [line.encode("utf-8") for _, line in lines]
+        prompts = [list(line.encode("utf-8")) for _, line in lines]
         vocab_size = BYTE_VOCAB
     elif tokenizer == "whitespace":
         vocab: Dict[str, int] = {}
@@ -86,10 +87,9 @@ def _tokenize(lines: Sequence[Tuple[int, str]], tokenizer: str,
         vocab_size = len(vocab) + 1
     else:
         raise InputError(f"unknown tokenizer {tokenizer!r} (byte or whitespace)")
-    for i, ((line_no, _), ids) in enumerate(zip(lines, prompts)):
+    for (line_no, _), ids in zip(lines, prompts):
         if len(ids) > MAX_PROMPT_TOKENS:
             raise InputError(f"line {line_no}: prompt exceeds {MAX_PROMPT_TOKENS} tokens")
-        prompts[i] = TokenList._known_good(vocab_size, ids)
     return prompts, vocab_size
 
 

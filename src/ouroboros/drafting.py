@@ -16,35 +16,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
-from .models import (ForwardCounter, LanguageModel, TokenList, _integer, _real,
-                     forward_tree, sample)
+from .models import ForwardCounter, LanguageModel, forward_tree, sample
 from .pool import PhrasePool
 from .verification import accept_len
 
 
 def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple]:
-    """The lookahead window: ``width`` tuples of ngram-1 context tokens.
+    """The lookahead window: ``width`` tuples of ngram-1 context tokens,
+    newest first.
 
-    The window is a function of the context ``ctx`` (length L, n1 = ngram-1)
-    and reads one tail of it: column c is the n1-token stretch ending c
-    tokens before the context end (token i is ``ctx[(L-n1-c+i) % L]``), so
-    it replays recent real text and its n-gram extends it by a prediction.
+    The window is a function of the non-empty context ``ctx`` (length L,
+    n1 = ngram-1) and reads one tail of it: column c is the n1-token stretch
+    ending c tokens before the context end (token i is
+    ``ctx[(L-n1-c+i) % L]``), so it replays recent real text and its n-gram
+    extends it by a prediction.
     """
-    width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
-    try:
-        if len(context) == 0:
-            raise InputError("context must be non-empty")
-    except TypeError:
-        raise InputError("context must be a sequence of tokens") from None
-    return _stretches(context, width, ngram - 1)
-
-
-def _stretches(context: Sequence[int], count: int, n1: int) -> List[tuple]:
-    """The window's ``count`` newest n1-token columns, newest first."""
-    size = n1 + count - 1
+    n1 = ngram - 1
+    size = n1 + width - 1
     tail = (tuple(context[-size:]) * -(-size // len(context)))[-size:]
-    return [tail[s:s + n1] for s in range(count - 1, -1, -1)]
+    return [tail[s:s + n1] for s in range(width - 1, -1, -1)]
 
 
 def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
@@ -65,9 +55,6 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     :func:`window_columns`), one per column, always the rows' argmax; at
     T = 0 one ``argmax`` over all the rows gives the draws and the n-grams.
     """
-    beta = None if beta is None else _integer(beta, "beta", 2)
-    if len(context) == 0:
-        raise InputError("context must be non-empty")
     best = pool.lookup_k(context[-1], 1)
     cand = list(best[0].tokens[1:beta]) if best else []
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
@@ -113,31 +100,23 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     stretch first entered the window; an engine call passes one dict to all
     its drafts (None starts a fresh one).  A step scores only the stretches
     missing from it, then adds all ``width`` memo n-grams as one
-    ``pool.insert`` of them would.  A pool that cannot hold every window
-    n-gram (its vocab below the model's, or its ``max_phrase_len`` below
-    ``ngram``) is refused at entry, before any forward.  The memo is exact
-    for a model whose row after ``ctx + stretch`` depends on it alone.
-    :func:`window_columns` builds the window at the first step and while the
-    context is shorter than the ``ngram + width - 2`` tokens it reads; else
-    the window slides by the m tokens last appended, building and reading
-    from the memo only the m columns they made, so a step's cost grows with
-    m, not ``width``, but for its pool adds."""
-    gamma, max_new = _integer(gamma, "gamma", 1), _integer(max_new, "max_new", 1)
-    temperature = _real(temperature, "temperature")
-    ctx = TokenList(model.vocab_size, context)
-    width, ngram = _integer(width, "width", 1), _integer(ngram, "ngram", 2)
-    if pool.vocab_size < model.vocab_size or ngram > pool.max_phrase_len:
-        raise InputError(f"a pool of vocab {pool.vocab_size} and max_phrase_len "
-                         f"{pool.max_phrase_len} cannot hold {ngram}-grams of "
-                         f"vocab {model.vocab_size}")
+    ``pool.insert`` of them would, unchecked: the caller hands a pool that
+    holds ``ngram``-grams of the model's vocab, and a context of checked
+    tokens.  The memo is exact for a model whose row after ``ctx + stretch``
+    depends on it alone.  :func:`window_columns` builds the whole window at
+    the first step and while the context is shorter than the
+    ``ngram + width - 2`` tokens it reads; else the window slides by the m
+    tokens last appended, building and reading from the memo only the m
+    columns they made, so a step's cost grows with m, not ``width``, but for
+    its pool adds."""
+    ctx = list(context)
     memo = {} if memo is None else memo
     tokens: List[int] = []
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     grams: List[tuple] = []  # the window's memo n-grams, newest stretch first
     forwards, new, done = 0, width, False
     while not done and len(tokens) < gamma:
-        head = (window_columns(ctx, width, ngram) if new == width
-                else _stretches(ctx, new, ngram - 1))
+        head = window_columns(ctx, new, ngram)
         fresh = [col for col in dict.fromkeys(head) if col not in memo]
         appended, new_phrases, drawn_from = draft_step(
             model, ctx, pool, fresh, beta, temperature, rng, counter)

@@ -29,8 +29,8 @@ from numpy.random import default_rng  # numpy 2 would load it on the first call
 # benchmark's tracer (perfbench/spans.py) wraps every module's binding of it
 from .drafting import DraftResult, clip, draft_step, generate_draft  # noqa: F401
 from .errors import InputError
-from .models import (ForwardCounter, LanguageModel, TokenList, _flag, _integer,
-                     _real, next_distribution, sample)
+from .models import (ForwardCounter, LanguageModel, _check_rows, _check_tokens,
+                     _flag, _integer, _real, next_distribution, sample)
 from .pool import PhrasePool, insert_ngrams
 from .verification import correct_unused_suffixes, harvest, verify
 
@@ -123,15 +123,25 @@ def modeled_speedup(metrics: RunMetrics, cost: CostModel) -> float:
 
 
 class _Generation:
-    """One engine call: the shared prologue and the metrics fold."""
+    """One engine call: the shared prologue and the metrics fold.
+
+    The prologue is where an engine call's input is checked, once: the
+    prompt's tokens, the models' vocabularies and, before a pool takes the
+    prompt's n-grams, the width of the models' rows.  Past it the loops run
+    on plain lists, unchecked; each forward still checks its rows' width."""
 
     def __init__(self, target: LanguageModel, prompt: Sequence[int],
                  cfg: EngineConfig, draft_model: Optional[LanguageModel] = None):
-        prompt = TokenList(target.vocab_size, prompt)
-        if len(prompt) == 0:
+        try:
+            prompt = list(prompt)
+        except TypeError:
+            raise InputError("prompt must be a sequence of tokens") from None
+        if not prompt:
             raise InputError("prompt must be non-empty")
+        _check_tokens(target.vocab_size, prompt, "prompt")
         if draft_model is not None and draft_model.vocab_size != target.vocab_size:
             raise InputError("draft and target vocabularies differ")
+        self.models = [target] if draft_model is None else [target, draft_model]
         self.target, self.prompt, self.cfg = target, prompt, cfg
         self.rng = default_rng(cfg.seed)
         self.tcounter, self.dcounter = ForwardCounter(), ForwardCounter()
@@ -145,10 +155,11 @@ class _Generation:
             pool = PhrasePool(vocab)
         elif pool.vocab_size != vocab:
             raise InputError(f"pool vocab {pool.vocab_size} != model vocab {vocab}")
+        for model in self.models:  # a model the forwards refuse leaves the pool as it was
+            _check_rows(model, model.score(self.prompt[-1:], [()]))
         pool.max_phrase_len = max(pool.max_phrase_len, cfg.beta, cfg.ngram)
         if warmup:
-            insert_ngrams(pool, TokenList._known_good(
-                vocab, self.prompt[-WARMUP_TOKENS:]), cfg.ngram)
+            insert_ngrams(pool, self.prompt[-WARMUP_TOKENS:], cfg.ngram)
         return pool
 
     def metrics(self, out: List[int],
@@ -176,7 +187,7 @@ def _autoregressive(model: LanguageModel, context: Sequence[int], n: int,
                     counter: ForwardCounter) -> DraftResult:
     """Up to ``n`` tokens after ``context``, one forward each, ending at EOS,
     with, at T > 0, the row each token was drawn from (None at T = 0)."""
-    ctx = TokenList(model.vocab_size, context)
+    ctx = list(context)
     rows: Optional[List[np.ndarray]] = [] if temperature > 0 else None
     for _ in range(n):
         row = next_distribution(model, ctx, counter)

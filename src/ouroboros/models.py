@@ -9,6 +9,11 @@ transformer scores a token tree in a single pass, and alone decides which rows
 a forward returns; ``forward_scan`` is its tree with no branches.  Every row is
 bit-identical to what an independent single-step call would produce.
 ``sample`` draws one token from a row, or one per row of a matrix.
+
+The builders check what they are given.  The forwards take plain token lists
+unchecked: an engine checks its prompt once, where it enters, and every later
+token is drawn from a model's row, so the one model output a forward checks
+is the width of the rows, against ``vocab_size``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Real
 from operator import index
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
@@ -77,9 +81,7 @@ def _flag(value, what: str) -> bool:
 
 def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
     """Check that every token is an integer (read through ``operator.index``)
-    in ``range(vocab_size)``, unless ``tokens`` is a TokenList of this vocab."""
-    if type(tokens) is TokenList and tokens.vocab_size == vocab_size:
-        return
+    in ``range(vocab_size)``."""
     for t in tokens:
         try:
             if 0 <= index(t) < vocab_size:
@@ -89,45 +91,13 @@ def _check_tokens(vocab_size: int, tokens: Iterable[int], what: str) -> None:
         raise InputError(f"{what} token {t} out of vocab {vocab_size}")
 
 
-class TokenList(list):
-    """A context whose tokens were checked against ``vocab_size`` on entry, so
-    forwards of a model with that vocab skip the check.  It grows only by
-    ``append`` and ``extend``; other in-place changes are refused."""
-
-    def __init__(self, vocab_size: int, tokens: Iterable[int] = ()):
-        self.vocab_size = _integer(vocab_size, "vocab_size", 1)
-        self.extend(tokens)
-
-    @classmethod
-    def _known_good(cls, vocab_size: int, tokens: Iterable[int]) -> "TokenList":
-        """A TokenList of tokens known to be in ``range(vocab_size)``, unchecked."""
-        self = cls.__new__(cls)
-        self.vocab_size = vocab_size
-        list.extend(self, tokens)
-        return self
-
-    def __reduce__(self):  # pickle would extend the list before setting vocab_size
-        return TokenList, (self.vocab_size, list(self))
-
-    def append(self, token: int) -> None:
-        # inline, not _check_tokens, as every decoded token passes here
-        try:
-            if not 0 <= index(token) < self.vocab_size:
-                raise InputError(f"context token {token} out of vocab {self.vocab_size}")
-        except TypeError:
-            raise InputError(f"context token {token!r} is not an integer") from None
-        super().append(token)
-
-    def extend(self, tokens: Iterable[int]) -> None:
-        tokens = tokens if type(tokens) is TokenList else list(tokens)
-        _check_tokens(self.vocab_size, tokens, "context")
-        super().extend(tokens)
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a TokenList grows only by append and extend")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
-    insert = pop = remove = clear = sort = reverse = _refuse
+def _check_rows(model: "LanguageModel", rows: np.ndarray) -> np.ndarray:
+    """``rows``, if they are ``model.vocab_size`` wide: the one model output
+    the forwards check, as tokens are drawn from it."""
+    if rows.shape[-1] != model.vocab_size:
+        raise InputError(f"{type(model).__name__} returned rows of width "
+                         f"{rows.shape[-1]}, not its vocab_size {model.vocab_size}")
+    return rows
 
 
 class LanguageModel:
@@ -310,13 +280,11 @@ class PerturbedModel(LanguageModel):
 
 def next_distribution(model: LanguageModel, context: TokenSeq,
                       counter: Optional[ForwardCounter] = None) -> np.ndarray:
-    """Single-step prediction; counts as one forward of ``model``."""
-    if len(context) == 0:
-        raise InputError("context must be non-empty")
-    _check_tokens(model.vocab_size, context, "context")
+    """Single-step prediction after a non-empty ``context`` of checked tokens;
+    counts as one forward of ``model``."""
     if counter is not None:
         counter.add()
-    return model.distribution(context)
+    return _check_rows(model, model.distribution(context))
 
 
 def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
@@ -342,24 +310,18 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     From branch ``full`` on, a branch gives exactly one row, after its last
     token (an empty one gives the row after ``prefix + shared``).  Branches
     may be ragged or empty.  This is the functional stand-in for a tree
-    attention mask: one forward regardless of branch count.
+    attention mask: one forward regardless of branch count.  The tokens are
+    the caller's to check, and ``prefix`` must be non-empty.
     """
-    full = None if full is None else _integer(full, "full", 0)
-    if len(prefix) == 0:
-        raise InputError("prefix must be non-empty")
-    _check_tokens(model.vocab_size, prefix, "prefix")
-    _check_tokens(model.vocab_size, shared, "shared")
-    tokens = list(chain.from_iterable(branches))
-    _check_tokens(model.vocab_size, tokens, "branch")
     if counter is not None:
-        counter.add(branch_tokens=len(tokens))
+        counter.add(branch_tokens=sum(map(len, branches)))
     paths = [shared[:i] for i in range(len(shared) + 1)]
     split = len(branches) if full is None else full
     for b in branches[:split]:
         path = [*shared, *b]
         paths += [path[:i] for i in range(len(shared) + 1, len(path) + 1)]
     paths += [[*shared, *b] for b in branches[split:]]
-    return model.score(prefix, paths)
+    return _check_rows(model, model.score(prefix, paths))
 
 
 def _tempered(rows: np.ndarray, temperature: float) -> np.ndarray:

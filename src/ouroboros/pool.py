@@ -14,9 +14,11 @@ over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
 clock ticks either way.  The victims are the pool's one cache; a lookup
-sorts its bucket.  ``insert`` checks a whole batch before it adds any of it;
-warm-up n-grams are checked once, where they enter, and window n-grams not
-at all: ``generate_draft`` refuses a pool that could not hold them.
+sorts its bucket.  The public methods check their arguments: ``insert``
+checks a whole batch before it adds any of it.  The engines' own adds skip
+the check: ``insert_ngrams`` takes the warm-up n-grams of a prompt that was
+checked where it entered, and ``generate_draft`` adds window n-grams drawn
+from a model's rows, to a pool the engine sized to hold them.
 """
 
 from __future__ import annotations
@@ -163,9 +165,12 @@ class PhrasePool:
         longer present.  A corrected form equal to another stored phrase is
         merged, summing hits.
         """
-        old_tokens = tuple(old_tokens)
+        try:
+            old_tokens = tuple(old_tokens)
+        except TypeError:
+            raise InputError("a phrase must be a sequence of tokens") from None
         (corrected,) = self._checked((corrected,))
-        if corrected[0] != old_tokens[0]:
+        if corrected[:1] != old_tokens[:1]:
             raise InputError("corrected phrase must keep the original first token")
         old = self._buckets.get(old_tokens[0], {}).pop(old_tokens, None)
         if old is None:
@@ -253,15 +258,6 @@ class PhrasePool:
 
 def insert_ngrams(pool: PhrasePool, seq: Sequence[int], n: int) -> None:
     """Insert every length-n window of ``seq`` (stride 1), in order, as one
-    ``pool.insert`` of them all would.  The tokens are checked once, and not
-    at all for a TokenList of the pool's vocab."""
-    n = _integer(n, "n", 2)
-    if n > pool.max_phrase_len:
-        raise InputError(f"phrase length {n} outside [2, {pool.max_phrase_len}]")
-    try:
-        if len(seq) < n:
-            return
-    except TypeError:
-        raise InputError("seq must be a sequence of tokens") from None
-    _check_tokens(pool.vocab_size, seq, "phrase")
+    ``pool.insert`` of them all would, unchecked: the tokens are in the
+    pool's vocab and ``2 <= n <= pool.max_phrase_len``."""
     pool._add(list(zip(*(seq[i:] for i in range(n)))))

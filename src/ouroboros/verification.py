@@ -15,19 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
-from .models import (ForwardCounter, LanguageModel, _integer, _tempered,
-                     forward_tree, sample)
+from .models import ForwardCounter, LanguageModel, _tempered, forward_tree, sample
 from .pool import Phrase, PhrasePool
 
 
 def accept_len(draft: Sequence[int], verdicts: Sequence[int]) -> int:
-    """Length of the longest draft prefix that matches the verdicts."""
-    try:
-        if len(verdicts) < len(draft):
-            raise InputError("need a verdict for every draft position")
-    except TypeError:
-        raise InputError("draft and verdicts must be sequences of tokens") from None
+    """Length of the longest draft prefix that matches the verdicts, of
+    which there are at least as many."""
     n = 0
     for d, v in zip(draft, verdicts):
         if d != v:
@@ -38,10 +32,6 @@ def accept_len(draft: Sequence[int], verdicts: Sequence[int]) -> int:
 
 def match_count(draft: Sequence[int], verdicts: Sequence[int]) -> int:
     """Positionwise agreement count over the common length (>= accept_len)."""
-    try:
-        len(draft), len(verdicts)
-    except TypeError:
-        raise InputError("draft and verdicts must be sequences of tokens") from None
     return sum(1 for d, v in zip(draft, verdicts) if d == v)
 
 
@@ -101,17 +91,11 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     appear (the draft's positions, then each suffix's new tail nodes); then,
     under the ratio rule, one uniform per draft token; then, on a rejection,
     one uniform for the correction.
+
+    The caller hands a non-empty draft, suffixes that start with its last
+    token and, with ``draft_rows``, one row per draft token.
     """
-    beta = None if beta is None else _integer(beta, "beta", 2)
-    draft = list(draft)
-    if not draft:
-        raise InputError("draft must be non-empty")
-    tails = []
-    for s in suffixes:
-        if s.tokens[0] != draft[-1]:
-            raise InputError(
-                f"suffix {s.tokens} does not start with the draft's last token")
-        tails.append(list(s.tokens[1:beta]))
+    tails = [list(s.tokens[1:beta]) for s in suffixes]
 
     rows = forward_tree(target, prefix, draft, tails, counter=counter)
     n = len(draft)
@@ -133,8 +117,6 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
 
     correction = None
     if draft_rows is not None and temperature > 0:
-        if len(draft_rows) != n:
-            raise InputError("need one draft row per draft token")
         accepted, correction = _ratio_accept(draft, rows[:n], draft_rows,
                                              temperature, rng)
     else:
@@ -146,9 +128,9 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     if accepted == n and tails:
         chosen = branch_accepts.index(max(branch_accepts))
         ext = branch_accepts[chosen] - 1
-        emitted = draft + tails[chosen][:ext] + [branch_verdicts[chosen][ext]]
+        emitted = [*draft, *tails[chosen][:ext], branch_verdicts[chosen][ext]]
     else:
-        emitted = draft[:accepted] + [verdicts[accepted] if correction is None
+        emitted = [*draft[:accepted], verdicts[accepted] if correction is None
                                       else correction]
 
     return VerificationOutcome(
@@ -169,17 +151,9 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
     Scans the positions after the rejection point; every maximal run of
     consecutive positional matches of length >= 2 becomes one phrase
     (truncated to ``max_len``).  Runs of one token carry no continuation and
-    are dropped.
+    are dropped.  The caller hands a verdict per draft position and
+    ``accepted`` below the draft's length.
     """
-    accepted = _integer(accepted, "accepted", 0)
-    max_len = None if max_len is None else _integer(max_len, "max_len", 2)
-    try:
-        if accepted >= len(draft):
-            raise InputError("harvest applies only to partially accepted drafts")
-        if len(verdicts) < len(draft):
-            raise InputError("need a verdict for every draft position")
-    except TypeError:
-        raise InputError("draft and verdicts must be sequences of tokens") from None
     phrases: List[tuple] = []
     run_start = None
     # index accepted is the rejected position itself; matches resume after it
@@ -202,11 +176,8 @@ def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
     The corrected phrase keeps the suffix's first token and takes the
     verdicts over its tail as ``verify`` cut it, so a phrase longer than beta
     becomes its beta-token correction.  Returns how many stored phrases were
-    actually replaced (missing ones are soft misses).
+    actually replaced (missing ones are soft misses).  ``branch_verdicts``
+    and ``chosen`` are ``verify``'s for these suffixes.
     """
-    if chosen is not None and _integer(chosen, "chosen", 0) >= len(suffixes):
-        raise InputError(f"chosen {chosen} is past the {len(suffixes)} suffixes")
-    if len(branch_verdicts) != len(suffixes):
-        raise InputError("need one list of branch verdicts per suffix")
     return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]))
                for o, s in enumerate(suffixes) if o != chosen)

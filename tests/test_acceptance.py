@@ -19,11 +19,11 @@ from scipy import stats
 import ouroboros
 from ouroboros import (CostModel, CounterModel, EngineConfig, LanguageModel,
                        PerturbedModel, PhrasePool, build_ngram_model,
-                       forward_scan, forward_tree, generate_ouroboros,
-                       generate_lookahead_target, generate_speculative,
-                       generate_vanilla, locality_experiment,
-                       make_config, modeled_speedup, next_distribution,
-                       run_benchmark, verify)
+                       generate_ouroboros, generate_lookahead_target,
+                       generate_speculative, generate_vanilla, locality_experiment,
+                       make_config, modeled_speedup, run_benchmark)
+from ouroboros.models import forward_scan, forward_tree, next_distribution
+from ouroboros.verification import verify
 from ouroboros.bench import ENGINES, ablation
 
 from corpora import reference_corpus_text, tagged_corpus_text, write_corpus
@@ -123,7 +123,6 @@ def test_03_match_count_dominates_accept_len(reference_corpus):
     rng = np.random.default_rng(31)
     corpus = [int(t) for t in rng.integers(0, 12, size=300)]
     target = build_ngram_model(corpus, 2, vocab_size=12)
-    from ouroboros import verify
     for _ in range(200):
         prefix = [int(t) for t in rng.integers(0, 12, size=3)]
         draft = [int(t) for t in rng.integers(0, 12, size=6)]

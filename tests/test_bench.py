@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import ouroboros
 from ouroboros import bench, cli
-from ouroboros import (BenchConfig, InputError, PhrasePool, RunFailure, TokenList,
-                       ablation, generate_lookahead_target, generate_ouroboros,
+from ouroboros import (BenchConfig, InputError, PhrasePool, RunFailure, ablation,
+                       generate_lookahead_target, generate_ouroboros,
                        generate_speculative, generate_vanilla, ingest_corpus,
                        load_config_file, locality_experiment, locality_order,
                        make_config, run_benchmark, tune)
@@ -83,19 +83,22 @@ class TestIngest:
         assert ingest_corpus(marked, tokenizer) == plain
 
     @pytest.mark.parametrize("tokenizer", ["byte", "whitespace"])
-    def test_prompts_are_token_lists_of_the_corpus_vocab(self, tmp_path, tokenizer):
-        # so an engine call takes them without checking them again
+    def test_prompts_are_plain_lists_of_the_corpus_vocab(self, tmp_path, tokenizer):
+        # an engine call checks each again, as its prompt
         corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), tokenizer)
-        assert [type(p) for p in corpus.prompts] == [TokenList, TokenList]
-        assert {p.vocab_size for p in corpus.prompts} == {corpus.vocab_size}
+        assert [type(p) for p in corpus.prompts] == [list, list]
+        assert {type(t) for p in corpus.prompts for t in p} == {int}
+        assert max(t for p in corpus.prompts for t in p) < corpus.vocab_size
 
-    def test_a_corpus_and_its_token_lists_survive_pickle(self, tmp_path):
-        corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), "whitespace")
+    @pytest.mark.parametrize("tokenizer", ["byte", "whitespace"])
+    def test_a_corpus_survives_asdict_and_pickle(self, tmp_path, tokenizer):
+        corpus = ingest_corpus(write_corpus(tmp_path, "c.txt", "x y x\nz\n"), tokenizer)
+        fields = dataclasses.asdict(corpus)
+        assert fields == {"prompts": corpus.prompts, "vocab_size": corpus.vocab_size,
+                          "tasks": None}
+        assert [type(p) for p in fields["prompts"]] == [list, list]
         back = pickle.loads(pickle.dumps(corpus))
-        assert back == corpus
-        assert [(type(p), p.vocab_size) for p in back.prompts] == [(TokenList, 4)] * 2
-        tokens = pickle.loads(pickle.dumps(TokenList(5, [1, 2])))
-        assert (type(tokens), tokens.vocab_size, tokens) == (TokenList, 5, [1, 2])
+        assert back == corpus and [type(p) for p in back.prompts] == [list, list]
 
     def test_identical_lines_tokenize_identically(self, tmp_path):
         path = write_corpus(tmp_path, "c.txt", "a b c\na b c\n")

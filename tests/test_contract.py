@@ -1,4 +1,4 @@
-"""The argument contract over ``ouroboros.__all__``.
+"""The argument contract over ``ouroboros.__all__``, the library's boundary.
 
 Each exported function, class and public method has its integer, real and
 flag parameters found from their annotations (``int``, ``float``, ``bool``
@@ -10,12 +10,18 @@ or raise ``InputError``, and must raise it for a value outside the
 parameter's kind.  An ``int`` takes what ``operator.index`` reads (``bool``
 and numpy integers), a ``float`` any real number, a flag only ``True`` or
 ``False``; ``None`` is in the kind of an ``Optional`` parameter.
+
+The engines' inner calls (drafting, verification, the forwards) are not
+exported and check nothing: the last test here pins that a run checks its
+prompt once, at entry, and its loops' tokens only where the pool takes them.
 """
 
 import inspect
 import numbers
 import operator
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,26 +29,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ouroboros
-from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
-                       InputError, ModelSpec, NgramModel, PerturbedModel, Phrase,
-                       PhrasePool, RunMetrics, TokenList, accept_len, build_model,
-                       build_ngram_model, correct_unused_suffixes, draft_step,
-                       ForwardCounter, forward_tree, generate_draft, generate_ouroboros,
-                       harvest, ingest_corpus, insert_ngrams, locality_order, match_count,
-                       modeled_speedup, next_distribution, run_benchmark, sample, verify,
-                       window_columns)
+from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig, InputError,
+                       ModelSpec, NgramModel, PerturbedModel, PhrasePool, RunMetrics,
+                       build_model, build_ngram_model, ForwardCounter,
+                       generate_lookahead_target, generate_ouroboros,
+                       generate_speculative, generate_vanilla, ingest_corpus,
+                       locality_order, modeled_speedup, run_benchmark, sample)
+from ouroboros.bench import ENGINES
 
 EXCLUDED = {
     "InputError": "an exception the library raises",
     "PoolFormatError": "an exception the library raises",
     "RunFailure": "an exception the library raises",
     "RunMetrics": "an output record: the engines fill it",
-    "VerificationOutcome": "an output record: verify returns it",
-    "DraftResult": "an output record: generate_draft returns it",
     "Report": "an output record: the harness entry points return it",
     "ForwardCounter": "a tally the forwards add to; its numbers are outputs",
-    "Phrase": "what the pool stores and returns; verify and "
-              "correct_unused_suffixes read only its tokens",
+    "Phrase": "what the pool stores and returns",
     "Corpus": "what ingest_corpus returns; no exported function takes one",
 }
 KINDS = (int, float, bool)
@@ -96,41 +98,10 @@ def target():
     return build_ngram_model(CORPUS, 2, vocab_size=8)
 
 
-def appended(**kw):
-    ctx = TokenList(10, [1])
-    ctx.append(**kw)
-    return list(ctx)
-
-
 def inserted(**kw):
     pool = filled_pool()
     pool.insert((1, 7, 8), **kw)
     return pool.state()
-
-
-def ngrams_inserted(**kw):
-    pool = PhrasePool(10)
-    insert_ngrams(pool, [1, 2, 3, 4, 5], **kw)
-    return pool.state()
-
-
-def stepped(**kw):
-    appended_, phrases, rows = draft_step(CounterModel(10), [1], filled_pool(), [(2, 3)],
-                                          rng=np.random.default_rng(0), **kw)
-    return appended_, phrases, rows.tolist()
-
-
-def drafted(**kw):
-    result = generate_draft(target(), [1, 2], filled_pool(), rng=np.random.default_rng(0),
-                            **kw)
-    return result.tokens, result.forwards_used
-
-
-def corrected(**kw):
-    pool = filled_pool()
-    suffixes = pool.lookup_k(1, 2)
-    return correct_unused_suffixes(pool, suffixes, [[5, 7, 8], [2, 3, 9, 9]], **kw), \
-        pool.state()
 
 
 def generated(**kw):
@@ -147,9 +118,6 @@ VALID = {
                                            **kw).distribution([1]).tolist(), dict(order=2)),
     "PerturbedModel": (lambda **kw: PerturbedModel(CounterModel(10), **kw)
                        .score([1], [[2], [3, 4]]).tolist(), dict(epsilon=0.5, seed=3)),
-    "TokenList": (lambda **kw: (list(t := TokenList(tokens=[1, 2], **kw)), t.vocab_size),
-                  dict(vocab_size=10)),
-    "TokenList.append": (appended, dict(token=2)),
     "ModelSpec": (lambda **kw: build_model(ModelSpec(**kw), 8, corpus=CORPUS)
                   .distribution([1, 2]).tolist(),
                   dict(kind="perturbed", order=2, epsilon=0.5, seed=3, base="ngram")),
@@ -157,8 +125,6 @@ VALID = {
                     .distribution([1]).tolist(), dict(vocab_size=8)),
     "build_ngram_model": (lambda **kw: build_ngram_model(CORPUS, **kw)
                           .distribution([1]).tolist(), dict(order=2, vocab_size=8)),
-    "forward_tree": (lambda **kw: forward_tree(CounterModel(10), [1], [2], [[3, 4], [5]],
-                                               **kw).tolist(), dict(full=1)),
     "sample": (lambda **kw: sample(np.array([0.2, 0.3, 0.5]),
                                    rng=np.random.default_rng(0), **kw),
                dict(temperature=1.0)),
@@ -168,19 +134,6 @@ VALID = {
     "PhrasePool.insert": (inserted, dict(hits=2)),
     "PhrasePool.lookup_k": (lambda **kw: [p.tokens for p in filled_pool().lookup_k(**kw)],
                             dict(first=1, k=2)),
-    "insert_ngrams": (ngrams_inserted, dict(n=3)),
-    "draft_step": (stepped, dict(beta=3, temperature=0.0)),
-    "generate_draft": (drafted, dict(gamma=3, width=2, ngram=3, max_new=5, beta=3,
-                                     temperature=0.0)),
-    "window_columns": (lambda **kw: window_columns([1, 2, 3, 4], **kw),
-                       dict(width=2, ngram=3)),
-    "verify": (lambda **kw: verify(CounterModel(10), [1], [2, 3],
-                                   [Phrase((3, 4, 5)), Phrase((3, 9, 9))],
-                                   rng=np.random.default_rng(0), **kw),
-               dict(temperature=0.0, beta=3)),
-    "harvest": (lambda **kw: harvest([1, 2, 3, 4, 5], [1, 9, 3, 4, 5], **kw),
-                dict(accepted=1, max_len=3)),
-    "correct_unused_suffixes": (corrected, dict(chosen=0)),
     "CostModel": (lambda **kw: modeled_speedup(
         RunMetrics(tokens_emitted=12, target_forwards=3, draft_forwards=6,
                    target_branch_tokens=4), CostModel(**kw)),
@@ -254,53 +207,63 @@ def test_a_numpy_integer_gives_the_result_of_its_int(name, param):
     assert call(**{**valid, param: np.int64(value)}) == call(**valid)
 
 
-# each token-sequence argument of the parts that take its length, given a
-# generator or an int: the length they read is their check
+# each token-sequence argument at the boundary, given an int: a prompt or a
+# phrase may be any iterable, a corpus must be a sequence
 SEQUENCE_CALLS = {
-    "accept_len(draft)": lambda seq: accept_len(seq, [1, 2, 3]),
-    "accept_len(verdicts)": lambda seq: accept_len([1, 2], seq),
-    "match_count(draft)": lambda seq: match_count(seq, [1, 2]),
-    "match_count(verdicts)": lambda seq: match_count([1, 2], seq),
-    "harvest(draft)": lambda seq: harvest(seq, [1, 2, 3, 4], 0),
-    "harvest(verdicts)": lambda seq: harvest([1, 2, 3], seq, 0),
-    "window_columns": lambda seq: window_columns(seq, 2, 3),
-    "insert_ngrams": lambda seq: insert_ngrams(PhrasePool(10), seq, 2),
+    "generate_vanilla(prompt)": lambda seq: generate_vanilla(CounterModel(10), seq,
+                                                             EngineConfig()),
+    "generate_ouroboros(prompt)": lambda seq: generate_ouroboros(
+        target(), target(), seq, EngineConfig()),
+    "PhrasePool.insert(phrases)": lambda seq: PhrasePool(10).insert(seq),
+    "PhrasePool.replace_corrected(old_tokens)": lambda seq: filled_pool().replace_corrected(
+        seq, (1, 2)),
+    "PhrasePool.replace_corrected(corrected)": lambda seq: filled_pool().replace_corrected(
+        (1, 5, 6), seq),
+    "build_ngram_model(corpus)": lambda seq: build_ngram_model(seq, 2),
 }
 
 
 @pytest.mark.parametrize("call", sorted(SEQUENCE_CALLS))
-@pytest.mark.parametrize("value", [lambda: (t for t in [1, 2, 3]), lambda: 3],
-                         ids=["generator", "int"])
-def test_a_token_argument_that_is_not_a_sequence_is_an_input_error(call, value):
-    with pytest.raises(InputError, match="must be (a sequence|sequences) of tokens$"):
-        SEQUENCE_CALLS[call](value())
+def test_a_token_argument_that_is_not_a_sequence_is_an_input_error(call):
+    with pytest.raises(InputError, match="must be a sequence of tokens"):
+        SEQUENCE_CALLS[call](3)
+
+
+class Counted(CounterModel):
+    """A counter model that adds each ``score`` call, forward or not, to a
+    ForwardCounter."""
+
+    def __init__(self, vocab_size, counter):
+        super().__init__(vocab_size)
+        self.counter = counter
+
+    def score(self, prefix, paths):
+        self.counter.add()
+        return super().score(prefix, paths)
 
 
 # refusals of an argument outside the contract that no valid call above meets:
 # each call raises InputError with its message, and none runs a forward
 REFUSALS = {
-    "draft_step(empty context)": (
-        lambda counter: draft_step(CounterModel(10), [], filled_pool(), [(2, 3)],
-                                   counter=counter),
-        "context must be non-empty"),
-    "generate_draft(empty context)": (
-        lambda counter: generate_draft(target(), [], filled_pool(), 3, 2, 3, 5,
-                                       counter=counter),
-        "context must be non-empty"),
-    "generate_draft(pool of a smaller vocab)": (
-        lambda counter: generate_draft(target(), [1, 2], PhrasePool(5), 3, 2, 3, 5,
-                                       counter=counter),
-        "a pool of vocab 5 and max_phrase_len 16 cannot hold 3-grams of vocab 8$"),
-    "generate_draft(ngram past the pool's max_phrase_len)": (
-        lambda counter: generate_draft(target(), [1, 2], PhrasePool(10, max_phrase_len=2),
-                                       3, 2, 3, 5, counter=counter),
-        "a pool of vocab 10 and max_phrase_len 2 cannot hold 3-grams of vocab 8$"),
-    "next_distribution(empty context)": (
-        lambda counter: next_distribution(CounterModel(10), [], counter),
-        "context must be non-empty"),
-    "verify(empty draft)": (
-        lambda counter: verify(CounterModel(10), [1], [], [], counter=counter),
-        "draft must be non-empty"),
+    "generate_lookahead_target(empty prompt)": (
+        lambda counter: generate_lookahead_target(Counted(8, counter), [],
+                                                  EngineConfig()),
+        "prompt must be non-empty"),
+    "generate_vanilla(prompt token out of vocab)": (
+        lambda counter: generate_vanilla(Counted(8, counter), [1, 8], EngineConfig()),
+        "^prompt token 8 out of vocab 8$"),
+    "generate_speculative(draft of another vocab)": (
+        lambda counter: generate_speculative(Counted(8, counter), Counted(9, counter),
+                                             [1], EngineConfig()),
+        "^draft and target vocabularies differ$"),
+    "generate_ouroboros(pool of a smaller vocab)": (
+        lambda counter: generate_ouroboros(Counted(8, counter), Counted(8, counter),
+                                           [1, 2], EngineConfig(), PhrasePool(5)),
+        "^pool vocab 5 != model vocab 8$"),
+    "generate_lookahead_target(pool of a larger vocab)": (
+        lambda counter: generate_lookahead_target(Counted(8, counter), [1, 2],
+                                                  EngineConfig(), PhrasePool(10)),
+        "^pool vocab 10 != model vocab 8$"),
     "sample(no rng)": (lambda counter: sample(np.array([0.2, 0.8]), 1.0),
                        "requires an rng"),
     "build_ngram_model(token past int64)": (
@@ -316,3 +279,44 @@ def test_an_empty_or_unusable_argument_is_refused_before_any_forward(call):
     with pytest.raises(InputError, match=message):
         run(counter)
     assert (counter.calls, counter.branch_tokens) == (0, 0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_run_checks_its_prompt_once_and_then_only_what_the_pool_takes(
+        engine, temperature, monkeypatch):
+    # every module that binds _check_tokens records (what, tokens, caller,
+    # caller's caller) for each check; drafting, verification and the
+    # forwards must make none, and the pool only for harvest and correction
+    checks, real = [], ouroboros.models._check_tokens
+
+    def recorder(vocab_size, tokens, what):
+        tokens = list(tokens)
+        caller, outer = sys._getframe(1).f_code, sys._getframe(2).f_code
+        checks.append((what, tokens, Path(caller.co_filename).stem, caller.co_name,
+                       outer.co_name))
+        real(vocab_size, tokens, what)
+
+    bound = [name for name, mod in sys.modules.items()
+             if name.startswith("ouroboros") and "_check_tokens" in vars(mod)]
+    assert {"ouroboros.models", "ouroboros.pool", "ouroboros.engines"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "_check_tokens", recorder)
+    model, prompt = target(), [1, 2, 3, 1, 2, 4]
+    draft = PerturbedModel(model, 0.3, seed=1)
+    pooled = set()
+    for seed in range(4):
+        checks.clear()
+        ENGINES[engine](model, draft, iter(prompt),
+                        EngineConfig(max_new=24, temperature=temperature, seed=seed),
+                        PhrasePool(8))
+        [entry] = [c for c in checks if c[0] == "prompt"]
+        assert entry[:4] == ("prompt", prompt, "engines", "__init__")
+        assert entry[4].startswith("generate_")
+        for what, _, module, caller, outer in checks:
+            assert what == "prompt" or (what, module, caller, outer) in {
+                ("phrase", "pool", "_checked", "insert"),
+                ("phrase", "pool", "_checked", "replace_corrected")}
+        pooled |= {c[4] for c in checks[1:]}
+    # the loops of ouroboros both harvest and correct over these runs
+    assert pooled == ({"insert", "replace_corrected"} if engine == "ouroboros" else set())

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError,
-                       LanguageModel, PerturbedModel, PhrasePool, TokenList,
-                       build_ngram_model, draft_step, generate_draft,
-                       generate_lookahead_target, generate_ouroboros,
-                       insert_ngrams, next_distribution, window_columns)
-from ouroboros.drafting import clip
+                       LanguageModel, PerturbedModel, PhrasePool, build_ngram_model,
+                       generate_lookahead_target, generate_ouroboros)
+from ouroboros.drafting import clip, draft_step, generate_draft, window_columns
+from ouroboros.models import next_distribution
+from ouroboros.pool import insert_ngrams
 
 
 def greedy_continuation(model, context, n):
@@ -51,15 +51,17 @@ class TestLaterWindow:
         columns = window_columns([4, 9], width=1, ngram=2)
         assert columns == [(9,)]
 
+    # window_columns takes its shape and a non-empty context unchecked: the
+    # engine call that reads the window refuses them where they enter
     def test_bad_shape_rejected(self):
-        with pytest.raises(InputError):
-            window_columns([1], width=0, ngram=3)
-        with pytest.raises(InputError):
-            window_columns([1], width=2, ngram=1)
+        with pytest.raises(InputError, match="window must be >= 1"):
+            generate_lookahead_target(CounterModel(10), [1], EngineConfig(window=0))
+        with pytest.raises(InputError, match="ngram must be >= 2"):
+            generate_lookahead_target(CounterModel(10), [1], EngineConfig(ngram=1))
 
     def test_empty_context_rejected(self):
-        with pytest.raises(InputError):
-            window_columns([], width=2, ngram=3)
+        with pytest.raises(InputError, match="prompt must be non-empty"):
+            generate_lookahead_target(CounterModel(10), [], EngineConfig())
 
 
 def window_by_formula(ctx, width, ngram):
@@ -76,14 +78,14 @@ def slice_boundaries(test):
         n1 = ngram - 1
         for length in (n1 + width - 2, n1 + width - 1):
             ctx = list(range(100, 100 + length))
-            for as_given in (ctx, TokenList(200, ctx)):
+            for as_given in (ctx, tuple(ctx)):
                 test = example(as_given, width, ngram)(test)
     return test
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 199), min_size=1, max_size=80).flatmap(
-           lambda ctx: st.sampled_from([ctx, TokenList(200, ctx)])),
+           lambda ctx: st.sampled_from([ctx, tuple(ctx)])),
        st.integers(1, 20), st.integers(2, 6))
 @slice_boundaries
 def test_window_columns_follow_the_docstring_formulas(ctx, width, ngram):
@@ -200,17 +202,23 @@ class TestGenerateDraft:
             assert ph in [p.tokens for p in pool.bucket(ph[0])]
 
     @pytest.mark.parametrize("pool, ngram", [
-        (PhrasePool(10), 3),                    # the n-grams hold tokens 14-16
-        (PhrasePool(20, max_phrase_len=3), 4),  # the n-grams are too long
+        (PhrasePool(10), 3),                    # the n-grams would hold tokens 14-16
+        (PhrasePool(20, max_phrase_len=3), 4),  # the n-grams would be too long
     ], ids=["out-of-vocab", "too-long"])
-    def test_window_ngrams_the_pool_refuses_change_nothing(self, pool, ngram):
-        # a step checks its new n-grams before the memo or the pool takes them
+    def test_window_ngrams_always_fit_the_pool_the_engine_hands(self, pool, ngram):
+        # generate_draft adds its window n-grams unchecked: the engine call
+        # refuses a pool of another vocab and grows one too short, first
         pool.insert((1, 2), (3, 4, 5))
-        state, clock, memo = pool.state(), pool.clock, {}
-        with pytest.raises(InputError):
-            generate_draft(CounterModel(20), [14, 15], pool, gamma=4, width=3,
-                           ngram=ngram, max_new=100, memo=memo)
-        assert (pool.state(), pool.clock, memo) == (state, clock, {})
+        state, clock = pool.state(), pool.clock
+        cfg = EngineConfig(window=3, ngram=ngram, max_new=8)
+        if pool.vocab_size != 20:
+            with pytest.raises(InputError, match="^pool vocab 10 != model vocab 20$"):
+                generate_lookahead_target(CounterModel(20), [14, 15], cfg, pool)
+            assert (pool.state(), pool.clock) == (state, clock)
+        else:
+            generate_lookahead_target(CounterModel(20), [14, 15], cfg, pool)
+            assert pool.max_phrase_len == 6
+            assert {len(p.tokens) for p in pool.phrases()} == {2, 3, 4}
 
     def test_draft_always_extends_the_greedy_path(self):
         rng = np.random.default_rng(17)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ouroboros
-from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig,
-                       InputError, LanguageModel, PerturbedModel, PhrasePool,
-                       RunMetrics, TokenList, build_ngram_model,
-                       generate_lookahead_target,
-                       generate_ouroboros, generate_speculative,
-                       generate_vanilla, insert_ngrams, modeled_speedup,
-                       modeled_time, next_distribution, verify)
+from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig, InputError,
+                       LanguageModel, PerturbedModel, PhrasePool, RunMetrics,
+                       build_ngram_model, generate_lookahead_target, generate_ouroboros,
+                       generate_speculative, generate_vanilla, modeled_speedup,
+                       modeled_time)
+from ouroboros.models import next_distribution
+from ouroboros.pool import insert_ngrams
+from ouroboros.verification import verify
 from ouroboros.bench import ENGINES as TABLE
 
 from test_verification import tempered
@@ -308,9 +309,8 @@ class TestOuroboros:
 
     @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
     def test_the_prompt_tail_is_not_checked_again(self, engine, monkeypatch):
-        # the prompt was checked as it became a TokenList, so its warm-up tail
-        # reaches insert_ngrams as a TokenList of the pool's vocab, which
-        # insert_ngrams does not check again
+        # the prompt was checked where it entered, so its warm-up tail reaches
+        # insert_ngrams, which checks nothing, as a plain list
         tails, real = [], ouroboros.engines.insert_ngrams
         monkeypatch.setattr(ouroboros.engines, "insert_ngrams",
                             lambda pool, seq, n: tails.append(seq) or real(pool, seq, n))
@@ -321,7 +321,7 @@ class TestOuroboros:
         else:
             generate_lookahead_target(target, prompt, cfg)
         [tail] = tails
-        assert (type(tail), tail.vocab_size, tail) == (TokenList, 100, prompt[-256:])
+        assert (type(tail), tail) == (list, prompt[-256:])
 
     @pytest.mark.parametrize("engine", ["ouroboros", "lookahead"])
     def test_a_small_pool_grows_to_fit_beta_and_ngram(self, engine):
@@ -425,6 +425,106 @@ class TestOuroboros:
                 generate_ouroboros(target, target, [1], cfg, pool)
         assert rows == []
         assert pool.state() == before
+
+
+class Misshapen(CounterModel):
+    """A counter model whose rows are ``extra`` columns wider than its vocab
+    (narrower when negative): a narrow one can never emit EOS, and a wide one
+    emits a token past it."""
+
+    def __init__(self, vocab_size, extra):
+        super().__init__(vocab_size)
+        self.extra = extra
+
+    def score(self, prefix, paths):
+        rows = super().score(prefix, paths)
+        if self.extra < 0:
+            return rows[:, :self.extra]
+        return np.hstack([rows * 0.4, np.full((len(paths), self.extra), 0.6)])
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["narrower", "wider"])
+@pytest.mark.parametrize("engine, misshapen", [
+    (engine, model) for engine in sorted(TABLE) for model in ("target", "draft")
+    if model == "target" or engine in ("speculative", "ouroboros")])
+def test_rows_of_another_width_than_the_vocab_are_refused(engine, misshapen, extra):
+    # before a token is emitted or pooled: the pool stays as it was
+    good, bad = CounterModel(10), Misshapen(10, extra)
+    target, draft = (bad, good) if misshapen == "target" else (good, bad)
+    pool = PhrasePool(10, max_phrase_len=3)
+    pool.insert((5, 6, 7))
+    before = (pool.state(), pool.clock, pool.max_phrase_len)
+    message = f"^Misshapen returned rows of width {10 + extra}, not its vocab_size 10$"
+    with pytest.raises(InputError, match=message):
+        if engine == "lookahead":
+            generate_lookahead_target(target, [3, 4], EngineConfig(), pool)
+        else:
+            TABLE[engine](target, draft, [3, 4], EngineConfig(), pool)
+    assert (pool.state(), pool.clock, pool.max_phrase_len) == before
+
+
+def in_vocab(model, *seqs):
+    return all(0 <= t < model.vocab_size for seq in seqs for t in seq)
+
+
+# What each inner call takes on trust since the engines check their input at
+# entry: a check per binding the engines' loops call, asserted on every call
+ASSUMPTIONS = {
+    "next_distribution": lambda model, context, counter=None: (
+        len(context) > 0 and in_vocab(model, context)),
+    "forward_tree": lambda model, prefix, shared, branches, counter=None, full=None: (
+        len(prefix) > 0 and in_vocab(model, prefix, shared, *branches)
+        and (full is None or 0 <= full <= len(branches))),
+    "draft_step": lambda model, context, pool, columns, beta=None, *args: (
+        len(context) > 0 and in_vocab(model, context, *columns)),
+    "generate_draft": lambda model, context, pool, gamma, width, ngram, max_new, *args,
+    **kwargs: (len(context) > 0 and in_vocab(model, context) and gamma >= 1
+               and max_new >= 1 and pool.vocab_size >= model.vocab_size
+               and 2 <= ngram <= pool.max_phrase_len),
+    "verify": lambda target, prefix, draft, suffixes, temperature=0.0, rng=None,
+    beta=None, counter=None, draft_rows=None: (
+        len(draft) > 0 and in_vocab(target, prefix, draft)
+        and all(s.tokens[0] == draft[-1] for s in suffixes)
+        and (draft_rows is None or temperature == 0 or len(draft_rows) == len(draft))),
+    "harvest": lambda draft, verdicts, accepted, max_len=None: (
+        0 <= accepted < len(draft) <= len(verdicts)),
+    "correct_unused_suffixes": lambda pool, suffixes, branch_verdicts, chosen: (
+        len(branch_verdicts) == len(suffixes)
+        and (chosen is None or 0 <= chosen < len(suffixes))),
+}
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("engine", sorted(TABLE))
+def test_the_loops_hand_the_inner_calls_what_they_take_on_trust(engine, temperature,
+                                                                 monkeypatch):
+    calls = dict.fromkeys(ASSUMPTIONS, 0)
+
+    def checked(name, fn):
+        def call(*args, **kwargs):
+            assert ASSUMPTIONS[name](*args, **kwargs), f"{name}{args}"
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (ouroboros.models, ouroboros.drafting, ouroboros.verification,
+                   ouroboros.engines):
+        for name in ASSUMPTIONS.keys() & vars(module).keys():
+            monkeypatch.setattr(module, name, checked(name, vars(module)[name]))
+    rng = np.random.default_rng(5)
+    corpus = [int(t) for t in rng.integers(0, 9, size=300)]
+    target = build_ngram_model(corpus, 2, vocab_size=10)
+    draft = PerturbedModel(target, 0.3, seed=2)
+    # the default settings, then each at its least legal value
+    for cfg in (EngineConfig(), EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2,
+                                             max_new=1), EngineConfig(k=1, beta=2)):
+        for prompt in ([1], [4, 4, 4], corpus[:40]):
+            TABLE[engine](target, draft, prompt,
+                          dataclasses.replace(cfg, temperature=temperature, seed=7),
+                          PhrasePool(10))
+    if engine == "ouroboros":
+        assert calls["harvest"] and calls["correct_unused_suffixes"]
+    assert calls["next_distribution"] or calls["forward_tree"]
 
 
 class TestAcceptMonotonicity:

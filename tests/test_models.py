@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouroboros import (CounterModel, ForwardCounter, InputError, ModelSpec,
-                       NgramModel, PerturbedModel, PhrasePool, TokenList,
-                       build_model, build_ngram_model, forward_scan, forward_tree,
-                       next_distribution, parse_model_spec, sample)
+from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError, ModelSpec,
+                       NgramModel, PerturbedModel, PhrasePool, build_model,
+                       build_ngram_model, generate_vanilla, parse_model_spec, sample)
+from ouroboros.bench import ENGINES
+from ouroboros.models import forward_scan, forward_tree, next_distribution
 from ouroboros import models
 
 
@@ -30,7 +31,7 @@ class TestCounterModel:
         assert int(np.argmax(m.distribution([9]))) == 0
 
     def test_score_has_a_one_hot_row_per_path(self):
-        rows = CounterModel(10).score(TokenList(10, [4]), [(), [9], (2, 3), [7]])
+        rows = CounterModel(10).score([4], [(), [9], (2, 3), [7]])
         assert rows.shape == (4, 10) and rows.dtype == np.float64
         assert argmaxes(rows) == [5, 0, 4, 8] and (rows.sum(axis=1) == 1.0).all()
 
@@ -119,7 +120,7 @@ def ngram_cases(draw):
     tokens = st.integers(0, draw(st.sampled_from([alphabet, vocab])) - 1)
     prefix = draw(st.lists(tokens, min_size=1, max_size=6))
     if draw(st.booleans()):
-        prefix = TokenList(vocab, prefix)
+        prefix = tuple(prefix)
     return model, prefix, draw(st.lists(st.lists(tokens, max_size=5), max_size=6))
 
 
@@ -190,17 +191,17 @@ def assert_counted_as_by_loop(corpus, order, vocab_size=None):
 def counted_corpora(draw):
     """A corpus over a few token values anywhere below a vocab of 2 to 8192,
     so contexts repeat and labels reach the top of the vocab, held as a list,
-    tuple, TokenList, np.int64 list or bools; an order of 1 to 6, a vocab
+    tuple, np.int64 list or bools; an order of 1 to 6, a vocab
     given or taken from the corpus, and a block size that splits it or not."""
     vocab, order = draw(st.integers(2, 8192)), draw(st.integers(1, 6))
     values = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4,
                            unique=True))
-    kind = draw(st.sampled_from(["list", "tuple", "TokenList", "int64", "bool"]))
+    kind = draw(st.sampled_from(["list", "tuple", "int64", "bool"]))
     if kind == "bool":
         values = [False, True]
     corpus = draw(st.lists(st.sampled_from(values), min_size=order + 1, max_size=40))
-    corpus = {"list": list, "tuple": tuple, "TokenList": lambda c: TokenList(vocab, c),
-              "int64": lambda c: [np.int64(t) for t in c], "bool": list}[kind](corpus)
+    corpus = {"list": list, "tuple": tuple, "int64": lambda c: [np.int64(t) for t in c],
+              "bool": list}[kind](corpus)
     given_vocab = vocab if draw(st.booleans()) else None
     return corpus, order, given_vocab, draw(st.sampled_from([1, 2, 3, 7, 8192]))
 
@@ -268,7 +269,7 @@ class TestPerturbedModel:
         assert len(rolled) >= 3 and 0 in rolled
         assert epsilon < 1.0 or 0 in tops
         model = PerturbedModel(base, epsilon, seed=11)
-        rows = model.score(TokenList(8, prefix), paths)
+        rows = model.score(prefix, paths)
         for i, (row, path) in enumerate(zip(rows, paths)):
             assert np.array_equal(row, model.distribution(prefix + list(path)))
             want = base.distribution(prefix + list(path)).copy()
@@ -313,14 +314,6 @@ class TestForwardScan:
             assert np.array_equal(dists[i],
                                   next_distribution(m, prefix + tokens[:i]))
 
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(InputError):
-            forward_scan(CounterModel(10), [], [1])
-
-    def test_out_of_vocab_rejected(self):
-        with pytest.raises(InputError):
-            next_distribution(CounterModel(10), [3, 11])
-
 
 class TestForwardTree:
     def test_no_branches_degenerates_to_scan(self):
@@ -350,10 +343,6 @@ class TestForwardTree:
         assert counter.calls == 3
         assert counter.branch_tokens == 3
 
-    def test_negative_full_rejected(self):
-        with pytest.raises(InputError):
-            forward_tree(CounterModel(5), [1], [], [[2]], full=-1)
-
     @pytest.mark.parametrize("shared", [[], [2], (2, 3)])
     @pytest.mark.parametrize("full", [None, 0, 1, 3])
     def test_branches_are_left_alone_and_not_aliased(self, shared, full):
@@ -361,11 +350,11 @@ class TestForwardTree:
         # caller's branches stay as they were, and the rows are the caller's
         model = PerturbedModel(build_ngram_model([1, 2, 3, 1, 2, 4, 5, 1, 3], order=2,
                                                  vocab_size=8), 1.0, seed=5)
-        branches = [[4, 5], (6, 1), TokenList(8, [7]), []]
+        branches = [[4, 5], (6, 1), [7], []]
         before = [list(b) for b in branches]
         rows = forward_tree(model, [1], shared, branches, full=full)
         assert [list(b) for b in branches] == before
-        assert [type(b) for b in branches] == [list, tuple, TokenList, list]
+        assert [type(b) for b in branches] == [list, tuple, list, list]
         kept = rows.copy()
         branches[0].append(3)
         branches[0][0] = 2
@@ -554,7 +543,7 @@ def reference_roll(seed, context):
 @st.composite
 def trees(draw):
     """A counter or n-gram model under zero to two perturbed wrappers, and a
-    token tree after a short or long prefix (a plain list or a TokenList),
+    token tree after a short or long prefix (a list or a tuple),
     with empty, ragged and nonempty shared spans and branches."""
     vocab = draw(st.integers(2, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -569,7 +558,7 @@ def trees(draw):
     size = draw(st.one_of(st.integers(1, 30), st.integers(1, 5000)))
     prefix = [int(t) for t in rng.integers(0, vocab, size=size)]
     if draw(st.booleans()):
-        prefix = TokenList(vocab, prefix)
+        prefix = tuple(prefix)
     tokens = st.lists(st.integers(0, vocab - 1), max_size=6)
     return model, prefix, draw(tokens), draw(st.lists(tokens, max_size=4))
 
@@ -617,93 +606,48 @@ class TestScanHook:
                 assert np.array_equal(forward_scan(model, ctx, [])[0], want)
 
 
-class TestTokenList:
-    def test_out_of_vocab_append_and_extend_raise(self):
-        ctx = TokenList(10, [1, 2])
-        with pytest.raises(InputError):
-            ctx.append(10)
-        with pytest.raises(InputError):
-            ctx.extend([3, -1])
-        with pytest.raises(InputError):
-            TokenList(10, [1, 12])
-        assert ctx == [1, 2]
-        ctx.append(9)
-        ctx.extend(iter([0, 4]))
-        assert ctx == [1, 2, 9, 0, 4]
+class TestTokensAreCheckedWhereTheyEnter:
+    """An engine call checks its prompt once; the forwards take what it hands
+    them unchecked, and check only the width of the model's rows."""
 
-    @pytest.mark.parametrize("mutate", [
-        lambda c: c.__setitem__(0, 1), lambda c: c.__delitem__(0),
-        lambda c: c.__iadd__([1]), lambda c: c.__imul__(2),
-        lambda c: c.insert(0, 1), lambda c: c.pop(), lambda c: c.remove(1),
-        lambda c: c.clear(), lambda c: c.sort(), lambda c: c.reverse(),
+    @pytest.mark.parametrize("prompt, message", [
+        ([3, 11], "prompt token 11 out of vocab 10"),
+        ([10], "prompt token 10 out of vocab 10"),
+        ([3, -2, 11], "prompt token -2 out of vocab 10"),
+        ([1, 2.5], "prompt token 2.5 is not an integer"),
+        ([1, None], "prompt token None is not an integer"),
+        ([4, "a"], "prompt token 'a' is not an integer"),
     ])
-    def test_in_place_mutation_refused(self, mutate):
-        ctx = TokenList(10, [1, 2, 3])
-        with pytest.raises(TypeError):
-            mutate(ctx)
-        assert ctx == [1, 2, 3]
-
-    def test_copy_under_another_vocab_revalidates(self):
-        wide = TokenList(100, [5, 50])
-        with pytest.raises(InputError):
-            TokenList(10, wide)
-        assert TokenList(100, wide) == [5, 50]
-        with pytest.raises(InputError):
-            next_distribution(CounterModel(10), wide)
-
-    def test_known_good_tokens_skip_only_the_entry_check(self):
-        ctx = TokenList._known_good(10, [1, 12])  # the caller vouches for them
-        assert (type(ctx), ctx.vocab_size, ctx) == (TokenList, 10, [1, 12])
-        with pytest.raises(InputError):
-            ctx.extend([3, 10])
-        assert ctx == [1, 12]
-
-    def test_same_vocab_list_is_not_checked_again(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_refuses_a_bad_prompt_token(self, engine, prompt, message):
         model = CounterModel(10)
-        ctx = TokenList(10, [3])
-        assert argmaxes(forward_tree(model, ctx, [4], [[5]])) == [4, 5, 6]
-        list.append(ctx, 13)  # slips past the entry check on purpose
-        assert int(np.argmax(next_distribution(model, ctx))) == 4
-        with pytest.raises(InputError):
-            next_distribution(model, list(ctx))
+        pool = PhrasePool(10)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ENGINES[engine](model, PerturbedModel(model, 0.5), prompt,
+                            EngineConfig(max_new=4), pool)
+        assert pool.state() == {}
+
+    def test_the_forwards_do_not_check_tokens(self):
+        # a token past the vocab reaches the model as it is: checking it is
+        # the caller's part
+        model = CounterModel(10)
+        assert int(np.argmax(next_distribution(model, [3, 12]))) == 3
+        assert argmaxes(forward_tree(model, [13], [2], [[14]])) == [4, 3, 5]
 
     @pytest.mark.parametrize("call", [
-        lambda m: next_distribution(m, [1, 10]),
-        lambda m: forward_scan(m, [10], [1]),
-        lambda m: forward_scan(m, [1], [2, 10]),
-        lambda m: forward_tree(m, [1, 10], [], [[2]]),
-        lambda m: forward_tree(m, [1], [10], [[2]]),
-        lambda m: forward_tree(m, [1], [2], [[3], [4, 10]]),
-        lambda m: forward_tree(m, TokenList(10, [1]), [2], [[10]]),
-    ])
-    def test_plain_sequences_are_checked_in_full(self, call):
-        with pytest.raises(InputError):
-            call(CounterModel(10))
-
-    def test_branch_check_names_the_first_bad_token(self):
-        with pytest.raises(InputError, match="branch token -2 out of vocab 10"):
-            forward_tree(CounterModel(10), [1], [2], [[3], [4, -2], [11]])
-
-    @pytest.mark.parametrize("call", [
-        lambda: next_distribution(CounterModel(10), [2.5]),
-        lambda: next_distribution(PerturbedModel(CounterModel(10), 0.5), [1, 2.5]),
-        lambda: next_distribution(build_ngram_model([1, 2, 3, 1, 2, 4], 2), [1, 2.5]),
-        lambda: forward_tree(CounterModel(10), [1], [2], [[3], [4, 5.0]]),
         lambda: PhrasePool(10).insert((1, 2), (3, 2.5)),
-        lambda: TokenList(10, [1]).append(2.5),
-        lambda: TokenList(10, [1, None]),
+        lambda: PhrasePool(10).replace_corrected((1, 2), (1, None)),
     ])
-    def test_non_integer_tokens_are_refused(self, call):
-        with pytest.raises(InputError, match="token .* is not an integer"):
+    def test_the_pool_refuses_non_integer_tokens(self, call):
+        with pytest.raises(InputError, match="phrase token .* is not an integer"):
             call()
 
     def test_numpy_integer_tokens_are_accepted(self):
         model, five = CounterModel(10), np.int64(5)
         assert int(np.argmax(next_distribution(model, [1, five]))) == 6
         assert argmaxes(forward_tree(model, [five], [], [[five]])) == [6, 6]
-        ctx = TokenList(10, [five])
-        ctx.append(np.int64(6))
-        assert ctx == [5, 6]
+        out, _ = generate_vanilla(model, [1, five], EngineConfig(max_new=3))
+        assert out == [6, 7, 8]
         pool = PhrasePool(10)
         pool.insert((five, np.int64(7)))
         assert [ph.tokens for ph in pool.lookup_k(5, 1)] == [(5, 7)]

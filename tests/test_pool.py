@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, initialize,
                                  invariant, multiple, rule)
 
-from ouroboros import (InputError, Phrase, PhrasePool, PoolFormatError,
-                       TokenList, insert_ngrams)
+from ouroboros import (CounterModel, EngineConfig, InputError, Phrase, PhrasePool,
+                       PoolFormatError, generate_ouroboros)
+from ouroboros.pool import insert_ngrams
 from ouroboros import pool as pool_module
 
 
@@ -120,6 +121,14 @@ class TestReplaceCorrected:
         pool.insert((6, 7, 8))
         with pytest.raises(InputError):
             pool.replace_corrected((6, 7, 8), (5, 7, 8))
+
+    def test_an_empty_old_phrase_is_refused(self):
+        # it has no first token for the corrected phrase to keep
+        pool = PhrasePool(10)
+        pool.insert((6, 7, 8))
+        with pytest.raises(InputError, match="must keep the original first token"):
+            pool.replace_corrected((), (6, 7, 8))
+        assert pool.state() == {6: [((6, 7, 8), 1)]}
 
 
 class TestPersistence:
@@ -284,34 +293,37 @@ class TestBatchInsert:
         assert str(info.value) == f"phrase length {bad} outside [2, 4]"
         assert pool.state() == before and pool.clock == 2 and len(pool) == 2
 
-    @pytest.mark.parametrize("seq", [[1, 2, 10, 3], [1, -1, 2, 3],
-                                     TokenList(11, [1, 2, 10, 3])])
-    def test_insert_ngrams_refuses_out_of_vocab_tokens(self, seq):
-        pool = PhrasePool(10)
-        with pytest.raises(InputError, match="out of vocab 10"):
-            insert_ngrams(pool, seq, 2)
+    # insert_ngrams takes its tokens and n unchecked; the engine call whose
+    # warm-up runs it refuses a bad prompt or ngram before the pool sees them
+    @pytest.mark.parametrize("seq", [[1, 2, 10, 3], [1, -1, 2, 3], (1, 2, 3, 11)])
+    def test_out_of_vocab_prompt_tokens_never_reach_insert_ngrams(self, seq):
+        pool, model = PhrasePool(10), CounterModel(10)
+        with pytest.raises(InputError, match="^prompt token .* out of vocab 10$"):
+            generate_ouroboros(model, model, seq, EngineConfig(ngram=2), pool)
         assert len(pool) == 0 and pool.clock == 0
 
     @pytest.mark.parametrize("n", [0, 1, 5])
-    def test_insert_ngrams_refuses_bad_lengths(self, n):
-        pool = PhrasePool(10, max_phrase_len=4)
-        with pytest.raises(InputError):
-            insert_ngrams(pool, TokenList(10, range(8)), n)
-        assert len(pool) == 0
+    def test_ngram_lengths_the_pool_cannot_take_never_reach_insert_ngrams(self, n):
+        pool, model = PhrasePool(10, max_phrase_len=4), CounterModel(10)
+        if n < 2:
+            with pytest.raises(InputError, match="^ngram must be >= 2$"):
+                generate_ouroboros(model, model, range(8), EngineConfig(ngram=n), pool)
+            assert len(pool) == 0
+        else:  # the engine grows the pool to hold its n-grams first
+            generate_ouroboros(model, model, range(8), EngineConfig(ngram=n), pool)
+            assert pool.max_phrase_len == 6 and pool.bucket(0)[0].tokens == (0, 1, 2, 3, 4)
 
-    # The phrase entry points (insert, with one phrase or a batch,
-    # insert_ngrams and replace_corrected) share one token check, which names
-    # the first out-of-vocab token in order and leaves the pool as it was.
+    # The phrase entry points (insert, with one phrase or a batch, and
+    # replace_corrected) share one token check, which names the first
+    # out-of-vocab token in order and leaves the pool as it was.
     ENTRY_POINTS = {
         "insert": lambda pool, seq: pool.insert(seq),
         "insert batch": lambda pool, seq: pool.insert((1, 2), seq, (3, 17)),
-        "insert_ngrams": lambda pool, seq: insert_ngrams(pool, seq, 2),
         "replace_corrected": lambda pool, seq: pool.replace_corrected((1, 2), seq),
     }
 
     @pytest.mark.parametrize("seq, bad", [
-        ([1, 12, -1, 15], 12), ((1, -1, 12), -1),
-        (TokenList(20, [1, 15, 12]), 15)])
+        ([1, 12, -1, 15], 12), ((1, -1, 12), -1), (range(1, 16, 7), 15)])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_token_check_names_the_first_bad_token(self, entry, seq, bad):
         pool = PhrasePool(10)
@@ -320,13 +332,13 @@ class TestBatchInsert:
             self.ENTRY_POINTS[entry](pool, seq)
         assert pool.state() == {1: [((1, 2), 1)]} and pool.clock == 1
 
-    def test_same_vocab_token_list_is_not_checked_again(self):
-        pool, seq = PhrasePool(10), TokenList(10, [1, 2])
-        list.append(seq, 13)  # slips past the entry check on purpose
-        insert_ngrams(pool, seq, 2)
+    def test_insert_ngrams_does_not_check_its_tokens(self):
+        # checking them is the caller's part: only an engine calls it
+        pool = PhrasePool(10)
+        insert_ngrams(pool, [1, 2, 13], 2)
         assert pool.state() == {1: [((1, 2), 1)], 2: [((2, 13), 1)]}
         with pytest.raises(InputError, match="phrase token 13 out of vocab 10"):
-            insert_ngrams(pool, list(seq), 2)
+            pool.insert((2, 13))
 
     @pytest.mark.parametrize("phrases", [(5,), ([1, 2], 5), ((1, 2), None)])
     def test_a_phrase_that_is_not_a_sequence_is_refused(self, phrases):
@@ -557,11 +569,10 @@ class PoolMachine(RuleBasedStateMachine):
         return multiple(*batch)
 
     @rule(seq=st.lists(st.integers(0, VOCAB - 1), max_size=12),
-          n=st.integers(2, MAX_LEN), token_list=st.booleans())
-    def insert_ngrams(self, seq, n, token_list):
-        source = TokenList(VOCAB, seq) if token_list else seq
+          n=st.integers(2, MAX_LEN), as_tuple=st.booleans())
+    def insert_ngrams(self, seq, n, as_tuple):
         clock = self.pool.clock
-        assert insert_ngrams(self.pool, source, n) is None
+        assert insert_ngrams(self.pool, tuple(seq) if as_tuple else seq, n) is None
         assert self.pool.clock == clock + max(0, len(seq) - n + 1)
         for i in range(len(seq) - n + 1):
             self.ref.insert(tuple(seq[i:i + n]))

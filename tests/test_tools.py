@@ -66,6 +66,14 @@ def test_the_digest_tells_changed_forwards_apart(tmp_path):
         assert theirs["speculative"][count] != ours["speculative"][count]
 
 
+def test_a_draft_epsilon_of_perfbenchs_own_value_gives_the_default_entry():
+    # --draft-epsilon 0.1 sets perfbench's draft spec to what it already is
+    default = json.loads(long_context_sweep(ROOT))
+    swept = json.loads(long_context_sweep(ROOT, "--draft-epsilon", "0.1"))
+    assert list(swept) == ["seeds", "draft_epsilon"]
+    assert swept["draft_epsilon"] == {"0.1": default["workloads"]}
+
+
 def test_the_sweep_gives_the_benchmarks_modeled_numbers():
     # seed 1, ouroboros on reuse-stream: the sweep's eta and its modeled
     # speedup at t_target/t_draft 10 and no surcharge are perfbench's

@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ouroboros import (CounterModel, ForwardCounter, InputError, LanguageModel,
-                       Phrase, PhrasePool, accept_len, build_ngram_model,
-                       correct_unused_suffixes, harvest, match_count,
-                       next_distribution, sample, verify)
+from ouroboros import (CounterModel, ForwardCounter, LanguageModel, Phrase, PhrasePool,
+                       build_ngram_model, sample)
+from ouroboros.models import next_distribution
+from ouroboros.verification import (accept_len, correct_unused_suffixes, harvest,
+                                    match_count, verify)
 
 
 class TestAcceptLen:
@@ -19,11 +20,6 @@ class TestAcceptLen:
 
     def test_immediate_mismatch_accepts_nothing(self):
         assert accept_len([7, 1, 2], [1, 1, 2]) == 0
-
-    def test_requires_verdict_per_position(self):
-        with pytest.raises(InputError):
-            accept_len([1, 2, 3], [1, 2])
-
 
 class TestMatchCount:
     def test_counts_positions_past_the_rejection(self):
@@ -105,10 +101,6 @@ class TestVerify:
         # only p_2, p_3 get verified; the bonus verdict follows them
         assert out.branch_accept_len == [3]
         assert out.emitted == [4, 5, 6, 7, 8, 9]
-
-    def test_wrong_suffix_first_token_rejected(self):
-        with pytest.raises(InputError):
-            verify(CounterModel(10), [3], [4, 5, 6], [Phrase((5, 7, 8))])
 
     def test_single_forward_regardless_of_suffix_count(self):
         for n in range(5):
@@ -241,32 +233,7 @@ class TestHarvest:
         v = [0, 5, 6, 9]
         assert harvest(d, v, 0) == [(5, 6)]
 
-    def test_requires_a_rejection(self):
-        with pytest.raises(InputError):
-            harvest([1, 2], [1, 2], 2)
-
-    def test_refuses_too_few_verdicts(self):
-        with pytest.raises(InputError, match="verdict for every draft position"):
-            harvest([1, 2, 3], [9], 0)
-
-
 class TestCorrectUnusedSuffixes:
-    def test_refuses_missing_branch_verdicts(self):
-        pool = PhrasePool(10)
-        pool.insert((1, 2, 3))
-        with pytest.raises(InputError, match="branch verdicts per suffix"):
-            correct_unused_suffixes(pool, [Phrase((1, 2, 3))], [], None)
-        assert pool.state() == {1: [((1, 2, 3), 1)]}
-
-    def test_refuses_a_chosen_branch_past_the_suffixes(self):
-        # an index past the list would spare no suffix, as chosen=None does
-        pool = PhrasePool(10)
-        pool.insert((6, 2, 3), (6, 4, 5))
-        suffixes, before = pool.bucket(6), pool.state()
-        with pytest.raises(InputError, match="chosen 5 is past the 2 suffixes"):
-            correct_unused_suffixes(pool, suffixes, [[9, 9, 9], [8, 8, 8]], chosen=5)
-        assert pool.state() == before
-
     def test_rewrites_unused_suffix_with_verdicts(self):
         pool = PhrasePool(10)
         pool.insert((6, 2, 3, 4))
@@ -308,6 +275,13 @@ class TestCorrectUnusedSuffixes:
                                        outcome.chosen_branch) == 1
         assert sorted(p.tokens for p in pool.bucket(3)) == [
             (3, 4, 5), (3, 4, 10, 10, 10, 10)]
+
+    def test_a_suffix_gone_from_the_pool_is_a_soft_miss(self):
+        pool = PhrasePool(10)
+        pool.insert((6, 2, 3))
+        suffixes = [Phrase((6, 2, 3)), Phrase((6, 4, 5))]
+        assert correct_unused_suffixes(pool, suffixes, [[2, 9, 1], [4, 4, 1]], None) == 1
+        assert pool.state() == {6: [((6, 2, 9), 1)]}
 
 
 class RowModel(LanguageModel):
@@ -413,5 +387,3 @@ def test_ratio_rule_draw_order_and_its_certain_cases():
     # at temperature 0 the rows are ignored: exact match, no draws
     out = verify(target, [0], [1, 2, 5], [], 0.0, None, draft_rows=rows)
     assert (out.accept_len, out.emitted) == (2, [1, 2, 3])
-    with pytest.raises(InputError, match="one draft row per draft token"):
-        verify(target, [0], [1, 2, 5], [], 1.0, rng, draft_rows=rows[:2])

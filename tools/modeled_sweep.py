@@ -2,6 +2,7 @@
 
     python3 tools/modeled_sweep.py --seeds 1-5
     python3 tools/modeled_sweep.py --seeds 1,89 --json > sweep.json
+    python3 tools/modeled_sweep.py --seeds 1 --draft-epsilon 0.02,0.1,0.2
 
 For each perfbench workload and seed, ``perfbench/run.py``'s own ``Bench``
 builds the models and primes the shared pool file, and each engine replays
@@ -23,6 +24,13 @@ temperature 0 every engine's tokens digest is vanilla's.  ``--json`` prints
 one JSON document, with the full digests, in place of the table, which shows
 their first 16 hex digits.  Two checkouts that do the same work print the
 same JSON, byte for byte, at any seeds.
+
+``--draft-epsilon`` repeats the sweep once per value, with perfbench's draft
+model spec (``run.DRAFT_SPEC``, ``perturbed:epsilon=0.1``) set to that
+epsilon.  The JSON then holds, in place of ``workloads``, a ``draft_epsilon``
+object that maps each value to what ``workloads`` would hold at it, and the
+table gives each value's sweep under its own heading.  Without the flag the
+output is the sweep at perfbench's own spec.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import run  # noqa: E402
 from run import ENGINES, Bench, import_program  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
@@ -117,6 +126,17 @@ def seed_list(text: str) -> list:
     return seeds
 
 
+def epsilon_list(text: str) -> list:
+    """``0.02,0.1,0.2``: draft epsilons, each a probability."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
+    return values
+
+
 def print_table(result: dict, seeds: list) -> None:
     def cell(stats, fmt):
         if stats["min"] == stats["max"]:
@@ -150,16 +170,30 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--engines", default=",".join(ENGINES))
     parser.add_argument("--json", action="store_true", help="print JSON, not a table")
+    parser.add_argument("--draft-epsilon", type=epsilon_list,
+                        help="sweep once per draft epsilon in a list such as 0.02,0.1")
     args = parser.parse_args(argv)
     workloads, engines = args.workloads.split(","), args.engines.split(",")
     for given, known in ((workloads, WORKLOADS), (engines, ENGINES)):
         unknown = sorted(set(given) - set(known))
         if unknown:
             parser.error(f"unknown {', '.join(unknown)} (choose from {', '.join(known)})")
-    result = sweep(import_program(), workloads, engines, args.seeds)
+    pkg = import_program()
+    if args.draft_epsilon is None:
+        result = sweep(pkg, workloads, engines, args.seeds)
+        if args.json:
+            print(json.dumps({"seeds": args.seeds, "workloads": result}, indent=1))
+        else:
+            print_table(result, args.seeds)
+        return 0
+    results = {}
+    for epsilon in args.draft_epsilon:
+        run.DRAFT_SPEC = f"perturbed:epsilon={epsilon!r}"
+        results[repr(epsilon)] = sweep(pkg, workloads, engines, args.seeds)
     if args.json:
-        print(json.dumps({"seeds": args.seeds, "workloads": result}, indent=1))
-    else:
+        print(json.dumps({"seeds": args.seeds, "draft_epsilon": results}, indent=1))
+    for epsilon, result in results.items() if not args.json else ():
+        print(f"draft epsilon {epsilon}")
         print_table(result, args.seeds)
     return 0
 

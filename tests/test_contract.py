@@ -214,6 +214,10 @@ SEQUENCE_CALLS = {
                                                              EngineConfig()),
     "generate_ouroboros(prompt)": lambda seq: generate_ouroboros(
         target(), target(), seq, EngineConfig()),
+    "generate_speculative(prompt)": lambda seq: generate_speculative(
+        target(), target(), seq, EngineConfig()),
+    "generate_lookahead_target(prompt)": lambda seq: generate_lookahead_target(
+        target(), seq, EngineConfig()),
     "PhrasePool.insert(phrases)": lambda seq: PhrasePool(10).insert(seq),
     "PhrasePool.replace_corrected(old_tokens)": lambda seq: filled_pool().replace_corrected(
         seq, (1, 2)),
@@ -245,6 +249,17 @@ class Counted(CounterModel):
 # refusals of an argument outside the contract that no valid call above meets:
 # each call raises InputError with its message, and none runs a forward
 REFUSALS = {
+    "generate_vanilla(empty prompt)": (
+        lambda counter: generate_vanilla(Counted(8, counter), [], EngineConfig()),
+        "^prompt must be non-empty$"),
+    "generate_speculative(empty prompt)": (
+        lambda counter: generate_speculative(Counted(8, counter), Counted(8, counter),
+                                             iter(()), EngineConfig()),
+        "^prompt must be non-empty$"),
+    "generate_ouroboros(empty prompt)": (
+        lambda counter: generate_ouroboros(Counted(8, counter), Counted(8, counter), (),
+                                           EngineConfig(), PhrasePool(8)),
+        "^prompt must be non-empty$"),
     "generate_lookahead_target(empty prompt)": (
         lambda counter: generate_lookahead_target(Counted(8, counter), [],
                                                   EngineConfig()),
@@ -252,9 +267,25 @@ REFUSALS = {
     "generate_vanilla(prompt token out of vocab)": (
         lambda counter: generate_vanilla(Counted(8, counter), [1, 8], EngineConfig()),
         "^prompt token 8 out of vocab 8$"),
+    "generate_speculative(prompt token out of vocab)": (
+        lambda counter: generate_speculative(Counted(8, counter), Counted(8, counter),
+                                             [1, -1], EngineConfig()),
+        "^prompt token -1 out of vocab 8$"),
+    "generate_ouroboros(prompt token out of vocab)": (
+        lambda counter: generate_ouroboros(Counted(8, counter), Counted(8, counter),
+                                           [9, 2], EngineConfig(), PhrasePool(8)),
+        "^prompt token 9 out of vocab 8$"),
+    "generate_lookahead_target(prompt token not an integer)": (
+        lambda counter: generate_lookahead_target(Counted(8, counter), [1, 2, "3"],
+                                                  EngineConfig(), PhrasePool(8)),
+        "^prompt token '3' is not an integer$"),
     "generate_speculative(draft of another vocab)": (
         lambda counter: generate_speculative(Counted(8, counter), Counted(9, counter),
                                              [1], EngineConfig()),
+        "^draft and target vocabularies differ$"),
+    "generate_ouroboros(draft of another vocab)": (
+        lambda counter: generate_ouroboros(Counted(8, counter), Counted(7, counter),
+                                           [1, 2], EngineConfig(), PhrasePool(8)),
         "^draft and target vocabularies differ$"),
     "generate_ouroboros(pool of a smaller vocab)": (
         lambda counter: generate_ouroboros(Counted(8, counter), Counted(8, counter),

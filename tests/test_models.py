@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError, ModelSpec,
                        NgramModel, PerturbedModel, PhrasePool, build_model,
-                       build_ngram_model, generate_vanilla, parse_model_spec, sample)
+                       build_ngram_model, generate_lookahead_target, generate_ouroboros,
+                       generate_speculative, generate_vanilla, parse_model_spec, sample)
 from ouroboros.bench import ENGINES
 from ouroboros.models import forward_scan, forward_tree, next_distribution
 from ouroboros import models
+from test_engines import Misshapen
 
 
 def argmaxes(dists):
@@ -634,12 +636,56 @@ class TestTokensAreCheckedWhereTheyEnter:
         assert int(np.argmax(next_distribution(model, [3, 12]))) == 3
         assert argmaxes(forward_tree(model, [13], [2], [[14]])) == [4, 3, 5]
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_token_of_a_prompt_is_checked(self, engine):
+        # the bad token is the last one an iterator yields: the check reads
+        # the whole prompt before a forward runs or the pool takes an n-gram
+        model, pool = CounterModel(10), PhrasePool(10)
+        with pytest.raises(InputError, match="^prompt token 10 out of vocab 10$"):
+            ENGINES[engine](model, PerturbedModel(model, 0.5), iter(range(11)),
+                            EngineConfig(max_new=4), pool)
+        assert pool.state() == {}
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PhrasePool(10).insert((1, 2), (3, 4), (5, 10)),
+         "phrase token 10 out of vocab 10"),
+        (lambda: PhrasePool(10).replace_corrected((1, 2), (1, 2, 10)),
+         "phrase token 10 out of vocab 10"),
+        (lambda: build_ngram_model([1, 2, 3, 1, 2, 10], 2, vocab_size=10),
+         "corpus token 10 out of vocab 10"),
+        (lambda: build_model(ModelSpec("ngram", order=2), 10, corpus=[1, 2, 3, 1, 2, 10]),
+         "corpus token 10 out of vocab 10"),
+    ])
+    def test_every_token_of_a_phrase_or_corpus_is_checked(self, call, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: generate_vanilla(CounterModel(10), [1, 12, -2, 11], EngineConfig()),
+         "prompt token 12 out of vocab 10"),
+        (lambda: PhrasePool(10).insert((1, 2), (3, -2), (11, 1)),
+         "phrase token -2 out of vocab 10"),
+        (lambda: build_ngram_model([1, 2, 3, 14, 2, -1], 2, vocab_size=10),
+         "corpus token 14 out of vocab 10"),
+    ])
+    def test_the_check_names_the_first_bad_token(self, call, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            call()
+
     @pytest.mark.parametrize("call", [
+        lambda: generate_vanilla(CounterModel(10), [2.5], EngineConfig()),
+        lambda: generate_speculative(CounterModel(10), PerturbedModel(CounterModel(10), 0.5),
+                                     [1, 2.5], EngineConfig()),
+        lambda: generate_ouroboros(*[build_ngram_model([1, 2, 3, 1, 2, 4], 2)] * 2,
+                                   [1, 2.5], EngineConfig()),
+        lambda: generate_lookahead_target(CounterModel(10), [1, np.float64(5.0)],
+                                          EngineConfig()),
+        lambda: build_ngram_model([1, 2, 3, 1, None, 4], 2),
         lambda: PhrasePool(10).insert((1, 2), (3, 2.5)),
         lambda: PhrasePool(10).replace_corrected((1, 2), (1, None)),
     ])
-    def test_the_pool_refuses_non_integer_tokens(self, call):
-        with pytest.raises(InputError, match="phrase token .* is not an integer"):
+    def test_non_integer_tokens_are_refused(self, call):
+        with pytest.raises(InputError, match="token .* is not an integer"):
             call()
 
     def test_numpy_integer_tokens_are_accepted(self):
@@ -651,3 +697,17 @@ class TestTokensAreCheckedWhereTheyEnter:
         pool = PhrasePool(10)
         pool.insert((five, np.int64(7)))
         assert [ph.tokens for ph in pool.lookup_k(5, 1)] == [(5, 7)]
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["narrower", "wider"])
+@pytest.mark.parametrize("forward", [
+    lambda model: next_distribution(model, [3]),
+    lambda model: forward_scan(model, [3], [4, 5]),
+    lambda model: forward_tree(model, [3], [4], [[5], [6, 7]]),
+], ids=["next_distribution", "forward_scan", "forward_tree"])
+def test_a_forward_refuses_rows_of_another_width_than_the_vocab(forward, extra):
+    # the one model output the forwards check; the engines probe it at entry
+    with pytest.raises(InputError, match=f"^Misshapen returned rows of width {10 + extra}, "
+                                         "not its vocab_size 10$"):
+        forward(Misshapen(10, extra))
+    assert forward(CounterModel(10)).shape[-1] == 10

@@ -6,7 +6,9 @@ one correction token), and advance W window columns, the context's most
 recent (N-1)-token stretches, each yielding an N-gram tuple for the pool
 that is built when the stretch first enters the window in an engine call.
 On the draft model this drafts for ouroboros; on the target, run for the
-whole budget, it is lookahead decoding.
+whole budget, it is lookahead decoding.  A greedy ouroboros draft trusts a
+phrase the target corrected after the token now before its first (its
+anchor): the phrase goes in whole, since the target verifies it anyway.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
                columns: Sequence[Sequence[int]], beta: Optional[int] = None,
                temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
-               counter: Optional[ForwardCounter] = None,
+               counter: Optional[ForwardCounter] = None, trust: bool = False,
                ) -> Tuple[List[int], List[tuple], np.ndarray]:
     """One drafting forward: verify one pooled phrase and advance the window.
 
@@ -54,6 +56,11 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     ``new_phrases`` are the window ``columns``' n-gram tuples (see
     :func:`window_columns`), one per column, always the rows' argmax; at
     T = 0 one ``argmax`` over all the rows gives the draws and the n-grams.
+
+    With ``trust`` at T = 0, a phrase whose anchor is ``context[-2]`` skips
+    that rule: ``appended`` is the whole phrase continuation plus the draw
+    after it, from the same forward.  Only a caller that verifies the draft
+    may trust: lookahead's draft is its output.
     """
     best = pool.lookup_k(context[-1], 1)
     cand = list(best[0].tokens[1:beta]) if best else []
@@ -61,7 +68,10 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     split = len(cand) + 1
     picks = rows.argmax(axis=1).tolist()  # the n-grams, and at T = 0 the draws
     drawn = picks[:split] if temperature == 0 else sample(rows[:split], temperature, rng)
-    appended = drawn[:accept_len(cand, drawn) + 1]
+    trusted = (trust and temperature == 0 and len(context) > 1
+               and best and best[0].anchor == context[-2])
+    n = len(cand) if trusted else accept_len(cand, drawn)
+    appended = cand[:n] + drawn[n:n + 1]
     new_phrases = [(*col, gram) for col, gram in zip(columns, picks[split:])]
     return appended, new_phrases, rows[:len(appended)]
 
@@ -90,7 +100,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
                    temperature: float = 0.0,
                    rng: Optional[np.random.Generator] = None,
                    counter: Optional[ForwardCounter] = None,
-                   memo: Optional[dict] = None) -> DraftResult:
+                   memo: Optional[dict] = None, trust: bool = False) -> DraftResult:
     """Draft at least ``gamma`` tokens (phrase by phrase) unless EOS or
     ``max_new`` intervenes.  Greedy unless a ``temperature`` and an ``rng``
     are given; at T > 0 the tokens are an autoregressive draw from the
@@ -108,7 +118,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     ``ngram + width - 2`` tokens it reads; else the window slides by the m
     tokens last appended, building and reading from the memo only the m
     columns they made, so a step's cost grows with m, not ``width``, but for
-    its pool adds."""
+    its pool adds.  ``trust`` goes to every :func:`draft_step`."""
     ctx = list(context)
     memo = {} if memo is None else memo
     tokens: List[int] = []
@@ -119,7 +129,7 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
         head = window_columns(ctx, new, ngram)
         fresh = [col for col in dict.fromkeys(head) if col not in memo]
         appended, new_phrases, drawn_from = draft_step(
-            model, ctx, pool, fresh, beta, temperature, rng, counter)
+            model, ctx, pool, fresh, beta, temperature, rng, counter, trust)
         forwards += 1
         memo.update(zip(fresh, new_phrases))
         grams = [memo[col] for col in head] + grams[:width - new]

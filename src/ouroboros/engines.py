@@ -7,7 +7,8 @@
                  model drafts token by token, verification is exact match
                  (at T > 0, speculative sampling).
 * ouroboros    - ``_draft_and_verify`` with phrase drafting, draft lengthening
-                 and phrase harvest/reuse.
+                 and phrase harvest/reuse; with harvest on, its greedy drafts
+                 trust anchored corrected phrases.
 
 Each makes one target forward per iteration, cuts its output at EOS and
 ``max_new`` with :func:`.drafting.clip` and, at temperature 0, emits the
@@ -230,7 +231,7 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
             drafted = generate_draft(draft_model, ctx, pool, glen, cfg.window,
                                      cfg.ngram, max_new=remaining, beta=cfg.beta,
                                      temperature=cfg.temperature, rng=drng,
-                                     counter=gen.dcounter, memo=memo)
+                                     counter=gen.dcounter, memo=memo, trust=cfg.harvest)
         else:
             drafted = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,
                                       gen.dcounter)
@@ -249,7 +250,8 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
                                      max_len=pool.max_phrase_len))
             elif suffixes:
                 correct_unused_suffixes(pool, suffixes, outcome.branch_verdicts,
-                                        outcome.chosen_branch)
+                                        outcome.chosen_branch,
+                                        d[-2] if len(d) > 1 else ctx[-1])
         steps.append((outcome.accept_len, outcome.match_count, len(d)))
         chunk, done = clip(outcome.emitted, remaining, target.eos_id)
         out.extend(chunk)

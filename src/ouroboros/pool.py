@@ -19,6 +19,12 @@ checks a whole batch before it adds any of it.  The engines' own adds skip
 the check: ``insert_ngrams`` takes the warm-up n-grams of a prompt that was
 checked where it entered, and ``generate_draft`` adds window n-grams drawn
 from a model's rows, to a pool the engine sized to hold them.
+
+``replace_corrected`` gives the corrected phrase an anchor, the token before
+its first at that verify, which greedy ouroboros drafts match before they
+trust the phrase.  ``copy`` keeps anchors; eviction drops them with their
+phrase; ``state``, ``save`` and the v1 file leave them out, so a reloaded
+pool has none.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import InputError, PoolFormatError
 from .models import _check_tokens, _integer
@@ -41,11 +47,14 @@ POOL_VERSION = "v1"
 
 @dataclass
 class Phrase:
-    """A stored phrase; ``tokens[0]`` is its bucket key."""
+    """A stored phrase; ``tokens[0]`` is its bucket key.  ``anchor``, set by
+    ``replace_corrected`` and kept in memory only, is the token that preceded
+    ``tokens[0]`` when the target last corrected the phrase."""
 
     tokens: tuple
     hits: int = 1
     last_used: int = 0
+    anchor: Optional[int] = None
 
 
 _rank = attrgetter("hits", "last_used")  # retention order, lowest goes first
@@ -84,8 +93,8 @@ class PhrasePool:
     def copy(self) -> "PhrasePool":
         dup = PhrasePool(self.vocab_size, self.capacity_per_key, self.max_phrase_len)
         dup.clock = self.clock
-        dup._buckets = {k: {t: Phrase(t, p.hits, p.last_used) for t, p in b.items()}
-                        for k, b in self._buckets.items()}
+        dup._buckets = {k: {t: Phrase(t, p.hits, p.last_used, p.anchor)
+                            for t, p in b.items()} for k, b in self._buckets.items()}
         return dup
 
     # -- mutation ----------------------------------------------------------
@@ -157,9 +166,10 @@ class PhrasePool:
             p.last_used = self.clock
         return chosen
 
-    def replace_corrected(self, old_tokens: Sequence[int],
-                          corrected: Sequence[int]) -> bool:
-        """Swap a stored phrase for its corrected form, keeping its hits.
+    def replace_corrected(self, old_tokens: Sequence[int], corrected: Sequence[int],
+                          anchor: Optional[int] = None) -> bool:
+        """Swap a stored phrase for its corrected form, keeping its hits, and
+        give that form ``anchor`` (None, or the token before its first).
 
         Returns False (a soft miss, not an error) when the old phrase is no
         longer present.  A corrected form equal to another stored phrase is
@@ -172,11 +182,14 @@ class PhrasePool:
         (corrected,) = self._checked((corrected,))
         if corrected[:1] != old_tokens[:1]:
             raise InputError("corrected phrase must keep the original first token")
+        if anchor is not None:
+            _check_tokens(self.vocab_size, (anchor,), "anchor")
         old = self._buckets.get(old_tokens[0], {}).pop(old_tokens, None)
         if old is None:
             return False
         self._victims.pop(old_tokens[0], None)
         self._add((corrected,), hits=old.hits)
+        self._buckets[corrected[0]][corrected].anchor = anchor  # the bucket had room
         return True
 
     # -- persistence ---------------------------------------------------------

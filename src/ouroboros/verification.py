@@ -170,14 +170,16 @@ def harvest(draft: Sequence[int], verdicts: Sequence[int], accepted: int,
 
 def correct_unused_suffixes(pool: PhrasePool, suffixes: Sequence[Phrase],
                             branch_verdicts: Sequence[Sequence[int]],
-                            chosen: Optional[int]) -> int:
+                            chosen: Optional[int], anchor: Optional[int] = None) -> int:
     """Replace every untried suffix with the target's corrected version.
 
     The corrected phrase keeps the suffix's first token and takes the
     verdicts over its tail as ``verify`` cut it, so a phrase longer than beta
     becomes its beta-token correction.  Returns how many stored phrases were
     actually replaced (missing ones are soft misses).  ``branch_verdicts``
-    and ``chosen`` are ``verify``'s for these suffixes.
+    and ``chosen`` are ``verify``'s for these suffixes; ``anchor``, the token
+    before the draft's last, becomes each corrected phrase's anchor.
     """
-    return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]))
+    return sum(pool.replace_corrected(s.tokens, (s.tokens[0], *branch_verdicts[o][:-1]),
+                                      anchor)
                for o, s in enumerate(suffixes) if o != chosen)

@@ -104,6 +104,12 @@ def inserted(**kw):
     return pool.state()
 
 
+def replaced(**kw):
+    pool = filled_pool()
+    return (pool.replace_corrected((1, 5, 6), (1, 5, 7), **kw),
+            [(p.tokens, p.anchor) for p in pool.bucket(1)])
+
+
 def generated(**kw):
     model = target()
     return generate_ouroboros(model, PerturbedModel(model, 0.3, seed=1), [1, 2],
@@ -134,6 +140,7 @@ VALID = {
     "PhrasePool.insert": (inserted, dict(hits=2)),
     "PhrasePool.lookup_k": (lambda **kw: [p.tokens for p in filled_pool().lookup_k(**kw)],
                             dict(first=1, k=2)),
+    "PhrasePool.replace_corrected": (replaced, dict(anchor=3)),
     "CostModel": (lambda **kw: modeled_speedup(
         RunMetrics(tokens_emitted=12, target_forwards=3, draft_forwards=6,
                    target_branch_tokens=4), CostModel(**kw)),
@@ -319,6 +326,8 @@ def test_a_run_checks_its_prompt_once_and_then_only_what_the_pool_takes(
     # every module that binds _check_tokens records (what, tokens, caller,
     # caller's caller) for each check; drafting, verification and the
     # forwards must make none, and the pool only for harvest and correction
+    # (the corrected phrase, and its anchor, which replace_corrected checks
+    # itself when correct_unused_suffixes' generator calls it)
     checks, real = [], ouroboros.models._check_tokens
 
     def recorder(vocab_size, tokens, what):
@@ -347,7 +356,8 @@ def test_a_run_checks_its_prompt_once_and_then_only_what_the_pool_takes(
         for what, _, module, caller, outer in checks:
             assert what == "prompt" or (what, module, caller, outer) in {
                 ("phrase", "pool", "_checked", "insert"),
-                ("phrase", "pool", "_checked", "replace_corrected")}
-        pooled |= {c[4] for c in checks[1:]}
+                ("phrase", "pool", "_checked", "replace_corrected"),
+                ("anchor", "pool", "replace_corrected", "<genexpr>")}
+        pooled |= {c[3] if c[0] == "anchor" else c[4] for c in checks[1:]}
     # the loops of ouroboros both harvest and correct over these runs
     assert pooled == ({"insert", "replace_corrected"} if engine == "ouroboros" else set())

@@ -157,6 +157,48 @@ class TestDraftStep:
             assert p == tuple(range(p[0], p[0] + 3))
 
 
+def anchored_pool(vocab, phrase, anchor):
+    """A pool holding ``phrase`` as the target corrected it after ``anchor``."""
+    pool = PhrasePool(vocab)
+    pool.insert((phrase[0], 0, 0))
+    assert pool.replace_corrected((phrase[0], 0, 0), phrase, anchor=anchor)
+    return pool
+
+
+class TestTrustedPhrase:
+    """A phrase the target corrected after the token now before its first
+    goes into a greedy draft whole, when the caller trusts such phrases."""
+
+    PHRASE = (3, 9, 9, 9)  # a counter model's argmax after 3 is 4, after 9 is 10
+
+    def step(self, context, anchor=2, **kw):
+        pool = anchored_pool(20, self.PHRASE, anchor)
+        counter = ForwardCounter()
+        appended, phrases, rows = draft_step(
+            CounterModel(20), context, pool, window_columns(context, 2, 3),
+            counter=counter, **kw)
+        assert counter.calls == 1 and len(phrases) == 2
+        assert len(rows) == len(appended)
+        return appended
+
+    def test_a_matching_anchor_puts_the_phrase_in_whole_plus_one_token(self):
+        assert self.step([1, 2, 3], trust=True) == [9, 9, 9, 10]
+
+    def test_beta_still_cuts_the_phrase(self):
+        assert self.step([1, 2, 3], trust=True, beta=3) == [9, 9, 10]
+
+    @pytest.mark.parametrize("context, anchor, kw", [
+        ([1, 5, 3], 2, dict(trust=True)),              # another token before the key
+        ([3], 2, dict(trust=True)),                    # no token before the key
+        ([1, 2, 3], None, dict(trust=True)),           # a phrase with no anchor
+        ([1, 2, 3], 2, dict()),                        # the caller does not trust
+        ([1, 2, 3], 2, dict(trust=True, temperature=1.0,
+                            rng=np.random.default_rng(0)))])  # a sampled draft
+    def test_otherwise_the_draft_model_cuts_it_at_its_first_disagreement(
+            self, context, anchor, kw):
+        assert self.step(context, anchor, **kw) == [4]
+
+
 class TestGenerateDraft:
     def test_seeded_phrases_give_high_reduction(self):
         model = CounterModel(40)

@@ -475,12 +475,18 @@ ASSUMPTIONS = {
     "forward_tree": lambda model, prefix, shared, branches, counter=None, full=None: (
         len(prefix) > 0 and in_vocab(model, prefix, shared, *branches)
         and (full is None or 0 <= full <= len(branches))),
-    "draft_step": lambda model, context, pool, columns, beta=None, *args: (
-        len(context) > 0 and in_vocab(model, context, *columns)),
+    # a draft that trusts pooled phrases is one a target verifies: the draft
+    # model's (the test's PerturbedModel), never lookahead's on the target
+    "draft_step": lambda model, context, pool, columns, beta=None, temperature=0.0,
+    rng=None, counter=None, trust=False: (
+        len(context) > 0 and in_vocab(model, context, *columns)
+        and trust in (False, isinstance(model, PerturbedModel))),
     "generate_draft": lambda model, context, pool, gamma, width, ngram, max_new, *args,
-    **kwargs: (len(context) > 0 and in_vocab(model, context) and gamma >= 1
-               and max_new >= 1 and pool.vocab_size >= model.vocab_size
-               and 2 <= ngram <= pool.max_phrase_len),
+    trust=False, **kwargs: (
+        len(context) > 0 and in_vocab(model, context) and gamma >= 1
+        and max_new >= 1 and pool.vocab_size >= model.vocab_size
+        and 2 <= ngram <= pool.max_phrase_len
+        and trust in (False, isinstance(model, PerturbedModel))),
     "verify": lambda target, prefix, draft, suffixes, temperature=0.0, rng=None,
     beta=None, counter=None, draft_rows=None: (
         len(draft) > 0 and in_vocab(target, prefix, draft)
@@ -488,9 +494,11 @@ ASSUMPTIONS = {
         and (draft_rows is None or temperature == 0 or len(draft_rows) == len(draft))),
     "harvest": lambda draft, verdicts, accepted, max_len=None: (
         0 <= accepted < len(draft) <= len(verdicts)),
-    "correct_unused_suffixes": lambda pool, suffixes, branch_verdicts, chosen: (
+    "correct_unused_suffixes": lambda pool, suffixes, branch_verdicts, chosen,
+    anchor=None: (
         len(branch_verdicts) == len(suffixes)
-        and (chosen is None or 0 <= chosen < len(suffixes))),
+        and (chosen is None or 0 <= chosen < len(suffixes))
+        and anchor is not None and 0 <= anchor < pool.vocab_size),
 }
 
 
@@ -657,6 +665,52 @@ def test_engines_agree_at_boundary_configs(case):
     _, off = generate_ouroboros(target, draft, prompt, cfg.all_off())
     assert (spec.target_forwards, spec.draft_forwards, spec.accept_len_histogram) \
         == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.sampled_from([2, 3, 4]), epsilon=st.floats(0.0, 0.5),
+       vocab=st.integers(4, 12), seed=st.integers(0, 2 ** 16),
+       gamma=st.integers(1, 8), beta=st.integers(2, 8), k=st.integers(1, 4))
+def test_trusted_phrases_keep_greedy_output_over_a_shared_pool(order, epsilon, vocab,
+                                                               seed, gamma, beta, k):
+    # suffix correction anchors phrases in the pool that every prompt shares,
+    # and the drafts put them in whole.  Above order 2 one anchor token does not
+    # fix the target's continuation, so a trusted phrase can be wrong: the
+    # verify step must still emit vanilla's tokens
+    rng = np.random.default_rng(seed)
+    corpus = [int(t) for t in rng.integers(0, vocab - 1, size=200)]
+    target = build_ngram_model(corpus, order, vocab_size=vocab)
+    draft = PerturbedModel(target, epsilon, seed=seed)
+    cfg = EngineConfig(gamma=gamma, beta=beta, k=k, max_new=30)
+    pool = PhrasePool(vocab)
+    for start in rng.integers(0, len(corpus) - 8, size=6).tolist():
+        prompt = corpus[start:start + int(rng.integers(1, 8))]
+        want, _ = generate_vanilla(target, prompt, cfg)
+        got, _ = generate_ouroboros(target, draft, prompt, cfg, pool)
+        assert got == want
+
+
+def test_lookahead_never_trusts_an_anchored_pool():
+    # lookahead emits its drafts unverified: the anchors ouroboros left in a
+    # pool change none of its tokens, counters or pool updates.  A trigram
+    # target, since one anchor token does not fix its continuation: here
+    # trusting them would change lookahead's tokens
+    rng = np.random.default_rng(1)
+    corpus = [int(t) for t in rng.integers(0, 7, size=300)]
+    target = build_ngram_model(corpus, 3, vocab_size=8)
+    pool = PhrasePool(8)
+    for start in (0, 50, 100, 150):
+        generate_ouroboros(target, PerturbedModel(target, 0.3, seed=start),
+                           corpus[start:start + 5], EngineConfig(max_new=40), pool)
+    cleared = pool.copy()
+    for phrase in cleared.phrases():
+        phrase.anchor = None
+    assert {p.anchor for p in pool.phrases()} - {None}
+    for prompt in ([1], corpus[10:15], corpus[200:230]):
+        runs = [generate_lookahead_target(target, prompt, EngineConfig(max_new=40), p)
+                for p in (pool, cleared)]
+        assert runs[0] == runs[1]
+        assert (pool.state(), pool.clock) == (cleared.state(), cleared.clock)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])

@@ -29,6 +29,13 @@ once per engine call, through a memo of its n-grams.  The greedy tokens did
 not move: ``TOKENS_SHA256`` T0 and the other baseline pins kept their
 digests, and a digest of the tokens alone of the lookahead T0 runs and of
 the T0 ablation runs read the same before and after.
+
+``POOL_SHA256``, ``TOKENS_SHA256`` T1 and ``ABLATE_CSV_SHA256["0"]`` were
+retaken when greedy ouroboros drafts came to put a phrase that the target
+corrected after the token now before its first in whole (an anchored
+corrected suffix): the greedy runs draft, verify and pool other phrases, and
+the T1 pin reads the pool they save.  ``TOKENS_SHA256`` T0, ``SAMPLED_*``,
+every ``BASELINE_SHA256`` and ``ABLATE_CSV_SHA256["1"]`` did not move.
 """
 
 import dataclasses
@@ -45,11 +52,11 @@ from corpora import reference_corpus_text, write_corpus
 # byte tokens: long prompts put many n-grams in few buckets, so warm-up and
 # window inserts evict all the time
 ARGS = ("--tokenizer", "byte", "--engines", "ouroboros", "--max-new", "48")
-POOL_SHA256 = "07e93811f5eba0a41f290ebe5358421ca8f2044980d795a12e4b314bf72fcceb"
+POOL_SHA256 = "ab841d33272ac03236372ae1e09d7e00124567550f6345214d077fe6b2c52768"
 # temperature -> digest of the tokens every prompt emits from the saved pool
 TOKENS_SHA256 = {
     "0": "ebdfc1cf44f40710346dcf445cc04d62fcbc5e85cc28533517d0d329e5b1f845",
-    "1": "eac57965975ebc1895efc44b6f9263081b0493c2a29bb7c7802ed79c4199b902",
+    "1": "ec3aad510fc719cec9bc07c779896aad56f82b9517114db1bc7caadb11e9fc4d",
 }
 
 
@@ -154,7 +161,7 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
 
 # ablate --out-csv: every rung's row for every prompt, greedy and sampled
 ABLATE_CSV_SHA256 = {
-    "0": "3bf09eefa61314b87ad4d064c38474865a00b4e8e1fdcd3f1015e9aa4a117ab6",
+    "0": "8082bf92776f50b0dc6a195917e37ff4f22f6975a35b106c33f3c26a596fc03b",
     "1": "66ccb93965322f79d2790ef29e43ba61bdf0feaaf4e3c55626d39cb1f45c1848",
 }
 

@@ -131,6 +131,85 @@ class TestReplaceCorrected:
         assert pool.state() == {6: [((6, 7, 8), 1)]}
 
 
+class TestAnchor:
+    """The token before a corrected phrase's first, which the drafts match
+    before they trust the phrase; it lives in memory only."""
+
+    @staticmethod
+    def anchors(pool):
+        return {p.tokens: p.anchor for p in pool.phrases()}
+
+    def test_replace_corrected_sets_it_and_an_insert_does_not(self):
+        pool = PhrasePool(10)
+        pool.insert((6, 7, 1), (6, 2, 2))
+        assert pool.replace_corrected((6, 7, 1), (6, 7, 8), anchor=3)
+        assert self.anchors(pool) == {(6, 2, 2): None, (6, 7, 8): 3}
+        assert pool.replace_corrected((6, 7, 8), (6, 7, 9))  # no anchor given
+        assert self.anchors(pool) == {(6, 2, 2): None, (6, 7, 9): None}
+
+    def test_a_merge_into_a_stored_phrase_sets_it(self):
+        pool = PhrasePool(10)
+        pool.insert((6, 1, 1), hits=2)
+        pool.insert((6, 7, 8), hits=3)
+        assert pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=0)
+        [phrase] = pool.bucket(6)
+        assert (phrase.tokens, phrase.hits, phrase.anchor) == ((6, 7, 8), 5, 0)
+
+    def test_a_later_insert_of_the_same_phrase_keeps_it(self):
+        pool = PhrasePool(10)
+        pool.insert((6, 1, 1))
+        pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=4)
+        pool.insert((6, 7, 8))
+        assert self.anchors(pool) == {(6, 7, 8): 4}
+
+    def test_copy_keeps_it_apart_from_the_original(self):
+        pool = PhrasePool(10)
+        pool.insert((6, 1, 1), (2, 3, 4))
+        pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=5)
+        dup = pool.copy()
+        assert self.anchors(dup) == {(2, 3, 4): None, (6, 7, 8): 5}
+        dup.bucket(6)[0].anchor = None
+        assert self.anchors(pool)[(6, 7, 8)] == 5
+
+    def test_eviction_drops_it(self):
+        pool = PhrasePool(10, capacity_per_key=1)
+        pool.insert((6, 1, 1))
+        pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=5)
+        pool.insert((6, 2, 2), hits=3)  # evicts (6, 7, 8)
+        pool.insert((6, 7, 8), hits=9)  # evicts (6, 2, 2): a new phrase
+        assert self.anchors(pool) == {(6, 7, 8): None}
+
+    def test_state_and_the_pool_file_leave_it_out(self):
+        plain, anchored = PhrasePool(10), PhrasePool(10)
+        for pool, anchor in ((plain, None), (anchored, 2)):
+            pool.insert((6, 1, 1), (3, 4, 5))
+            pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=anchor)
+        assert anchored.state() == plain.state()
+        texts = []
+        for pool in (plain, anchored):
+            buf = io.StringIO()
+            pool.save(buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+        loaded = PhrasePool.load(io.StringIO(texts[1]))
+        assert loaded.state() == anchored.state()
+        assert set(self.anchors(loaded).values()) == {None}
+
+    @pytest.mark.parametrize("anchor, message", [
+        (10, "^anchor token 10 out of vocab 10$"),
+        (-1, "^anchor token -1 out of vocab 10$"),
+        (2.0, "^anchor token 2.0 is not an integer$"),
+        ("3", "^anchor token '3' is not an integer$"),
+        ((3,), r"^anchor token \(3,\) is not an integer$")])
+    def test_it_must_be_none_or_a_token_of_the_vocab(self, anchor, message):
+        pool = PhrasePool(10)
+        pool.insert((6, 1, 1))
+        with pytest.raises(InputError, match=message):
+            pool.replace_corrected((6, 1, 1), (6, 7, 8), anchor=anchor)
+        assert pool.state() == {6: [((6, 1, 1), 1)]}
+        assert self.anchors(pool) == {(6, 1, 1): None}
+
+
 class TestPersistence:
     def test_roundtrip_reproduces_buckets_hits_and_order(self):
         pool = PhrasePool(257)
@@ -458,18 +537,21 @@ class ListPool:
             p.last_used = self.tick()
         return ranked
 
-    def replace_corrected(self, old, corrected):
+    def replace_corrected(self, old, corrected, anchor=None):
         bucket = self.buckets.get(old[0], [])
         for p in bucket:
             if p.tokens == old:
                 bucket.remove(p)
-                self.insert(corrected, p.hits)
+                self.insert(corrected, p.hits).anchor = anchor
                 return True
         return False
 
     def snapshot(self):
         return {k: [(p.tokens, p.hits, p.last_used) for p in b]
                 for k, b in sorted(self.buckets.items())}
+
+    def anchors(self):
+        return {k: [p.anchor for p in b] for k, b in sorted(self.buckets.items())}
 
     def text(self):
         lines = [f"ouroboros-pool v1 vocab={self.vocab_size}"]
@@ -534,11 +616,12 @@ class PoolMachine(RuleBasedStateMachine):
 
     @rule(old=st.one_of(inserted, phrase_tokens),
           tail=st.lists(st.integers(0, VOCAB - 1), min_size=1,
-                        max_size=MAX_LEN - 1))
-    def replace_corrected(self, old, tail):
+                        max_size=MAX_LEN - 1),
+          anchor=st.one_of(st.none(), st.integers(0, VOCAB - 1)))
+    def replace_corrected(self, old, tail, anchor):
         corrected = (old[0],) + tuple(tail)
-        assert (self.pool.replace_corrected(old, corrected)
-                == self.ref.replace_corrected(old, corrected))
+        assert (self.pool.replace_corrected(old, corrected, anchor)
+                == self.ref.replace_corrected(old, corrected, anchor))
 
     @rule()
     def save_and_load(self):
@@ -596,6 +679,10 @@ class PoolMachine(RuleBasedStateMachine):
 
     @invariant()
     def same_state(self):
+        # anchors move with replace_corrected, copy, eviction and a reload;
+        # the rest of the state, the saved bytes and the victims ignore them
+        assert {k: [p.anchor for p in self.pool.bucket(k)]
+                for k in sorted(self.pool.state())} == self.ref.anchors()
         assert self.snapshot() == self.ref.snapshot()
         assert self.pool.clock == self.ref.clock
         assert all(len(self.pool.bucket(k)) <= self.capacity for k in range(VOCAB))

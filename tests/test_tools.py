@@ -74,6 +74,21 @@ def test_a_draft_epsilon_of_perfbenchs_own_value_gives_the_default_entry():
     assert swept["draft_epsilon"] == {"0.1": default["workloads"]}
 
 
+def test_the_table_prints_the_median_count_of_an_even_number_of_seeds():
+    # the median of two counts is a float, and may end in .5
+    table = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "modeled_sweep.py"), "--seeds", "1,2",
+         "--workloads", "long-context", "--engines", "ouroboros"],
+        capture_output=True, text=True, timeout=600, check=True).stdout
+    lines = table.splitlines()
+    assert lines[0] == "seeds 1,2"
+    counts = re.match(r"long-context ouroboros: tokens (\S+), target forwards (\S+) ",
+                      lines[1])
+    assert counts and all(re.fullmatch(r"\d+(\.5)?", c) for c in counts.groups())
+    assert lines[-1].startswith("    tokens_sha256 by seed: ")
+    assert len(lines[-1].split(": ")[1].split()) == 2
+
+
 def test_the_sweep_gives_the_benchmarks_modeled_numbers():
     # seed 1, ouroboros on reuse-stream: the sweep's eta and its modeled
     # speedup at t_target/t_draft 10 and no surcharge are perfbench's
@@ -94,19 +109,20 @@ def test_the_sweep_gives_the_benchmarks_modeled_numbers():
 # The sweep's full digests of every engine on every workload at seed 1: every
 # call's tokens, target and draft forwards and target branch tokens.  Speed work
 # on any layer must leave them as they are; a change that declares an algorithm
-# change retakes them and says so.
+# change retakes them and says so.  The greedy ouroboros pins were retaken when
+# its drafts came to trust anchored corrected phrases; the tokens did not move.
 SWEEP_SHA256 = {
     "reuse-stream": {
         "vanilla": "df1abff2bc32d53faa375c79477d7bcebb9867753bcdc91b82ba8e52d41f725e",
         "speculative": "4cf6694036668fa02a1443459f0a57bb78cc2139e2d92fea06db8cb9a958d0aa",
         "lookahead": "2f2c735f44924f4559749d37b52acfd4243c18374f0d36a866ec9eef2c17b419",
-        "ouroboros": "997e7a33cc7dd4caca5d1b8b1c4c867b14a0d766ccefa41a672da9588bf351f9",
+        "ouroboros": "cd67caa7ffbb9bdd35116ff1f9447e5c153db35d8fece014b7e9a0e18e4a1317",
     },
     "long-context": {
         "vanilla": "9468d13f92fb149d19c6d16be6a900fb42c0dd36694d9063fe42a09b62bc6e6e",
         "speculative": "0889f9aef8cc43b25d936e41d948d92e742d7e14ca96ecc2afe9e300536b5642",
         "lookahead": "d7e18834f3dce91f4ff89aac59f5a2233ea4db5a533ff332493da118bd1b3597",
-        "ouroboros": "55c5fd83b77eff6ce47a6bacbd26c50d3f405e6cd2a94be63e282ebb86350241",
+        "ouroboros": "1ea11aee84921db506793744ac8523399543381948c131248896582830d60064",
     },
     "sampled": {
         "vanilla": "b3289ae0b6d5917d6b3bd3bb7a6625ab6f8fcebb695c6fe92bd85bab9ac721c7",

@@ -243,14 +243,15 @@ class TestCorrectUnusedSuffixes:
         assert [p.tokens for p in pool.bucket(6)] == [(6, 7, 8, 9)]
 
     def test_chosen_branch_is_untouched(self):
+        # and only the corrected phrase takes the anchor
         pool = PhrasePool(10)
         pool.insert((6, 2, 3))
         pool.insert((6, 4, 5))
         correct_unused_suffixes(
             pool, [Phrase((6, 2, 3)), Phrase((6, 4, 5))],
-            [[9, 9, 9], [8, 8, 8]], chosen=0)
-        assert (6, 2, 3) in [p.tokens for p in pool.bucket(6)]
-        assert (6, 8, 8) in [p.tokens for p in pool.bucket(6)]
+            [[9, 9, 9], [8, 8, 8]], chosen=0, anchor=1)
+        assert [(p.tokens, p.anchor) for p in pool.bucket(6)] == [
+            ((6, 2, 3), None), ((6, 8, 8), 1)]
 
     def test_identical_verdicts_are_a_refresh(self):
         pool = PhrasePool(10)

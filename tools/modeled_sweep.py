@@ -138,11 +138,15 @@ def epsilon_list(text: str) -> list:
 
 
 def print_table(result: dict, seeds: list) -> None:
+    def text(value, fmt):
+        # a count's median over an even number of seeds is a float, maybe x.5
+        return f"{value:.1f}".removesuffix(".0") if fmt == "d" else format(value, fmt)
+
     def cell(stats, fmt):
         if stats["min"] == stats["max"]:
-            return format(stats["median"], fmt)
-        return (f"{format(stats['median'], fmt)} "
-                f"[{format(stats['min'], fmt)}, {format(stats['max'], fmt)}]")
+            return text(stats["median"], fmt)
+        return (f"{text(stats['median'], fmt)} "
+                f"[{text(stats['min'], fmt)}, {text(stats['max'], fmt)}]")
 
     print("seeds", ",".join(map(str, seeds)))
     for workload, engines in result.items():

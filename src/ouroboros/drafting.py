@@ -9,6 +9,7 @@ On the draft model this drafts for ouroboros; on the target, run for the
 whole budget, it is lookahead decoding.  A greedy ouroboros draft trusts a
 phrase the target corrected after the token now before its first (its
 anchor): the phrase goes in whole, since the target verifies it anyway.
+At temperature 0 the forward returns one argmax id per row and no rows.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
                temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
                counter: Optional[ForwardCounter] = None, trust: bool = False,
-               ) -> Tuple[List[int], List[tuple], np.ndarray]:
+               ) -> Tuple[List[int], List[tuple], Optional[np.ndarray]]:
     """One drafting forward: verify one pooled phrase and advance the window.
 
     Returns (appended, new_phrases, rows).  ``appended`` is ``verify``'s rule
@@ -54,8 +55,9 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     are one ``sample`` call, ``appended`` is an exact autoregressive draw from
     the model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
     ``new_phrases`` are the window ``columns``' n-gram tuples (see
-    :func:`window_columns`), one per column, always the rows' argmax; at
-    T = 0 one ``argmax`` over all the rows gives the draws and the n-grams.
+    :func:`window_columns`), one per column, always the rows' argmax.  At
+    T = 0 the forward is greedy: its ids are the draws and the n-grams, and
+    ``rows`` is None.
 
     With ``trust`` at T = 0, a phrase whose anchor is ``context[-2]`` skips
     that rule: ``appended`` is the whole phrase continuation plus the draw
@@ -64,16 +66,18 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     """
     best = pool.lookup_k(context[-1], 1)
     cand = list(best[0].tokens[1:beta]) if best else []
-    rows = forward_tree(model, context, [], [cand] + columns, counter, full=1)
+    greedy = temperature == 0
+    rows = forward_tree(model, context, [], [cand] + columns, counter, full=1,
+                        greedy=greedy)
     split = len(cand) + 1
-    picks = rows.argmax(axis=1).tolist()  # the n-grams, and at T = 0 the draws
-    drawn = picks[:split] if temperature == 0 else sample(rows[:split], temperature, rng)
-    trusted = (trust and temperature == 0 and len(context) > 1
+    picks = rows if greedy else rows.argmax(axis=1).tolist()
+    drawn = picks[:split] if greedy else sample(rows[:split], temperature, rng)
+    trusted = (trust and greedy and len(context) > 1
                and best and best[0].anchor == context[-2])
     n = len(cand) if trusted else accept_len(cand, drawn)
     appended = cand[:n] + drawn[n:n + 1]
     new_phrases = [(*col, gram) for col, gram in zip(columns, picks[split:])]
-    return appended, new_phrases, rows[:len(appended)]
+    return appended, new_phrases, None if greedy else rows[:len(appended)]
 
 
 @dataclass

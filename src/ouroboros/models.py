@@ -3,17 +3,20 @@
 A model is a pure function from a token context to a next-token probability
 vector.  It implements ``score(prefix, paths)``: one ``(len(paths), V)``
 matrix, owned by the caller, whose row i is the distribution after ``prefix +
-paths[i]``; ``distribution`` reads one row (``NgramModel`` keeps a fast path).
-``forward_tree`` counts as ONE forward call, mirroring how a masked
-transformer scores a token tree in a single pass, and alone decides which rows
-a forward returns; ``forward_scan`` is its tree with no branches.  Every row is
+paths[i]``; ``distribution`` reads one row (``NgramModel`` keeps a fast path)
+and ``greedy`` each row's argmax (``NgramModel`` reads a table of them, and
+``PerturbedModel`` its base's ids).  ``forward_tree`` counts as ONE forward
+call, mirroring how a masked transformer scores a token tree in a single
+pass, and alone decides which rows a forward returns, or at temperature 0
+which ids; ``forward_scan`` is its tree with no branches.  Every row is
 bit-identical to what an independent single-step call would produce.
 ``sample`` draws one token from a row, or one per row of a matrix.
 
 The builders check what they are given.  The forwards take plain token lists
 unchecked: an engine checks its prompt once, where it enters, and every later
 token is drawn from a model's row, so the one model output a forward checks
-is the width of the rows, against ``vocab_size``.
+is the width of the rows, against ``vocab_size`` (a greedy forward: that each
+id is below it).
 """
 
 from __future__ import annotations
@@ -123,6 +126,11 @@ class LanguageModel:
         the one row of ``score(context, [()])``."""
         return self.score(context, [()])[0]
 
+    def greedy(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[int]:
+        """The argmax, lowest id on ties, of each row ``score(prefix, paths)``
+        returns: a greedy forward's ids, with no matrix left to the caller."""
+        return _check_rows(self, self.score(prefix, paths)).argmax(axis=1).tolist()
+
 
 class CounterModel(LanguageModel):
     """Fully deterministic model: after last token t, predicts (t+1) mod V."""
@@ -147,7 +155,8 @@ class NgramModel(LanguageModel):
     uniform distribution.  The rows are one read-only ``(keys + 1, V)``
     matrix, the backoff last; ``index`` maps each (order-1)-gram to its row
     id.  ``score`` and ``distribution``, a fast path that builds no matrix for
-    one row, both read rows through it."""
+    one row, both read rows through it; ``greedy`` reads each row's argmax,
+    taken once per row when the model is built, through it too."""
 
     def __init__(self, order: int, index: dict, matrix: np.ndarray):
         self.order = _integer(order, "order", 1)
@@ -155,21 +164,29 @@ class NgramModel(LanguageModel):
         self.eos_id = self.vocab_size - 1
         matrix.flags.writeable = False
         self._index, self._matrix = index, matrix
+        self._top = matrix.argmax(axis=1).tolist()
 
     def distribution(self, context: TokenSeq) -> np.ndarray:
         key = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
         return self._matrix[self._index.get(key, len(self._index))]
 
-    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
-        """Gather all rows with one ``take`` over row ids; each key is the last
-        order-1 tokens of ``prefix + path``, built without copying ``prefix``."""
+    def _rows(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[int]:
+        """The row id of each path: its key is the last order-1 tokens of
+        ``prefix + path``, built without copying ``prefix``."""
         n1, get, backoff = self.order - 1, self._index.get, len(self._index)
         if n1 == 0:
-            return self._matrix.take([get((), backoff)] * len(paths), axis=0)
+            return [get((), backoff)] * len(paths)
         head = tuple(prefix[-n1:])
-        return self._matrix.take([get(tuple(path[-n1:]) if len(path) >= n1 else
-                                      (head + tuple(path))[-n1:], backoff)
-                                  for path in paths], axis=0)
+        return [get(tuple(path[-n1:]) if len(path) >= n1 else
+                    (head + tuple(path))[-n1:], backoff) for path in paths]
+
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
+        """Gather all rows with one ``take`` over row ids."""
+        return self._matrix.take(self._rows(prefix, paths), axis=0)
+
+    def greedy(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[int]:
+        top = self._top
+        return [top[row] for row in self._rows(prefix, paths)]
 
 
 def build_ngram_model(corpus: TokenSeq, order: int,
@@ -241,7 +258,8 @@ class PerturbedModel(LanguageModel):
     context) rather than by a shared RNG stream, the probability mass of the
     argmax token is swapped with that of token 0, or of token 1 when the
     argmax is 0.  Being a pure function of the context keeps engines and
-    step-by-step oracles in exact agreement.
+    step-by-step oracles in exact agreement.  ``score`` and ``greedy`` make
+    the same rolls and apply the same swap.
     """
 
     def __init__(self, base: LanguageModel, epsilon: float, seed: int = 0):
@@ -259,23 +277,49 @@ class PerturbedModel(LanguageModel):
         least = near[bisect_left(near, True, key=lambda r: r / 2.0 ** 64 >= epsilon)]
         self._cut = least.to_bytes(8, "big")
 
-    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
-        """The roll hashes the seed and the context as int64 little-endian
-        bytes.  The prefix is hashed once; each path extends a copy of that
-        blake2b state by its own tokens, the same bytes in the same order.
-        A row whose roll is below ``epsilon`` has its argmax swapped in place
-        in the base model's matrix."""
+    def _rolled(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[int]:
+        """The indices of the paths whose roll is below ``epsilon``.  The roll
+        hashes the seed and the context as int64 little-endian bytes.  The
+        prefix is hashed once; each path extends a copy of that blake2b state
+        by its own tokens, the same bytes in the same order."""
         copy = hashlib.blake2b(struct.pack(f"<q{len(prefix)}q", self.seed, *prefix),
                                digest_size=8).copy
-        rows, cut = self.base.score(prefix, paths), self._cut
+        rolled, cut = [], self._cut
         for i, path in enumerate(paths):
             hasher = copy()
             hasher.update(struct.pack(f"<{len(path)}q", *path))
             if hasher.digest() < cut:
-                top = int(rows[i].argmax())
-                tgt = 0 if top else 1 % self.vocab_size
-                rows[i, top], rows[i, tgt] = rows[i, tgt], rows[i, top]
+                rolled.append(i)
+        return rolled
+
+    @staticmethod
+    def _swap(row: np.ndarray) -> None:
+        """Swap, in place, the mass of ``row``'s argmax with that of token 0,
+        or of token 1 when the argmax is 0."""
+        top = int(row.argmax())
+        tgt = 0 if top else 1 % len(row)
+        row[top], row[tgt] = row[tgt], row[top]
+
+    def score(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> np.ndarray:
+        """The base model's matrix, each rolled row swapped in place."""
+        rows = self.base.score(prefix, paths)
+        for i in self._rolled(prefix, paths):
+            self._swap(rows[i])
         return rows
+
+    def greedy(self, prefix: TokenSeq, paths: Sequence[TokenSeq]) -> List[int]:
+        """The base model's ids, and for a rolled row what the swap leaves:
+        0 where the base argmax is not 0 (token 0 then holds the peak), else
+        the argmax of that one row, scored on the base and swapped."""
+        tops = self.base.greedy(prefix, paths)
+        for i in self._rolled(prefix, paths):
+            if tops[i]:
+                tops[i] = 0
+            else:
+                row = self.base.score(prefix, [paths[i]])[0]
+                self._swap(row)
+                tops[i] = int(row.argmax())
+        return tops
 
 
 def next_distribution(model: LanguageModel, context: TokenSeq,
@@ -301,7 +345,8 @@ def forward_scan(model: LanguageModel, prefix: TokenSeq, tokens: TokenSeq,
 def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
                  branches: Sequence[TokenSeq],
                  counter: Optional[ForwardCounter] = None,
-                 full: Optional[int] = None) -> np.ndarray:
+                 full: Optional[int] = None,
+                 greedy: bool = False) -> Union[np.ndarray, List[int]]:
     """Score several branches after a shared span in ONE forward.
 
     Returns one matrix with a row per tree node: first the rows after
@@ -311,7 +356,9 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
     token (an empty one gives the row after ``prefix + shared``).  Branches
     may be ragged or empty.  This is the functional stand-in for a tree
     attention mask: one forward regardless of branch count.  The tokens are
-    the caller's to check, and ``prefix`` must be non-empty.
+    the caller's to check, and ``prefix`` must be non-empty.  With
+    ``greedy`` it returns ``model.greedy`` of the same nodes instead, one id
+    per row, each checked to be below ``vocab_size``.
     """
     if counter is not None:
         counter.add(branch_tokens=sum(map(len, branches)))
@@ -321,6 +368,12 @@ def forward_tree(model: LanguageModel, prefix: TokenSeq, shared: TokenSeq,
         path = [*shared, *b]
         paths += [path[:i] for i in range(len(shared) + 1, len(path) + 1)]
     paths += [[*shared, *b] for b in branches[split:]]
+    if greedy:
+        ids = model.greedy(prefix, paths)
+        if max(ids) >= model.vocab_size:
+            raise InputError(f"{type(model).__name__} returned token {max(ids)}, "
+                             f"not below its vocab_size {model.vocab_size}")
+        return ids
     return _check_rows(model, model.score(prefix, paths))
 
 

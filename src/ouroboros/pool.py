@@ -158,7 +158,10 @@ class PhrasePool:
         bucket = self._buckets.get(first)
         if not bucket or k == 0:
             return []
-        chosen = sorted(bucket.values(), key=_rank, reverse=True)[:k]
+        if k == 1:  # a draft step's: the first best, as the stable sort's head
+            chosen = [max(bucket.values(), key=_rank)]
+        else:
+            chosen = sorted(bucket.values(), key=_rank, reverse=True)[:k]
         if len(chosen) == len(bucket):  # the victim is refreshed too
             self._victims.pop(first, None)
         for p in chosen:

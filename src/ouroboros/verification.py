@@ -6,11 +6,13 @@ rule or, at T > 0 given the rows the draft was drawn from, the speculative
 sampling rule; when the draft is fully accepted the best-surviving suffix
 extends the emission for free.  Discarded drafts are mined for positionally
 matching runs and unused suffixes are corrected in place in the pool.
+At temperature 0 the target forward is greedy: the verdicts are its ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,8 +88,10 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     Either way the verdicts feed harvest, suffix correction and, after a fully
     accepted draft, the bonus token and the suffix walk.
 
-    Draw order on ``rng``, so sampled runs replay exactly under one seed:
-    first the verdicts, in one ``sample`` call, in the order the nodes first
+    At T = 0 the forward is greedy and each node's verdict is its row's
+    argmax id, read where the node recurs too; no ``rng`` is drawn.  Draw
+    order on ``rng``, so sampled runs replay exactly under one seed: first
+    the verdicts, in one ``sample`` call, in the order the nodes first
     appear (the draft's positions, then each suffix's new tail nodes); then,
     under the ratio rule, one uniform per draft token; then, on a rejection,
     one uniform for the correction.
@@ -96,24 +100,32 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     token and, with ``draft_rows``, one row per draft token.
     """
     tails = [list(s.tokens[1:beta]) for s in suffixes]
+    greedy = temperature == 0
 
-    rows = forward_tree(target, prefix, draft, tails, counter=counter)
+    rows = forward_tree(target, prefix, draft, tails, counter=counter, greedy=greedy)
     n = len(draft)
-    # node maps (a tail node's parent's draw, its token) to its draw; draw n
-    # is the draft end's.  draws[o] lists tail o's draws, the draft end first.
-    order, node, start, draws = list(range(n + 1)), {}, n + 1, []
-    for tail in tails:
-        at = [n]
-        for j, token in enumerate(tail):
-            d = node.setdefault((at[-1], token), len(order))
-            if d == len(order):
-                order.append(start + j)
-            at.append(d)
-        draws.append(at)
-        start += len(tail)
-    drawn = sample(rows.take(order, axis=0), temperature, rng)
-    verdicts = drawn[:n + 1]
-    branch_verdicts = [[drawn[d] for d in at] for at in draws]
+    if greedy:  # a node's verdict is its row's id, wherever the node recurs
+        starts = accumulate(map(len, tails), initial=n + 1)
+        verdicts = rows[:n + 1]
+        branch_verdicts = [[rows[n], *rows[s:s + len(tail)]]
+                           for s, tail in zip(starts, tails)]
+    else:
+        # node maps (a tail node's parent's draw, its token) to its draw; draw
+        # n is the draft end's.  draws[o] lists tail o's draws, the draft end
+        # first.
+        order, node, start, draws = list(range(n + 1)), {}, n + 1, []
+        for tail in tails:
+            at = [n]
+            for j, token in enumerate(tail):
+                d = node.setdefault((at[-1], token), len(order))
+                if d == len(order):
+                    order.append(start + j)
+                at.append(d)
+            draws.append(at)
+            start += len(tail)
+        drawn = sample(rows.take(order, axis=0), temperature, rng)
+        verdicts = drawn[:n + 1]
+        branch_verdicts = [[drawn[d] for d in at] for at in draws]
 
     correction = None
     if draft_rows is not None and temperature > 0:

@@ -472,9 +472,10 @@ def in_vocab(model, *seqs):
 ASSUMPTIONS = {
     "next_distribution": lambda model, context, counter=None: (
         len(context) > 0 and in_vocab(model, context)),
-    "forward_tree": lambda model, prefix, shared, branches, counter=None, full=None: (
+    "forward_tree": lambda model, prefix, shared, branches, counter=None, full=None,
+    greedy=False: (
         len(prefix) > 0 and in_vocab(model, prefix, shared, *branches)
-        and (full is None or 0 <= full <= len(branches))),
+        and (full is None or 0 <= full <= len(branches)) and isinstance(greedy, bool)),
     # a draft that trusts pooled phrases is one a target verifies: the draft
     # model's (the test's PerturbedModel), never lookahead's on the target
     "draft_step": lambda model, context, pool, columns, beta=None, temperature=0.0,
@@ -634,13 +635,9 @@ def boundary_cases(draw):
     return corpus, vocab, prompt, cfg, eos_at, epsilon
 
 
-@settings(max_examples=60, deadline=None)
-@given(boundary_cases())
-@example(([0, 1, 2, 3, 0, 1], 4, [2],
-          EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2, max_new=1),
-          0, 0.0))
-def test_engines_agree_at_boundary_configs(case):
-    corpus, vocab, prompt, cfg, eos_at, epsilon = case
+def boundary_setup(corpus, vocab, prompt, cfg, eos_at, epsilon):
+    """A case's bigram target, its draft at ``epsilon`` and a pool of the
+    3-grams along the target's greedy path, EOS placed on it at ``eos_at``."""
     target = build_ngram_model(corpus, order=2, vocab_size=vocab)
     path = list(prompt)  # the target's greedy path, run past any EOS
     while len(path) < len(prompt) + cfg.max_new + 3:
@@ -649,6 +646,17 @@ def test_engines_agree_at_boundary_configs(case):
     draft = PerturbedModel(target, epsilon, seed=vocab)
     pool = PhrasePool(vocab)
     insert_ngrams(pool, path, 3)  # phrases with the EOS inside them
+    return target, draft, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_cases())
+@example(([0, 1, 2, 3, 0, 1], 4, [2],
+          EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2, max_new=1),
+          0, 0.0))
+def test_engines_agree_at_boundary_configs(case):
+    corpus, vocab, prompt, cfg, eos_at, epsilon = case
+    target, draft, pool = boundary_setup(*case)
 
     runs = {
         "vanilla": generate_vanilla(target, prompt, cfg),
@@ -665,6 +673,69 @@ def test_engines_agree_at_boundary_configs(case):
     _, off = generate_ouroboros(target, draft, prompt, cfg.all_off())
     assert (spec.target_forwards, spec.draft_forwards, spec.accept_len_histogram) \
         == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)
+
+
+class ScoreOnly(LanguageModel):
+    """``base`` behind its ``score`` alone: ``distribution`` and ``greedy``
+    are the base class's, read off ``score``'s rows."""
+
+    def __init__(self, base):
+        self.base, self.vocab_size, self.eos_id = base, base.vocab_size, base.eos_id
+
+    def score(self, prefix, paths):
+        return self.base.score(prefix, paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_cases(), st.sampled_from([0.0, 0.3, 1.0]))
+@example(([0, 1, 2, 3, 0, 1], 4, [2],
+          EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2, max_new=1),
+          0, 0.0), 1.0)
+def test_greedy_hooks_give_what_score_only_models_give(case, epsilon):
+    # the built-in models' own greedy, and a perturbed one over a score-only
+    # base, against the argmax of the rows their score returns
+    corpus, vocab, prompt, cfg, eos_at, _ = case
+    target, draft, pool = boundary_setup(corpus, vocab, prompt, cfg, eos_at, epsilon)
+    pairs = [((target, draft), (ScoreOnly(target), ScoreOnly(draft))),
+             ((target, draft), (target, PerturbedModel(ScoreOnly(target), epsilon,
+                                                       seed=vocab)))]
+    for engine in sorted(TABLE):
+        for models, score_only in pairs:
+            runs = []
+            for t, d in (models, score_only):
+                copy = pool.copy()
+                runs.append((TABLE[engine](t, d, prompt, cfg, copy),
+                             copy.state(), copy.clock))
+            assert runs[0] == runs[1], engine
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("engine", ["speculative", "lookahead", "ouroboros"])
+def test_greedy_runs_read_ids_and_sampled_runs_read_rows(engine, temperature,
+                                                         monkeypatch):
+    # at T = 0 every tree forward is greedy and draft_step returns no rows
+    trees, steps = [], []
+    for module in (ouroboros.drafting, ouroboros.verification):
+        def tree(*args, _fn=module.forward_tree, **kwargs):
+            out = _fn(*args, **kwargs)
+            trees.append(type(out))
+            return out
+        monkeypatch.setattr(module, "forward_tree", tree)
+
+    def step(*args, _fn=ouroboros.drafting.draft_step, **kwargs):
+        out = _fn(*args, **kwargs)
+        steps.append(out[2] is None)
+        return out
+    monkeypatch.setattr(ouroboros.drafting, "draft_step", step)
+    rng = np.random.default_rng(5)
+    corpus = [int(t) for t in rng.integers(0, 9, size=300)]
+    target = build_ngram_model(corpus, 2, vocab_size=10)
+    draft = PerturbedModel(target, 0.3, seed=2)
+    TABLE[engine](target, draft, corpus[:20],
+                  EngineConfig(temperature=temperature, seed=7), PhrasePool(10))
+    greedy = temperature == 0
+    assert trees and set(trees) == {list if greedy else np.ndarray}
+    assert set(steps) == ({greedy} if engine != "speculative" else set())
 
 
 @settings(max_examples=60, deadline=None)

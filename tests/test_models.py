@@ -15,7 +15,7 @@ from ouroboros import (CounterModel, EngineConfig, ForwardCounter, InputError, M
 from ouroboros.bench import ENGINES
 from ouroboros.models import forward_scan, forward_tree, next_distribution
 from ouroboros import models
-from test_engines import Misshapen
+from test_engines import Misshapen, ScoreOnly
 
 
 def argmaxes(dists):
@@ -135,6 +135,62 @@ def test_ngram_score_equals_stacked_distributions(case):
     assert rows.flags.writeable and not np.shares_memory(rows, model._matrix)
     for row, path in zip(rows, paths):
         assert np.array_equal(row, model.distribution(list(prefix) + path))
+
+
+@st.composite
+def greedy_cases(draw):
+    """A counter or n-gram model (order 1 to 4, over few symbols or many, so
+    that uniform backoff rows are common), maybe behind ``score`` alone, maybe
+    under a perturbed wrapper at epsilon 0, 0.5 or 1; a prefix and paths
+    shorter and longer than order-1."""
+    vocab = draw(st.sampled_from([2, 3, 7, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        model = CounterModel(vocab)
+    else:
+        order = draw(st.integers(1, 4))
+        corpus = rng.integers(0, draw(st.integers(1, vocab)),
+                              size=draw(st.integers(order + 1, 80)))
+        model = build_ngram_model(corpus.tolist(), order, vocab_size=vocab)
+    if draw(st.booleans()):
+        model = ScoreOnly(model)
+    epsilon = draw(st.sampled_from([None, 0.0, 0.5, 1.0]))
+    if epsilon is not None:
+        model = PerturbedModel(model, epsilon, seed=draw(st.integers(0, 2 ** 16)))
+    tokens = st.integers(0, vocab - 1)
+    prefix = draw(st.lists(tokens, min_size=1, max_size=5))
+    return model, prefix, draw(st.lists(st.lists(tokens, max_size=5), min_size=1,
+                                        max_size=8))
+
+
+class TestGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(greedy_cases())
+    def test_greedy_is_the_argmax_of_each_scored_row(self, case):
+        model, prefix, paths = case
+        got = model.greedy(prefix, paths)
+        assert got == model.score(prefix, paths).argmax(axis=1).tolist()
+        assert all(type(t) is int for t in got)
+
+    def test_a_rolled_tie_at_token_0_stays_0(self):
+        # vocab 2: after 1 the uniform backoff ties 0 and 1, and the swap
+        # changes nothing; after 0 the row is (2/3, 1/3), and it reads 1
+        base = build_ngram_model([0, 0, 0, 1], 2, vocab_size=2)
+        for model in (PerturbedModel(base, 1.0), PerturbedModel(ScoreOnly(base), 1.0)):
+            assert model.greedy([1], [(), (0,), (1, 1)]) == [0, 1, 0]
+            assert model.score([1], [(), (0,), (1, 1)]).argmax(axis=1).tolist() == [0, 1, 0]
+
+    def test_the_ngram_greedy_reads_its_table_not_the_matrix(self):
+        model = build_ngram_model([0, 1, 2, 0, 1, 3, 0, 1, 2], 3, vocab_size=5)
+        paths = [(), (1,), (1, 2), (4,)]  # the last backs off
+        want = model.score([2, 0], paths).argmax(axis=1).tolist()
+        model._matrix = None  # any read of a row would fail
+        assert model.greedy([2, 0], paths) == want == [1, 2, 0, 0]
+
+    def test_only_the_table_and_the_swap_keep_their_own_greedy(self):
+        assert [cls.__name__ for cls in (models.LanguageModel, CounterModel, NgramModel,
+                                         PerturbedModel) if "greedy" in vars(cls)] == [
+            "LanguageModel", "NgramModel", "PerturbedModel"]
 
 
 class TestNgramInputs:
@@ -589,6 +645,10 @@ class TestScanHook:
             assert isinstance(rows, np.ndarray)
             assert rows.shape == (len(want), model.vocab_size)
             assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+            ids = forward_tree(model, prefix, shared, branches, counter=counter,
+                               full=full, greedy=True)
+            assert counter == ForwardCounter(2, 2 * sum(len(b) for b in branches))
+            assert ids == rows.argmax(axis=1).tolist()
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
     def test_distribution_keeps_the_reference_roll(self, epsilon):
@@ -711,3 +771,19 @@ def test_a_forward_refuses_rows_of_another_width_than_the_vocab(forward, extra):
                                          "not its vocab_size 10$"):
         forward(Misshapen(10, extra))
     assert forward(CounterModel(10)).shape[-1] == 10
+
+
+def test_a_greedy_forward_checks_its_ids():
+    # a score-only model's rows are checked for their width, as every forward
+    # checks them; the ids of a model's own greedy, against its vocab
+    with pytest.raises(InputError, match="^Misshapen returned rows of width 11, "):
+        forward_tree(Misshapen(10, 1), [3], [4], [[5]], greedy=True)
+
+    class Past(CounterModel):
+        def greedy(self, prefix, paths):
+            return [self.vocab_size - 1] * (len(paths) - 1) + [self.vocab_size]
+
+    with pytest.raises(InputError, match="^Past returned token 10, not below its "
+                                         "vocab_size 10$"):
+        forward_tree(Past(10), [3], [4], [[5]], greedy=True)
+    assert forward_tree(CounterModel(10), [3], [4], [[5]], greedy=True) == [4, 5, 6]

@@ -614,6 +614,16 @@ class PoolMachine(RuleBasedStateMachine):
         got, want = self.pool.lookup_k(first, k), self.ref.lookup_k(first, k)
         assert [p.tokens for p in got] == [p.tokens for p in want]
 
+    @rule(first=st.integers(0, VOCAB - 1))
+    def lookup_best(self, first):
+        # one phrase is a max, not a sort: the first of the highest rank
+        # in bucket order, as the head of a stable reverse sort
+        head = sorted(self.pool.bucket(first), key=lambda p: (p.hits, p.last_used),
+                      reverse=True)[:1]
+        got = self.pool.lookup_k(first, 1)
+        assert [id(p) for p in got] == [id(p) for p in head]
+        assert [p.tokens for p in self.ref.lookup_k(first, 1)] == [p.tokens for p in got]
+
     @rule(old=st.one_of(inserted, phrase_tokens),
           tail=st.lists(st.integers(0, VOCAB - 1), min_size=1,
                         max_size=MAX_LEN - 1),

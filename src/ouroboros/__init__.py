@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .errors import InputError, PoolFormatError, RunFailure
 from .models import (CounterModel, ForwardCounter, LanguageModel, ModelSpec,
                      NgramModel, PerturbedModel, build_model, build_ngram_model,
-                     parse_model_spec, sample)
+                     parse_model_spec)
 from .pool import Phrase, PhrasePool
 from .engines import (CostModel, EngineConfig, RunMetrics,
                       generate_lookahead_target, generate_ouroboros,
@@ -18,13 +18,13 @@ from .bench import (BenchConfig, Corpus, Report, ablation, ingest_corpus,
                     make_config, run_benchmark, tune, write_csv, write_json)
 
 # The library's boundary: each of these checks its input.  The engines' inner
-# calls (drafting, verification, the forwards) take checked plain lists and
-# stay in their modules.
+# calls (drafting, verification, the forwards, sample) take checked plain
+# lists and settings and stay in their modules.
 __all__ = [
     "InputError", "PoolFormatError", "RunFailure",
     "CounterModel", "ForwardCounter", "LanguageModel", "ModelSpec",
     "NgramModel", "PerturbedModel", "build_model", "build_ngram_model",
-    "parse_model_spec", "sample",
+    "parse_model_spec",
     "Phrase", "PhrasePool",
     "CostModel", "EngineConfig", "RunMetrics", "generate_lookahead_target",
     "generate_ouroboros", "generate_speculative", "generate_vanilla",

@@ -49,15 +49,15 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     """One drafting forward: verify one pooled phrase and advance the window.
 
     Returns (appended, new_phrases, rows).  ``appended`` is ``verify``'s rule
-    on one draw per phrase row: the longest prefix of the phrase continuation
-    that matches the draws, plus one correction token, so it is never empty
-    and always extends the greedy path at temperature 0.  At T > 0 the draws
-    are one ``sample`` call, ``appended`` is an exact autoregressive draw from
-    the model, and ``rows[i]`` is the row ``appended[i]`` was drawn from.
-    ``new_phrases`` are the window ``columns``' n-gram tuples (see
-    :func:`window_columns`), one per column, always the rows' argmax.  At
-    T = 0 the forward is greedy: its ids are the draws and the n-grams, and
-    ``rows`` is None.
+    for a fixed candidate, on one draw per phrase row: the longest prefix of
+    the phrase continuation that matches the draws, plus one correction token,
+    so it is never empty and always extends the greedy path at temperature 0.
+    At T > 0 the draws are one ``sample`` call, ``appended`` is an exact
+    autoregressive draw from the model, and ``rows[i]`` is the row
+    ``appended[i]`` was drawn from.  ``new_phrases`` are the window
+    ``columns``' n-gram tuples (see :func:`window_columns`), one per column,
+    always the rows' argmax.  At T = 0 the forward is greedy: its ids are the
+    draws and the n-grams, and ``rows`` is None.
 
     With ``trust`` at T = 0, a phrase whose anchor is ``context[-2]`` skips
     that rule: ``appended`` is the whole phrase continuation plus the draw

@@ -10,13 +10,13 @@ call, mirroring how a masked transformer scores a token tree in a single
 pass, and alone decides which rows a forward returns, or at temperature 0
 which ids; ``forward_scan`` is its tree with no branches.  Every row is
 bit-identical to what an independent single-step call would produce.
-``sample`` draws one token from a row, or one per row of a matrix.
+``sample`` draws a token from a row (above T = 0, one per row of a matrix).
 
 The builders check what they are given.  The forwards take plain token lists
-unchecked: an engine checks its prompt once, where it enters, and every later
-token is drawn from a model's row, so the one model output a forward checks
-is the width of the rows, against ``vocab_size`` (a greedy forward: that each
-id is below it).
+unchecked, and ``sample`` its temperature and rng: an engine checks its
+prompt and config once, where they enter, and every later token is drawn
+from a model's row, so the one model output a forward checks is the width of
+the rows, against ``vocab_size`` (a greedy forward: that each id is below it).
 """
 
 from __future__ import annotations
@@ -389,25 +389,14 @@ def _tempered(rows: np.ndarray, temperature: float) -> np.ndarray:
 
 def sample(dist: np.ndarray, temperature: float,
            rng: Optional[np.random.Generator] = None) -> Union[int, List[int]]:
-    """Draw a token from a row, or a list of one per row of a matrix: argmax
-    (lowest id on ties) at temperature 0, else sample from (dist /
-    max(dist))**(1/temperature) renormalized, advancing ``rng``.  Each row
-    is drawn as ``rng.choice(V, p=row)`` would draw it (a normalised cumsum
-    against one uniform), so the tokens and ``rng`` end as row-by-row
-    ``rng.choice`` calls leave them; tests pin that."""
-    try:  # inline, not _real, as every drawn token passes here
-        if temperature < 0:
-            raise InputError("temperature must be >= 0")
-    except TypeError:
-        raise InputError(f"temperature {temperature!r} is not a real number") from None
+    """Draw a token: the argmax (lowest id on ties) of one row at temperature
+    0, else one per row of ``dist`` (a list for a matrix) from (dist /
+    max(dist))**(1/temperature) renormalised, advancing ``rng`` as row-by-row
+    ``rng.choice(V, p=row)`` calls would (a normalised cumsum against one
+    uniform); tests pin that.  Unchecked: an engine hands a temperature its
+    ``EngineConfig`` checked, and above 0 an rng."""
     if temperature == 0.0:
-        if dist.ndim == 2:
-            return dist.argmax(axis=1).tolist()
         return int(np.argmax(dist))
-    if not temperature < math.inf:
-        raise InputError("temperature must be finite")
-    if rng is None:
-        raise InputError("sampling with temperature > 0 requires an rng")
     cdf = np.cumsum(_tempered(dist if dist.ndim == 2 else dist[None], temperature),
                     axis=1)
     cdf /= cdf[:, -1:]
@@ -417,7 +406,9 @@ def sample(dist: np.ndarray, temperature: float,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed form of a model spec string such as ``ngram:order=3``."""
+    """Parsed form of a model spec string such as ``ngram:order=3``.  It
+    refuses an unknown kind or base, and a field its kind does not read that
+    is set away from its default."""
 
     kind: str
     order: int = 3
@@ -426,8 +417,14 @@ class ModelSpec:
     base: str = ""  # perturbed only: "", "counter", or "ngram"
 
     def __post_init__(self):
-        if self.base not in ("", "counter", "ngram"):
+        if not isinstance(self.base, str) or self.base not in ("", "counter", "ngram"):
             raise InputError(f"unknown base {self.base!r} (counter or ngram)")
+        reads = _spec_reads(self.kind, self.base)
+        for f in dataclasses.fields(self)[1:]:
+            value = getattr(self, f.name)  # an array or other odd value counts as set
+            unset = isinstance(value, (str, Real)) and value == f.default
+            if f.name not in reads and not unset:
+                raise InputError(f"a {self.kind} spec does not read {f.name!r}")
 
 
 # kind -> {ModelSpec field: parser}; perturbed also reads its named base's keys
@@ -436,12 +433,17 @@ _SPEC_KEYS = {"counter": {}, "ngram": {"order": int},
                             "base": lambda v: v.strip().lower()}}
 
 
+def _spec_reads(kind: str, base: str) -> dict:
+    """{field: parser} of the fields a spec of ``kind`` and ``base`` reads."""
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise InputError(f"unknown model kind {kind!r}")
+    return {**_SPEC_KEYS[kind], **(_SPEC_KEYS.get(base, {}) if kind == "perturbed" else {})}
+
+
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse ``kind[:key=value,...]``, each key a field its kind reads, once."""
     head, _, rest = text.partition(":")
     kind = head.strip().lower()
-    if kind not in _SPEC_KEYS:
-        raise InputError(f"unknown model kind {kind!r}")
     items: dict = {}
     for part in rest.split(",") if rest else ():
         key, eq, value = part.partition("=")
@@ -451,9 +453,8 @@ def parse_model_spec(text: str) -> ModelSpec:
         if key in items:
             raise InputError(f"model spec key {key!r} given twice in {text!r}")
         items[key] = part, value
-    reads = _SPEC_KEYS[kind]
-    if kind == "perturbed" and "base" in items:
-        reads = {**reads, **_SPEC_KEYS.get(reads["base"](items["base"][1]), {})}
+    base = _SPEC_KEYS["perturbed"]["base"](items["base"][1]) if "base" in items else ""
+    reads = _spec_reads(kind, base)
     fields = {}
     for key, (part, value) in items.items():
         if key not in reads:
@@ -477,10 +478,9 @@ def build_model(spec: ModelSpec, vocab_size: int,
         if corpus is None:
             raise InputError("ngram model spec requires a training corpus")
         return build_ngram_model(corpus, spec.order, vocab_size=vocab_size)
-    # perturbed
+    # perturbed; order is the one field a named base reads (a counter's is the default)
     if spec.base:
-        base = build_model(dataclasses.replace(spec, kind=spec.base), vocab_size,
-                           corpus)
+        base = build_model(ModelSpec(spec.base, order=spec.order), vocab_size, corpus)
     elif base is None:
         raise InputError("perturbed model spec needs a base model or a 'base' key")
     elif base.vocab_size != vocab_size:

@@ -13,12 +13,13 @@ core keeps it as that bucket's eviction victim, forgets it on those events
 over the bucket again only when it next needs a victim.  A newcomer to a
 full bucket then costs one comparison: it evicts the victim when the
 victim's hits are at most its own, and is dropped at once otherwise; the
-clock ticks either way.  The victims are the pool's one cache; a lookup
-sorts its bucket.  The public methods check their arguments: ``insert``
+clock ticks either way.  The victims are the pool's one cache.  A lookup of
+k phrases sorts its bucket; a draft step's lookup of one takes its ``max``,
+the sort's head.  The public methods check their arguments: ``insert``
 checks a whole batch before it adds any of it.  The engines' own adds skip
-the check: ``insert_ngrams`` takes the warm-up n-grams of a prompt that was
-checked where it entered, and ``generate_draft`` adds window n-grams drawn
-from a model's rows, to a pool the engine sized to hold them.
+the check: ``insert_ngrams`` takes the warm-up n-grams of a prompt checked
+where it entered, and ``generate_draft`` adds window n-grams drawn from a
+model's rows, to a pool the engine sized to hold them.
 
 ``replace_corrected`` gives the corrected phrase an anchor, the token before
 its first at that verify, which greedy ouroboros drafts match before they

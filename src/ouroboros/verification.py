@@ -1,12 +1,13 @@
 """Target-side verification of drafts and their lengthening suffixes.
 
 One target forward scores the whole draft plus up to K phrase suffixes
-branching off its last token.  The accepted prefix follows the exact-match
-rule or, at T > 0 given the rows the draft was drawn from, the speculative
-sampling rule; when the draft is fully accepted the best-surviving suffix
-extends the emission for free.  Discarded drafts are mined for positionally
-matching runs and unused suffixes are corrected in place in the pool.
-At temperature 0 the target forward is greedy: the verdicts are its ids.
+branching off its last token.  A draft token, drawn from the draft's row q,
+is kept by the ratio rule of speculative sampling (exact match at T = 0);
+after a fully kept draft a pooled suffix, a fixed candidate, extends the
+emission for free up to its first mismatch with the target's draws.
+Discarded drafts are mined for positionally matching runs and unused
+suffixes are corrected in place in the pool.  At T = 0 the target forward is
+greedy: the verdicts are its ids.
 """
 
 from __future__ import annotations
@@ -80,24 +81,25 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
     sampled lengthening emits what the target samples.  Suffix tails are
     truncated to beta-1 tokens when ``beta`` is given.
 
-    The draft is accepted up to its first mismatch with the verdicts, unless
-    ``draft_rows`` gives the row each draft token was drawn from (q) and
-    T > 0: then speculative sampling decides, and a rejected position emits
-    a draw from max(0, p - q) in place of its verdict (see
-    :func:`_ratio_accept`; p and q are tempered as ``sample`` tempers them).
-    Either way the verdicts feed harvest, suffix correction and, after a fully
-    accepted draft, the bonus token and the suffix walk.
+    A draft token, drawn from q, is kept by the ratio rule: at T > 0
+    speculative sampling on ``draft_rows``, the q row of each draft token,
+    where a rejected position emits a draw from max(0, p - q) in place of
+    its verdict (see :func:`_ratio_accept`; p and q are tempered as
+    ``sample`` tempers them); at T = 0, exact match with the verdicts.  A
+    suffix, a fixed candidate, is kept by exact match with the verdicts at
+    any temperature.  The verdicts also feed harvest, suffix correction and,
+    after a fully accepted draft, the bonus token.
 
     At T = 0 the forward is greedy and each node's verdict is its row's
     argmax id, read where the node recurs too; no ``rng`` is drawn.  Draw
     order on ``rng``, so sampled runs replay exactly under one seed: first
     the verdicts, in one ``sample`` call, in the order the nodes first
-    appear (the draft's positions, then each suffix's new tail nodes); then,
-    under the ratio rule, one uniform per draft token; then, on a rejection,
-    one uniform for the correction.
+    appear (the draft's positions, then each suffix's new tail nodes); then
+    one uniform per draft token; then, on a rejection, one uniform for the
+    correction.
 
     The caller hands a non-empty draft, suffixes that start with its last
-    token and, with ``draft_rows``, one row per draft token.
+    token and, at T > 0, one row per draft token.
     """
     tails = [list(s.tokens[1:beta]) for s in suffixes]
     greedy = temperature == 0
@@ -109,6 +111,7 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
         verdicts = rows[:n + 1]
         branch_verdicts = [[rows[n], *rows[s:s + len(tail)]]
                            for s, tail in zip(starts, tails)]
+        accepted, correction = accept_len(draft, verdicts), None
     else:
         # node maps (a tail node's parent's draw, its token) to its draw; draw
         # n is the draft end's.  draws[o] lists tail o's draws, the draft end
@@ -126,13 +129,8 @@ def verify(target: LanguageModel, prefix: Sequence[int], draft: Sequence[int],
         drawn = sample(rows.take(order, axis=0), temperature, rng)
         verdicts = drawn[:n + 1]
         branch_verdicts = [[drawn[d] for d in at] for at in draws]
-
-    correction = None
-    if draft_rows is not None and temperature > 0:
         accepted, correction = _ratio_accept(draft, rows[:n], draft_rows,
                                              temperature, rng)
-    else:
-        accepted = accept_len(draft, verdicts)
     branch_accepts = [1 + accept_len(tail, bv)
                       for tail, bv in zip(tails, branch_verdicts)]
 

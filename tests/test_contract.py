@@ -11,9 +11,10 @@ parameter's kind.  An ``int`` takes what ``operator.index`` reads (``bool``
 and numpy integers), a ``float`` any real number, a flag only ``True`` or
 ``False``; ``None`` is in the kind of an ``Optional`` parameter.
 
-The engines' inner calls (drafting, verification, the forwards) are not
-exported and check nothing: the last test here pins that a run checks its
-prompt once, at entry, and its loops' tokens only where the pool takes them.
+The engines' inner calls (drafting, verification, the forwards, ``sample``)
+are not exported and check nothing: the last test here pins that a run
+checks its prompt once, at entry, and its loops' tokens only where the pool
+takes them.
 """
 
 import inspect
@@ -34,7 +35,7 @@ from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig, Input
                        build_model, build_ngram_model, ForwardCounter,
                        generate_lookahead_target, generate_ouroboros,
                        generate_speculative, generate_vanilla, ingest_corpus,
-                       locality_order, modeled_speedup, run_benchmark, sample)
+                       locality_order, modeled_speedup, run_benchmark)
 from ouroboros.bench import ENGINES
 
 EXCLUDED = {
@@ -131,9 +132,6 @@ VALID = {
                     .distribution([1]).tolist(), dict(vocab_size=8)),
     "build_ngram_model": (lambda **kw: build_ngram_model(CORPUS, **kw)
                           .distribution([1]).tolist(), dict(order=2, vocab_size=8)),
-    "sample": (lambda **kw: sample(np.array([0.2, 0.3, 0.5]),
-                                   rng=np.random.default_rng(0), **kw),
-               dict(temperature=1.0)),
     "PhrasePool": (lambda **kw: filled_pool(PhrasePool(**kw)).state(),
                    dict(vocab_size=10, capacity_per_key=2, max_phrase_len=4)),
     "PhrasePool.bucket": (lambda **kw: filled_pool().bucket(**kw), dict(key=1)),
@@ -302,8 +300,6 @@ REFUSALS = {
         lambda counter: generate_lookahead_target(Counted(8, counter), [1, 2],
                                                   EngineConfig(), PhrasePool(10)),
         "^pool vocab 10 != model vocab 8$"),
-    "sample(no rng)": (lambda counter: sample(np.array([0.2, 0.8]), 1.0),
-                       "requires an rng"),
     "build_ngram_model(token past int64)": (
         lambda counter: build_ngram_model([2 ** 63, 1, 2], 2, vocab_size=2 ** 64),
         "must fit in a signed 64-bit integer"),

@@ -86,7 +86,9 @@ ENGINES = {name: lambda m, prompt, cfg, run=run: run(m, m, prompt, cfg, None)
     (engine, field, value) for engine in sorted(ENGINES)
     for field, value in [("k", 1.5), ("beta", 3.5), ("max_new", 2.5), ("gamma", 2.5),
                          ("window", 2.5), ("ngram", 3.5), ("seed", 1.5),
-                         ("k", -1), ("temperature", "1"), ("temperature", None)]])
+                         ("k", -1), ("temperature", "1"), ("temperature", None),
+                         ("temperature", -1), ("temperature", math.inf),
+                         ("temperature", math.nan)]])
 def test_a_config_value_of_the_wrong_type_is_an_input_error(engine, field, value):
     with pytest.raises(InputError, match=field):
         ENGINES[engine](CounterModel(10), [1], EngineConfig(**{field: value}))
@@ -492,7 +494,12 @@ ASSUMPTIONS = {
     beta=None, counter=None, draft_rows=None: (
         len(draft) > 0 and in_vocab(target, prefix, draft)
         and all(s.tokens[0] == draft[-1] for s in suffixes)
-        and (draft_rows is None or temperature == 0 or len(draft_rows) == len(draft))),
+        and (temperature == 0 or (draft_rows is not None
+                                  and len(draft_rows) == len(draft)))),
+    # one row at T = 0, else a finite temperature above 0 and an rng
+    "sample": lambda dist, temperature, rng=None: (
+        dist.ndim == 1 if temperature == 0
+        else 0 < temperature < math.inf and rng is not None),
     "harvest": lambda draft, verdicts, accepted, max_len=None: (
         0 <= accepted < len(draft) <= len(verdicts)),
     "correct_unused_suffixes": lambda pool, suffixes, branch_verdicts, chosen,
@@ -534,6 +541,7 @@ def test_the_loops_hand_the_inner_calls_what_they_take_on_trust(engine, temperat
     if engine == "ouroboros":
         assert calls["harvest"] and calls["correct_unused_suffixes"]
     assert calls["next_distribution"] or calls["forward_tree"]
+    assert calls["sample"] or (temperature == 0 and engine != "vanilla")
 
 
 class TestAcceptMonotonicity:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ouroboros import (CounterModel, ForwardCounter, LanguageModel, Phrase, PhrasePool,
-                       build_ngram_model, sample)
-from ouroboros.models import next_distribution
+                       build_ngram_model)
+from ouroboros.models import next_distribution, sample
 from ouroboros.verification import (accept_len, correct_unused_suffixes, harvest,
                                     match_count, verify)
 
@@ -119,7 +119,9 @@ class TestVerify:
     def test_sampled_verdicts_follow_the_tree_order(self):
         prefix, draft, tails = [3], [4, 5, 6], [[7, 8], [7, 2], [2], []]
         # one draw per tree node, in the order the nodes first appear: the
-        # main positions, then each tail's nodes that no earlier tail shares
+        # main positions, then each tail's nodes that no earlier tail shares;
+        # then the ratio rule's uniform per draft token; then, on a
+        # rejection, the correction's uniform
         contexts = [prefix + draft[:i] for i in range(len(draft) + 1)]
         for tail in tails:
             contexts += [prefix + draft + tail[:i] for i in range(1, len(tail) + 1)
@@ -128,17 +130,30 @@ class TestVerify:
         target = ContextModel()
         codes = {target.code(c) for c in contexts}
         assert len(codes) == len(contexts)  # codes tell contexts apart
-        for seed in range(5):
+        # draft rows q equal to p keep every token; one-hot ones keep x_i
+        # while u_i < p_i(x_i), which here rejects
+        own = [target.distribution(c) for c in contexts[:len(draft)]]
+        one_hot = [np.eye(target.vocab_size)[t] for t in draft]
+        kept = set()
+        for seed in range(6):
+            rows = own if seed % 2 else one_hot
             rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
             out = verify(target, prefix, draft, [Phrase((6, *t)) for t in tails],
-                         temperature=1.0, rng=rng)
+                         temperature=1.0, rng=rng, draft_rows=rows)
             drawn = {tuple(c): sample(target.distribution(c), 1.0, replay)
                      for c in contexts}
             assert out.verdicts == [drawn[tuple(c)] for c in contexts[:len(draft) + 1]]
             assert out.branch_verdicts == [
                 [drawn[tuple(prefix + draft + tail[:i])] for i in range(len(tail) + 1)]
                 for tail in tails]
+            u = replay.random(len(draft))
+            assert out.accept_len == next((i for i, x in enumerate(draft)
+                                           if u[i] * rows[i][x] >= own[i][x]), len(draft))
+            if out.accept_len < len(draft):
+                replay.random(1)
+            kept.add(out.accept_len == len(draft))
             assert rng.bit_generator.state == replay.bit_generator.state
+        assert kept == {True, False}   # both kept drafts and corrections were seen
 
     def test_accept_len_characterization_on_fuzzed_runs(self):
         rng = np.random.default_rng(23)
@@ -173,25 +188,45 @@ class TestVerify:
                 ctx.append(tok)
 
     def test_sampled_emission_comes_from_the_draw_log(self):
+        # the draft is drawn from a second model's rows q; after the node
+        # draws the log holds one uniform per draft token, which decides the
+        # accepted length, and on a rejection the correction's draw from
+        # max(0, p - q); a kept draft emits the suffix walk's verdicts
         rng_model = np.random.default_rng(31)
         corpus = [int(t) for t in rng_model.integers(0, 10, size=300)]
         target = build_ngram_model(corpus, order=2, vocab_size=10)
-        rng = np.random.default_rng(7)
+        draft_model = build_ngram_model(corpus[::-1], order=2, vocab_size=10)
+        rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+        outcomes = set()
         for _ in range(50):
             prefix = [int(t) for t in rng_model.integers(0, 10, size=3)]
-            draft = [int(t) for t in rng_model.integers(0, 10, size=4)]
+            ctx, rows = list(prefix), []
+            for _ in range(4):
+                rows.append(draft_model.distribution(ctx))
+                ctx.append(sample(rows[-1], 1.0, rng_model))
+            draft = ctx[len(prefix):]
             suffixes = [Phrase((draft[-1], 1, 2)), Phrase((draft[-1], 3, 4))]
             out = verify(target, prefix, draft, suffixes, temperature=1.0,
-                         rng=rng, beta=3)
-            a = out.accept_len
+                         rng=rng, beta=3, draft_rows=rows)
+            replay.random(len(draft) + 1 + 4)   # one draw per tree node
+            p = [target.distribution(prefix + draft[:i]) for i in range(len(draft))]
+            u = replay.random(len(draft))
+            a = next((i for i, x in enumerate(draft) if u[i] * rows[i][x] >= p[i][x]),
+                     len(draft))
+            assert out.accept_len == a
             if a < len(draft):
-                assert out.emitted == draft[:a] + [out.verdicts[a]]
-            elif out.chosen_branch is not None:
+                correction = sample(np.maximum(p[a] - rows[a], 0.0), 1.0, replay)
+                assert out.emitted == draft[:a] + [correction]
+                outcomes.add("corrected")
+            else:
                 j = out.chosen_branch
                 ext = out.branch_accept_len[j] - 1
                 tail = list(suffixes[j].tokens[1:3])
                 assert out.emitted == (draft + tail[:ext]
                                        + [out.branch_verdicts[j][ext]])
+                outcomes.add("kept")
+            assert rng.bit_generator.state == replay.bit_generator.state
+        assert outcomes == {"corrected", "kept"}
 
 
 class TestGreedyEmissionExact:
@@ -320,9 +355,10 @@ LENGTHENING_ALPHA = 1e-6   # per example; 25 examples miss a true target 1 in 40
 @given(lengthening_cases())
 @example(([[1, 0, 0], [0, 1, 1], [1, 1, 1]], 1, [[1], [1, 2], [1]], 0))
 def test_sampled_token_after_an_accepted_draft_follows_the_target(case):
-    # The prefix's row is one-hot on the draft's one token, so the draft is
-    # always accepted; the token after it must be the target's draw, however
-    # many suffix tails start with the same token.
+    # The prefix's row is one-hot on the draft's one token, and so is the
+    # draft row it was drawn from, so the ratio rule always keeps it; the
+    # token after it must be the target's draw, however many suffix tails
+    # start with the same token.
     weights, end, tails, seed = case
     rows = np.array(weights, dtype=float)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -333,7 +369,9 @@ def test_sampled_token_after_an_accepted_draft_follows_the_target(case):
     watched = tails[0][0]
     hits = 0
     for _ in range(n):
-        out = verify(target, [start], [end], suffixes, temperature=1.0, rng=rng)
+        out = verify(target, [start], [end], suffixes, temperature=1.0, rng=rng,
+                     draft_rows=[np.eye(target.vocab_size)[end]])
+        assert out.accept_len == 1
         hits += out.emitted[1] == watched
     assert stats.binomtest(hits, n, rows[end][watched]).pvalue > LENGTHENING_ALPHA
 

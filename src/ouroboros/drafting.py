@@ -1,6 +1,6 @@
 """Phrase-level drafting with a Jacobi-style lookahead window.
 
-Each draft step spends ONE forward to do two things at once: verify the best
+A draft step spends ONE forward to do two things at once: verify the best
 pooled phrase for the current last token (emitting its matching prefix plus
 one correction token), and advance W window columns, the context's most
 recent (N-1)-token stretches, each yielding an N-gram tuple for the pool
@@ -9,6 +9,9 @@ On the draft model this drafts for ouroboros; on the target, run for the
 whole budget, it is lookahead decoding.  A greedy ouroboros draft trusts a
 phrase the target corrected after the token now before its first (its
 anchor): the phrase goes in whole, since the target verifies it anyway.
+It also spends no forward on a step whose context's last 3 tokens occur in
+the text the engine call has emitted: it copies what followed them there
+(prompt lookup, on the call's own output), unless an anchored phrase applies.
 At temperature 0 the forward returns one argmax id per row and no rows.
 """
 
@@ -20,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .models import ForwardCounter, LanguageModel, forward_tree, sample
-from .pool import PhrasePool
+from .pool import Phrase, PhrasePool
 from .verification import accept_len
 
 
@@ -40,13 +43,19 @@ def window_columns(context: Sequence[int], width: int, ngram: int) -> List[tuple
     return [tail[s:s + n1] for s in range(width - 1, -1, -1)]
 
 
-def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
-               columns: Sequence[Sequence[int]], beta: Optional[int] = None,
-               temperature: float = 0.0,
+def anchored(phrase: Optional[Phrase], context: Sequence[int]) -> bool:
+    """Whether ``phrase`` was corrected after the token now ``context[-2]``."""
+    return phrase is not None and len(context) > 1 and phrase.anchor == context[-2]
+
+
+def draft_step(model: LanguageModel, context: Sequence[int],
+               phrase: Optional[Phrase], columns: Sequence[Sequence[int]],
+               beta: Optional[int] = None, temperature: float = 0.0,
                rng: Optional[np.random.Generator] = None,
                counter: Optional[ForwardCounter] = None, trust: bool = False,
                ) -> Tuple[List[int], List[tuple], Optional[np.ndarray]]:
-    """One drafting forward: verify one pooled phrase and advance the window.
+    """One drafting forward: verify ``phrase``, the pool's best for
+    ``context[-1]`` (None for none), and advance the window.
 
     Returns (appended, new_phrases, rows).  ``appended`` is ``verify``'s rule
     for a fixed candidate, on one draw per phrase row: the longest prefix of
@@ -59,21 +68,19 @@ def draft_step(model: LanguageModel, context: Sequence[int], pool: PhrasePool,
     always the rows' argmax.  At T = 0 the forward is greedy: its ids are the
     draws and the n-grams, and ``rows`` is None.
 
-    With ``trust`` at T = 0, a phrase whose anchor is ``context[-2]`` skips
-    that rule: ``appended`` is the whole phrase continuation plus the draw
-    after it, from the same forward.  Only a caller that verifies the draft
-    may trust: lookahead's draft is its output.
+    With ``trust`` at T = 0, an :func:`anchored` phrase skips that rule:
+    ``appended`` is the whole phrase continuation plus the draw after it,
+    from the same forward.  Only a caller that verifies the draft may trust:
+    lookahead's draft is its output.
     """
-    best = pool.lookup_k(context[-1], 1)
-    cand = list(best[0].tokens[1:beta]) if best else []
+    cand = [] if phrase is None else list(phrase.tokens[1:beta])
     greedy = temperature == 0
     rows = forward_tree(model, context, [], [cand] + columns, counter, full=1,
                         greedy=greedy)
     split = len(cand) + 1
     picks = rows if greedy else rows.argmax(axis=1).tolist()
     drawn = picks[:split] if greedy else sample(rows[:split], temperature, rng)
-    trusted = (trust and greedy and len(context) > 1
-               and best and best[0].anchor == context[-2])
+    trusted = trust and greedy and anchored(phrase, context)
     n = len(cand) if trusted else accept_len(cand, drawn)
     appended = cand[:n] + drawn[n:n + 1]
     new_phrases = [(*col, gram) for col, gram in zip(columns, picks[split:])]
@@ -104,7 +111,8 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
                    temperature: float = 0.0,
                    rng: Optional[np.random.Generator] = None,
                    counter: Optional[ForwardCounter] = None,
-                   memo: Optional[dict] = None, trust: bool = False) -> DraftResult:
+                   memo: Optional[dict] = None, trust: bool = False,
+                   index: Optional[dict] = None) -> DraftResult:
     """Draft at least ``gamma`` tokens (phrase by phrase) unless EOS or
     ``max_new`` intervenes.  Greedy unless a ``temperature`` and an ``rng``
     are given; at T > 0 the tokens are an autoregressive draw from the
@@ -122,7 +130,14 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     ``ngram + width - 2`` tokens it reads; else the window slides by the m
     tokens last appended, building and reading from the memo only the m
     columns they made, so a step's cost grows with m, not ``width``, but for
-    its pool adds.  ``trust`` goes to every :func:`draft_step`."""
+    its pool adds.  ``trust`` goes to every :func:`draft_step`.
+
+    Each step looks up the pool's best phrase for its last token.
+    ``index``, passed only by a greedy draft that trusts, maps 3-grams of
+    ``context`` to where their latest continuation starts.  A step whose
+    context ends in one, unless that phrase is :func:`anchored`, copies up
+    to ``pool.max_phrase_len - 1`` tokens from there: no forward, no pool
+    add, and the window slides over them at the next forward."""
     ctx = list(context)
     memo = {} if memo is None else memo
     tokens: List[int] = []
@@ -130,19 +145,27 @@ def generate_draft(model: LanguageModel, context: Sequence[int],
     grams: List[tuple] = []  # the window's memo n-grams, newest stretch first
     forwards, new, done = 0, width, False
     while not done and len(tokens) < gamma:
-        head = window_columns(ctx, new, ngram)
-        fresh = [col for col in dict.fromkeys(head) if col not in memo]
-        appended, new_phrases, drawn_from = draft_step(
-            model, ctx, pool, fresh, beta, temperature, rng, counter, trust)
-        forwards += 1
-        memo.update(zip(fresh, new_phrases))
-        grams = [memo[col] for col in head] + grams[:width - new]
-        pool._add(grams)
+        best = pool.lookup_k(ctx[-1], 1)
+        phrase = best[0] if best else None
+        at = None if index is None else index.get(tuple(ctx[-3:]))
+        if at is not None and not anchored(phrase, ctx):  # a draft-free step
+            appended, unbuilt = ctx[at:at + pool.max_phrase_len - 1], new
+        else:
+            head = window_columns(ctx, new, ngram)
+            fresh = [col for col in dict.fromkeys(head) if col not in memo]
+            appended, new_phrases, drawn_from = draft_step(
+                model, ctx, phrase, fresh, beta, temperature, rng, counter, trust)
+            forwards, unbuilt = forwards + 1, 0
+            memo.update(zip(fresh, new_phrases))
+            grams = [memo[col] for col in head] + grams[:width - new]
+            pool._add(grams)
         chunk, done = clip(appended, max_new - len(tokens), model.eos_id)
         tokens.extend(chunk)
         if rows is not None:
             rows.extend(drawn_from[:len(chunk)])
         ctx.extend(chunk)
-        # slide by the chunk, unless the context is too short to fill the window
-        new = min(len(chunk), width) if len(ctx) >= ngram + width - 2 else width
+        # slide by the tokens since the last build, unless the context is too
+        # short to fill the window
+        new = (min(unbuilt + len(chunk), width) if len(ctx) >= ngram + width - 2
+               else width)
     return DraftResult(tokens, forwards, rows)

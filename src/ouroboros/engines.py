@@ -8,7 +8,9 @@
                  (at T > 0, speculative sampling).
 * ouroboros    - ``_draft_and_verify`` with phrase drafting, draft lengthening
                  and phrase harvest/reuse; with harvest on, its greedy drafts
-                 trust anchored corrected phrases.
+                 trust anchored corrected phrases and copy, with no draft
+                 forward, what followed the context's last 3 tokens where
+                 they occur in the call's emitted text (an index of it).
 
 Each makes one target forward per iteration, cuts its output at EOS and
 ``max_new`` with :func:`.drafting.clip` and, at temperature 0, emits the
@@ -223,6 +225,9 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
     out: List[int] = []
     steps: List[Tuple[int, int, int]] = []
     memo: dict = {}  # the window's n-grams, for every draft of this call
+    # each emitted 3-gram -> where its latest continuation starts, read by the
+    # greedy phrase drafts that trust what the target verified
+    index = {} if cfg.harvest and cfg.phrase_draft and cfg.temperature == 0 else None
     done = False
     while not done:
         remaining = cfg.max_new - len(out)
@@ -231,7 +236,8 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
             drafted = generate_draft(draft_model, ctx, pool, glen, cfg.window,
                                      cfg.ngram, max_new=remaining, beta=cfg.beta,
                                      temperature=cfg.temperature, rng=drng,
-                                     counter=gen.dcounter, memo=memo, trust=cfg.harvest)
+                                     counter=gen.dcounter, memo=memo, trust=cfg.harvest,
+                                     index=index)
         else:
             drafted = _autoregressive(draft_model, ctx, glen, cfg.temperature, drng,
                                       gen.dcounter)
@@ -256,6 +262,11 @@ def _draft_and_verify(gen: _Generation, draft_model: LanguageModel,
         chunk, done = clip(outcome.emitted, remaining, target.eos_id)
         out.extend(chunk)
         ctx.extend(chunk)
+        if index is not None:  # the chunk's 3-grams that lie in the emitted text
+            n = len(ctx)
+            first = max(n - len(chunk), n - len(out) + 3)
+            index.update(zip(zip(ctx[first - 3:n - 3], ctx[first - 2:n - 2],
+                                 ctx[first - 1:n - 1]), range(first, n)))
     return out, gen.metrics(out, steps)
 
 

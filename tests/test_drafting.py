@@ -24,6 +24,12 @@ def greedy_continuation(model, context, n):
     return out
 
 
+def best(pool, key):
+    """The pool's best phrase for ``key``, as a draft step is handed it."""
+    found = pool.lookup_k(key, 1)
+    return found[0] if found else None
+
+
 class RecordingPool(PhrasePool):
     """A pool that remembers every phrase added to it, by any entry point."""
 
@@ -103,7 +109,7 @@ class TestDraftStep:
         pool.insert((3, 4, 5, 6, 7))
         columns = window_columns([1, 2, 3], width=4, ngram=3)
         counter = ForwardCounter()
-        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
+        appended, _, _ = draft_step(model, [1, 2, 3], best(pool, 3), columns, counter=counter)
         assert appended == [4, 5, 6, 7, 8]
         assert counter.calls == 1
 
@@ -112,7 +118,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         pool.insert((3, 4, 9, 9))
         columns = window_columns([1, 2, 3], width=2, ngram=3)
-        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns)
+        appended, _, _ = draft_step(model, [1, 2, 3], best(pool, 3), columns)
         assert appended == [4, 5]
 
     def test_empty_bucket_degenerates_to_one_token(self):
@@ -120,7 +126,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         columns = window_columns([1, 2, 3], width=2, ngram=3)
         counter = ForwardCounter()
-        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, counter=counter)
+        appended, _, _ = draft_step(model, [1, 2, 3], best(pool, 3), columns, counter=counter)
         assert appended == [4]
         assert counter.calls == 1
 
@@ -129,7 +135,7 @@ class TestDraftStep:
         pool = PhrasePool(20)
         pool.insert((3, 4, 5, 6, 7, 8, 9))
         columns = window_columns([1, 2, 3], width=2, ngram=3)
-        appended, _, _ = draft_step(model, [1, 2, 3], pool, columns, beta=4)
+        appended, _, _ = draft_step(model, [1, 2, 3], best(pool, 3), columns, beta=4)
         # 3 continuation tokens survive the cut, plus the correction
         assert appended == [4, 5, 6, 7]
 
@@ -137,7 +143,7 @@ class TestDraftStep:
         model = CounterModel(20)
         pool = PhrasePool(20)
         columns = window_columns([1, 2, 3], width=5, ngram=4)
-        _, phrases, _ = draft_step(model, [1, 2, 3], pool, columns)
+        _, phrases, _ = draft_step(model, [1, 2, 3], best(pool, 3), columns)
         assert len(phrases) == 5
         assert all(len(p) == 4 for p in phrases)
         assert all(0 <= t < 20 for p in phrases for t in p)
@@ -149,10 +155,10 @@ class TestDraftStep:
         pool = PhrasePool(50)
         ctx = [10, 11, 12, 13, 14]
         columns = window_columns(ctx, width=2, ngram=3)
-        appended, _, _ = draft_step(model, ctx, pool, columns)
+        appended, _, _ = draft_step(model, ctx, best(pool, ctx[-1]), columns)
         ctx = ctx + appended
         columns = window_columns(ctx, width=2, ngram=3)
-        _, phrases, _ = draft_step(model, ctx, pool, columns)
+        _, phrases, _ = draft_step(model, ctx, best(pool, ctx[-1]), columns)
         for p in phrases:
             assert p == tuple(range(p[0], p[0] + 3))
 
@@ -175,7 +181,8 @@ class TestTrustedPhrase:
         pool = anchored_pool(20, self.PHRASE, anchor)
         counter = ForwardCounter()
         appended, phrases, rows = draft_step(
-            CounterModel(20), context, pool, window_columns(context, 2, 3),
+            CounterModel(20), context, best(pool, context[-1]),
+            window_columns(context, 2, 3),
             counter=counter, **kw)
         assert counter.calls == 1 and len(phrases) == 2
         # a greedy step reads ids and returns no rows; a sampled one, a row per token
@@ -201,6 +208,112 @@ class TestTrustedPhrase:
     def test_otherwise_the_draft_model_cuts_it_at_its_first_disagreement(
             self, context, anchor, kw):
         assert self.step(context, anchor, **kw) == [4]
+
+
+class TestDraftFreeStep:
+    """A greedy draft that trusts, handed an index of the context's 3-grams,
+    copies the continuation of the context's last 3 tokens with no forward."""
+
+    def draft(self, context, index, pool=None, gamma=4, max_new=100, vocab=20):
+        pool = RecordingPool(vocab) if pool is None else pool
+        counter = ForwardCounter()
+        result = generate_draft(CounterModel(vocab), context, pool, gamma=gamma,
+                                width=2, ngram=3, max_new=max_new, counter=counter,
+                                trust=True, index=index)
+        assert counter.calls == result.forwards_used
+        return result
+
+    def test_a_match_is_copied_with_no_forward(self):
+        # the copy need not be the model's greedy path: the target verifies it
+        pool = RecordingPool(20)
+        result = self.draft([1, 2, 3, 9, 9, 1, 2, 3], {(1, 2, 3): 3}, pool)
+        assert (result.tokens, result.forwards_used) == ([9, 9, 1, 2, 3], 0)
+        assert pool.inserted == [] and pool.clock == 0
+
+    def test_a_step_copies_up_to_one_less_than_the_longest_phrase(self):
+        context = list(range(19)) + [0, 1, 2]
+        result = self.draft(context, {(0, 1, 2): 3}, gamma=1)
+        assert (result.tokens, result.forwards_used) == (list(range(3, 18)), 0)
+        pool = RecordingPool(20)
+        pool.max_phrase_len = 5
+        assert self.draft(context, {(0, 1, 2): 3}, pool, gamma=1).tokens == [3, 4, 5, 6]
+
+    def test_a_copy_that_falls_short_of_gamma_is_followed_by_more_steps(self):
+        # [5, 1, 2, 3] ends in the key again, so the next step copies from the
+        # same position, through the tokens the first copy drafted
+        result = self.draft([1, 2, 3, 5, 1, 2, 3], {(1, 2, 3): 3}, gamma=9)
+        assert (result.tokens, result.forwards_used) == ([5, 1, 2, 3] * 3, 0)
+        # a copy cut to [5, 6] ends in a key the index lacks: the counter
+        # model drafts 7 after it, in one forward
+        pool = RecordingPool(20)
+        pool.max_phrase_len = 3
+        result = self.draft([1, 2, 3, 5, 6, 1, 2, 3], {(1, 2, 3): 3}, pool, gamma=3)
+        assert (result.tokens, result.forwards_used) == ([5, 6, 7], 1)
+
+    @pytest.mark.parametrize("anchor, want, forwards", [
+        (2, [9, 9, 9, 10], 1),       # the anchor is the token before the key: it wins
+        (7, [5, 1, 2, 3], 0)])       # another anchor: the match wins
+    def test_an_anchored_phrase_wins_over_the_match(self, anchor, want, forwards):
+        pool = anchored_pool(20, TestTrustedPhrase.PHRASE, anchor)
+        clock = pool.clock
+        result = self.draft([1, 2, 3, 5, 1, 2, 3], {(1, 2, 3): 3}, pool)
+        assert (result.tokens, result.forwards_used) == (want, forwards)
+        if forwards == 0:  # a copy's one pool call is its lookup
+            assert pool.clock == clock + 1
+
+    def test_the_copy_is_cut_at_eos_and_at_max_new(self):
+        result = self.draft([1, 2, 3, 4, 19, 5, 1, 2, 3], {(1, 2, 3): 3})
+        assert (result.tokens, result.forwards_used) == ([4, 19], 0)
+        result = self.draft([1, 2, 3, 4, 5, 6, 1, 2, 3], {(1, 2, 3): 3}, max_new=2)
+        assert (result.tokens, result.forwards_used) == ([4, 5], 0)
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_the_window_slides_over_the_copies(self, width):
+        # one draft: a forward (the phrase's 1, 2, then 3), a copy of what
+        # followed (1, 2, 3), cut to 3 tokens, then forwards again; the first
+        # forward after the copy rebuilds the columns both earlier steps made
+        model, vocab, beta = CounterModel(12), 12, 3
+        prompt = [0, 1, 2, 3, 9, 3, 4, 5, 9, 0, 0]
+        log, memo = [], {}
+        pool = StepLogPool(vocab, log)
+        pool.insert((0, 1, 2, 3))
+        pool.max_phrase_len = 4
+        del log[:]
+        result = generate_draft(StepLog(model, memo, log), prompt, pool, 8, width, 3,
+                                max_new=20, beta=beta, memo=memo, trust=True,
+                                index={(1, 2, 3): 4})
+        tokens, n = result.tokens, len(result.tokens)
+        assert tokens == [1, 2, 3, 9, 3, 4] + list(range(5, n - 1))
+        assert assert_each_step_adds_the_rebuilt_window(
+            log, memo, model, width, 3, beta) == 1
+        assert result.forwards_used == (len(log) - 1) // 3 >= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(3, 10), st.integers(2, 4),
+           st.integers(1, 6), st.sampled_from([0.0, 1.0]), st.booleans())
+    def test_an_index_that_never_matches_changes_nothing(
+            self, seed, vocab, ngram, width, temperature, trust):
+        # every draft of one engine call with index None, against one with an
+        # index whose key the context never ends in: the same tokens,
+        # forwards, pool and memo
+        rng = np.random.default_rng(seed)
+        model = build_ngram_model(rng.integers(0, vocab, 200).tolist(), 2,
+                                  vocab_size=vocab)
+        prompt = rng.integers(0, vocab, int(rng.integers(1, 8))).tolist() * 3
+        trust = trust and temperature == 0
+        runs = []
+        for index in (None, {(vocab,) * 3: 1}):
+            pool, ctx, memo, drafts = PhrasePool(vocab), list(prompt), {}, []
+            draws = np.random.default_rng(seed)
+            for gamma in (1, 3, 6):
+                result = generate_draft(model, ctx, pool, gamma, width, ngram,
+                                        max_new=12, temperature=temperature,
+                                        rng=draws, memo=memo, trust=trust,
+                                        index=index)
+                drafts.append((result.tokens, result.forwards_used))
+                ctx += result.tokens
+            runs.append((drafts, pool.state(), pool.clock, memo))
+        assert runs[0] == runs[1]
 
 
 class TestGenerateDraft:
@@ -319,7 +432,7 @@ def draft_scoring_every_column(model, context, pool, gamma, width, ngram,
     """generate_draft with no memo: every step scores all its columns."""
     ctx, tokens, forwards, done = list(context), [], 0, False
     while not done and len(tokens) < gamma:
-        appended, phrases, _ = draft_step(model, ctx, pool,
+        appended, phrases, _ = draft_step(model, ctx, best(pool, ctx[-1]),
                                           window_columns(ctx, width, ngram),
                                           temperature=temperature, rng=rng)
         forwards += 1
@@ -474,15 +587,29 @@ class TestSlidingWindow:
             result = generate_draft(logged, ctx, pool, gamma, width, ngram, max_new,
                                     beta, temperature, draws, memo=memo)
             ctx += result.tokens
-        assert [event[0] for event in log] == ["lookup", "score", "add"] * (len(log) // 3)
-        for i in range(0, len(log), 3):
-            (_, found), (_, context, paths, known), (_, batch) = log[i:i + 3]
-            columns = window_columns(context, width, ngram)
-            assert batch == [memo[col] for col in columns] == [
-                (*col, int(np.argmax(model.distribution(list(col))))) for col in columns]
-            cand = found[0][1:beta] if found else ()
-            fresh = list(dict.fromkeys(col for col in columns if col not in known))
-            assert paths == [cand[:j] for j in range(len(cand) + 1)] + fresh
+        assert assert_each_step_adds_the_rebuilt_window(
+            log, memo, model, width, ngram, beta) == 0
+
+
+def assert_each_step_adds_the_rebuilt_window(log, memo, model, width, ngram, beta):
+    """A StepLog's steps: each looked up its phrase; each forward scored only
+    the window's stretches new to the memo, and added the n-grams of the
+    window rebuilt from its context.  Returns the number of draft-free steps,
+    which look up alone."""
+    kinds = [event[0] for event in log]
+    forwards = [i for i, kind in enumerate(kinds) if kind == "score"]
+    copies = kinds.count("lookup") - len(forwards)
+    assert len(kinds) == 3 * len(forwards) + copies
+    for i in forwards:
+        assert kinds[i - 1:i + 2] == ["lookup", "score", "add"]
+        (_, found), (_, context, paths, known), (_, batch) = log[i - 1:i + 2]
+        columns = window_columns(context, width, ngram)
+        assert batch == [memo[col] for col in columns] == [
+            (*col, int(np.argmax(model.distribution(list(col))))) for col in columns]
+        cand = found[0][1:beta] if found else ()
+        fresh = list(dict.fromkeys(col for col in columns if col not in known))
+        assert paths == [cand[:j] for j in range(len(cand) + 1)] + fresh
+    return copies
 
 
 class TestClip:

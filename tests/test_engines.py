@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ouroboros import (BenchConfig, CostModel, CounterModel, EngineConfig, Input
                        build_ngram_model, generate_lookahead_target, generate_ouroboros,
                        generate_speculative, generate_vanilla, modeled_speedup,
                        modeled_time)
+from ouroboros.drafting import generate_draft
 from ouroboros.models import next_distribution
 from ouroboros.pool import insert_ngrams
 from ouroboros.verification import verify
@@ -480,16 +482,23 @@ ASSUMPTIONS = {
         and (full is None or 0 <= full <= len(branches)) and isinstance(greedy, bool)),
     # a draft that trusts pooled phrases is one a target verifies: the draft
     # model's (the test's PerturbedModel), never lookahead's on the target
-    "draft_step": lambda model, context, pool, columns, beta=None, temperature=0.0,
+    "draft_step": lambda model, context, phrase, columns, beta=None, temperature=0.0,
     rng=None, counter=None, trust=False: (
         len(context) > 0 and in_vocab(model, context, *columns)
+        and (phrase is None or phrase.tokens[0] == context[-1])
         and trust in (False, isinstance(model, PerturbedModel))),
-    "generate_draft": lambda model, context, pool, gamma, width, ngram, max_new, *args,
-    trust=False, **kwargs: (
+    # an index only for a greedy draft that trusts, of positions in the
+    # context, each keyed by the 3 tokens before it
+    "generate_draft": lambda model, context, pool, gamma, width, ngram, max_new,
+    beta=None, temperature=0.0, rng=None, counter=None, memo=None, trust=False,
+    index=None: (
         len(context) > 0 and in_vocab(model, context) and gamma >= 1
         and max_new >= 1 and pool.vocab_size >= model.vocab_size
         and 2 <= ngram <= pool.max_phrase_len
-        and trust in (False, isinstance(model, PerturbedModel))),
+        and trust in (False, isinstance(model, PerturbedModel))
+        and (index is None or (trust and temperature == 0 and all(
+            3 <= at < len(context) and key == tuple(context[at - 3:at])
+            for key, at in index.items())))),
     "verify": lambda target, prefix, draft, suffixes, temperature=0.0, rng=None,
     beta=None, counter=None, draft_rows=None: (
         len(draft) > 0 and in_vocab(target, prefix, draft)
@@ -520,6 +529,7 @@ def test_the_loops_hand_the_inner_calls_what_they_take_on_trust(engine, temperat
         def call(*args, **kwargs):
             assert ASSUMPTIONS[name](*args, **kwargs), f"{name}{args}"
             calls[name] += 1
+            calls["indexed"] = calls.get("indexed", 0) + bool(kwargs.get("index"))
             return fn(*args, **kwargs)
         return call
 
@@ -529,17 +539,23 @@ def test_the_loops_hand_the_inner_calls_what_they_take_on_trust(engine, temperat
             monkeypatch.setattr(module, name, checked(name, vars(module)[name]))
     rng = np.random.default_rng(5)
     corpus = [int(t) for t in rng.integers(0, 9, size=300)]
-    target = build_ngram_model(corpus, 2, vocab_size=10)
-    draft = PerturbedModel(target, 0.3, seed=2)
-    # the default settings, then each at its least legal value
-    for cfg in (EngineConfig(), EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2,
-                                             max_new=1), EngineConfig(k=1, beta=2)):
-        for prompt in ([1], [4, 4, 4], corpus[:40]):
-            TABLE[engine](target, draft, prompt,
-                          dataclasses.replace(cfg, temperature=temperature, seed=7),
-                          PhrasePool(10))
+    # the bigram's greedy output repeats one token; the cyclic one's, seven
+    bigram = build_ngram_model(corpus, 2, vocab_size=10)
+    cyclic = build_ngram_model(list(range(7)) * 4, 2, vocab_size=10)
+    for target in (bigram, cyclic):
+        draft = PerturbedModel(target, 0.3, seed=2)
+        # the default settings, then each at its least legal value
+        for cfg in (EngineConfig(), EngineConfig(gamma=1, beta=2, k=0, window=1,
+                                                 ngram=2, max_new=1),
+                    EngineConfig(k=1, beta=2)):
+            for prompt in ([1], [4, 4, 4], corpus[:40]):
+                TABLE[engine](target, draft, prompt,
+                              dataclasses.replace(cfg, temperature=temperature, seed=7),
+                              PhrasePool(10))
     if engine == "ouroboros":
         assert calls["harvest"] and calls["correct_unused_suffixes"]
+        # greedy drafts were handed an index of the output, and only they
+        assert bool(calls["indexed"]) == (temperature == 0)
     assert calls["next_distribution"] or calls["forward_tree"]
     assert calls["sample"] or (temperature == 0 and engine != "vanilla")
 
@@ -681,6 +697,94 @@ def test_engines_agree_at_boundary_configs(case):
     _, off = generate_ouroboros(target, draft, prompt, cfg.all_off())
     assert (spec.target_forwards, spec.draft_forwards, spec.accept_len_histogram) \
         == (off.target_forwards, off.draft_forwards, off.accept_len_histogram)
+
+
+@st.composite
+def repetitive_cases(draw):
+    """Boundary configs over a bigram target whose greedy path cycles through
+    tokens 0 to ``period - 1``, so that its output repeats itself, with the
+    EOS anywhere in the vocab: on the cycle, where it ends the output, or off
+    it, where ``max_new`` does."""
+    vocab = draw(st.integers(3, 8))
+    period = draw(st.integers(1, vocab))
+    prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+    cfg = EngineConfig(gamma=draw(st.integers(1, 4)), beta=draw(st.integers(2, 4)),
+                       k=draw(st.integers(0, 2)), window=draw(st.integers(1, 3)),
+                       ngram=draw(st.integers(2, 3)),
+                       max_new=draw(st.sampled_from([1, 2, 6, 40])))
+    eos = draw(st.integers(0, vocab - 1))
+    epsilon = draw(st.sampled_from([0.0, 0.3]))
+    return vocab, period, prompt, cfg, eos, epsilon
+
+
+def repetitive_setup(vocab, period, prompt, cfg, eos, epsilon):
+    """A case's target, its draft at ``epsilon`` and a pool of the 3-grams
+    along the target's greedy path, which may hold the EOS."""
+    target = build_ngram_model(list(range(period)) * 4, order=2, vocab_size=vocab)
+    target.eos_id = eos  # before the draft copies it
+    draft = PerturbedModel(target, epsilon, seed=vocab)
+    path = list(prompt)
+    while len(path) < len(prompt) + cfg.max_new + 3:
+        path.append(int(np.argmax(next_distribution(target, path))))
+    pool = PhrasePool(vocab)
+    insert_ngrams(pool, path, 3)
+    return target, draft, pool
+
+
+def counting_drafts(free):
+    """generate_draft, appending to ``free`` whether each draft made no forward."""
+    def counted(*args, **kwargs):
+        result = generate_draft(*args, **kwargs)
+        free.append(result.forwards_used == 0)
+        return result
+    return counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(repetitive_cases())
+@example((4, 3, [1], EngineConfig(gamma=1, beta=2, k=0, window=1, ngram=2, max_new=40),
+          3, 0.0))
+@example((3, 1, [2], EngineConfig(gamma=4, beta=2, k=0, window=3, ngram=3, max_new=40),
+          2, 0.0))
+@example((5, 2, [4, 4], EngineConfig(gamma=1, beta=2, k=2, window=1, ngram=2,
+                                     max_new=40), 1, 0.3))  # EOS after 2 tokens
+def test_greedy_drafts_that_copy_the_output_match_vanilla(case):
+    vocab, period, prompt, cfg, eos, epsilon = case
+    target, draft, pool = repetitive_setup(*case)
+    free = []
+    with mock.patch.object(ouroboros.engines, "generate_draft", counting_drafts(free)):
+        out, m = generate_ouroboros(target, draft, prompt, cfg, pool)
+    assert (out, m.tokens_emitted) == (generate_vanilla(target, prompt, cfg)[0], len(out))
+    # A perfect draft with no lengthening meets no anchored phrase.  Once the
+    # output holds a period and 3 tokens, the next draft copies from it, all
+    # of it with no forward; an iteration emits at most gamma + 15 tokens.
+    if (epsilon, cfg.k) == (0, 0) and eos not in out \
+            and cfg.max_new >= period + 3 + cfg.gamma + 15:
+        assert any(free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repetitive_cases(), st.sampled_from([0.0, 1.0]), st.booleans())
+def test_only_greedy_drafts_that_trust_read_the_index(case, temperature, harvest):
+    # the same engine call with its index withheld from every draft: at T > 0,
+    # or with harvest (and trust) off, it is the same run, pool and all
+    vocab, period, prompt, cfg, eos, epsilon = case
+    cfg = dataclasses.replace(cfg, temperature=temperature, harvest=harvest, seed=vocab)
+    target, draft, pool = repetitive_setup(*case)
+
+    def unindexed(*args, index=None, **kwargs):
+        return generate_draft(*args, **kwargs)
+
+    runs = []
+    for drafts in (generate_draft, unindexed):
+        copy = pool.copy()
+        with mock.patch.object(ouroboros.engines, "generate_draft", drafts):
+            out, m = generate_ouroboros(target, draft, prompt, cfg, copy)
+        runs.append((out, dataclasses.asdict(m), copy.state(), copy.clock))
+    if temperature > 0 or not harvest:
+        assert runs[0] == runs[1]
+    else:
+        assert runs[0][0] == runs[1][0]
 
 
 class ScoreOnly(LanguageModel):

@@ -36,6 +36,10 @@ corrected after the token now before its first in whole (an anchored
 corrected suffix): the greedy runs draft, verify and pool other phrases, and
 the T1 pin reads the pool they save.  ``TOKENS_SHA256`` T0, ``SAMPLED_*``,
 every ``BASELINE_SHA256`` and ``ABLATE_CSV_SHA256["1"]`` did not move.
+
+The same three were retaken, and the same others did not move, when greedy
+ouroboros drafts came to copy, with no draft forward, what followed the
+context's last 3 tokens where they occur in the engine call's output.
 """
 
 import dataclasses
@@ -52,11 +56,11 @@ from corpora import reference_corpus_text, write_corpus
 # byte tokens: long prompts put many n-grams in few buckets, so warm-up and
 # window inserts evict all the time
 ARGS = ("--tokenizer", "byte", "--engines", "ouroboros", "--max-new", "48")
-POOL_SHA256 = "ab841d33272ac03236372ae1e09d7e00124567550f6345214d077fe6b2c52768"
+POOL_SHA256 = "646b4acba1fe2f07fc956dd77bb3c6e53b2ce201fdc034ee0f5e85c70c5cd62f"
 # temperature -> digest of the tokens every prompt emits from the saved pool
 TOKENS_SHA256 = {
     "0": "ebdfc1cf44f40710346dcf445cc04d62fcbc5e85cc28533517d0d329e5b1f845",
-    "1": "ec3aad510fc719cec9bc07c779896aad56f82b9517114db1bc7caadb11e9fc4d",
+    "1": "e59f439842bfeffd95296573d430059d9398f49f6b24bd53fe9fc87a9da7b3fb",
 }
 
 
@@ -161,7 +165,7 @@ def test_baseline_engines_are_pinned(tmp_path, pin):
 
 # ablate --out-csv: every rung's row for every prompt, greedy and sampled
 ABLATE_CSV_SHA256 = {
-    "0": "8082bf92776f50b0dc6a195917e37ff4f22f6975a35b106c33f3c26a596fc03b",
+    "0": "08de1973d559d689cd4cb212700290d9135ac7c43952d71639b3ce94e000d7d6",
     "1": "66ccb93965322f79d2790ef29e43ba61bdf0feaaf4e3c55626d39cb1f45c1848",
 }
 

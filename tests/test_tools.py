@@ -110,19 +110,21 @@ def test_the_sweep_gives_the_benchmarks_modeled_numbers():
 # call's tokens, target and draft forwards and target branch tokens.  Speed work
 # on any layer must leave them as they are; a change that declares an algorithm
 # change retakes them and says so.  The greedy ouroboros pins were retaken when
-# its drafts came to trust anchored corrected phrases; the tokens did not move.
+# its drafts came to trust anchored corrected phrases, and again when they came
+# to copy continuations from the call's output with no draft forward; the
+# tokens did not move.
 SWEEP_SHA256 = {
     "reuse-stream": {
         "vanilla": "df1abff2bc32d53faa375c79477d7bcebb9867753bcdc91b82ba8e52d41f725e",
         "speculative": "4cf6694036668fa02a1443459f0a57bb78cc2139e2d92fea06db8cb9a958d0aa",
         "lookahead": "2f2c735f44924f4559749d37b52acfd4243c18374f0d36a866ec9eef2c17b419",
-        "ouroboros": "cd67caa7ffbb9bdd35116ff1f9447e5c153db35d8fece014b7e9a0e18e4a1317",
+        "ouroboros": "20a605148887bdd3bf3895b4bf121f82d2c9afe01f3d045119dd3e9815f88b3f",
     },
     "long-context": {
         "vanilla": "9468d13f92fb149d19c6d16be6a900fb42c0dd36694d9063fe42a09b62bc6e6e",
         "speculative": "0889f9aef8cc43b25d936e41d948d92e742d7e14ca96ecc2afe9e300536b5642",
         "lookahead": "d7e18834f3dce91f4ff89aac59f5a2233ea4db5a533ff332493da118bd1b3597",
-        "ouroboros": "1ea11aee84921db506793744ac8523399543381948c131248896582830d60064",
+        "ouroboros": "37eceda4037a214d7025051c611f582c06caa931e60bfdf26af5a114905b04a9",
     },
     "sampled": {
         "vanilla": "b3289ae0b6d5917d6b3bd3bb7a6625ab6f8fcebb695c6fe92bd85bab9ac721c7",
